@@ -69,6 +69,8 @@ class Outcome:
     late_ms: list = field(default_factory=list)
     attempted: int = 0
     failed: int = 0
+    #: free reads answered with anything but 200 (not timed)
+    read_failed: int = 0
     errors: list = field(default_factory=list)
     elapsed_s: float = 0.0
     #: first response body per distinct free request
@@ -91,11 +93,14 @@ def _record(out: Outcome, kind: str, body: bytes, write, status: int,
             out.failed += 1
             out.errors.append(f"write {write.tenant}: HTTP {status} {resp[:200]!r}")
         return
-    out.read_ms.append(ms)
     if status != 200:
+        # A shed or failed read is not timed: failing fast must not look
+        # like serving fast.
         out.failed += 1
+        out.read_failed += 1
         out.errors.append(f"read: HTTP {status} {resp[:200]!r}")
         return
+    out.read_ms.append(ms)
     seen = out.first.setdefault(body, resp)
     if seen is not resp and seen != resp:
         out.failed += 1

@@ -8,7 +8,6 @@ prints ``{"event": "ready", "port": ...}``.  It then takes one command
 per stdin line and answers each with one JSON line on stdout:
 
 ``cpu``        process CPU seconds so far;
-``cal``        time the host-speed calibration kernel (``pb_stats``);
 ``trace_on``   wrap the layers (pb_layers.PROBES) for a traced pass;
 ``trace_off``  unwrap them and return the pass's layer totals;
 ``stop``       drain and shut the server down, return the in-memory
@@ -29,7 +28,6 @@ import time
 
 import pb_gen
 import pb_layers
-import pb_stats
 import pb_trace
 
 
@@ -138,8 +136,6 @@ class Control:
             cmd = line.strip()
             if cmd == "cpu":
                 reply = {"cpu_s": time.process_time()}
-            elif cmd == "cal":
-                reply = {"cal_ms": pb_stats.calibrate()}
             elif cmd == "trace_on":
                 reply = self._on_loop(self._trace_on)
             elif cmd == "trace_off":

@@ -1,7 +1,7 @@
 """One part of a workload, run in a fresh process: set up, measure, check.
 
 Run as ``python pb_workloads.py --workload W --seed S --part K --parts N
---seconds T --trace 0|1 --workdir D --registry R``.  The process prints
+--seconds T --trace 0|1 --workdir D``.  The process prints
 ``SETUP_DONE`` once its set-up is finished (the parent times child start
 to that line), then runs an untimed warm-up, ``T`` seconds of timed work
 and, with ``--trace 1``, a traced pass of the same length; then it runs
@@ -28,12 +28,20 @@ import time
 import pb_client
 import pb_gen
 import pb_layers
-import pb_stats
 import pb_trace
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SETUP_DONE = "SETUP_DONE"
+CALIBRATE = "CALIBRATE"
 WARMUP_S = 1.0
+
+
+def calibration_point() -> None:
+    """Hand the host to the parent, which times its calibration kernel
+    while this process (and its server) sits idle; returns when done.
+    Called just before and just after the timed work."""
+    print(CALIBRATE, flush=True)
+    sys.stdin.readline()
 
 
 def peak_rss_mb() -> float:
@@ -132,14 +140,6 @@ class Serve:
                 self.server.wait()
         self.server = None
 
-    def calibrate(self) -> float:
-        """Host speed on both CPUs: the kernel runs in this process and in
-        the (idle) server at the same time."""
-        self.server.stdin.write("cal\n")
-        self.server.stdin.flush()
-        here = pb_stats.calibrate()
-        return (here + json.loads(self.server.stdout.readline())["cal_ms"]) / 2
-
     def phase(self, i: int):
         if self.mixed:
             return pb_client.open_loop(self.conns, self.schedules[i])
@@ -149,11 +149,11 @@ class Serve:
     def run(self) -> dict:
         a = self.args
         warm = self.phase(0)
-        cal = [self.calibrate()]
+        calibration_point()
         cpu0 = self.command("cpu")["cpu_s"]
         main = self.phase(1)
         cpu1 = self.command("cpu")["cpu_s"]
-        cal.append(self.calibrate())
+        calibration_point()
         traced = totals = None
         if a.trace:
             self.command("trace_on")
@@ -181,7 +181,6 @@ class Serve:
                 "late_ms": main.late_ms,
             },
             "elapsed_s": main.elapsed_s,
-            "cal_ms": _mean(cal),
             "attempted": sum(p.attempted for p in phases),
             "failed": sum(p.failed for p in phases),
             "checks": checks.results,
@@ -215,6 +214,8 @@ class Serve:
                 seen = first.setdefault(body, resp)
                 checks.expect("free_repeatable", seen == resp, body[:80].decode())
         writes = [w for p in phases for w in p.writes]
+        read_failed = sum(p.read_failed for p in phases)
+        checks.expect("reads_ok", read_failed == 0, f"{read_failed} reads not served")
 
         # In-process replica of the server's state, float-compared.
         replica = pb_server.build_session(a.registry, None)
@@ -404,9 +405,11 @@ class ColdFit:
         # Warm-up (imports, allocator, first pool fork), which doubles as
         # the reference for the determinism check of the first sub-seed.
         _, again = self.fit_set(self.args.part)
-        cal = [pb_stats.calibrate()]
+        calibration_point()
         times, losses = self.passes()
-        cal.append(pb_stats.calibrate())
+        calibration_point()
+        # Before the checks: their baselines are not the workload.
+        rss_mb = peak_rss_mb()
         checks = Checks()
         for name, (loss, _, _) in again.items():
             checks.expect(
@@ -421,11 +424,11 @@ class ColdFit:
         out = {
             "samples": {"op_ms": [1e3 * t for t in times]},
             "elapsed_s": math.fsum(times),
-            "cal_ms": _mean(cal),
             "attempted": len(times) * len(losses[0]),
             "failed": 0,
             "fit_rmse": fit_rmse,
             "provenance": {"restarts": FIT_RESTARTS, "workers": self.cpus},
+            "rss_mb": rss_mb,
         }
         if self.args.trace:
             tracer = pb_trace.Tracer()
@@ -441,7 +444,6 @@ class ColdFit:
             )
         out["checks"] = checks.results
         out["errors"] = checks.errors
-        out["rss_mb"] = peak_rss_mb()
         return out
 
 
@@ -536,22 +538,24 @@ class EpsSweep:
 
         for i in range(SWEEP_WARMUP):
             self.sweep(i - SWEEP_WARMUP)
-        cal = [pb_stats.calibrate()]
+        calibration_point()
         times, rmses, last, last_rng = self.passes()
-        cal.append(pb_stats.calibrate())
+        calibration_point()
+        # Before the checks: the LSMR reference is not the workload.
+        rss_mb = peak_rss_mb()
         checks = Checks()
         checks.expect("strategy_warm", self.warm, "sweep strategy was not warm-loaded")
         self.check_lsmr(last, last_rng, checks)
         out = {
             "samples": {"op_ms": [1e3 * t for t in times], "rmse": rmses},
             "elapsed_s": math.fsum(times),
-            "cal_ms": _mean(cal),
             "attempted": len(times),
             "failed": 0,
             "provenance": {
                 "grid": list(SWEEP_GRID), "trials": SWEEP_TRIALS,
                 "domain": SWEEP_N ** 3,
             },
+            "rss_mb": rss_mb,
         }
         if self.args.trace:
             tracer = pb_trace.Tracer()
@@ -579,7 +583,6 @@ class EpsSweep:
         )
         out["checks"] = checks.results
         out["errors"] = checks.errors
-        out["rss_mb"] = peak_rss_mb()
         return out
 
     def check_lsmr(self, r, rng, checks: Checks) -> None:
@@ -623,8 +626,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--workdir", required=True)
-    ap.add_argument("--registry", required=True)
     args = ap.parse_args(argv)
+    # Each part primes its own registry, so every part sets up alike.
+    args.registry = os.path.join(args.workdir, "registry")
 
     workload = WORKLOADS[args.workload](args)
     try:

@@ -7,7 +7,8 @@ Usage (from the repository root)::
 Workloads (``BENCHMARK.json`` says why each exists):
 
 ``serve_read``   closed loop, 2 keep-alive connections, free hits only;
-``serve_mixed``  open loop, 100 req/s, exactly 1 in 10 a measured write;
+``serve_mixed``  open loop, fixed offered rate, exactly 1 in 10 a measured
+                 write;
 ``cold_fit``     ``QueryService.prepare`` of paper Table 3 configs;
 ``eps_sweep``    ``QueryService.measure`` of an ε grid on a warm L=4 union.
 
@@ -22,21 +23,21 @@ environment.  The result's metrics are the same on every workload:
 ``setup_s``      median set-up time of the parts;
 ``peak_rss_mb``  peak RSS of a part's processes (the largest part);
 ``p50_ms``       median latency of the workload's headline op: a free
-                 read (serve_read), a measured write timed from its
-                 scheduled send (serve_mixed), a fit of the whole config
-                 set (cold_fit), a sweep (eps_sweep).
+                 read (serve_read), a free read beside the writes, timed
+                 from its scheduled send (serve_mixed), a fit of the
+                 whole config set (cold_fit), a sweep (eps_sweep).
 
 ``mean_ms`` (the mean over every timed request or op) is printed but not
 gated: on serve_mixed a few stalls behind writes move it by tens of
 percent between runs.
 
-The host this benchmark was built on drifts in CPU speed by tens of
-percent over minutes.  So each part also times a fixed CPU kernel just
-before and just after its timed work (``pb_stats.calibrate``; on the
-HTTP workloads in the client and the server at once), and the metrics
-above are that part's timings rescaled to the speed at which the kernel
-takes :data:`CAL_REF_MS`: ``ms`` at reference speed.  The figures printed
-by name are as measured, next to the speed factor.
+Shared cloud hosts drift in CPU speed by tens of percent over minutes.
+So this process, which never loads the program under test, times a
+fixed CPU kernel (``pb_stats.calibrate``) just before and just after each
+part's timed work, while the part waits idle for it; the metrics above
+are that part's timings rescaled to the speed at which the kernel takes
+:data:`CAL_REF_MS`: ``ms`` at reference speed.  The figures printed by
+name are as measured, next to the speed factor.
 
 The per-workload figures (``read_qps``, ``read_p99_ms``, ``write_p90_ms``,
 ``fit_s``, ``fit_rmse.*``, ``sweep_rmse``, ``error_rate`` …) are printed
@@ -86,7 +87,7 @@ BLAS_ENV = (
 #: Per workload: the samples behind ``p50_ms``, and those behind ``mean_ms``.
 HEADLINE = {
     "serve_read": ("read_ms", ("read_ms",)),
-    "serve_mixed": ("write_ms", ("read_ms", "write_ms")),
+    "serve_mixed": ("read_ms", ("read_ms", "write_ms")),
     "cold_fit": ("op_ms", ("op_ms",)),
     "eps_sweep": ("op_ms", ("op_ms",)),
 }
@@ -138,8 +139,9 @@ def git_sha() -> str | None:
 
 
 def run_part(args, part: int, parts: int, seconds: float, workdir: str,
-             registry: str, deadline: float) -> tuple[dict, float]:
-    """Run one ``pb_workloads.py`` child; returns its result and the
+             deadline: float) -> tuple[dict, float]:
+    """Run one ``pb_workloads.py`` child; returns its result, with the
+    host-speed calibration around its timed work as ``cal_ms``, and the
     seconds from its start to its SETUP_DONE line."""
     os.makedirs(workdir, exist_ok=True)
     t0 = time.perf_counter()
@@ -153,8 +155,8 @@ def run_part(args, part: int, parts: int, seconds: float, workdir: str,
             "--seconds", repr(seconds),
             "--trace", str(args.trace),
             "--workdir", workdir,
-            "--registry", registry,
         ],
+        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
         env=child_env(workdir),
@@ -164,30 +166,36 @@ def run_part(args, part: int, parts: int, seconds: float, workdir: str,
     watchdog.start()
     try:
         setup_s = None
+        cal = []
         for out_line in proc.stdout:
             if out_line.strip() == "SETUP_DONE" and setup_s is None:
                 setup_s = time.perf_counter() - t0
+            elif out_line.strip() == "CALIBRATE":
+                cal.append(pb_stats.calibrate())
+                proc.stdin.write("\n")
+                proc.stdin.flush()
         code = proc.wait()
     finally:
         watchdog.cancel()
         if proc.poll() is None:
             proc.kill()
         proc.wait()
-    if code != 0 or setup_s is None:
+    if code != 0 or setup_s is None or len(cal) != 2:
         raise RuntimeError(f"{args.workload} part {part} failed (exit code {code})")
     with open(os.path.join(workdir, "result.json")) as f:
-        return json.load(f), setup_s
+        result = json.load(f)
+    result["cal_ms"] = math.fsum(cal) / 2
+    return result, setup_s
 
 
 def run(args, workdir: str) -> tuple[list[dict], list[float]]:
     deadline = time.time() + RUN_BUDGET_S
-    registry = os.path.join(workdir, "registry")
     parts = 1 if args.trace else PARTS
     results, setups = [], []
     for k in range(parts):
         result, setup_s = run_part(
             args, k, parts, args.seconds / parts,
-            os.path.join(workdir, f"part-{k}"), registry, deadline,
+            os.path.join(workdir, f"part-{k}"), deadline,
         )
         results.append(result)
         setups.append(setup_s)
