@@ -83,6 +83,20 @@ class Outcome:
     def all_ms(self) -> list:
         return self.read_ms + self.write_ms
 
+    def extend(self, other: "Outcome") -> None:
+        """Add a later closed-loop phase's observations to this one."""
+        self.read_ms += other.read_ms
+        self.attempted += other.attempted
+        self.failed += other.failed
+        self.read_failed += other.read_failed
+        self.errors += other.errors
+        self.elapsed_s += other.elapsed_s
+        for body, resp in other.first.items():
+            seen = self.first.setdefault(body, resp)
+            if seen != resp:
+                self.failed += 1
+                self.errors.append(f"free response changed between repeats: {body[:120]!r}")
+
 
 def _record(out: Outcome, kind: str, body: bytes, write, status: int,
             resp: bytes, ms: float) -> None:

@@ -16,11 +16,14 @@ several fresh processes; part ``K`` draws its inputs from ``(seed, K)``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import resource
 import shutil
+import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -36,12 +39,42 @@ CALIBRATE = "CALIBRATE"
 WARMUP_S = 1.0
 
 
+#: The compute workloads' timed ops are grouped into windows of at least
+#: this many seconds of work, each bracketed by calibration points.
+WINDOW_S = 1.0
+#: serve_read's reads are grouped into windows of this many seconds, each
+#: bracketed by ``REF_WINDOW_S`` of reads to the reference server.
+READ_WINDOW_S = 0.5
+REF_WINDOW_S = 0.125
+
+
 def calibration_point() -> None:
     """Hand the host to the parent, which times its calibration kernel
-    while this process (and its server) sits idle; returns when done.
-    Called just before and just after the timed work."""
+    while this process sits idle; returns when done."""
     print(CALIBRATE, flush=True)
     sys.stdin.readline()
+
+
+def timed_windows(op, seconds: float, window_s: float = WINDOW_S) -> list:
+    """Call ``op(i)`` for i = 0, 1, ... (it returns its own seconds) until
+    the ops have taken ``seconds`` (at least one op), with a calibration
+    point before the first op and after every window of ``window_s`` of
+    ops.  Returns the op times in milliseconds, one list per window."""
+    windows, window = [], []
+    busy = in_window = 0.0
+    calibration_point()
+    for i in itertools.count():
+        t = op(i)
+        window.append(1e3 * t)
+        busy += t
+        in_window += t
+        done = busy >= seconds
+        if done or in_window >= window_s:
+            calibration_point()
+            windows.append(window)
+            window, in_window = [], 0.0
+        if done:
+            return windows
 
 
 def peak_rss_mb() -> float:
@@ -90,6 +123,13 @@ class Serve:
         self.mixed = mixed
         self.server = None
         self.conns = []
+        self.pinned = False
+        self.ref = None
+        self.ref_conns = []
+        #: serve_read: the timed reads per window, and the reference
+        #: server's median latency after each window.
+        self.read_windows: list = []
+        self.ref_ms: list = []
 
     def setup(self) -> None:
         a = self.args
@@ -101,6 +141,13 @@ class Serve:
             self.stream = pb_gen.ReadStream(a.seed, part=a.part)
             tenants = {"laplace": 0, "gaussian": 0}
         self.tenants = tenants
+        # serve_read: the server's event loop, which does all of a free
+        # hit's work, gets a CPU of its own and the client the other, so
+        # where the OS happens to place the two cannot differ between
+        # runs.  serve_mixed stays unpinned: its writes' executor threads
+        # may use the second CPU beside the event loop.
+        cpus = sorted(os.sched_getaffinity(0))
+        pin = not self.mixed and len(cpus) >= 2
         self.server = subprocess.Popen(
             [
                 sys.executable, os.path.join(HERE, "pb_server.py"),
@@ -113,7 +160,23 @@ class Serve:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
+            preexec_fn=(lambda: os.sched_setaffinity(0, cpus[1:2])) if pin else None,
         )
+        if pin:
+            os.sched_setaffinity(0, cpus[:1])
+        self.pinned = pin
+        if not self.mixed:
+            # On the server's CPU, like the server.
+            self.ref = subprocess.Popen(
+                [sys.executable, os.path.join(HERE, "pb_refserver.py")],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                preexec_fn=(lambda: os.sched_setaffinity(0, cpus[1:2])) if pin else None,
+            )
+            port = json.loads(self.ref.stdout.readline() or "{}")["port"]
+            self.ref_conns = [pb_client.Conn(port) for _ in range(2)]
+            self.ref_stream = pb_gen.ReadStream(a.seed, part=a.part)
         ready = json.loads(self.server.stdout.readline() or "{}")
         if ready.get("event") != "ready":
             raise RuntimeError("server failed to start")
@@ -125,13 +188,22 @@ class Serve:
         return json.loads(self.server.stdout.readline())
 
     def close_conns(self) -> None:
-        for c in self.conns:
+        for c in self.conns + self.ref_conns:
             c.close()
-        self.conns = []
+        self.conns, self.ref_conns = [], []
+        if self.ref is not None:
+            self.ref.stdin.close()
+            try:
+                self.ref.wait(10)
+            except subprocess.TimeoutExpired:
+                self.ref.kill()
+                self.ref.wait()
+            self.ref = None
 
     def teardown(self) -> None:
         self.close_conns()
         if self.server is not None and self.server.poll() is None:
+            os.kill(self.server.pid, signal.SIGCONT)
             try:
                 self.command("stop")
                 self.server.wait(60)
@@ -143,17 +215,42 @@ class Serve:
     def phase(self, i: int):
         if self.mixed:
             return pb_client.open_loop(self.conns, self.schedules[i])
+        if i == 1:
+            return self.read_pass()
         seconds = WARMUP_S if i == 0 else self.args.seconds
         return pb_client.closed_loop(self.conns, self.stream, seconds)
+
+    def read_pass(self):
+        """serve_read's timed pass: windows of :data:`READ_WINDOW_S` of
+        reads, each bracketed by :data:`REF_WINDOW_S` of the same kind of
+        reads to the reference server while the server under test is
+        stopped (SIGSTOP), so that it cannot take part in the reference."""
+        out = pb_client.Outcome()
+        n = max(round(self.args.seconds / READ_WINDOW_S), 1)
+        self.reference()
+        for _ in range(n):
+            window = pb_client.closed_loop(self.conns, self.stream, self.args.seconds / n)
+            out.extend(window)
+            self.read_windows.append(window.read_ms)
+            self.reference()
+        return out
+
+    def reference(self) -> None:
+        os.kill(self.server.pid, signal.SIGSTOP)
+        try:
+            ref = pb_client.closed_loop(self.ref_conns, self.ref_stream, REF_WINDOW_S)
+        finally:
+            os.kill(self.server.pid, signal.SIGCONT)
+        if ref.failed or not ref.read_ms:
+            raise RuntimeError(f"reference server failed: {ref.errors[:1]}")
+        self.ref_ms.append(statistics.median(ref.read_ms))
 
     def run(self) -> dict:
         a = self.args
         warm = self.phase(0)
-        calibration_point()
         cpu0 = self.command("cpu")["cpu_s"]
         main = self.phase(1)
         cpu1 = self.command("cpu")["cpu_s"]
-        calibration_point()
         traced = totals = None
         if a.trace:
             self.command("trace_on")
@@ -186,7 +283,10 @@ class Serve:
             "checks": checks.results,
             "errors": checks.errors + [e for p in phases for e in p.errors][:20],
             "rss_mb": rss_kb / 1024.0,
+            "provenance": {"server_and_client_pinned": self.pinned},
         }
+        if not self.mixed:
+            out.update(read_windows=self.read_windows, ref_ms=self.ref_ms)
         if traced is not None:
             cpu_ms = (cpu1 - cpu0) * 1e3 / max(main.attempted, 1)
             out["layers"] = pb_layers.layer_metrics(
@@ -381,22 +481,22 @@ class ColdFit:
         return elapsed, fitted
 
     def passes(self, count=None):
-        """Fit sets with sub-seeds ``part, part + parts, ...`` until the
-        part's seconds are used (at least one), or ``count`` of them."""
+        """Fit sets with sub-seeds ``part, part + parts, ...``: for the
+        part's seconds in calibrated windows, or ``count`` of them.
+        Returns the fit times in ms per window and each set's losses."""
         a = self.args
-        times, losses = [], []
-        start = time.perf_counter()
-        i = 0
-        while (i < count) if count is not None else (
-            i == 0 or time.perf_counter() - start < a.seconds
-        ):
+        losses = []
+
+        def op(i: int) -> float:
             elapsed, fitted = self.fit_set(a.part + i * a.parts)
-            times.append(elapsed)
             losses.append({k: v[0] for k, v in fitted.items()})
             if i == 0:
                 self.first = fitted
-            i += 1
-        return times, losses
+            return elapsed
+
+        if count is None:
+            return timed_windows(op, a.seconds), losses
+        return [[1e3 * op(i) for i in range(count)]], losses
 
     def run(self) -> dict:
         from repro.core.error import rootmse
@@ -405,9 +505,8 @@ class ColdFit:
         # Warm-up (imports, allocator, first pool fork), which doubles as
         # the reference for the determinism check of the first sub-seed.
         _, again = self.fit_set(self.args.part)
-        calibration_point()
-        times, losses = self.passes()
-        calibration_point()
+        windows, losses = self.passes()
+        times = [t / 1e3 for w in windows for t in w]
         # Before the checks: their baselines are not the workload.
         rss_mb = peak_rss_mb()
         checks = Checks()
@@ -423,6 +522,7 @@ class ColdFit:
             fit_rmse[name] = float(rootmse(W, A, 1.0))
         out = {
             "samples": {"op_ms": [1e3 * t for t in times]},
+            "windows": windows,
             "elapsed_s": math.fsum(times),
             "attempted": len(times) * len(losses[0]),
             "failed": 0,
@@ -434,13 +534,13 @@ class ColdFit:
             tracer = pb_trace.Tracer()
             patches = pb_trace.install(tracer, pb_layers.PROBES)
             try:
-                t_times, t_losses = self.passes(count=len(times))
+                (t_ms,), t_losses = self.passes(count=len(times))
             finally:
                 pb_trace.uninstall(patches)
             checks.expect("fit_deterministic", t_losses == losses, "traced pass")
             out["layers"] = traced_layers(
-                tracer, self.args.workdir, len(t_times),
-                1e3 * _mean(t_times), 1e3 * _mean(times),
+                tracer, self.args.workdir, len(t_ms),
+                _mean(t_ms), 1e3 * _mean(times),
             )
         out["checks"] = checks.results
         out["errors"] = checks.errors
@@ -521,26 +621,29 @@ class EpsSweep:
         return elapsed, rmse, r, rng
 
     def passes(self, count=None):
-        times, rmses = [], []
-        start = time.perf_counter()
-        i = 0
-        while (i < count) if count is not None else (
-            i == 0 or time.perf_counter() - start < self.args.seconds
-        ):
-            elapsed, rmse, r, rng = self.sweep(i)
-            times.append(elapsed)
+        """Sweeps: for the part's seconds in calibrated windows, or
+        ``count`` of them.  Returns the sweep times in ms per window, each
+        sweep's RMSE, and the last sweep's result and seed."""
+        rmses, last = [], {}
+
+        def op(i: int) -> float:
+            elapsed, rmse, last["r"], last["rng"] = self.sweep(i)
             rmses.append(rmse)
-            i += 1
-        return times, rmses, r, rng
+            return elapsed
+
+        if count is None:
+            windows = timed_windows(op, self.args.seconds)
+        else:
+            windows = [[1e3 * op(i) for i in range(count)]]
+        return windows, rmses, last["r"], last["rng"]
 
     def run(self) -> dict:
         from repro.service import PrivacyAccountant
 
         for i in range(SWEEP_WARMUP):
             self.sweep(i - SWEEP_WARMUP)
-        calibration_point()
-        times, rmses, last, last_rng = self.passes()
-        calibration_point()
+        windows, rmses, last, last_rng = self.passes()
+        times = [t / 1e3 for w in windows for t in w]
         # Before the checks: the LSMR reference is not the workload.
         rss_mb = peak_rss_mb()
         checks = Checks()
@@ -548,6 +651,7 @@ class EpsSweep:
         self.check_lsmr(last, last_rng, checks)
         out = {
             "samples": {"op_ms": [1e3 * t for t in times], "rmse": rmses},
+            "windows": windows,
             "elapsed_s": math.fsum(times),
             "attempted": len(times),
             "failed": 0,
@@ -561,12 +665,12 @@ class EpsSweep:
             tracer = pb_trace.Tracer()
             patches = pb_trace.install(tracer, pb_layers.PROBES)
             try:
-                t_times, _, _, _ = self.passes(count=len(times))
+                (t_ms,), _, _, _ = self.passes(count=len(times))
             finally:
                 pb_trace.uninstall(patches)
             out["layers"] = traced_layers(
-                tracer, self.args.workdir, len(t_times),
-                1e3 * _mean(t_times), 1e3 * _mean(times),
+                tracer, self.args.workdir, len(t_ms),
+                _mean(t_ms), 1e3 * _mean(times),
             )
         acct = self.svc.accountant
         per_sweep = float(self.grid.sum()) * SWEEP_TRIALS

@@ -194,3 +194,19 @@ def test_open_loop_schedule_repeats_exactly_and_never_reuses_a_tenant():
         assert times == sorted(times)
     # Poisson arrivals at the offered rate, roughly.
     assert 0.6 * 5 * pb_gen.OFFERED_RATE < len(one[1]) < 1.5 * 5 * pb_gen.OFFERED_RATE
+
+
+def test_windows_rescale_by_the_speed_measured_around_them():
+    import run
+
+    # cold_fit / eps_sweep: calibration kernel timed before and after
+    # each window; a window run at half speed reads as the reference.
+    ref = run.CAL_REF_MS
+    part = {"windows": [[10.0, 20.0], [40.0]], "cal_ms": [ref, ref, 3 * ref]}
+    assert run.rescaled(part) == [10.0, 20.0, 20.0]
+    # serve_read: the reference server's median read, likewise.
+    r = run.REF_READ_MS
+    part = {"read_windows": [[1.0], [2.0, 4.0]], "ref_ms": [r, r, 3 * r]}
+    assert run.referenced(part) == [1.0, 1.0, 2.0]
+    with pytest.raises(RuntimeError):
+        run.referenced({"read_windows": [[1.0]], "ref_ms": [r]})
