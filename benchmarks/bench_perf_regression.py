@@ -925,7 +925,8 @@ def bench_server(
     from repro.api import Schema, Session
     from repro.server.app import ServerApp
     from repro.server.http import serve_in_thread
-    from repro.service import PrivacyAccountant, faults
+    from repro.service import PrivacyAccountant
+    from repro.util import faults
 
     def _new_app(extra_datasets=0, **kwargs):
         # Extra datasets share the schema and data: the strategy fit is

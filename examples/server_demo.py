@@ -31,7 +31,8 @@ import numpy as np
 from repro.api import Schema, Session
 from repro.server.app import ServerApp
 from repro.server.http import serve_in_thread
-from repro.service import PrivacyAccountant, faults
+from repro.service import PrivacyAccountant
+from repro.util import faults
 
 
 def post(port: int, payload: dict, timeout: float = 30.0):

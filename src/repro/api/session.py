@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs as _obs
 from ..domain import SchemaMismatchError
 from ..obs.trace import TRACER as _TRACER
 from ..service.accountant import PrivacyAccountant
@@ -344,15 +345,16 @@ class Session:
         :class:`ValueError` when the session runs without an accountant —
         there is no budget to report on.
         """
-        from ..obs.spend import report_from_accountant
-
         acct = self.service.accountant
         if acct is None:
             raise ValueError(
                 "session has no accountant: budget reporting needs the "
                 "ε ledger an accountant maintains"
             )
-        return report_from_accountant(acct)
+        # ``obs.spend`` resolves through the package's lazy attribute, so
+        # importing this module never loads it (``python -m
+        # repro.obs.spend`` would otherwise find it already imported).
+        return _obs.spend.report_from_accountant(acct)
 
     def __repr__(self) -> str:
         return f"Session(datasets={self.datasets()}, service={self.service!r})"

@@ -1,24 +1,21 @@
-"""ε-spend observability: replay a WAL ledger into a budget report.
+"""ε-spend observability: render the accountant's state as a budget report.
 
 The accountant's write-ahead ledger (:mod:`repro.service.ledger`) is the
-authoritative record of every privacy debit, but reading it meant
-constructing a :class:`~repro.service.accountant.PrivacyAccountant` —
-which takes the file lock and *physically truncates* a torn tail.  This
-module is the read-only view: :func:`replay` parses the committed record
-prefix without locking or mutating anything and folds it with **exactly
-the arithmetic** ``PrivacyAccountant._apply_records`` uses — both call
-:func:`repro.privacy.accounting.fold_debit`, the single shared fold — so
-the report's per-dataset totals (ε, and for mixed-mechanism ledgers δ
-and the zCDP ρ) are bit-equal to what
+authoritative record of every privacy debit.  Both entry points here
+render the same thing — a :class:`repro.privacy.records.SpendState`, the
+one fold over ledger records that the accountant itself keeps — so the
+report's per-dataset totals (ε, and for mixed-mechanism ledgers δ and
+the zCDP ρ) are bit-equal to what
 :meth:`PrivacyAccountant.recover` would compute from the same ledger.
 v1 pure-ε ledgers replay unchanged; v2 Gaussian debit records
 additionally carry ``mechanism``/``delta``/``rho``.
 
 Three entry points:
 
-* :func:`replay` — ``SpendReport`` from a ledger path;
+* :func:`replay` — ``SpendReport`` from a ledger path, read-only: it
+  parses the committed record prefix without locking or truncating;
 * :func:`report_from_accountant` — the same report from a live
-  accountant's in-memory state (used by ``Session.budget_report()``);
+  accountant's state (used by ``Session.budget_report()``);
 * the CLI: ``python -m repro.obs.spend <ledger> [--json]``.
 """
 
@@ -28,10 +25,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from ..privacy.accounting import PrivacyCost, SpendCurve, fold_debit
+from ..privacy.accounting import SpendCurve
 from ..privacy.policy import policy_from_dict
+from ..privacy.records import SpendState
+from ..util.jsonl import parse_committed
 
 __all__ = [
     "DatasetSpend",
@@ -137,20 +136,7 @@ class SpendReport:
                 }
                 for name, ds in sorted(self.datasets.items())
             },
-            "timeline": [
-                {
-                    "seq": e.seq,
-                    "dataset": e.dataset,
-                    "epsilon": e.epsilon,
-                    "composition": e.composition,
-                    "stage": e.stage,
-                    "cumulative": e.cumulative,
-                    "mechanism": e.mechanism,
-                    "delta": e.delta,
-                    "rho": e.rho,
-                }
-                for e in self.timeline
-            ],
+            "timeline": [asdict(e) for e in self.timeline],
         }
 
     def render(self) -> str:
@@ -192,47 +178,28 @@ class SpendReport:
         return "\n".join(lines)
 
 
-def _fold(records, default_cap: float | None, report: SpendReport) -> None:
-    """Apply committed records in order — through the *same*
-    :func:`repro.privacy.accounting.fold_debit` call
-    ``PrivacyAccountant._apply_records`` uses, so the ε/δ/ρ totals are
-    bit-equal to a recovery replay of the same ledger."""
-    seq = 0
-    for r in records:
-        kind = r.get("kind")
-        if kind == "register":
-            name = r["dataset"]
-            ds = report.datasets.setdefault(name, DatasetSpend(name, None))
-            if "policy" in r:  # v2 register carries a serialized policy
-                ds.policy = dict(r["policy"])
-                ds.cap = policy_from_dict(r["policy"]).epsilon_cap()
-            else:
-                ds.cap = float(r["cap"])
-        elif kind == "debit":
-            name = r["dataset"]
-            ds = report.datasets.get(name)
-            if ds is None:
-                ds = report.datasets[name] = DatasetSpend(name, default_cap)
-            curve = SpendCurve(ds.spent, ds.delta, ds.rho)
-            cost = fold_debit(curve, r)
-            ds.spent, ds.delta, ds.rho = curve.epsilon, curve.delta, curve.rho
-            ds.debits += 1
-            ds.last_stage = r.get("stage", "")
-            report.timeline.append(
-                SpendEvent(
-                    seq=seq,
-                    dataset=name,
-                    epsilon=cost.epsilon,
-                    composition=r.get("composition", "sequential"),
-                    stage=r.get("stage", ""),
-                    cumulative=ds.spent,
-                    mechanism=cost.mechanism,
-                    delta=cost.delta,
-                    rho=cost.rho,
-                )
-            )
-            seq += 1
-        report.records += 1
+def _report(source: str, state: SpendState, records: int) -> SpendReport:
+    """Render a folded state: per-dataset totals plus the debit timeline."""
+    report = SpendReport(source=source, records=records)
+    for name, (policy, curve) in state.budgets.items():
+        report.datasets[name] = DatasetSpend(
+            name,
+            None if policy is None else policy.epsilon_cap(),
+            spent=curve.epsilon,
+            delta=curve.delta,
+            rho=curve.rho,
+            policy=(
+                None
+                if policy is None or policy.kind == "epsilon"
+                else policy.to_dict()
+            ),
+        )
+    for seq, entry in enumerate(state.ledger):
+        ds = report.datasets[entry.dataset]
+        ds.debits += 1
+        ds.last_stage = entry.stage
+        report.timeline.append(SpendEvent(seq=seq, **asdict(entry)))
+    return report
 
 
 def replay(path: str, default_cap: float | None = None) -> SpendReport:
@@ -240,60 +207,33 @@ def replay(path: str, default_cap: float | None = None) -> SpendReport:
 
     Unlike :meth:`PrivacyAccountant.recover`, this takes no lock and
     never truncates: a torn tail is reported (``report.torn``) but left
-    on disk for the next locking writer to clean up.
+    on disk for the next locking writer to clean up.  ``default_cap``
+    must be a valid budget, as for the accountant.
     """
-    from ..service.ledger import WriteAheadLedger
-
-    ledger = WriteAheadLedger(path)
-    report = SpendReport(source=os.path.abspath(path))
-    _fold(ledger.read_new(), default_cap, report)
-    report.torn = ledger.torn_offset is not None
+    state = SpendState(default_cap)
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        data = b""
+    records, _, torn = parse_committed(data)
+    state.apply(records)
+    report = _report(os.path.abspath(path), state, len(records))
+    report.torn = torn
     return report
 
 
 def report_from_accountant(accountant) -> SpendReport:
-    """The same report, from a live accountant's in-memory state.
-
-    Folds the accountant's replayed-plus-appended ledger entries (the
-    committed history it has observed) under its registered caps; totals
-    equal ``accountant.spent(...)`` for every dataset with a WAL — and
-    for memory-only accountants too, since both fold the same entries in
-    the same order.
-    """
-    accountant.sync()
-    report = SpendReport(source=accountant.wal_path or "<memory>")
-    for name in accountant.datasets():
-        ds = report.datasets[name] = DatasetSpend(name, accountant.cap(name))
-        policy = accountant.policy(name)
-        if policy.kind != "epsilon":
-            ds.policy = policy.to_dict()
-        report.records += 1  # the (implied) register record
-    for seq, entry in enumerate(accountant.ledger):
-        ds = report.datasets.setdefault(
-            entry.dataset, DatasetSpend(entry.dataset, None)
-        )
-        curve = SpendCurve(ds.spent, ds.delta, ds.rho)
-        curve.add(
-            PrivacyCost(entry.epsilon, entry.delta, entry.rho, entry.mechanism)
-        )
-        ds.spent, ds.delta, ds.rho = curve.epsilon, curve.delta, curve.rho
-        ds.debits += 1
-        ds.last_stage = entry.stage
-        report.timeline.append(
-            SpendEvent(
-                seq=seq,
-                dataset=entry.dataset,
-                epsilon=entry.epsilon,
-                composition=entry.composition,
-                stage=entry.stage,
-                cumulative=ds.spent,
-                mechanism=entry.mechanism,
-                delta=entry.delta,
-                rho=entry.rho,
-            )
-        )
-        report.records += 1
-    return report
+    """The same report, from a live accountant's state (other writers'
+    committed records included).  ``records`` counts one implied
+    register record per registered dataset plus every debit."""
+    state = accountant.snapshot()
+    registered = sum(policy is not None for policy, _ in state.budgets.values())
+    return _report(
+        accountant.wal_path or "<memory>",
+        state,
+        registered + len(state.ledger),
+    )
 
 
 def main(argv=None) -> int:
@@ -319,7 +259,11 @@ def main(argv=None) -> int:
     if not os.path.isfile(args.ledger):
         print(f"error: no ledger file at {args.ledger}", file=sys.stderr)
         return 2
-    report = replay(args.ledger, default_cap=args.default_cap)
+    try:
+        report = replay(args.ledger, default_cap=args.default_cap)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

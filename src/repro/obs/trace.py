@@ -22,7 +22,7 @@ informational only.
 
 The optional sink (:class:`JsonlTraceSink`) appends finished traces as
 JSONL records in the **ledger's canonical-JSON + crc format**
-(:func:`repro.service.ledger.encode_record`), so trace logs get the same
+(:func:`repro.util.jsonl.encode_record`), so trace logs get the same
 torn-tail/corruption detection as the ε-ledger and
 :func:`read_trace_log` can verify every line on read.
 """
@@ -33,6 +33,10 @@ import itertools
 import os
 import threading
 import time
+
+from ..util import faults
+from ..util.jsonl import decode_line, encode_record
+from ..util.retry import call_retrying
 
 __all__ = [
     "JsonlTraceSink",
@@ -250,7 +254,7 @@ class JsonlTraceSink:
     """Append-only JSONL trace log in the ε-ledger's record format.
 
     Every span becomes one canonical-JSON + crc line
-    (:func:`repro.service.ledger.encode_record` — the same checksummed
+    (:func:`repro.util.jsonl.encode_record` — the same checksummed
     contract the WAL uses, so a torn tail or bit flip is detectable), and
     each trace additionally writes a ``"trace"`` summary record carrying
     the wall-clock stamp and span count.  Buffered appends with a flush
@@ -262,8 +266,6 @@ class JsonlTraceSink:
         self.path = str(path)
 
     def write(self, spans, wall: float | None = None) -> None:
-        from ..service.ledger import encode_record
-
         if not spans:
             return
         lines = [
@@ -279,7 +281,6 @@ class JsonlTraceSink:
         ]
         lines += [encode_record(sp.to_record()) for sp in spans]
         payload = b"".join(lines)
-        from ..service import faults
 
         def _append():
             faults.check("trace.sink.write")
@@ -290,16 +291,12 @@ class JsonlTraceSink:
         # Transient append faults retry under the shared policy; a
         # persistent one propagates to Tracer._finish, which drops the
         # trace rather than fail the request it observed.
-        from ..server.retry import call_retrying
-
         call_retrying(_append)
 
 
 def read_trace_log(path: str) -> list[dict]:
     """Parse a sink file, verifying every record's crc; raises
-    :class:`repro.service.ledger.TornRecordError` on damage."""
-    from ..service.ledger import decode_line
-
+    :class:`repro.util.jsonl.TornRecordError` on damage."""
     records = []
     with open(path, "rb") as f:
         for line in f:

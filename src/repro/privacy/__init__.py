@@ -8,9 +8,11 @@ accountant, the planner's mechanism comparison, and the HTTP front-end.
 * :mod:`repro.privacy.mechanisms` — :class:`Mechanism` objects bundling
   noise distribution, sensitivity norm, calibration, and accounting
   cost.
-* :mod:`repro.privacy.accounting` — :class:`PrivacyCost`,
-  :class:`SpendCurve`, and the shared WAL debit fold (bit-equal between
-  the accountant's recovery and read-only replay).
+* :mod:`repro.privacy.accounting` — :class:`PrivacyCost` and
+  :class:`SpendCurve`.
+* :mod:`repro.privacy.records` — the WAL record format and
+  :class:`SpendState`, the one fold over it (shared by the accountant's
+  recovery, its live debits, and the read-only spend report).
 * :mod:`repro.privacy.policy` — pure-ε, (ε, δ), and ρ-zCDP budget caps.
 """
 
@@ -18,9 +20,7 @@ from .accounting import (
     DEFAULT_DELTA,
     PrivacyCost,
     SpendCurve,
-    cost_from_record,
     eps_to_rho,
-    fold_debit,
     pure_eps_to_rho,
     rho_to_eps,
 )
@@ -38,6 +38,7 @@ from .policy import (
     ZCDPPolicy,
     policy_from_dict,
 )
+from .records import cost_from_record, fold_debit
 
 __all__ = [
     "CAP_SLACK",

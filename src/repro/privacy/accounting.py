@@ -1,4 +1,4 @@
-"""zCDP/(ε, δ) composition curves and the shared debit-fold arithmetic.
+"""zCDP/(ε, δ) composition curves: what a debit costs and how costs add.
 
 The accountant's durable state is a WAL of debit records; this module
 defines what a debit *costs* and how costs compose:
@@ -8,17 +8,14 @@ defines what a debit *costs* and how costs compose:
   against (``delta``), and its zCDP budget (``rho``).  Laplace releases
   are ``(ε, 0, ε²/2)``; Gaussian releases calibrated to a target (ε, δ)
   are ``(ε, δ, eps_to_rho(ε, δ))``.
-* :class:`SpendCurve` — a dataset's composed position: sequential
-  composition sums every component; parallel composition takes the max.
-  Conversion back to (ε, δ) happens at *report* time via
-  :meth:`SpendCurve.epsilon_at`, using the full zCDP history (tighter
-  than summing the per-release ε's).
-* :func:`fold_debit` — the single fold applied to a committed WAL debit
-  record.  ``PrivacyAccountant._apply_records`` and the read-only replay
-  in :mod:`repro.obs.spend` both call exactly this function, so the
-  recovered curves are bit-equal by construction.  v1 records (pure-ε,
-  no ``delta``/``rho`` fields) fold as Laplace debits, reproducing the
-  pre-mechanism-subsystem totals bit-for-bit.
+* :class:`SpendCurve` — a dataset's composed position: every debit adds
+  each component (a parallel-composition debit is its largest branch,
+  taken before the debit is recorded).  Conversion back to (ε, δ)
+  happens at *report* time via :meth:`SpendCurve.epsilon_at`, using the
+  full zCDP history (tighter than summing the per-release ε's).
+
+The WAL record format and the fold over it live in
+:mod:`repro.privacy.records`.
 
 The conversion curves themselves (zCDP ↔ (ε, δ), Bun & Steinke 2016)
 live in :mod:`repro.core.privacy` and are re-exported here as the
@@ -28,7 +25,6 @@ canonical accounting API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..core.privacy import (
     DEFAULT_DELTA,
@@ -41,9 +37,7 @@ __all__ = [
     "DEFAULT_DELTA",
     "PrivacyCost",
     "SpendCurve",
-    "cost_from_record",
     "eps_to_rho",
-    "fold_debit",
     "pure_eps_to_rho",
     "rho_to_eps",
 ]
@@ -90,8 +84,8 @@ class PrivacyCost:
 class SpendCurve:
     """A dataset's composed privacy position across mixed mechanisms.
 
-    Three accumulators, each folded with plain ``+`` (sequential) or
-    ``max`` (parallel) so replay arithmetic is bit-stable:
+    Three accumulators, each folded with plain ``+`` so replay
+    arithmetic is bit-stable:
 
     * ``epsilon`` — sum of per-release ε equivalents (the v1 ledger fold;
       a valid pure-ε guarantee for Laplace-only traffic and the ε half of
@@ -113,12 +107,6 @@ class SpendCurve:
         self.epsilon = self.epsilon + cost.epsilon
         self.delta = self.delta + cost.delta
         self.rho = self.rho + cost.rho
-
-    def add_parallel(self, cost: PrivacyCost) -> None:
-        """Parallel composition over disjoint partitions: components max."""
-        self.epsilon = max(self.epsilon, cost.epsilon)
-        self.delta = max(self.delta, cost.delta)
-        self.rho = max(self.rho, cost.rho)
 
     def epsilon_at(self, delta: float = DEFAULT_DELTA) -> float:
         """The (ε, δ)-DP guarantee of the whole history at report time.
@@ -150,31 +138,3 @@ class SpendCurve:
             f"rho={self.rho:g})"
         )
 
-
-def cost_from_record(record: Mapping) -> PrivacyCost:
-    """The :class:`PrivacyCost` a committed WAL debit record carries.
-
-    v1 records have only ``epsilon`` — they fold as Laplace debits
-    (δ = 0, ρ = ε²/2) so pre-mechanism ledgers replay to the same curves
-    a live pure-ε run would have produced.  v2 records carry explicit
-    ``mechanism``/``delta``/``rho`` fields.
-    """
-    eps = float(record["epsilon"])
-    mechanism = record.get("mechanism", "laplace")
-    delta = float(record.get("delta", 0.0))
-    rho = record.get("rho")
-    rho = pure_eps_to_rho(eps) if rho is None else float(rho)
-    return PrivacyCost(epsilon=eps, delta=delta, rho=rho, mechanism=mechanism)
-
-
-def fold_debit(curve: SpendCurve, record: Mapping) -> PrivacyCost:
-    """Fold one committed debit record into a dataset's spend curve.
-
-    THE shared fold: the accountant's recovery and the read-only
-    ``repro.obs.spend`` replay both call this exact function, which is
-    what makes their recovered curves bit-equal.  Returns the record's
-    cost for callers that also track timelines.
-    """
-    cost = cost_from_record(record)
-    curve.add(cost)
-    return cost

@@ -2,7 +2,7 @@
 
 A zero-dependency asyncio HTTP/1.1 server wrapping
 :class:`repro.api.Session` / :class:`repro.service.QueryService` with
-the four robustness mechanisms a privacy budget forces on a network
+the three robustness mechanisms a privacy budget forces on a network
 edge:
 
 * :mod:`repro.server.deadline` — per-request deadlines with per-stage
@@ -10,24 +10,24 @@ edge:
   a committed debit is never refunded);
 * :mod:`repro.server.admission` — bounded queue + per-dataset limiter,
   structured 429/503 shedding, free routes always admitted;
-* :mod:`repro.server.retry` — shared retry/backoff policy (decorrelated
-  jitter, process-wide retry budget) used by the lower layers too;
 * :mod:`repro.server.breaker` — circuit breaker around cold fits, with
   degraded direct-measurement serving while open.
 
 :mod:`repro.server.app` binds them into :class:`ServerApp` (the
 transport-free request handler) and :mod:`repro.server.http` serves it
 over ``asyncio.start_server`` with health/readiness/metrics endpoints
-and drain-then-flush shutdown.
-
-This ``__init__`` resolves attributes lazily (module ``__getattr__``,
-PEP 562) because lower layers — :mod:`repro.service.ledger`,
-:mod:`repro.service.faults`, :mod:`repro.obs.trace` — import
-:mod:`repro.server.retry`; an eager import of the app/http modules here
-would close a cycle back into the service layer.
+and drain-then-flush shutdown.  The retry policy the lower layers share
+lives in the stdlib-only leaf :mod:`repro.util.retry`.
 """
 
 from __future__ import annotations
+
+from .admission import AdmissionController, ShedError
+from .app import ServerApp
+from .breaker import BreakerOpenError, CircuitBreaker
+from .deadline import Deadline, DeadlineExceededError
+from .errors import error_response
+from .http import HttpServer, serve_in_thread
 
 __all__ = [
     "AdmissionController",
@@ -36,40 +36,8 @@ __all__ = [
     "Deadline",
     "DeadlineExceededError",
     "HttpServer",
-    "RetryBudget",
-    "RetryPolicy",
     "ServerApp",
     "ShedError",
-    "call_retrying",
     "error_response",
     "serve_in_thread",
 ]
-
-_EXPORTS = {
-    "AdmissionController": "admission",
-    "ShedError": "admission",
-    "CircuitBreaker": "breaker",
-    "BreakerOpenError": "breaker",
-    "Deadline": "deadline",
-    "DeadlineExceededError": "deadline",
-    "RetryBudget": "retry",
-    "RetryPolicy": "retry",
-    "call_retrying": "retry",
-    "error_response": "errors",
-    "ServerApp": "app",
-    "HttpServer": "http",
-    "serve_in_thread": "http",
-}
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f".{module}", __name__), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

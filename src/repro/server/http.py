@@ -13,7 +13,8 @@ Lifecycle: :meth:`HttpServer.install_signal_handlers` hooks SIGTERM /
 SIGINT to :meth:`HttpServer.shutdown`, which **drains then flushes** —
 stop accepting connections, mark the app draining (new queries shed with
 503 + Retry-After), wait for in-flight measured work to finish its WAL
-appends, shut the executor down, close lingering connections.  A
+appends, shut the executor down, close idle connections, wait for every
+request already read to have its response written, close the rest.  A
 response is always written entire-or-not-at-all: headers carry the exact
 Content-Length and the body is one ``write()``; a simulated crash
 mid-request aborts the connection with **zero** response bytes, so no
@@ -73,6 +74,8 @@ class HttpServer:
         self.port = port  # 0 = ephemeral; updated to the bound port on start
         self._server: asyncio.base_events.Server | None = None
         self._conns: set[asyncio.StreamWriter] = set()
+        #: Connections with a request read but its response not yet written.
+        self._busy: set[asyncio.StreamWriter] = set()
         self._shutdown_started = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -95,6 +98,8 @@ class HttpServer:
         if self._shutdown_started:
             return
         self._shutdown_started = True
+        loop = asyncio.get_running_loop()
+        give_up = loop.time() + drain_timeout
         if self._server is not None:
             self._server.close()  # stop accepting; existing conns continue
         drained = await self.app.drain(timeout=drain_timeout)
@@ -105,6 +110,15 @@ class HttpServer:
                 self.app.admission.executing,
                 self.app.admission.queued,
             )
+        # The app is drained once its executor work ends, but a handler
+        # may still be encoding and writing that work's (already paid
+        # for) response: close idle connections now, busy ones after
+        # their response is out.
+        for w in list(self._conns - self._busy):
+            with contextlib.suppress(Exception):
+                w.close()
+        while self._busy and loop.time() < give_up:
+            await asyncio.sleep(0.005)
         for w in list(self._conns):
             with contextlib.suppress(Exception):
                 w.close()
@@ -147,25 +161,27 @@ class HttpServer:
                 if req is None:
                     break  # clean EOF between requests
                 method, path, headers, body = req
+                self._busy.add(writer)
                 try:
                     payload = json.loads(body) if body else None
                 except ValueError:
-                    self._write_response(
-                        writer, 400, {"Content-Type": "application/json"},
+                    status, rheaders, rbody = (
+                        400, {"Content-Type": "application/json"},
                         b'{"code":"bad_json","error":"request body is not '
                         b'valid JSON","retryable":false}',
                     )
-                    await writer.drain()
-                    continue
-                # The app maps every library exception to a structured
-                # response.  Anything that still escapes is BaseException
-                # territory (simulated crash / cancellation): abort with
-                # no bytes, like a killed process would.
-                status, rheaders, rbody = await self.app.handle(
-                    method, path, payload
-                )
+                else:
+                    # The app maps every library exception to a structured
+                    # response.  Anything that still escapes is
+                    # BaseException territory (simulated crash /
+                    # cancellation): abort with no bytes, like a killed
+                    # process would.
+                    status, rheaders, rbody = await self.app.handle(
+                        method, path, payload
+                    )
                 self._write_response(writer, status, rheaders, rbody)
                 await writer.drain()
+                self._busy.discard(writer)
                 if headers.get("connection", "").lower() == "close":
                     break
         except asyncio.CancelledError:
@@ -176,6 +192,7 @@ class HttpServer:
             )
         finally:
             self._conns.discard(writer)
+            self._busy.discard(writer)
             with contextlib.suppress(Exception):
                 writer.close()
 

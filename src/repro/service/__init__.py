@@ -24,10 +24,9 @@ facts into a service:
   totals, bucketizations) answer by an O(2^k) corner gather independent
   of domain size — the first route in the serving table (accelerator →
   cache → warm → direct → cold);
-* :mod:`~repro.service.faults` — deterministic fault injection
-  (kill-points, bit flips, transient errnos) at every write/fsync/
-  replace/load site the two stores perform, driven by the crash matrix
-  in ``tests/test_faults.py``.
+* both stores route every write/fsync/replace/load through the fault
+  points of :mod:`repro.util.faults` (kill-points, bit flips, transient
+  errnos), driven by the crash matrix in ``tests/test_faults.py``.
 """
 
 from ..domain import SchemaMismatchError

@@ -46,19 +46,19 @@ from __future__ import annotations
 import contextlib
 import logging
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.solvers import validate_epsilon
 from ..obs.metrics import REGISTRY as _METRICS
-from ..privacy.accounting import SpendCurve, fold_debit
+from ..privacy.accounting import SpendCurve
 from ..privacy.mechanisms import get_mechanism
-from ..privacy.policy import (
-    CAP_SLACK as _CAP_SLACK,
-    BudgetPolicy,
-    PureEpsilonPolicy,
-    policy_from_dict,
+from ..privacy.policy import BudgetPolicy, PureEpsilonPolicy
+from ..privacy.records import (
+    LedgerEntry,
+    SpendState,
+    debit_record,
+    register_record,
 )
 from .ledger import WriteAheadLedger
 
@@ -117,19 +117,6 @@ class BudgetExceededError(RuntimeError):
         )
 
 
-@dataclass
-class LedgerEntry:
-    """One recorded debit: which dataset, how much, and under which rule."""
-
-    dataset: str
-    epsilon: float
-    composition: str  # "sequential" | "parallel"
-    stage: str = ""
-    mechanism: str = "laplace"
-    delta: float = 0.0
-    rho: float = 0.0
-
-
 class PrivacyAccountant:
     """Multi-dataset epsilon ledger with hard per-dataset caps.
 
@@ -160,14 +147,7 @@ class PrivacyAccountant:
         wal_path: str | None = None,
         lock_timeout: float | None = None,
     ):
-        if default_cap is not None:
-            default_cap = float(validate_epsilon(default_cap, "default_cap"))
-        self.default_cap = default_cap
-        self._caps: dict[str, float] = {}
-        self._spent: dict[str, float] = {}
-        self._policies: dict[str, BudgetPolicy] = {}
-        self._curves: dict[str, SpendCurve] = {}
-        self.ledger: list[LedgerEntry] = []
+        self._state = SpendState(default_cap)
         self._lock = threading.RLock()
         self._wal = (
             None
@@ -177,14 +157,14 @@ class PrivacyAccountant:
         if self._wal is not None:
             with self._wal.locked():
                 records = self._wal.read_new()
-                self._apply_records(records)
+                self._state.apply(records)
                 dropped = self._wal.truncate_torn_tail()
             if records:
                 logger.info(
                     "recovered %d committed record(s) for %d dataset(s) "
                     "from ledger %s%s",
                     len(records),
-                    len(self._caps),
+                    len(self._state.budgets),
                     self._wal.path,
                     f" (dropped {dropped}-byte torn tail)" if dropped else "",
                 )
@@ -205,47 +185,20 @@ class PrivacyAccountant:
         return cls(default_cap=default_cap, wal_path=wal_path)
 
     @property
+    def default_cap(self) -> float | None:
+        return self._state.default_cap
+
+    @property
+    def ledger(self) -> list[LedgerEntry]:
+        """Every debit this accountant has observed, in commit order."""
+        return self._state.ledger
+
+    @property
     def wal_path(self) -> str | None:
         """Path of the backing write-ahead ledger (None = memory only)."""
         return None if self._wal is None else self._wal.path
 
     # -- WAL plumbing ------------------------------------------------------
-    def _apply_records(self, records) -> None:
-        """Fold replayed WAL records into memory (no cap re-checking: every
-        committed debit passed its check when written, and replaying it
-        conservatively — even past a since-shrunk cap — can only keep the
-        accounted spend at or above the released noise)."""
-        for r in records:
-            kind = r.get("kind")
-            if kind == "register":
-                ds = r["dataset"]
-                if "policy" in r:  # v2 register carries a serialized policy
-                    policy = policy_from_dict(r["policy"])
-                else:  # v1 register: a pure-ε cap
-                    policy = PureEpsilonPolicy(float(r["cap"]))
-                self._policies[ds] = policy
-                self._caps[ds] = policy.epsilon_cap()
-                self._spent.setdefault(ds, 0.0)
-                self._curves.setdefault(ds, SpendCurve())
-            elif kind == "debit":
-                ds = r["dataset"]
-                if ds not in self._caps and self.default_cap is not None:
-                    self._caps[ds] = self.default_cap
-                    self._policies[ds] = PureEpsilonPolicy(self.default_cap)
-                self._spent[ds] = self._spent.get(ds, 0.0) + float(r["epsilon"])
-                cost = fold_debit(self._curves.setdefault(ds, SpendCurve()), r)
-                self.ledger.append(
-                    LedgerEntry(
-                        ds,
-                        float(r["epsilon"]),
-                        r.get("composition", "sequential"),
-                        r.get("stage", ""),
-                        cost.mechanism,
-                        cost.delta,
-                        cost.rho,
-                    )
-                )
-
     @contextlib.contextmanager
     def _transact(self):
         """One atomic read-check-append cycle: thread lock, then (when a
@@ -256,7 +209,7 @@ class PrivacyAccountant:
                 yield
             else:
                 with self._wal.locked():
-                    self._apply_records(self._wal.read_new())
+                    self._state.apply(self._wal.read_new())
                     yield
 
     def sync(self) -> None:
@@ -266,40 +219,29 @@ class PrivacyAccountant:
         its checksum and is picked up on the next call."""
         with self._lock:
             if self._wal is not None:
-                self._apply_records(self._wal.read_new())
+                self._state.apply(self._wal.read_new())
+
+    def snapshot(self) -> SpendState:
+        """A copy of the folded state, other writers' records included."""
+        self.sync()
+        with self._lock:
+            return self._state.copy()
 
     # -- registration ------------------------------------------------------
     def _register_locked(
         self, dataset: str, policy: BudgetPolicy, wal: bool
     ) -> None:
         """Registration core; caller holds whatever locks apply."""
-        curve = self._curves.get(dataset, SpendCurve())
+        entry = self._state.budgets.get(dataset)
+        current, curve = (None, SpendCurve()) if entry is None else entry
         if not policy.covers(curve):
             raise ValueError(
                 f"cap {policy.describe()} for dataset {dataset!r} is below "
                 f"the already-spent budget {curve.as_dict()}"
             )
-        if wal and self._wal is not None and self._policies.get(dataset) != policy:
-            if type(policy) is PureEpsilonPolicy:
-                # byte-identical to the historical v1 register record
-                record = {
-                    "v": 1,
-                    "kind": "register",
-                    "dataset": dataset,
-                    "cap": policy.epsilon,
-                }
-            else:
-                record = {
-                    "v": 2,
-                    "kind": "register",
-                    "dataset": dataset,
-                    "policy": policy.to_dict(),
-                }
-            self._wal.append(record)
-        self._policies[dataset] = policy
-        self._caps[dataset] = policy.epsilon_cap()
-        self._spent.setdefault(dataset, 0.0)
-        self._curves.setdefault(dataset, SpendCurve())
+        if wal and self._wal is not None and current != policy:
+            self._wal.append(register_record(dataset, policy))
+        self._state.register(dataset, policy)
 
     def register(
         self,
@@ -327,10 +269,17 @@ class PrivacyAccountant:
 
     def datasets(self) -> list[str]:
         with self._lock:
-            return sorted(self._caps)
+            return sorted(
+                ds
+                for ds, (policy, _) in self._state.budgets.items()
+                if policy is not None
+            )
 
-    def _require(self, dataset: str) -> float:
-        if dataset not in self._caps:
+    def _budget(self, dataset: str) -> tuple[BudgetPolicy, SpendCurve]:
+        """The dataset's ``(policy, curve)``, auto-registering
+        ``default_cap`` for a dataset seen for the first time."""
+        entry = self._state.budgets.get(dataset)
+        if entry is None or entry[0] is None:
             if self.default_cap is None:
                 raise KeyError(
                     f"dataset {dataset!r} is not registered with the "
@@ -342,22 +291,18 @@ class PrivacyAccountant:
             self._register_locked(
                 dataset, PureEpsilonPolicy(self.default_cap), wal=False
             )
-        return self._caps[dataset]
-
-    def _require_policy(self, dataset: str) -> BudgetPolicy:
-        self._require(dataset)
-        return self._policies[dataset]
+            entry = self._state.budgets[dataset]
+        return entry
 
     # -- inspection --------------------------------------------------------
     def cap(self, dataset: str) -> float:
         with self._lock:
-            return self._require(dataset)
+            return self._budget(dataset)[0].epsilon_cap()
 
     def spent(self, dataset: str) -> float:
         self.sync()
         with self._lock:
-            self._require(dataset)
-            return self._spent.get(dataset, 0.0)
+            return self._budget(dataset)[1].epsilon
 
     def remaining(self, dataset: str) -> float:
         """ε-denominated unspent budget: the largest single pure-ε debit
@@ -365,29 +310,26 @@ class PrivacyAccountant:
         exactly ``cap - spent``, as before)."""
         self.sync()
         with self._lock:
-            policy = self._require_policy(dataset)
-            return policy.epsilon_remaining(
-                self._curves.get(dataset, SpendCurve())
-            )
+            policy, curve = self._budget(dataset)
+            return policy.epsilon_remaining(curve)
 
     def policy(self, dataset: str) -> BudgetPolicy:
         """The dataset's registered budget policy."""
         with self._lock:
-            return self._require_policy(dataset)
+            return self._budget(dataset)[0]
 
     def curve(self, dataset: str) -> SpendCurve:
         """A copy of the dataset's composed spend curve (ε, δ, ρ)."""
         self.sync()
         with self._lock:
-            self._require(dataset)
-            return self._curves.get(dataset, SpendCurve()).copy()
+            return self._budget(dataset)[1].copy()
 
     def native_remaining(self, dataset: str) -> dict:
         """Unspent budget in the policy's native unit(s)."""
         self.sync()
         with self._lock:
-            policy = self._require_policy(dataset)
-            return policy.remaining(self._curves.get(dataset, SpendCurve()))
+            policy, curve = self._budget(dataset)
+            return policy.remaining(curve)
 
     # -- debits ------------------------------------------------------------
     def check(
@@ -412,14 +354,12 @@ class PrivacyAccountant:
         return cost.epsilon
 
     def _check(self, dataset: str, cost, composition: str) -> None:
-        cap = self._require(dataset)
-        policy = self._policies[dataset]
-        curve = self._curves.setdefault(dataset, SpendCurve())
+        policy, curve = self._budget(dataset)
         if not policy.admits(curve, cost):
             raise BudgetExceededError(
                 dataset,
-                cap,
-                self._spent.get(dataset, 0.0),
+                policy.epsilon_cap(),
+                curve.epsilon,
                 cost.epsilon,
                 composition,
                 policy_kind=policy.kind,
@@ -445,49 +385,12 @@ class PrivacyAccountant:
                         "accountant.refusals_total", dataset=dataset
                     ).inc()
                 raise
-            # Pure-ε Laplace debits stay byte-identical v1 records; only
-            # Gaussian debits need the v2 fields (δ, native ρ) — a v1
-            # record's ρ is derivable (ε²/2) so it is never stored.
-            if cost.mechanism == "laplace":
-                record = {
-                    "v": 1,
-                    "kind": "debit",
-                    "dataset": dataset,
-                    "epsilon": cost.epsilon,
-                    "composition": composition,
-                    "stage": stage,
-                }
-            else:
-                record = {
-                    "v": 2,
-                    "kind": "debit",
-                    "dataset": dataset,
-                    "epsilon": cost.epsilon,
-                    "delta": cost.delta,
-                    "rho": cost.rho,
-                    "mechanism": cost.mechanism,
-                    "composition": composition,
-                    "stage": stage,
-                }
+            record = debit_record(dataset, cost, composition, stage)
             if self._wal is not None:
                 self._wal.append(record)
-            self._spent[dataset] += cost.epsilon
             # fold the record (not the cost) so live state and a later
             # replay of the same ledger are bit-equal by construction
-            folded = fold_debit(
-                self._curves.setdefault(dataset, SpendCurve()), record
-            )
-            self.ledger.append(
-                LedgerEntry(
-                    dataset,
-                    cost.epsilon,
-                    composition,
-                    stage,
-                    folded.mechanism,
-                    folded.delta,
-                    folded.rho,
-                )
-            )
+            self._state.debit(record)
             if _METRICS.enabled:
                 _METRICS.counter(
                     "accountant.epsilon_spent", dataset=dataset
@@ -541,7 +444,8 @@ class PrivacyAccountant:
     def __repr__(self) -> str:
         with self._lock:
             parts = ", ".join(
-                f"{d}: {self._spent[d]:g}/{self._caps[d]:g}"
+                f"{d}: {self._state.budgets[d][1].epsilon:g}/"
+                f"{self._state.budgets[d][0].epsilon_cap():g}"
                 for d in self.datasets()
             )
         wal = "" if self._wal is None else f", wal={self._wal.path!r}"

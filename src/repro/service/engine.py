@@ -78,7 +78,7 @@ from .accelerator import (
     store_table,
     strategy_spans_everything,
 )
-from . import faults
+from ..util import faults
 from .accountant import PrivacyAccountant
 from .registry import StrategyRegistry
 from ..obs.metrics import REGISTRY as _METRICS

@@ -18,9 +18,10 @@ One JSON object per line (JSONL), append-only::
      "kind": "debit", "composition": "sequential", "stage": "…", "v": 1}
 
 ``crc`` is the first 16 hex chars of SHA-256 over the record's canonical
-JSON (sorted keys, compact separators) *without* the crc field.  Two
-record kinds: ``"register"`` (dataset + cap) and ``"debit"``
-(dataset + epsilon + composition + stage).
+JSON (sorted keys, compact separators) *without* the crc field — the
+codec in :mod:`repro.util.jsonl`.  Two record kinds: ``"register"``
+(dataset + cap) and ``"debit"`` (dataset + epsilon + composition +
+stage); :mod:`repro.privacy.records` builds and folds them.
 
 Recovery semantics
 ------------------
@@ -50,7 +51,7 @@ batch callers, where the lock holder is always making progress.  A
 *serving* caller holds a request deadline and must not park a thread
 behind a stuck or dead-slow peer: constructing the ledger with
 ``lock_timeout`` switches acquisition to non-blocking attempts under
-jittered backoff (:mod:`repro.server.retry`) and raises
+jittered backoff (:mod:`repro.util.retry`) and raises
 :class:`LockTimeoutError` — a retryable condition, mapped to 503 at the
 serving edge — once the timeout elapses.  A lock timeout can only happen
 *before* the read-check-append cycle begins, so it never strands a
@@ -61,8 +62,6 @@ from __future__ import annotations
 
 import contextlib
 import errno as _errno
-import hashlib
-import json
 import logging
 import os
 import time
@@ -73,33 +72,21 @@ except ImportError:  # non-POSIX platform — single-process use only
     fcntl = None
 
 from ..obs.metrics import REGISTRY as _METRICS
-from ..server.retry import RetryPolicy as _RetryPolicy
-from . import faults
+from ..util import faults
+from ..util.jsonl import encode_record, parse_committed
+from ..util.retry import DURABLE_WRITE_POLICY, RetryPolicy, call_retrying
 
-__all__ = [
-    "LockTimeoutError",
-    "TornRecordError",
-    "WriteAheadLedger",
-    "decode_line",
-    "encode_record",
-]
+__all__ = ["LockTimeoutError", "WriteAheadLedger"]
 
 logger = logging.getLogger(__name__)
 
-_CRC_CHARS = 16
-LEDGER_VERSION = 1
-
 #: Backoff schedule for timed lock acquisition: decorrelated jitter up
 #: front (so colliding lockers spread out), then steady cap-paced polls.
-_LOCK_RETRY_POLICY = _RetryPolicy(retries=64, base=0.0005, cap=0.01)
+_LOCK_RETRY_POLICY = RetryPolicy(retries=64, base=0.0005, cap=0.01)
 
 #: ``flock(LOCK_NB)`` signals "held by someone else" with either of
 #: these depending on the platform.
 _LOCK_HELD_ERRNOS = frozenset({_errno.EAGAIN, _errno.EACCES})
-
-
-class TornRecordError(ValueError):
-    """A ledger line failed to parse or verify — the torn-tail marker."""
 
 
 class LockTimeoutError(TimeoutError):
@@ -118,35 +105,6 @@ class LockTimeoutError(TimeoutError):
             f"could not acquire ledger lock {self.path!r} within "
             f"{self.timeout:g}s (waited {self.waited:.3f}s)"
         )
-
-
-def _canonical(record: dict) -> bytes:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-
-
-def encode_record(record: dict) -> bytes:
-    """Serialize one record to its checksummed JSONL line (with newline)."""
-    crc = hashlib.sha256(_canonical(record)).hexdigest()[:_CRC_CHARS]
-    return _canonical({**record, "crc": crc}) + b"\n"
-
-
-def decode_line(line: bytes) -> dict:
-    """Parse and verify one ledger line; :class:`TornRecordError` on any
-    damage (bad JSON, missing/forged crc) — the caller treats the rest of
-    the file as a torn tail."""
-    try:
-        record = json.loads(line)
-    except ValueError as e:
-        raise TornRecordError(f"unparsable ledger line: {e}") from None
-    if not isinstance(record, dict):
-        raise TornRecordError(f"ledger line is not an object: {record!r}")
-    crc = record.pop("crc", None)
-    expect = hashlib.sha256(_canonical(record)).hexdigest()[:_CRC_CHARS]
-    if crc != expect:
-        raise TornRecordError(
-            f"ledger record checksum mismatch: stored {crc!r}, computed {expect!r}"
-        )
-    return record
 
 
 class WriteAheadLedger:
@@ -173,13 +131,6 @@ class WriteAheadLedger:
                 f"ledger directory {parent!r} does not exist — create it "
                 "before opening a write-ahead ledger there"
             )
-
-    @property
-    def torn_offset(self) -> int | None:
-        """File offset of the torn tail the last read detected (``None``
-        when the file ended on a committed record) — the read-only spend
-        view (:mod:`repro.obs.spend`) reports it without truncating."""
-        return self._torn_at
 
     # -- locking -------------------------------------------------------------
     @contextlib.contextmanager
@@ -236,24 +187,12 @@ class WriteAheadLedger:
             return []
         if size == self.offset and self._torn_at is None:
             return []
-        records: list[dict] = []
         with open(self.path, "rb") as f:
             f.seek(self.offset)
             data = f.read()
-        pos = 0
-        self._torn_at = None
-        while pos < len(data):
-            nl = data.find(b"\n", pos)
-            if nl < 0:  # incomplete final line — a write in flight or torn
-                self._torn_at = self.offset + pos
-                break
-            try:
-                records.append(decode_line(data[pos : nl + 1]))
-            except TornRecordError:
-                self._torn_at = self.offset + pos
-                break
-            pos = nl + 1
-        self.offset += pos
+        records, used, torn = parse_committed(data)
+        self._torn_at = self.offset + used if torn else None
+        self.offset += used
         return records
 
     def truncate_torn_tail(self) -> int:
@@ -271,7 +210,7 @@ class WriteAheadLedger:
                 faults.check("ledger.truncate.fsync")
                 os.fsync(f.fileno())
 
-            faults.retrying(_fsync, site="ledger.truncate.fsync")
+            call_retrying(_fsync, DURABLE_WRITE_POLICY)
         self._torn_at = None
         if removed:
             logger.warning(
@@ -310,15 +249,15 @@ class WriteAheadLedger:
                 faults.check("ledger.append.fsync")
                 os.fsync(f.fileno())
 
-            faults.retrying(_write, site="ledger.append.write")
+            call_retrying(_write, DURABLE_WRITE_POLICY)
             if _METRICS.enabled:
                 t0 = time.perf_counter()
-                faults.retrying(_fsync, site="ledger.append.fsync")
+                call_retrying(_fsync, DURABLE_WRITE_POLICY)
                 _METRICS.histogram("ledger.fsync_ms").observe(
                     (time.perf_counter() - t0) * 1e3
                 )
             else:
-                faults.retrying(_fsync, site="ledger.append.fsync")
+                call_retrying(_fsync, DURABLE_WRITE_POLICY)
         # Kill-point between the durable write and the caller's in-memory
         # apply: a crash here leaves a committed record the next recovery
         # replays — budget conservatively spent, never overdrawn.

@@ -54,7 +54,7 @@ and every read is verified:
 
 All cross-process read-modify-write cycles on the manifest run under an
 exclusive ``flock`` on a ``.lock`` sidecar, and all filesystem effects
-route through the :mod:`~repro.service.faults` fault points
+route through the :mod:`~repro.util.faults` fault points
 (``registry.npz.write`` / ``.fsync`` / ``.replace``,
 ``registry.manifest.*``, ``registry.load``) so the crash matrix in
 ``tests/test_faults.py`` can drive every one.
@@ -88,9 +88,9 @@ from ..core.solvers import export_gram_solver_state, restore_gram_solver_state
 from ..domain import Domain
 from ..obs.events import emit as _emit
 from ..obs.metrics import REGISTRY as _METRICS
-from ..server import retry as _retry
+from ..util import faults
+from ..util.retry import DURABLE_WRITE_POLICY, call_retrying
 from ..workload.logical import LogicalWorkload
-from . import faults
 from .fingerprint import workload_fingerprint
 
 __all__ = ["RegistryCorruptionError", "StrategyRecord", "StrategyRegistry"]
@@ -149,7 +149,7 @@ def _fsync_dir(path: str) -> None:
     except OSError:  # platform without directory fds
         return
     try:
-        faults.retrying(lambda: os.fsync(fd), site="registry.dir.fsync")
+        call_retrying(lambda: os.fsync(fd), DURABLE_WRITE_POLICY)
     finally:
         os.close(fd)
 
@@ -173,8 +173,8 @@ def _atomic_write(path: str, data: bytes, site: str) -> None:
                 faults.check(f"{site}.fsync")
                 os.fsync(f.fileno())
 
-            faults.retrying(_write, site=f"{site}.write")
-            faults.retrying(_fsync, site=f"{site}.fsync")
+            call_retrying(_write, DURABLE_WRITE_POLICY)
+            call_retrying(_fsync, DURABLE_WRITE_POLICY)
         faults.check(f"{site}.replace")
         os.replace(tmp, path)
     except Exception:
@@ -337,8 +337,8 @@ class StrategyRegistry:
                     faults.check(f"{site}.fsync")
                     os.fsync(f.fileno())
 
-                faults.retrying(_write, site=f"{site}.write")
-                faults.retrying(_fsync, site=f"{site}.fsync")
+                call_retrying(_write, DURABLE_WRITE_POLICY)
+                call_retrying(_fsync, DURABLE_WRITE_POLICY)
             faults.mangle_file(f"{site}.payload", tmp)
             digest = _file_sha256(tmp)
             faults.check(f"{site}.replace")
@@ -610,7 +610,7 @@ class StrategyRegistry:
                     )
                 return digest, expected, payload
 
-            digest, expected, payload = _retry.call_retrying(_read_verified)
+            digest, expected, payload = call_retrying(_read_verified)
             strategy = matrix_from_config(payload["strategy"])
             restore_gram_solver_state(strategy, payload["solver"])
             # Stamp how many recycled Ritz vectors the entry carries so

@@ -31,9 +31,11 @@ run) and installed with :meth:`FaultInjector.active`:
 
 Sites are plain strings (``"ledger.append.fsync"``,
 ``"registry.npz.replace"``, ...); the full list lives in the modules
-that declare them.  :func:`retrying` is the production-side companion:
-bounded exponential-backoff retry around transient ``EINTR``/``EAGAIN``/
-``ENOSPC`` failures, with an injectable sleep so tests stay instant.
+that declare them.  The production-side companion is
+:func:`repro.util.retry.call_retrying` under
+:data:`~repro.util.retry.DURABLE_WRITE_POLICY`: bounded
+exponential-backoff retry around transient ``EINTR``/``EAGAIN``/
+``ENOSPC`` failures.
 """
 
 from __future__ import annotations
@@ -45,24 +47,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..server import retry as _retry
-
 __all__ = [
     "FaultInjector",
     "SimulatedCrash",
-    "RETRYABLE_ERRNOS",
     "active_injector",
     "check",
     "mangle",
     "mangle_file",
-    "retrying",
 ]
-
-#: Transient errnos :func:`retrying` considers worth another attempt.
-#: ``ENOSPC`` is transient in the deployments this service targets
-#: (log rotation / compaction frees space); anything else is a real
-#: failure the caller must surface.
-RETRYABLE_ERRNOS = frozenset({errno.EINTR, errno.EAGAIN, errno.ENOSPC})
 
 
 class SimulatedCrash(BaseException):
@@ -270,38 +262,3 @@ def mangle_file(site: str, path: str) -> None:
     if _ACTIVE is not None:
         _ACTIVE.mangle_file(site, path)
 
-
-def retrying(
-    fn,
-    site: str,
-    retries: int = 4,
-    backoff: float = 0.001,
-    sleep=time.sleep,
-):
-    """Run ``fn()``, retrying transient ``OSError``s with bounded backoff.
-
-    Only :data:`RETRYABLE_ERRNOS` are retried, at most ``retries`` times,
-    sleeping ``backoff * 2**attempt`` between attempts (tests pass a
-    no-op ``sleep``).  Anything else — including a transient errno that
-    persists past the budget — propagates to the caller, which must leave
-    durable state consistent (that is what the fault matrix proves).
-
-    The loop itself lives in :func:`repro.server.retry.call_retrying`
-    (the serving edge shares it, with jitter and a process-wide retry
-    budget); this wrapper pins ``jitter=False`` and an uncapped schedule
-    so the deterministic ``backoff * 2**attempt`` delays the fault
-    matrix asserts on are preserved exactly.
-    """
-    policy = _retry.RetryPolicy(
-        retries=retries,
-        base=backoff,
-        cap=backoff * (2 ** max(retries, 1)),
-        jitter=False,
-    )
-    return _retry.call_retrying(
-        fn,
-        policy=policy,
-        retryable=lambda e: isinstance(e, OSError)
-        and e.errno in RETRYABLE_ERRNOS,
-        sleep=sleep,
-    )

@@ -1,4 +1,4 @@
-"""Shared retry/backoff policy for transient faults at the serving edge.
+"""The retry policy and the one retry loop every layer shares.
 
 One policy object describes *how* to retry — attempt count, base delay,
 delay cap, decorrelated jitter — and one process-wide budget bounds *how
@@ -6,17 +6,17 @@ much* retrying the whole server may do, so a correlated fault (a full
 disk, a contended ledger lock) degrades into fast failures instead of a
 retry storm that multiplies the very load that caused it.
 
-The module is deliberately dependency-free (stdlib only, no imports
-from the rest of the package) so every layer can use it:
+The module is stdlib-only so every layer can use it:
 
-* :func:`repro.service.faults.retrying` delegates its bounded-backoff
-  loop here (exponential, no jitter — preserving the deterministic
-  delays the fault matrix asserts on);
-* the write-ahead ledger's lock acquisition
+* durable writes — WAL appends and truncations, registry writes and
+  directory fsyncs — run :func:`call_retrying` under
+  :data:`DURABLE_WRITE_POLICY` (exponential, no jitter: the fault
+  matrix asserts on its exact 1, 2, 4, 8 ms delays);
+* the write-ahead ledger's timed lock acquisition
   (:meth:`repro.service.ledger.WriteAheadLedger.locked`) polls a
   non-blocking ``flock`` under a jittered policy until its timeout;
 * registry loads and trace-sink writes retry transient ``OSError``\\ s
-  under the default policy.
+  under :data:`DEFAULT_POLICY`.
 
 Jitter follows the "decorrelated jitter" scheme (each delay is drawn
 uniformly from ``[base, 3 * previous]``, capped), which empirically
@@ -28,29 +28,32 @@ reproducible delays.
 from __future__ import annotations
 
 import errno
+import random
 import threading
 import time
 from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_POLICY",
+    "DURABLE_WRITE_POLICY",
     "RetryBudget",
     "RetryPolicy",
+    "TRANSIENT_ERRNOS",
     "call_retrying",
     "retryable_oserror",
 ]
 
-#: Transient errnos worth another attempt (mirrors
-#: :data:`repro.service.faults.RETRYABLE_ERRNOS`; duplicated here so this
-#: module stays import-free — the two are asserted equal in tests).
-_TRANSIENT_ERRNOS = frozenset({errno.EINTR, errno.EAGAIN, errno.ENOSPC})
+#: Transient errnos worth another attempt.  ``ENOSPC`` is transient in
+#: the deployments this service targets (log rotation / compaction frees
+#: space); anything else is a real failure the caller must surface.
+TRANSIENT_ERRNOS = frozenset({errno.EINTR, errno.EAGAIN, errno.ENOSPC})
 
 
 def retryable_oserror(exc: BaseException) -> bool:
     """The default transient-fault classifier: an ``OSError`` whose errno
     names a condition that clears by itself (interrupt, contention, a
     log-rotated disk)."""
-    return isinstance(exc, OSError) and exc.errno in _TRANSIENT_ERRNOS
+    return isinstance(exc, OSError) and exc.errno in TRANSIENT_ERRNOS
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,6 @@ class RetryPolicy:
 
     def delays(self, rng=None):
         """Yield ``retries`` sleep durations (seconds)."""
-        import random
-
         uniform = (rng or random).uniform
         prev = self.base
         for _ in range(self.retries):
@@ -95,6 +96,10 @@ class RetryPolicy:
 
 #: The policy the serving edge uses where nothing more specific applies.
 DEFAULT_POLICY = RetryPolicy()
+
+#: Durable writes (WAL, registry): four retries sleeping exactly 1, 2, 4
+#: and 8 ms — deterministic, so the fault matrix can assert on them.
+DURABLE_WRITE_POLICY = RetryPolicy(retries=4, base=0.001, cap=0.008, jitter=False)
 
 
 class RetryBudget:

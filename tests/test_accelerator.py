@@ -46,7 +46,7 @@ from repro.service import (
     range_spec_of,
     strategy_spans_everything,
 )
-from repro.service import faults
+from repro.util import faults
 from repro.service.accelerator import MAX_BOXES_PER_ROW
 from repro.service.engine import Reconstruction
 from repro.workload.predicates import (

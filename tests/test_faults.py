@@ -35,9 +35,9 @@ from repro.service import (
     RegistryCorruptionError,
     StrategyRegistry,
     WriteAheadLedger,
-    faults,
 )
-from repro.service.ledger import TornRecordError, decode_line, encode_record
+from repro.util import faults
+from repro.util.jsonl import TornRecordError, decode_line, encode_record
 
 
 # ---------------------------------------------------------------------------

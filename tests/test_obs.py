@@ -227,7 +227,7 @@ class TestTracing:
         names = {r["name"] for r in records[1:]}
         assert names == {"outer", "inner"}
         # Corruption is detected, exactly like a ledger tail.
-        from repro.service.ledger import TornRecordError
+        from repro.util.jsonl import TornRecordError
 
         with open(path, "ab") as f:
             f.write(b'{"kind":"span","name":"x"}\n')
@@ -433,6 +433,11 @@ class TestSpendView:
         assert len(payload["timeline"]) == 8
         assert spend_main([str(tmp_path / "missing.wal")]) == 2
         assert "no ledger file" in capsys.readouterr().err
+        # The accountant rejects these default caps, so the CLI does too.
+        for bad in ("-1", "0", "nan", "inf"):
+            assert spend_main([p, "--default-cap", bad]) == 2
+            captured = capsys.readouterr()
+            assert "default_cap" in captured.err and not captured.out
 
     def test_session_budget_report(self, tmp_path):
         sess = make_session(tmp_path, wal=True)

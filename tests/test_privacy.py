@@ -73,7 +73,7 @@ from repro.privacy import (
 )
 from repro.service import PrivacyAccountant, QueryService, StrategyRegistry
 from repro.service.accountant import BudgetExceededError
-from repro.service.ledger import encode_record
+from repro.util.jsonl import encode_record
 from repro.obs.spend import replay
 from repro.server.app import ServerApp
 from repro.server.errors import error_response
@@ -338,12 +338,6 @@ class TestSpendCurve:
             curve.add(PrivacyCost.laplace(eps))
             running += eps
         assert curve.epsilon == running  # bit-equal, not approx
-
-    def test_parallel_is_max(self):
-        curve = SpendCurve()
-        curve.add_parallel(PrivacyCost.laplace(1.0))
-        curve.add_parallel(PrivacyCost.laplace(0.5))
-        assert (curve.epsilon, curve.rho) == (1.0, pure_eps_to_rho(1.0))
 
     def test_epsilon_at_reports_composed_rho(self):
         curve = SpendCurve()

@@ -3,8 +3,13 @@
 These pin down the identities HDMM's correctness rests on: Kronecker
 mat-vec/Gram/pinv/sensitivity identities (Section 4.4, Theorem 3), the
 marginals algebra closure (Propositions 3-4), the p-Identity construction
-(Definition 9), and the analytic gradients.
+(Definition 9), and the analytic gradients — plus the accounting
+invariant that every view of a privacy ledger (live accountant, WAL
+recovery, read-only replay, live report) folds to bit-equal state.
 """
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,7 +24,10 @@ from repro.linalg import (
     VStack,
     Weighted,
 )
+from repro.obs.spend import replay, report_from_accountant
 from repro.optimize import PIdentity, pidentity_loss_and_grad
+from repro.privacy import ApproxDPPolicy, PureEpsilonPolicy, ZCDPPolicy
+from repro.service import BudgetExceededError, PrivacyAccountant
 
 settings.register_profile("repro", deadline=None, max_examples=25)
 settings.load_profile("repro")
@@ -219,3 +227,103 @@ class TestErrorProperties:
         W = Prefix(6)
         base = expected_error(W, Identity(6), 1.0)
         assert np.isclose(expected_error(W, Identity(6), eps), base / eps**2)
+
+
+_policies = st.one_of(
+    st.floats(0.5, 8.0).map(PureEpsilonPolicy),
+    st.builds(
+        ApproxDPPolicy, st.floats(0.5, 8.0), st.sampled_from([0.0, 1e-6, 1e-4])
+    ),
+    st.floats(0.05, 2.0).map(ZCDPPolicy),
+)
+_datasets = st.sampled_from(["a", "b"])
+_ops = st.one_of(
+    st.tuples(st.just("register"), _datasets, _policies),
+    st.tuples(
+        st.sampled_from(["charge", "charge_parallel"]),
+        _datasets,
+        st.lists(st.floats(0.01, 1.5), min_size=1, max_size=3),
+        st.sampled_from([("laplace", None), ("gaussian", 1e-6), ("gaussian", 1e-7)]),
+        st.sampled_from(["", "s1", "s2"]),
+    ),
+)
+
+
+def _run(acct, op):
+    """Apply one op; returns its outcome (a refusal is an outcome too)."""
+    try:
+        if op[0] == "register":
+            _, ds, policy = op
+            if type(policy) is PureEpsilonPolicy:
+                acct.register(ds, policy.epsilon)
+            else:
+                acct.register(ds, policy=policy)
+            return "ok"
+        kind, ds, eps, (mechanism, delta), stage = op
+        return getattr(acct, kind)(
+            ds, eps, stage=stage, mechanism=mechanism, delta=delta
+        )
+    except (BudgetExceededError, KeyError, ValueError) as e:
+        return type(e).__name__
+
+
+def _timeline(entries):
+    return [
+        (e.dataset, e.epsilon, e.composition, e.stage, e.cumulative,
+         e.mechanism, e.delta, e.rho)
+        for e in entries
+    ]
+
+
+class TestOneFoldProperties:
+    @settings(max_examples=30)
+    @given(st.lists(_ops, max_size=12), st.sampled_from([None, 3.0]))
+    def test_every_view_of_the_ledger_is_bit_equal(self, ops, default_cap):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "eps.wal")
+            live = PrivacyAccountant(default_cap=default_cap, wal_path=path)
+            memory = PrivacyAccountant(default_cap=default_cap)
+            registered = set()
+            for op in ops:
+                outcome = _run(live, op)
+                assert _run(memory, op) == outcome
+                if op[0] == "register" and outcome == "ok":
+                    registered.add(op[1])
+            recovered = PrivacyAccountant.recover(path, default_cap=default_cap)
+            replayed = replay(path, default_cap=default_cap)
+            reports = [replayed, report_from_accountant(live),
+                       report_from_accountant(memory)]
+
+            names = live.datasets()
+            assert recovered.datasets() == memory.datasets() == names
+            for report in reports:
+                assert set(report.datasets) == set(names)
+                assert _timeline(report.timeline) == _timeline(live.ledger)
+            for acct in (recovered, memory):
+                assert _timeline(acct.ledger) == _timeline(live.ledger)
+
+            for name in names:
+                curve = live.curve(name)
+                view = (
+                    live.spent(name), curve.delta, curve.rho, live.cap(name),
+                    live.remaining(name), live.native_remaining(name),
+                )
+                for acct in (recovered, memory):
+                    c = acct.curve(name)
+                    assert (
+                        acct.spent(name), c.delta, c.rho, acct.cap(name),
+                        acct.remaining(name), acct.native_remaining(name),
+                    ) == view
+                for report in reports:
+                    ds = report.datasets[name]
+                    native = ds.native_remaining or {"epsilon": ds.remaining}
+                    assert (
+                        ds.spent, ds.delta, ds.rho, ds.cap, ds.remaining, native
+                    ) == view
+            # Without the default cap, a dataset the ledger debits but
+            # never registers keeps its spend and has no cap.
+            bare = replay(path)
+            for name in names:
+                ds = bare.datasets[name]
+                assert ds.spent == live.spent(name)
+                assert ds.cap == (live.cap(name) if name in registered else None)

@@ -45,20 +45,21 @@ from repro.server.breaker import BreakerOpenError, CircuitBreaker
 from repro.server.deadline import Deadline, DeadlineExceededError
 from repro.server.errors import encode_body, error_response
 from repro.server.http import serve_in_thread
-from repro.server.retry import (
+from repro.service import PrivacyAccountant, StrategyRegistry
+from repro.service.accountant import BudgetExceededError
+from repro.service.engine import QueryMiss
+from repro.service.ledger import LockTimeoutError, WriteAheadLedger
+from repro.util import faults
+from repro.util.faults import FaultInjector, SimulatedCrash
+from repro.util.retry import (
     DEFAULT_POLICY,
+    DURABLE_WRITE_POLICY,
+    TRANSIENT_ERRNOS,
     RetryBudget,
     RetryPolicy,
     call_retrying,
     retryable_oserror,
-    _TRANSIENT_ERRNOS,
 )
-from repro.service import PrivacyAccountant, StrategyRegistry
-from repro.service import faults
-from repro.service.accountant import BudgetExceededError
-from repro.service.engine import QueryMiss
-from repro.service.faults import FaultInjector, SimulatedCrash
-from repro.service.ledger import LockTimeoutError, WriteAheadLedger
 from repro.service.registry import RegistryCorruptionError
 from repro.domain import SchemaMismatchError
 from repro.obs.spend import replay  # noqa: F401  (also exercises obs.spend lazy import)
@@ -220,14 +221,14 @@ class TestRetryPolicy:
         assert budget.try_spend(2.0)
 
     def test_errno_classifier_matches_fault_matrix(self):
-        assert _TRANSIENT_ERRNOS == faults.RETRYABLE_ERRNOS
+        assert TRANSIENT_ERRNOS == {errno.EINTR, errno.EAGAIN, errno.ENOSPC}
         assert retryable_oserror(OSError(errno.EINTR, "x"))
         assert not retryable_oserror(OSError(errno.EBADF, "x"))
         assert not retryable_oserror(ValueError("x"))
 
-    def test_faults_retrying_preserves_legacy_schedule(self):
-        """The delegated loop must sleep the exact backoff * 2**k delays
-        the fault matrix has always asserted on."""
+    def test_durable_write_policy_keeps_legacy_schedule(self):
+        """Durable writes sleep exactly 1, 2, 4, 8 ms — the schedule the
+        fault matrix has always asserted on."""
         calls = {"n": 0}
 
         def fn():
@@ -237,8 +238,9 @@ class TestRetryPolicy:
             return 7
 
         slept = []
-        assert faults.retrying(fn, site="t", backoff=0.01, sleep=slept.append) == 7
-        assert slept == [0.01, 0.02, 0.04]
+        assert call_retrying(fn, DURABLE_WRITE_POLICY, sleep=slept.append) == 7
+        assert slept == [0.001, 0.002, 0.004]
+        assert list(DURABLE_WRITE_POLICY.delays()) == [0.001, 0.002, 0.004, 0.008]
 
     def test_on_retry_observer(self):
         seen = []
@@ -994,7 +996,10 @@ class TestOverloadBehavior:
 
             t = threading.Thread(target=slow)
             t.start()
-            time.sleep(0.1)  # request is measuring
+            give_up = time.monotonic() + 10
+            while not inj.fired and time.monotonic() < give_up:
+                time.sleep(0.005)
+            assert inj.fired  # the request is mid-measure
             srv.stop()  # drain-then-flush
             t.join(10)
         assert result["r"][0] == 200
