@@ -25,7 +25,6 @@ from .opt_kron import default_p, opt_kron
 from .opt_marginals import marginals_loss_and_grad, opt_marginals
 from .opt_union import opt_union, partition_products
 from .parallel import (
-    PROCESS_SIZE_THRESHOLD,
     reduce_best,
     resolve_executor,
     resolve_workers,
@@ -36,7 +35,6 @@ from .parallel import (
 
 __all__ = [
     "OptResult",
-    "PROCESS_SIZE_THRESHOLD",
     "PIdentity",
     "default_operators",
     "default_p",

@@ -106,9 +106,10 @@ def opt_hdmm(
         completion order.  The reduction picks the minimum valid loss with
         ties broken by (restart, operator) order.
     executor:
-        ``"auto"`` (threads; the restarts spend their time in
-        GIL-releasing BLAS/LAPACK), ``"thread"``, or ``"process"``
-        (requires picklable operators; falls back to threads otherwise).
+        ``"auto"`` (processes when more than one CPU is usable, threads
+        otherwise — see :func:`repro.optimize.parallel.resolve_executor`),
+        ``"thread"``, or ``"process"`` (requires picklable operators;
+        falls back to threads otherwise).
 
     Returns
     -------
@@ -138,7 +139,6 @@ def opt_hdmm(
         tasks,
         workers=workers,
         executor=executor,
-        size_hint=W.shape[1],
     )
 
     if verbose:

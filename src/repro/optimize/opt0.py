@@ -14,6 +14,10 @@ Woodbury identity::
 
     (AᵀA)⁻¹ = D⁻¹ [I - Θᵀ (I_p + ΘΘᵀ)⁻¹ Θ] D⁻¹
 
+Each evaluation costs exactly one p x N x N product (Θ against the
+workload Gram) plus O(p²N + p³) work, and allocates nothing of size N x N
+(see :func:`pidentity_loss_and_grad`).
+
 Optimization uses scipy's L-BFGS-B with non-negativity bounds on Θ.
 """
 
@@ -128,12 +132,23 @@ def pidentity_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Objective ``C = tr[(AᵀA)⁻¹ V]`` and its gradient w.r.t. Θ.
 
-    ``V = WᵀW`` is the (dense, n x n) workload Gram.  Cost O(pn²).
+    ``V = WᵀW`` is the (dense, symmetric, n x n) workload Gram.  Cost: one
+    p x n x n product plus O(p²n + p³); no n x n temporary is built.
 
-    Derivation: with ``X = AᵀA``, ``∂C/∂A = -2A X⁻¹ V X⁻¹`` (Appendix A.2);
-    the chain rule through the column normalization ``D = diag(1+1ᵀΘ)⁻¹``
-    yields, for ``G = ∂C/∂A`` partitioned into the identity block G_I and
-    the Θ block G_B::
+    Derivation: with ``s = 1 + 1ᵀΘ``, ``V₁ = diag(s) V diag(s)``,
+    ``R = (I_p + ΘΘᵀ)⁻¹`` and ``M = I - ΘᵀRΘ``, Woodbury gives
+    ``C = tr[M V₁] = Σᵢ Vᵢᵢsᵢ² - ⟨Θ, T₂⟩`` where ``T₁ = ΘV₁`` (the only
+    p x n x n product) and ``T₂ = RT₁``.  For ``X = AᵀA``,
+    ``∂C/∂A = -2A X⁻¹ V X⁻¹`` (Appendix A.2) and ``X⁻¹VX⁻¹ = D⁻¹(MV₁M)D⁻¹``.
+    Since ``ΘM = RΘ``, the two pieces of ``MV₁M`` the gradient uses are
+    O(p²n)::
+
+        Θ(MV₁M)      = T₂ - (T₂Θᵀ)(RΘ)
+        diag(MV₁M)   = diag(V₁) - 2 colsum(RΘ ∘ T₁) + colsum(RΘ ∘ (T₁Θᵀ)(RΘ))
+
+    The chain rule through the column normalization ``D = diag(s)⁻¹``
+    then yields, for ``G = ∂C/∂A`` partitioned into the identity block G_I
+    and the Θ block G_B::
 
         ∂C/∂Θ_{kl} = G_B[k,l]/s_l - (G_I[l,l] + Σ_i G_B[i,l] Θ[i,l]) / s_l²
     """
@@ -150,21 +165,25 @@ def pidentity_loss_and_grad(
         R = np.linalg.inv(np.eye(p) + B @ B.T)  # p x p
     except np.linalg.LinAlgError:
         return np.inf, np.zeros((p, n))
-    V1 = V * np.outer(s, s)  # D⁻¹ V D⁻¹
-    T1 = B @ V1  # p x n
-    T2 = R @ T1  # p x n
-    # C = tr[M V1] with M = I - Bᵀ R B
-    loss = float(np.einsum("ii->", V1) - np.einsum("ij,ij->", B, T2))
+    T1 = ((B * s) @ V) * s  # Θ V₁, p x n
+    T2 = R @ T1  # R Θ V₁
+    RB = R @ B  # R Θ = Θ M
+    v1_diag = np.diagonal(V) * s**2
+    loss = float(v1_diag.sum() - np.einsum("ij,ij->", B, T2))
 
-    # Y = X⁻¹ V X⁻¹ = D⁻¹ (M V1 M) D⁻¹
-    U = V1 - B.T @ T2  # M V1, n x n
-    UBt = U @ B.T  # n x p
-    MVM = U - (UBt @ R) @ B  # n x n
-    Y = MVM * np.outer(s, s)
+    # Y = X⁻¹ V X⁻¹ = D⁻¹ (M V₁ M) D⁻¹; only Θ·(M V₁ M) and its diagonal
+    # are needed, both O(p²n) from T1, T2 and RΘ.
+    BMVM = T2 - (T2 @ B.T) @ RB  # Θ M V₁ M, p x n
+    MVM_diag = (
+        v1_diag
+        - 2.0 * np.einsum("ij,ij->j", RB, T1)
+        + np.einsum("ij,ij->j", RB, (T1 @ B.T) @ RB)
+    )
+    Y_diag = MVM_diag * s**2
 
     # G = -2 A Y with A = [[D],[B D]]
-    gI_diag = -2.0 * np.diag(Y) / s  # diagonal of identity block
-    GB = -2.0 * (B / s[None, :]) @ Y  # p x n
+    gI_diag = -2.0 * Y_diag / s  # diagonal of identity block
+    GB = -2.0 * BMVM * s  # (B/s) @ Y, p x n
 
     grad = GB / s[None, :] - (gI_diag + np.einsum("il,il->l", GB, B)) / s[None, :] ** 2
     return loss, grad
@@ -208,7 +227,7 @@ def _opt0_restart(payload) -> tuple[float, np.ndarray]:
         theta0.ravel(),
         jac=True,
         method="L-BFGS-B",
-        bounds=[(0.0, None)] * (p * n),
+        bounds=sopt.Bounds(0.0, np.inf),
         options={"maxiter": maxiter},
     )
     return float(res.fun), res.x.reshape(p, n)
@@ -283,7 +302,6 @@ def opt_0(
         [(V, theta0, maxiter) for theta0 in inits],
         workers=workers,
         executor=executor,
-        size_hint=n,
     )
     idx = best_index([loss for loss, _ in results])
     best_loss, best_theta = (np.inf, None) if idx is None else results[idx]

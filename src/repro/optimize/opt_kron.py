@@ -122,11 +122,6 @@ def opt_kron(
 
     seeds = spawn_seeds(rng, d)
 
-    # The parallel tasks here are *per-attribute* OPT_0 problems, so the
-    # auto-executor hint is the largest single-attribute size — the full
-    # domain product would flip tiny per-factor tasks onto a process
-    # pool whose fork/pickle overhead dwarfs them.
-    task_size = max(sizes)
     if k == 1:
         # Theorem 5: independent per-attribute problems.
         results = run_tasks(
@@ -134,7 +129,6 @@ def opt_kron(
             [(grams[0][i], ps[i], seeds[i], maxiter) for i in range(d)],
             workers=workers,
             executor=executor,
-            size_hint=task_size,
         )
         loss = weights[0] ** 2 * math.prod(r.loss for r in results)
         return OptResult(Kronecker([r.strategy for r in results]), loss)
@@ -153,7 +147,6 @@ def opt_kron(
         [(stacked[i].mean(axis=0), ps[i], seeds[i], maxiter) for i in range(d)],
         workers=workers,
         executor=executor,
-        size_hint=task_size,
     )
     strategies = [r.strategy for r in init_results]
     losses = np.empty((k, d))  # losses[j][i] = tr[(AᵢᵀAᵢ)⁻¹ Gᵢ⁽ʲ⁾]

@@ -154,10 +154,6 @@ def opt_marginals(
         [(alg, delta, theta0, bounds, maxiter) for theta0 in inits],
         workers=workers,
         executor=executor,
-        # Per-restart work scales with the 2^d marginals lattice (the
-        # O(4^d) algebra), not the domain product — the domain size would
-        # flip microsecond restarts onto the process pool.
-        size_hint=size,
     )
     idx = best_index([loss for loss, _ in results])
     best_loss, best_theta = (np.inf, None) if idx is None else results[idx]

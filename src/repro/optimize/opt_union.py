@@ -98,7 +98,6 @@ def opt_union(
         [(part, ps, seed, kron_kwargs) for part, seed in zip(parts, seeds)],
         workers=workers,
         executor=executor,
-        size_hint=parts[0].shape[1] if parts else None,
     )
     # Scale each sensitivity-1 block by 1/l so the stack has sensitivity 1;
     # group j is then answered with noise scale l, inflating its squared

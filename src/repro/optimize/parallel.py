@@ -11,20 +11,19 @@ workers without giving up reproducibility:
   number of restarts, never on how many workers execute them or in which
   order they finish: ``workers=1`` and ``workers=8`` produce bit-identical
   losses for the same seed.
-* **Executors** — a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-  path (the heavy lifting inside restarts is BLAS/LAPACK work that
-  releases the GIL) and a
-  :class:`~concurrent.futures.ProcessPoolExecutor` path for pure-Python
-  dominated problems, with a transparent fallback to threads when the
-  task or its payload cannot be pickled.  ``executor="auto"`` picks
-  processes when the caller's ``size_hint`` (domain size) reaches
-  :data:`PROCESS_SIZE_THRESHOLD` *and* the host has more than one CPU —
-  large domains spend enough time holding the GIL (Python-level factor
-  bookkeeping, scipy wrappers) that fork + pickle pays for itself —
-  and stays with threads otherwise.  Note the 1-CPU CI container this
-  trajectory is benchmarked on never takes the process branch: all
-  recorded ``BENCH_PERF.json`` numbers are thread-executor numbers, and
-  multi-core hosts should re-benchmark ``executor="process"``.
+* **Executors** — a :class:`~concurrent.futures.ProcessPoolExecutor`
+  path and a :class:`~concurrent.futures.ThreadPoolExecutor` path, with a
+  transparent fallback to threads when the task or its payload cannot be
+  pickled.  ``executor="auto"`` picks processes whenever more than one
+  CPU is usable, at any domain size: an OPT_0 restart spends much of its
+  time in Python (L-BFGS-B bookkeeping, scipy wrappers, small BLAS calls)
+  holding the GIL, so on a 2-CPU host two threads run Paper Table 3 fits
+  slower than one, while two processes run them ≈1.4× faster than
+  sequential even after fork and pickling.  With one usable CPU there is
+  no parallelism to gain and ``auto`` stays on threads.  Workers inherit
+  the parent's BLAS thread count: run with a single-threaded BLAS
+  (``OPENBLAS_NUM_THREADS=1`` and friends) when fanning out, or the
+  workers' BLAS threads oversubscribe the CPUs.
 * **Reduction** — :func:`reduce_best` picks the minimum-loss result, with
   ties broken by the lowest task index, so the winner is deterministic
   even when several restarts reach the same optimum.
@@ -41,7 +40,6 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "PROCESS_SIZE_THRESHOLD",
     "best_index",
     "reduce_best",
     "resolve_executor",
@@ -51,45 +49,39 @@ __all__ = [
     "spawn_seeds",
 ]
 
-#: Domain size at which ``executor="auto"`` prefers the process pool on
-#: multi-core hosts.  Below it, fork + payload pickling costs more than
-#: the GIL contention it removes (restarts are BLAS-dominated).
-PROCESS_SIZE_THRESHOLD = 1 << 16
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one, the host's CPU count elsewhere)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return max(1, os.cpu_count() or 1)
 
 
-def resolve_executor(executor: str, size_hint: int | None = None) -> str:
+def resolve_executor(executor: str) -> str:
     """Resolve an ``executor`` argument to ``"thread"`` or ``"process"``.
 
-    ``"auto"`` picks the process pool only when both hold: the problem is
-    large (``size_hint``, typically the domain size N, at or above
-    :data:`PROCESS_SIZE_THRESHOLD`) and the host has more than one CPU.
-    On a single CPU, processes add serialization cost with zero
-    parallelism to gain — the 1-CPU CI container therefore always
-    records thread-executor numbers.
+    ``"auto"`` picks the process pool when more than one CPU is usable
+    (see :func:`_usable_cpus`) and threads otherwise: on a single CPU,
+    processes add fork and pickling cost with no parallelism to gain.
     """
     if executor not in ("auto", "thread", "process"):
         raise ValueError(f"unknown executor {executor!r}")
     if executor != "auto":
         return executor
-    if (
-        size_hint is not None
-        and size_hint >= PROCESS_SIZE_THRESHOLD
-        and (os.cpu_count() or 1) > 1
-    ):
-        return "process"
-    return "thread"
+    return "process" if _usable_cpus() > 1 else "thread"
 
 
 def resolve_workers(workers: int | None) -> int:
     """Normalize a ``workers`` argument to a positive worker count.
 
     ``None``, ``0`` and ``1`` mean sequential execution; any negative
-    value means "one worker per available CPU".
+    value means "one worker per usable CPU".
     """
     if workers is None or workers == 0:
         return 1
     if workers < 0:
-        return max(1, os.cpu_count() or 1)
+        return _usable_cpus()
     return int(workers)
 
 
@@ -142,7 +134,6 @@ def run_tasks(
     payloads: Sequence[Any],
     workers: int | None = 1,
     executor: str = "auto",
-    size_hint: int | None = None,
 ) -> list[Any]:
     """Run ``fn`` over ``payloads``, returning results in payload order.
 
@@ -155,20 +146,17 @@ def run_tasks(
     workers:
         Maximum concurrent tasks; ``<= 1`` runs sequentially in order.
     executor:
-        ``"auto"`` (threads, switching to processes for large domains on
-        multi-core hosts — see :func:`resolve_executor`), ``"thread"``,
-        or ``"process"``.  A process pool request silently falls back to
+        ``"auto"`` (processes when more than one CPU is usable, threads
+        otherwise — see :func:`resolve_executor`), ``"thread"``, or
+        ``"process"``.  A process pool request silently falls back to
         threads when ``fn`` or a payload cannot be pickled, so callers
         may always pass user-supplied closures.
-    size_hint:
-        Problem-size hint for ``executor="auto"`` (the optimizers pass
-        the domain size N); ``None`` keeps auto on threads.
 
     Results are collected per payload index, so the output order (and any
     reduction over it) is independent of completion order.
     """
     workers = resolve_workers(workers)
-    kind = resolve_executor(executor, size_hint)
+    kind = resolve_executor(executor)
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     # Probe one representative payload only — the optimizers build

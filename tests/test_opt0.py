@@ -2,9 +2,47 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.linalg import AllRange, Prefix
 from repro.optimize import PIdentity, opt_0, pidentity_loss_and_grad
+
+
+def reference_loss_and_grad(theta, V):
+    """The textbook evaluation of ``tr[(AᵀA)⁻¹ V]`` and its gradient: it
+    materializes ``V₁ = SVS``, ``MV₁`` and ``Y = X⁻¹VX⁻¹`` (five p x n x n
+    or n x n x n products).  An oracle for the one-product kernel."""
+    B = theta
+    p, n = B.shape
+    s = 1.0 + B.sum(axis=0)
+    R = np.linalg.inv(np.eye(p) + B @ B.T)
+    V1 = V * np.outer(s, s)
+    T2 = R @ (B @ V1)
+    loss = float(np.trace(V1) - np.sum(B * T2))
+    U = V1 - B.T @ T2  # M V₁
+    Y = (U - ((U @ B.T) @ R) @ B) * np.outer(s, s)
+    gI_diag = -2.0 * np.diag(Y) / s
+    GB = -2.0 * (B / s) @ Y
+    grad = GB / s - (gI_diag + np.sum(GB * B, axis=0)) / s**2
+    return loss, grad
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Θ ≥ 0 with entries up to 10 (the old kernel itself loses digits to
+    conditioning well beyond that) and ``V = WᵀW`` for a random W."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    theta = draw(
+        arrays(np.float64, (p, n), elements=st.floats(0.0, 10.0, allow_nan=False))
+    )
+    rows = draw(st.integers(1, 50))
+    W = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (rows, n)
+    )
+    return theta, W.T @ W
 
 
 class TestPIdentity:
@@ -76,7 +114,7 @@ class TestLossAndGrad:
         D = PIdentity(B).dense()
         assert np.isclose(loss, np.trace(np.linalg.inv(D.T @ D) @ V))
 
-    @pytest.mark.parametrize("p,n", [(1, 5), (3, 8), (6, 6)])
+    @pytest.mark.parametrize("p,n", [(1, 5), (3, 8), (6, 6), (4, 2), (2, 1)])
     def test_gradient_matches_finite_differences(self, p, n, rng):
         B = rng.random((p, n)) + 0.1
         V = Prefix(n).gram().dense()
@@ -92,6 +130,15 @@ class TestLossAndGrad:
                 - pidentity_loss_and_grad(Bm, V)[0]
             ) / (2 * h)
             assert np.isclose(grad[k, l], fd, rtol=1e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs())
+    def test_matches_reference_kernel(self, inputs):
+        theta, V = inputs
+        loss, grad = pidentity_loss_and_grad(theta, V)
+        ref_loss, ref_grad = reference_loss_and_grad(theta, V)
+        assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss)
+        assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()
 
     def test_nonfinite_parameters_safe(self):
         V = np.eye(4)

@@ -1,6 +1,8 @@
 """Tests for the performance engine: parallel restarts, Gram caching, and
 batched Kronecker matmat (kmatmat)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,6 @@ from repro.optimize import (
     opt_union,
 )
 from repro.optimize.parallel import (
-    PROCESS_SIZE_THRESHOLD,
     best_index,
     reduce_best,
     resolve_executor,
@@ -109,39 +110,48 @@ class TestEngine:
             resolve_executor("gpu")
 
 
+def _pid(_):
+    return os.getpid()
+
+
 class TestAutoExecutor:
-    """Satellite: executor="auto" picks processes only for large domains
-    on multi-core hosts (the 1-CPU CI always records thread numbers)."""
+    """executor="auto" picks processes at any size when more than one CPU
+    is usable, threads when one is; usable means the affinity mask, not
+    the host's CPU count."""
 
-    def test_explicit_choices_pass_through(self):
-        assert resolve_executor("thread", size_hint=10**9) == "thread"
-        assert resolve_executor("process", size_hint=1) == "process"
+    @staticmethod
+    def _usable(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
-    def test_auto_defaults_to_threads(self):
-        assert resolve_executor("auto") == "thread"
-        assert resolve_executor("auto", size_hint=128) == "thread"
+    def test_explicit_choices_pass_through(self, monkeypatch):
+        for cpus in (1, 2):
+            self._usable(monkeypatch, cpus)
+            assert resolve_executor("thread") == "thread"
+            assert resolve_executor("process") == "process"
 
-    def test_auto_large_domain_multicore(self, monkeypatch):
-        import repro.optimize.parallel as par
-
-        monkeypatch.setattr(par.os, "cpu_count", lambda: 8)
-        assert resolve_executor("auto", size_hint=PROCESS_SIZE_THRESHOLD) == "process"
-        assert (
-            resolve_executor("auto", size_hint=PROCESS_SIZE_THRESHOLD - 1)
-            == "thread"
-        )
+    def test_auto_multicore_picks_processes_at_any_size(self, monkeypatch):
+        self._usable(monkeypatch, 2)
+        assert resolve_executor("auto") == "process"
+        # Even two one-element tasks leave the parent process.
+        pids = run_tasks(_pid, [0, 1], workers=2)
+        assert os.getpid() not in pids
 
     def test_auto_single_cpu_stays_threads(self, monkeypatch):
-        import repro.optimize.parallel as par
+        self._usable(monkeypatch, 1)
+        assert resolve_executor("auto") == "thread"
+        assert run_tasks(_pid, [0, 1], workers=2) == [os.getpid()] * 2
 
-        monkeypatch.setattr(par.os, "cpu_count", lambda: 1)
-        assert resolve_executor("auto", size_hint=PROCESS_SIZE_THRESHOLD) == "thread"
+    def test_workers_follow_usable_cpus(self, monkeypatch):
+        self._usable(monkeypatch, 1)
+        assert resolve_workers(-1) == 1
 
-    def test_run_tasks_accepts_size_hint(self):
-        out = run_tasks(
-            lambda v: v * 2, [1, 2, 3], workers=2, size_hint=PROCESS_SIZE_THRESHOLD
-        )
-        assert out == [2, 4, 6]
+    def test_host_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_workers(-1) == 3
+        assert resolve_executor("auto") == "process"
 
 
 class TestSameSeedDeterminism:
