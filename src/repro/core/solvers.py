@@ -4,10 +4,11 @@ The serving loop answers the *same* fitted strategy across many trials and
 ε values.  For union strategies — where no structured pseudo-inverse
 exists — the least squares problem ``min_x ‖Ax - y‖₂`` is equivalent to
 the normal equations ``(AᵀA) x = Aᵀy``, and the Gram operator ``AᵀA`` is
-already memoized on the strategy instance (PR 1's structural cache).  The
+already memoized on the strategy instance (the structural cache).  The
 conjugate-gradient solver here uses that cached Gram as its iteration
-operator, solves a whole batch of right-hand sides at once, and accepts
-warm starts so adjacent ε values in a sweep reuse each other's solutions.
+operator and solves a whole batch of right-hand sides at once, keeping
+the still-running columns in contiguous working arrays so an iteration
+never gathers or scatters.
 
 Batch determinism contract (mirrors ``optimize/parallel.py``): every
 per-column quantity is computed with arithmetic that does not depend on
@@ -23,39 +24,22 @@ BLAS matmat results are *not* bit-identical across batch widths, so
   every active column — maximum BLAS throughput, results agree with the
   looped solve to solver tolerance rather than bitwise.
 
+A solve depends only on its own right-hand sides: no state survives from
+one call to the next, so the same inputs give the same bits whatever was
+solved before.
+
 Multi-block unions (L ≥ 3).  The exact two-term inverse only covers the
 paper's ``groups=2`` OPT_+ instantiation; for a union of L ≥ 3 blocks
 (SF-1-style ``opt_union(groups≥3)`` strategies, service miss batches)
-``G = Σ_l ⊗K_{l,i}`` has no closed factorization, so the solver layer
-accelerates CG instead:
-
-* **Preconditioning** — :func:`union_gram_preconditioner` picks the two
-  *dominant* blocks (largest Gram trace), runs the existing two-term
-  factorization on that pair, and serves ``M = (⊗K_a + ⊗K_b)⁻¹`` as a
-  preconditioner for :func:`cg_gram_solve`.  ``M`` is exact on the
-  dominant pair, so ``M·G = I + M·(Σ_rest ⊗K)`` has its spectrum
-  clustered at 1 plus the (trace-minor) remainder — per-column-frozen
-  convergence and the LSMR fallback contract carry over unchanged.
-* **Subspace recycling** — :class:`GramRecycleState` harvests converged
-  Ritz pairs from the CG (Lanczos) recurrence of each solve and deflates
-  later *cold* solves against the same Gram (Galerkin initial projection
-  + per-iteration direction filtering à la deflated CG).  The division
-  of labor with warm starts: inside a sweep, adjacent ε blocks hand
-  their solutions forward as ``x0`` (plain PCG), while every solve that
-  starts cold — the first block of each sweep, a service miss batch, a
-  span-check-style one-off — is deflated by the basis recycled from
-  earlier solves, substituting for the warm start it never had.  Only
-  Ritz pairs whose Lanczos residual bound certifies convergence are
-  absorbed: the structured Grams here have highly degenerate spectra,
-  and deflating an *unconverged* vector smears an eigenvalue cluster
-  into several effective levels, slowing CG instead.  The state is
-  cached on the strategy (next to ``union_gram_state``) and evolves
-  deterministically: identical call sequences from identical inputs
-  produce bit-identical answers (the ``exact=True`` contract for
-  recycled solves).  Recycled solves trade the *width-independence* half
-  of the columnwise contract away — deflation couples a solve to the
-  basis harvested by earlier solves — so bit-equality is guaranteed
-  between identical runs, not between different batch compositions.
+``G = Σ_l ⊗K_{l,i}`` has no closed factorization, so
+:func:`union_gram_preconditioner` picks the two *dominant* blocks
+(largest Gram trace), runs the two-term factorization on that pair, and
+serves ``M = (⊗K_a + ⊗K_b)⁻¹`` as a preconditioner for
+:func:`cg_gram_solve`.  ``M`` is exact on the dominant pair, so
+``M·G = I + M·(Σ_rest ⊗K)`` has its spectrum clustered at 1 plus the
+(trace-minor) remainder, and PCG needs a handful of iterations per
+column from a cold start — per-column-frozen convergence and the LSMR
+fallback contract carry over unchanged.
 """
 
 from __future__ import annotations
@@ -70,12 +54,10 @@ from ..obs.metrics import REGISTRY as _METRICS
 
 __all__ = [
     "CGResult",
-    "GramRecycleState",
     "KRON_FACTOR_LIMIT",
     "apply_columnwise",
     "cg_gram_solve",
     "export_gram_solver_state",
-    "gram_recycle_state",
     "restore_gram_solver_state",
     "union_gram_inverse",
     "union_gram_preconditioner",
@@ -459,68 +441,21 @@ def export_gram_solver_state(A: Matrix) -> dict | None:
         state = A.cache_get("union_gram_state")
         if state is None:  # cache globally disabled — outcome not recorded
             return None
-        return _attach_recycle_state(
-            A, {"factors": list(state["factors"]), "lam": state["lam"]}
-        )
+        return {"factors": list(state["factors"]), "lam": state["lam"]}
     if union_gram_preconditioner(A) is not None:
         state = A.cache_get("union_gram_precond_state")
         if state is None:  # cache globally disabled — outcome not recorded
             return None
-        return _attach_recycle_state(
-            A,
-            {
-                "precond_factors": list(state["factors"]),
-                "precond_lam": state["lam"],
-                "precond_blocks": [int(b) for b in state["blocks"]],
-            },
-        )
+        return {
+            "precond_factors": list(state["factors"]),
+            "precond_lam": state["lam"],
+            "precond_blocks": [int(b) for b in state["blocks"]],
+        }
     # ``precond_probed`` marks that the dominant-pair probe itself ran
     # and failed.  Registry entries written before the preconditioner
     # existed carry a bare ``{"unavailable": True}``, and restore must
     # not let that legacy state disable a probe it never ran.
-    return _attach_recycle_state(
-        A, {"unavailable": True, "precond_probed": True}
-    )
-
-
-def _attach_recycle_state(A: Matrix, state: dict) -> dict:
-    """Fold ``A``'s harvested Ritz basis into an export, if one exists.
-
-    The basis is float64 and ``G``-orthonormal by construction, so
-    persisting the raw ``U``/``GU``/``ritz_values`` arrays round-trips
-    it exactly: a warm-loaded L-block strategy starts its first solve
-    already deflated instead of re-harvesting across a process restart.
-    """
-    rec = A.cache_get("gram_recycle_state")
-    if rec is not None and rec.size > 0:
-        state["recycle_U"] = rec.U
-        state["recycle_GU"] = rec.GU
-        state["recycle_ritz"] = rec.ritz_values
-        state["recycle_tuning"] = {
-            "max_vectors": rec.max_vectors,
-            "harvest_columns": rec.harvest_columns,
-            "ritz_per_column": rec.ritz_per_column,
-            "max_lanczos": rec.max_lanczos,
-            "ritz_tol": rec.ritz_tol,
-        }
-    return state
-
-
-def _restore_recycle_state(A: Matrix, state: dict) -> None:
-    if "recycle_U" not in state:
-        return
-    tuning = state.get("recycle_tuning") or {}
-    rec = GramRecycleState(
-        max_vectors=int(tuning.get("max_vectors", 48)),
-        harvest_columns=int(tuning.get("harvest_columns", 4)),
-        ritz_per_column=int(tuning.get("ritz_per_column", 8)),
-        max_lanczos=int(tuning.get("max_lanczos", 48)),
-        ritz_tol=float(tuning.get("ritz_tol", 1e-3)),
-    )
-    rec.U = np.ascontiguousarray(state["recycle_U"], dtype=np.float64)
-    rec.GU = np.ascontiguousarray(state["recycle_GU"], dtype=np.float64)
-    rec.ritz_values = np.asarray(state["recycle_ritz"], dtype=np.float64)
-    A.cache_set("gram_recycle_state", rec)
+    return {"unavailable": True, "precond_probed": True}
 
 
 def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
@@ -530,11 +465,12 @@ def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
     (exact inverse or dominant-pair preconditioner) is rebuilt and
     cached, a recorded failed probe is cached as ``"unavailable"`` (CG
     path, no re-probe), and ``None`` leaves the strategy untouched so
-    the first solve probes normally.
+    the first solve probes normally.  Keys this version does not know
+    — such as the ``recycle_*`` Ritz basis that older registry entries
+    carry — are ignored.
     """
     if state is None:
         return
-    _restore_recycle_state(A, state)
     if state.get("unavailable"):
         if isinstance(A, VStack):
             A.cache_set("union_gram_inverse", "unavailable")
@@ -558,279 +494,6 @@ def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
     lam_full = np.asarray(state["lam"], dtype=np.float64)
     A.cache_set("union_gram_state", {"factors": Es, "lam": lam_full})
     A.cache_set("union_gram_inverse", _assemble_gram_inverse(Es, lam_full))
-
-
-class GramRecycleState:
-    """Ritz-vector deflation basis recycled across solves of one Gram.
-
-    Each :func:`cg_gram_solve` call that receives a state instance (1)
-    *deflates* its initial guess by a Galerkin projection onto the
-    current basis — ``x₀ += U S⁻¹ Uᵀ r₀`` with ``S = UᵀGU`` and the
-    residual updated through the cached ``GU`` (no extra ``G``
-    application) — and (2) *harvests* Ritz vectors from the CG/Lanczos
-    recurrence of a few designated columns, folding the ones that
-    approximate the *largest* eigenvalues of the preconditioned operator
-    into the basis for later solves (the dominant-pair preconditioner
-    pins ``λmin`` at 1, so the convergence-limiting end of the spectrum
-    is the tail of upper outliers — see
-    :meth:`_RitzHarvest.ritz_vectors`).  The basis is append-only and
-    freezes at ``max_vectors``.
-
-    The state assumes every solve shares the same positive-definite Gram
-    operator (the preconditioned L ≥ 3 union path guarantees this: the
-    dominant-pair factorization succeeding means the pair's Gram — and
-    hence the full sum — is positive definite).  All updates are
-    deterministic, so identical call sequences yield bit-identical
-    solutions; see the module docstring for the exact contract.
-    """
-
-    def __init__(
-        self,
-        max_vectors: int = 48,
-        harvest_columns: int = 4,
-        ritz_per_column: int = 8,
-        max_lanczos: int = 48,
-        ritz_tol: float = 1e-3,
-    ):
-        self.max_vectors = int(max_vectors)
-        self.harvest_columns = int(harvest_columns)
-        self.ritz_per_column = int(ritz_per_column)
-        self.max_lanczos = int(max_lanczos)
-        self.ritz_tol = float(ritz_tol)
-        self.U: np.ndarray | None = None  # (n, k) G-orthonormal basis
-        self.GU: np.ndarray | None = None  # G @ U
-        self.ritz_values: np.ndarray | None = None  # per-vector Ritz value
-
-    @property
-    def size(self) -> int:
-        """Number of recycled basis vectors currently held."""
-        return 0 if self.U is None else self.U.shape[1]
-
-    def reset(self) -> None:
-        """Drop the basis (used by benchmarks for cold-path timing)."""
-        self.U = None
-        self.GU = None
-        self.ritz_values = None
-
-    def deflate(self, X: np.ndarray, R: np.ndarray) -> None:
-        """Galerkin-correct ``X`` (and its residual ``R``) in place.
-
-        The basis is kept ``G``-orthonormal (``UᵀGU = I``), so the
-        Galerkin coefficients are a plain inner product — no small solve
-        whose conditioning could amplify rounding into the iteration.
-        """
-        if self.U is None:
-            return
-        C = self.U.T @ R
-        X += self.U @ C
-        R -= self.GU @ C
-
-    def g_orthogonalize(self, Z: np.ndarray) -> np.ndarray:
-        """``Z`` minus its ``G``-projection onto the basis.
-
-        Deflated CG's direction filter (Saad et al.): every search
-        direction is kept ``G``-orthogonal to the recycled subspace, so
-        the iteration runs on the deflated operator — the basis's Ritz
-        values are removed from the effective spectrum instead of merely
-        shrinking the initial residual.  With ``UᵀGU = I`` the filter is
-        the orthogonal projection ``Z - U (GU)ᵀ Z``.
-        """
-        if self.U is None:
-            return Z
-        return Z - self.U @ (self.GU.T @ Z)
-
-    def absorb(
-        self,
-        G: Matrix,
-        harvest: tuple[np.ndarray, np.ndarray] | None,
-        columnwise: bool,
-    ) -> None:
-        """Fold harvested Ritz vectors into the basis (append-only).
-
-        ``harvest`` is ``(W, values)`` — candidate vectors with their
-        Ritz values.  Candidates are ranked by Ritz value (the biggest
-        preconditioned-spectrum outliers are the most valuable deflation
-        directions), ``G``-orthonormalized against the frozen existing
-        basis and each other by two-pass modified Gram–Schmidt, and
-        appended until ``max_vectors``; near-duplicates of existing
-        directions lose their ``G``-norm in the projection and are
-        dropped by the degeneracy threshold.  Existing vectors are never
-        re-orthonormalized or evicted: the structured Grams here have
-        highly degenerate spectra, so re-ranking at the cap would churn
-        near-equal-value cluster directions in and out of the basis,
-        accumulating Gram–Schmidt rounding each round — append-then-
-        freeze keeps ``UᵀGU = I`` bit-stable, which is what makes the
-        per-iteration projections reliable.
-        """
-        if harvest is None or self.size >= self.max_vectors:
-            return
-        W, vals = harvest
-        if W.size == 0:
-            return
-        order = np.argsort(-vals, kind="stable")
-        cand = np.ascontiguousarray(W[:, order])
-        cvals = vals[order]
-        GC = _apply_gram(G, cand, columnwise)
-        old = [] if self.U is None else list(range(self.U.shape[1]))
-        new_u: list[np.ndarray] = []
-        new_gu: list[np.ndarray] = []
-        new_vals: list[float] = []
-        for i in range(cand.shape[1]):
-            if len(old) + len(new_u) >= self.max_vectors:
-                break
-            v = cand[:, i].copy()
-            gv = GC[:, i].copy()
-            norm0 = v @ gv
-            for _ in range(2):  # two MGS passes keep UᵀGU ≈ I to roundoff
-                if old:
-                    c = self.GU.T @ v
-                    v -= self.U @ c
-                    gv -= self.GU @ c
-                for u, gu in zip(new_u, new_gu):
-                    c = gu @ v
-                    v -= c * u
-                    gv -= c * gu
-            norm2 = v @ gv
-            if not np.isfinite(norm2) or norm2 <= 1e-8 * max(norm0, 1e-300):
-                continue  # G-degenerate direction — already covered
-            s = 1.0 / np.sqrt(norm2)
-            new_u.append(v * s)
-            new_gu.append(gv * s)
-            new_vals.append(float(cvals[i]))
-        if not new_u:
-            return
-        U_new = np.stack(new_u, axis=1)
-        GU_new = np.stack(new_gu, axis=1)
-        if self.U is None:
-            self.U, self.GU = U_new, GU_new
-            self.ritz_values = np.asarray(new_vals)
-        else:
-            self.U = np.ascontiguousarray(np.hstack([self.U, U_new]))
-            self.GU = np.ascontiguousarray(np.hstack([self.GU, GU_new]))
-            self.ritz_values = np.concatenate([self.ritz_values, new_vals])
-
-
-def gram_recycle_state(A: Matrix, **kwargs) -> GramRecycleState:
-    """The strategy's cached :class:`GramRecycleState` (created on first
-    use, next to ``union_gram_state``).  ``kwargs`` are
-    :class:`GramRecycleState` tuning parameters honored only when this
-    call *creates* the state — a later call returns the cached instance
-    unchanged (call :meth:`GramRecycleState.reset` and re-create, or
-    build a state directly, to re-tune).  With memoization globally
-    disabled a fresh state is returned per call — harvesting still
-    happens within a solve, but nothing is recycled across calls."""
-    state = A.cache_get("gram_recycle_state")
-    if state is None:
-        state = A.cache_set("gram_recycle_state", GramRecycleState(**kwargs))
-    return state
-
-
-class _RitzHarvest:
-    """Lanczos bookkeeping for a few designated CG columns.
-
-    CG's scalars are the Lanczos recurrence in disguise: with step sizes
-    ``αᵢ`` and conjugacy corrections ``βᵢ``, the tridiagonal
-    ``T[i,i] = 1/αᵢ + βᵢ₋₁/αᵢ₋₁``, ``T[i,i+1] = √βᵢ/αᵢ`` has the
-    operator's Ritz values as eigenvalues, and the (preconditioned)
-    residuals normalized by ``√(rᵀz)`` are the Lanczos vectors.  The
-    harvester stores that history for the first ``harvest_columns``
-    columns of the batch and converts the largest converged Ritz pairs
-    into deflation vectors after the solve (the upper outliers limit the
-    preconditioned iteration — see :meth:`ritz_vectors`).
-    """
-
-    def __init__(self, state: GramRecycleState, T: int):
-        cols = range(min(state.harvest_columns, T))
-        self.data = {
-            j: {"V": [], "alpha": [], "beta": [], "beta_tail": None}
-            for j in cols
-        }
-        self.cap = state.max_lanczos
-        self.per_column = state.ritz_per_column
-        self.ritz_tol = state.ritz_tol
-
-    def observe_init(self, Z: np.ndarray, rz: np.ndarray, active: np.ndarray):
-        for j, d in self.data.items():
-            if active[j] and rz[j] > 0:
-                d["V"].append(Z[:, j] / np.sqrt(rz[j]))
-
-    def observe(
-        self,
-        idx: np.ndarray,
-        Za: np.ndarray,
-        rz_new: np.ndarray,
-        rz_a: np.ndarray,
-        alpha: np.ndarray,
-        beta: np.ndarray,
-        cont: np.ndarray,
-    ):
-        pos = {int(j): p for p, j in enumerate(idx)}
-        for j, d in self.data.items():
-            p = pos.get(j)
-            if p is None or not d["V"] or len(d["V"]) > self.cap:
-                continue
-            if alpha[p] <= 0:
-                d["V"].clear()  # curvature breakdown — discard the column
-                continue
-            d["alpha"].append(float(alpha[p]))
-            if cont[p] and rz_new[p] > 0:
-                d["beta"].append(float(beta[p]))
-                d["V"].append(Za[:, p] / np.sqrt(rz_new[p]))
-            else:
-                # Converged: keep the would-be next Lanczos coupling so
-                # ritz_vectors can bound each pair's residual — a column
-                # that met the CG tolerance has *not* produced an
-                # invariant Krylov space.
-                d["beta_tail"] = float(rz_new[p] / max(rz_a[p], 1e-300))
-
-    def ritz_vectors(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(vectors, values)`` for the largest Ritz pairs of each column.
-
-        The dominant-pair preconditioner pins ``λmin(M·G)`` at 1 with a
-        dense cluster just above it — what limits PCG is the tail of
-        *upper* outliers contributed by the non-dominant blocks, so the
-        harvest keeps the top end of each column's Ritz spectrum.  Only
-        pairs whose Lanczos residual bound ``|T[k,k+1]| · |y_k|`` is below
-        ``ritz_tol · θ`` are kept: an unconverged Ritz vector straddles a
-        degenerate eigenvalue cluster, and deflating it *smears* the
-        cluster into several effective levels — making CG slower, not
-        faster.
-        """
-        out, out_vals = [], []
-        for d in self.data.values():
-            k = min(len(d["V"]), len(d["alpha"]), len(d["beta"]) + 1, self.cap)
-            if k < 2:
-                continue
-            alpha = np.asarray(d["alpha"][:k])
-            beta = np.asarray(d["beta"][: k - 1])
-            diag = 1.0 / alpha
-            diag[1:] += beta[: k - 1] / alpha[: k - 1]
-            off = np.sqrt(beta[: k - 1]) / alpha[: k - 1]
-            T = np.diag(diag)
-            T[np.arange(k - 1), np.arange(1, k)] = off
-            T[np.arange(1, k), np.arange(k - 1)] = off
-            theta, Y = np.linalg.eigh(T)  # ascending: largest values last
-            # Residual bound of each Ritz pair: the off-diagonal that
-            # would couple to Lanczos step k+1 times the pair's trailing
-            # component.  Zero when the recurrence terminated (the Krylov
-            # space became invariant).
-            if len(d["beta"]) >= k and len(d["alpha"]) >= k:
-                off_next = np.sqrt(d["beta"][k - 1]) / d["alpha"][k - 1]
-            elif d["beta_tail"] is not None and len(d["alpha"]) == k:
-                off_next = np.sqrt(d["beta_tail"]) / d["alpha"][k - 1]
-            else:
-                off_next = 0.0
-            resid = off_next * np.abs(Y[k - 1, :])
-            take = np.flatnonzero(resid <= self.ritz_tol * np.abs(theta))
-            take = take[np.argsort(theta[take])][-self.per_column :]
-            if take.size == 0:
-                continue
-            V = np.stack(d["V"][:k], axis=1)
-            out.append(V @ Y[:, take])
-            out_vals.append(theta[take])
-        if not out:
-            return None
-        return np.hstack(out), np.concatenate(out_vals)
 
 
 @dataclass
@@ -885,14 +548,12 @@ def _col_dots(X: np.ndarray, Y: np.ndarray, columnwise: bool) -> np.ndarray:
 def cg_gram_solve(
     G: Matrix,
     B: np.ndarray,
-    x0: np.ndarray | None = None,
     rtol: float = 1e-11,
     maxiter: int | None = None,
     columnwise: bool = False,
     preconditioner: Matrix | None = None,
-    recycle: GramRecycleState | None = None,
 ) -> CGResult:
-    """Solve ``G X = B`` for a batch of right-hand sides by (P)CG.
+    """Solve ``G X = B`` for a batch of right-hand sides by (P)CG from zero.
 
     Parameters
     ----------
@@ -903,9 +564,6 @@ def cg_gram_solve(
         sums of Kronecker Grams, marginals Grams) plug in directly.
     B:
         Right-hand sides ``AᵀY``, shape (n, T).
-    x0:
-        Optional warm start, shape (n,) or (n, T).  Sweeps over adjacent
-        ε values pass the previous ε's solutions here.
     rtol:
         Per-column stopping criterion ``‖G x - b‖₂ <= rtol · ‖b‖₂``.
     maxiter:
@@ -919,11 +577,6 @@ def cg_gram_solve(
         :func:`union_gram_preconditioner`).  Convergence is still
         measured on the *unpreconditioned* residual, so tolerances and
         the LSMR-fallback contract are unchanged.
-    recycle:
-        Optional :class:`GramRecycleState`: the initial guess is deflated
-        against the recycled basis, and Ritz vectors harvested from this
-        solve are absorbed for subsequent ones.  Requires ``G`` positive
-        definite (see the class docstring).
     """
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
@@ -939,89 +592,59 @@ def cg_gram_solve(
     if maxiter is None:
         maxiter = 3 * n
 
-    if x0 is None:
-        X = np.zeros((n, T))
-        R = B.copy()
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.ndim == 1:
-            x0 = x0[:, None]
-        if x0.shape[0] != n or x0.shape[1] not in (1, T):
-            raise ValueError(f"x0 must have shape ({n},) or ({n}, {T}), got {x0.shape}")
-        # Writable copy: broadcast views are read-only and x0 may alias
-        # the previous ε block's solutions, which must stay untouched.
-        X = np.array(np.broadcast_to(x0, (n, T)), dtype=np.float64)
-        R = B - _apply_gram(G, X, columnwise)
-    if recycle is not None:
-        recycle.deflate(X, R)
-    Z = R if M is None else _apply_gram(M, R, columnwise)
-    P = Z.copy() if recycle is None else recycle.g_orthogonalize(Z)
-    if P is Z:  # empty recycle basis — keep Z read-only below
-        P = Z.copy()
+    X = np.zeros((n, T))
+    iterations = np.zeros(T, dtype=np.intp)
+    thresh = rtol * np.sqrt(_col_dots(B, B, columnwise))
+    R = np.ascontiguousarray(B)
     # With no preconditioner Z aliases R, so rz doubles as the residual
     # norm² — exactly the plain-CG arithmetic.
+    Z = R if M is None else _apply_gram(M, R, columnwise)
     rz = _col_dots(R, Z, columnwise)
     rs = rz if M is None else _col_dots(R, R, columnwise)
-    thresh = rtol * np.sqrt(_col_dots(B, B, columnwise))
-    active = np.sqrt(rs) > thresh
-    iterations = np.zeros(T, dtype=np.intp)
-    rs = np.array(rs)  # decouple from rz before in-place updates
-
-    harvester = None
-    if recycle is not None and recycle.size < recycle.max_vectors:
-        harvester = _RitzHarvest(recycle, T)
-        harvester.observe_init(Z, rz, active)
+    converged = np.sqrt(rs) <= thresh
+    # The active columns live in C-ordered working arrays that are
+    # updated in place; a column that stops is written back to X and the
+    # arrays are compacted, so no iteration gathers or scatters.
+    idx = np.flatnonzero(~converged)
+    Xa = np.zeros((n, idx.size))
+    Ra = np.take(R, idx, axis=1)
+    Pa = np.take(Z, idx, axis=1)
+    rza = rz[idx]
 
     for _ in range(maxiter):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        Pa = np.ascontiguousarray(P[:, idx])
         GP = _apply_gram(G, Pa, columnwise)
         pgp = _col_dots(Pa, GP, columnwise)
-        rz_a = rz[idx]
         ok = pgp > 0  # pᵀGp <= 0 ⇒ semi-definite breakdown: freeze, unconverged
         alpha = np.zeros_like(pgp)
-        alpha[ok] = rz_a[ok] / pgp[ok]
-        X[:, idx] += Pa * alpha
-        R[:, idx] -= GP * alpha
+        alpha[ok] = rza[ok] / pgp[ok]
+        Xa += Pa * alpha
+        Ra -= GP * alpha
         iterations[idx] += 1
-        Ra = R[:, idx]
-        if recycle is not None and recycle.size:
-            # Re-impose the Galerkin condition ``UᵀR = 0`` (a no-op in
-            # exact arithmetic): floating-point drift back into the
-            # deflated subspace cannot be corrected by the filtered
-            # directions and would otherwise stall convergence.
-            C = recycle.U.T @ Ra
-            X[:, idx] += recycle.U @ C
-            Ra = Ra - recycle.GU @ C
-            R[:, idx] = Ra
         if M is None:
             Za = Ra
             rz_new = _col_dots(Ra, Ra, columnwise)
             rs_new = rz_new
         else:
-            Za = _apply_gram(M, np.ascontiguousarray(Ra), columnwise)
+            Za = _apply_gram(M, Ra, columnwise)
             rz_new = _col_dots(Ra, Za, columnwise)
             rs_new = _col_dots(Ra, Ra, columnwise)
         done = np.sqrt(rs_new) <= thresh[idx]
         cont = ok & ~done
         beta = np.zeros_like(pgp)
-        beta[cont] = rz_new[cont] / rz_a[cont]
-        if recycle is None:
-            P[:, idx] = Za + Pa * beta
-        else:
-            # Deflated CG: keep every direction G-orthogonal to the basis.
-            P[:, idx] = recycle.g_orthogonalize(Za) + Pa * beta
-        rz[idx] = rz_new
-        rs[idx] = rs_new
-        if harvester is not None:
-            harvester.observe(idx, Za, rz_new, rz_a, alpha, beta, cont)
-        active[idx[done | ~ok]] = False
+        beta[cont] = rz_new[cont] / rza[cont]
+        Pa *= beta
+        Pa += Za
+        rza = rz_new
+        if not cont.all():
+            X[:, idx[~cont]] = Xa[:, ~cont]
+            converged[idx[done]] = True
+            idx = idx[cont]
+            Xa, Ra, Pa = (np.compress(cont, a, axis=1) for a in (Xa, Ra, Pa))
+            rza = rza[cont]
+    X[:, idx] = Xa  # columns still running at maxiter
 
-    converged = np.sqrt(rs) <= thresh
-    if harvester is not None:
-        recycle.absorb(G, harvester.ritz_vectors(), columnwise)
     if _METRICS.enabled:
         _METRICS.counter("solver.cg_solves_total").inc()
         _METRICS.counter("solver.cg_iterations").inc(int(iterations.sum()))

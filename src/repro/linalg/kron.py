@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .base import Matrix
+from .base import Dense, Matrix
 
 
 def _application_order(factors: Sequence[Matrix]) -> list[int]:
@@ -111,20 +111,31 @@ def kmatmat(factors: Sequence[Matrix], X: np.ndarray) -> np.ndarray:
         return np.empty((total_rows, 0))
     # d-way tensor plus the untouched trailing batch axis, applying each
     # factor in the shared _application_order (Identity factors skipped).
-    T = X.reshape([A.shape[1] for A in factors] + [batch])
+    # ``shape`` tracks the tensor's current axis sizes; each step
+    # reshapes T to the view it needs.
+    shape = [A.shape[1] for A in factors]
+    T = X
     for i in _application_order(factors):
         A = factors[i]
         if isinstance(A, Identity):
             continue
         m_i, n_i = A.shape
-        # Move the factor's axis to the front and flatten the rest (one
-        # contiguity copy at most); apply the factor to all remaining
-        # cells * batch columns in a single matmat; fold back lazily —
-        # the moveaxis below is a view, so each factor costs one copy.
-        moved = np.moveaxis(T, i, 0)
-        Z = moved.reshape(n_i, -1)  # n_i x (rest * batch)
-        Y = A.matmat(Z)  # m_i x (rest * batch)
-        T = np.moveaxis(Y.reshape((m_i,) + moved.shape[1:]), 0, i)
+        if isinstance(A, Dense):
+            # View the tensor as (lead, n_i, trail) — the axes before i,
+            # axis i, the axes after it with the batch axis — and let one
+            # stacked matmul contract the middle axis: no transpose copy,
+            # and the result is already C-ordered for the next factor.
+            lead = math.prod(shape[:i])
+            trail = math.prod(shape[i + 1 :]) * batch
+            T = np.matmul(A.array, T.reshape(lead, n_i, trail))
+        else:
+            # Move the factor's axis to the front and flatten the rest
+            # (one contiguity copy at most); apply the factor to all
+            # remaining cells * batch columns in a single matmat.
+            moved = np.moveaxis(T.reshape(shape + [batch]), i, 0)
+            Y = A.matmat(moved.reshape(n_i, -1))  # m_i x (rest * batch)
+            T = np.moveaxis(Y.reshape((m_i,) + moved.shape[1:]), 0, i)
+        shape[i] = m_i
     return T.reshape(total_rows, batch)
 
 

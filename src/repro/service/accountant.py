@@ -228,9 +228,7 @@ class PrivacyAccountant:
             return self._state.copy()
 
     # -- registration ------------------------------------------------------
-    def _register_locked(
-        self, dataset: str, policy: BudgetPolicy, wal: bool
-    ) -> None:
+    def _register_locked(self, dataset: str, policy: BudgetPolicy) -> None:
         """Registration core; caller holds whatever locks apply."""
         entry = self._state.budgets.get(dataset)
         current, curve = (None, SpendCurve()) if entry is None else entry
@@ -239,7 +237,7 @@ class PrivacyAccountant:
                 f"cap {policy.describe()} for dataset {dataset!r} is below "
                 f"the already-spent budget {curve.as_dict()}"
             )
-        if wal and self._wal is not None and current != policy:
+        if self._wal is not None and current != policy:
             self._wal.append(register_record(dataset, policy))
         self._state.register(dataset, policy)
 
@@ -265,7 +263,7 @@ class PrivacyAccountant:
         if policy is None:
             policy = PureEpsilonPolicy(float(validate_epsilon(cap, "cap")))
         with self._transact():
-            self._register_locked(dataset, policy, wal=True)
+            self._register_locked(dataset, policy)
 
     def datasets(self) -> list[str]:
         with self._lock:
@@ -276,23 +274,21 @@ class PrivacyAccountant:
             )
 
     def _budget(self, dataset: str) -> tuple[BudgetPolicy, SpendCurve]:
-        """The dataset's ``(policy, curve)``, auto-registering
-        ``default_cap`` for a dataset seen for the first time."""
+        """The dataset's ``(policy, curve)``.  A dataset not registered
+        yet gets a transient ``default_cap`` policy that is not stored:
+        ``SpendState.debit`` registers it when a debit commits, exactly
+        as replaying the ledger does, so a refused first debit or a mere
+        read leaves no dataset behind."""
         entry = self._state.budgets.get(dataset)
-        if entry is None or entry[0] is None:
-            if self.default_cap is None:
-                raise KeyError(
-                    f"dataset {dataset!r} is not registered with the "
-                    "accountant (and no default_cap is set)"
-                )
-            # default_cap auto-registration is not WAL'd: replaying the
-            # ledger under the same default_cap reproduces it, and never
-            # writing here keeps WAL appends under the debit lock only.
-            self._register_locked(
-                dataset, PureEpsilonPolicy(self.default_cap), wal=False
+        if entry is not None and entry[0] is not None:
+            return entry
+        if self.default_cap is None:
+            raise KeyError(
+                f"dataset {dataset!r} is not registered with the "
+                "accountant (and no default_cap is set)"
             )
-            entry = self._state.budgets[dataset]
-        return entry
+        curve = SpendCurve() if entry is None else entry[1]
+        return PureEpsilonPolicy(self.default_cap), curve
 
     # -- inspection --------------------------------------------------------
     def cap(self, dataset: str) -> float:

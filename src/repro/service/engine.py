@@ -118,7 +118,6 @@ ANSWER_MEASURE_OPTIONS = frozenset(
         "domain",
         "cache",
         "method",
-        "warm_start",
         "exact",
         "atol",
         "btol",
@@ -566,11 +565,10 @@ class QueryService:
         calibrated through zCDP at ``delta`` (default
         :data:`~repro.core.privacy.DEFAULT_DELTA`) and debits a v2
         record carrying the per-trial δ and ρ totals alongside the same
-        ε.  Extra keyword arguments (``exact``,
-        ``warm_start``, ``method``, solver tolerances) forward to
-        :meth:`~repro.core.hdmm.HDMM.run_batch`, so
-        ``exact=True, warm_start=False`` serves answers bit-identical to
-        the sequential single-shot loop at the same seeds.
+        ε.  Extra keyword arguments (``exact``, ``method``, solver
+        tolerances) forward to :meth:`~repro.core.hdmm.HDMM.run_batch`,
+        so ``exact=True`` serves answers bit-identical to the sequential
+        single-shot loop at the same seeds, for every strategy class.
 
         With ``cache=True`` the reconstruction of the highest-ε first
         trial is kept for zero-budget :meth:`query` serving — unless a
@@ -706,7 +704,6 @@ class QueryService:
                     mechanism=mech_obj.name,
                 )
                 self._invalidate_tables(ds, key)
-        self._refresh_persisted_solver_state(key, strategy)
         return ServeResult(
             answers=answers,
             x_hat=x_hat,
@@ -718,29 +715,6 @@ class QueryService:
             from_registry=from_registry,
             mechanism=mech_obj.name,
         )
-
-    def _refresh_persisted_solver_state(self, key: str, strategy: Matrix) -> None:
-        """Re-persist a registered strategy whose recycled Ritz basis has
-        grown since it was last written.
-
-        The basis is harvested *during* reconstruction — after ``put``
-        serialized the entry — so without this hook every fresh process
-        re-harvests from scratch.  ``persisted_recycle_size`` is stamped
-        on the strategy by the registry at write and load time; a
-        strategy that never went through this registry carries no stamp
-        and is left alone.  Best-effort: persistence failures must not
-        fail the measurement that triggered them.
-        """
-        if self.registry is None:
-            return
-        rec = strategy.cache_get("gram_recycle_state")
-        persisted = strategy.cache_get("persisted_recycle_size")
-        if rec is None or persisted is None or rec.size <= persisted:
-            return
-        try:
-            self.registry.refresh_solver_state(key, strategy)
-        except OSError:
-            pass
 
     # -- free post-processing ------------------------------------------------
     def _find_cover(

@@ -435,26 +435,18 @@ class StrategyRegistry:
             {"__config__": json.dumps(flat), **arrays},
             site="registry.npz",
         )
-        # Record how many recycled Ritz vectors the entry now carries so
-        # the engine only rewrites the npz when the basis has grown.
-        rec = None if solver is None else solver.get("recycle_U")
-        strategy.cache_set(
-            "persisted_recycle_size",
-            0 if rec is None else int(np.asarray(rec).shape[1]),
-        )
         return digest, solver
 
     def refresh_solver_state(self, key: str, strategy: Matrix) -> bool:
         """Re-persist an entry's npz with the strategy's *current* solver
-        state (factors, preconditioner, recycled Ritz basis).
+        state (exact two-term inverse or dominant-pair preconditioner).
 
-        Solver state accrues after ``put`` — most notably the Ritz
-        recycling basis, which is harvested during reconstruction, after
-        the strategy was registered.  This rewrites the npz in place
-        (atomically, checksum updated before the manifest flips) while
-        preserving the entry's fit metadata, so a fresh process warm
-        loads the strategy already deflated.  Returns ``False`` (no-op)
-        when the key is not registered.
+        Solver state can accrue after ``put`` — the factorization runs on
+        a strategy's first solve if it was registered unsolved.  This
+        rewrites the npz in place (atomically, checksum updated before
+        the manifest flips) while preserving the entry's fit metadata,
+        so a fresh process warm loads the strategy already factored.
+        Returns ``False`` (no-op) when the key is not registered.
         """
         if key not in self._read_manifest()["entries"]:
             return False
@@ -613,13 +605,6 @@ class StrategyRegistry:
             digest, expected, payload = call_retrying(_read_verified)
             strategy = matrix_from_config(payload["strategy"])
             restore_gram_solver_state(strategy, payload["solver"])
-            # Stamp how many recycled Ritz vectors the entry carries so
-            # the engine can tell when the in-memory basis has outgrown
-            # the persisted one and is worth re-persisting.
-            rec = strategy.cache_get("gram_recycle_state")
-            strategy.cache_set(
-                "persisted_recycle_size", 0 if rec is None else rec.size
-            )
         except RegistryCorruptionError as e:
             self.quarantine(key, str(e))
             raise

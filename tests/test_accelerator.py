@@ -14,8 +14,8 @@ The PR 7 contracts:
 * tables obey the PR 6 durability contracts: atomic write, sha256 in
   the manifest, quarantine-and-rebuild from x̂ on corruption — never a
   crash, never a wrong answer;
-* the recycled Ritz basis round-trips through the registry (PR 4
-  carried-over gap);
+* registry entries written while the solver persisted a recycled Ritz
+  basis still load, with that basis ignored, and still solve;
 * routing provenance: free box-decomposable hits report
   ``route="accelerator"`` with ε = 0 through both the engine and the
   declarative layer, and planned routes equal executed routes.
@@ -373,49 +373,57 @@ def _l3_union():
 
 
 class TestRitzPersistence:
-    def test_recycle_basis_round_trips(self, tmp_path):
-        from repro.core.solvers import gram_recycle_state
+    """The solver no longer recycles a Ritz basis; entries that persisted
+    one must still load and solve, and new entries carry none."""
 
-        A_strat = _l3_union()
-        rng = np.random.default_rng(5)
-        rec = gram_recycle_state(A_strat)
-        rec.U = rng.standard_normal((12, 3))
-        rec.GU = np.asarray(A_strat.gram().matmat(rec.U))
-        rec.ritz_values = np.array([3.0, 2.0, 1.0])
+    def test_legacy_recycle_fields_are_ignored(self, tmp_path, monkeypatch):
+        """Entries written when the solver recycled a Ritz basis carry
+        ``recycle_U/GU/ritz/tuning`` beside the preconditioner factors.
+        They must still load — the extra fields ignored — and solve."""
+        from repro.core.reconstruct import least_squares
+        from repro.service import registry as registry_mod
+
+        export = registry_mod.export_gram_solver_state
+
+        def legacy_export(A):
+            state = export(A)
+            U = np.random.default_rng(5).standard_normal((A.shape[1], 3))
+            state.update(
+                recycle_U=U,
+                recycle_GU=np.asarray(A.gram().matmat(U)),
+                recycle_ritz=np.array([3.0, 2.0, 1.0]),
+                recycle_tuning={
+                    "max_vectors": 48, "harvest_columns": 4,
+                    "ritz_per_column": 8, "max_lanczos": 48, "ritz_tol": 1e-3,
+                },
+            )
+            return state
 
         reg = StrategyRegistry(tmp_path / "reg")
-        key = reg.put(A_strat, A_strat)
-        assert A_strat.cache_get("persisted_recycle_size") == 3
+        monkeypatch.setattr(registry_mod, "export_gram_solver_state", legacy_export)
+        key = reg.put(_l3_union(), _l3_union())
+        monkeypatch.undo()
+        with np.load(reg._strategy_path(key)) as npz:
+            config = str(npz["__config__"])
+        assert "recycle_U" in config and "precond_factors" in config
 
-        loaded = reg.load(key).strategy
-        got = loaded.cache_get("gram_recycle_state")
-        assert got is not None and got.size == 3
-        # float64-exact: a warm process starts from the identical basis.
-        assert np.array_equal(got.U, rec.U)
-        assert np.array_equal(got.GU, rec.GU)
-        assert np.array_equal(got.ritz_values, rec.ritz_values)
-        assert loaded.cache_get("persisted_recycle_size") == 3
+        loaded = StrategyRegistry(tmp_path / "reg").load(key).strategy
+        assert loaded.cache_get("gram_recycle_state") is None
+        assert loaded.cache_get("union_gram_precond_state") is not None
+        Y = np.random.default_rng(6).standard_normal((loaded.shape[0], 3))
+        X = least_squares(loaded, Y)
+        ref = np.linalg.pinv(loaded.dense()) @ Y
+        assert np.allclose(X, ref, atol=1e-8)
+        assert np.array_equal(X, least_squares(_l3_union(), Y))
 
-    def test_refresh_persists_grown_basis(self, tmp_path):
-        from repro.core.solvers import gram_recycle_state
-
+    def test_refresh_rewrites_entry(self, tmp_path):
         A_strat = _l3_union()
-        rng = np.random.default_rng(6)
-        rec = gram_recycle_state(A_strat)
-        rec.U = rng.standard_normal((12, 2))
-        rec.GU = np.asarray(A_strat.gram().matmat(rec.U))
-        rec.ritz_values = np.array([2.0, 1.0])
         reg = StrategyRegistry(tmp_path / "reg")
         key = reg.put(A_strat, A_strat)
-
-        # The basis grows during later reconstructions...
-        rec.U = rng.standard_normal((12, 5))
-        rec.GU = np.asarray(A_strat.gram().matmat(rec.U))
-        rec.ritz_values = np.arange(5.0)
         assert reg.refresh_solver_state(key, A_strat)
-        assert A_strat.cache_get("persisted_recycle_size") == 5
-        got = reg.load(key).strategy.cache_get("gram_recycle_state")
-        assert got.size == 5 and np.array_equal(got.U, rec.U)
+        loaded = StrategyRegistry(tmp_path / "reg").load(key)
+        assert loaded.meta["solver_state"]
+        assert loaded.strategy.cache_get("union_gram_precond_state") is not None
 
     def test_refresh_unknown_key_is_noop(self, tmp_path):
         reg = StrategyRegistry(tmp_path / "reg")
@@ -425,9 +433,15 @@ class TestRitzPersistence:
         A_strat = _l3_union()
         reg = StrategyRegistry(tmp_path / "reg")
         key = reg.put(A_strat, A_strat)
+        with np.load(reg._strategy_path(key)) as npz:
+            assert "recycle" not in str(npz["__config__"])
         loaded = reg.load(key).strategy
-        assert loaded.cache_get("gram_recycle_state") is None
-        assert loaded.cache_get("persisted_recycle_size") == 0
+        saved = A_strat.cache_get("union_gram_precond_state")
+        got = loaded.cache_get("union_gram_precond_state")
+        assert got["blocks"] == saved["blocks"]
+        assert np.array_equal(got["lam"], saved["lam"])
+        for E_got, E_saved in zip(got["factors"], saved["factors"]):
+            assert np.array_equal(E_got, E_saved)
 
 
 class TestBucketization:

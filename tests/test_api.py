@@ -465,9 +465,7 @@ class TestEndToEndEquivalence:
             direct_miss_threshold=threshold,
         )
         svc.add_dataset("d", x)
-        physical = svc.answer(
-            "d", mats, eps=0.8, rng=11, exact=True, warm_start=False
-        )
+        physical = svc.answer("d", mats, eps=0.8, rng=11, exact=True)
 
         sess = Session(
             registry=StrategyRegistry(tmp_path / "decl"),
@@ -477,9 +475,7 @@ class TestEndToEndEquivalence:
             direct_miss_threshold=threshold,
         )
         ds = sess.dataset("d", schema=s, data=x)
-        declarative = ds.ask_many(
-            exprs, eps=0.8, rng=11, exact=True, warm_start=False
-        )
+        declarative = ds.ask_many(exprs, eps=0.8, rng=11, exact=True)
 
         assert len(declarative) == len(physical.answers)
         for decl, phys in zip(declarative, physical.answers):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -133,12 +133,18 @@ class TestLossAndGrad:
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_inputs())
+    # A stationary point: both kernels return a gradient of rounding
+    # noise (±7e-18), which no bound relative to that gradient can meet.
+    @example(inputs=(np.array([[1.0], [1.0]]), np.array([[0.01580809]])))
     def test_matches_reference_kernel(self, inputs):
         theta, V = inputs
         loss, grad = pidentity_loss_and_grad(theta, V)
         ref_loss, ref_grad = reference_loss_and_grad(theta, V)
         assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss)
-        assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()
+        # Relative to the gradient, with a rounding floor scaled by the
+        # loss for gradients that vanish.
+        tol = 1e-9 * np.abs(ref_grad).max() + 1e-12 * abs(ref_loss)
+        assert np.abs(grad - ref_grad).max() <= tol
 
     def test_nonfinite_parameters_safe(self):
         V = np.eye(4)

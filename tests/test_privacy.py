@@ -632,7 +632,7 @@ class TestMechanismServing:
         svc.add_dataset("d", x, epsilon_cap=50.0)
         first = svc.measure(
             "d", W, eps=np.array([0.5, 1.0]), trials=2, rng=11,
-            mechanism="gaussian", delta=1e-6, exact=True, warm_start=False,
+            mechanism="gaussian", delta=1e-6, exact=True,
         )
         assert first.mechanism == "gaussian"
 
@@ -646,7 +646,7 @@ class TestMechanismServing:
         svc2.add_dataset("d", x)
         second = svc2.measure(
             "d", W, eps=np.array([0.5, 1.0]), trials=2, rng=11,
-            mechanism="gaussian", delta=1e-6, exact=True, warm_start=False,
+            mechanism="gaussian", delta=1e-6, exact=True,
         )
         assert second.from_registry
         assert np.array_equal(first.answers, second.answers)

@@ -12,17 +12,22 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.linalg import (
+    AllRange,
     Dense,
+    Identity,
     Kronecker,
     MarginalsAlgebra,
     MarginalsGram,
+    Ones,
+    Prefix,
     VStack,
     Weighted,
+    kmatmat,
 )
 from repro.obs.spend import replay, report_from_accountant
 from repro.optimize import PIdentity, pidentity_loss_and_grad
@@ -53,7 +58,35 @@ def explicit_kron(mats):
     return out
 
 
+def kron_factor():
+    """A Kronecker factor of any kind kmatmat treats differently: Dense
+    (the stacked-matmul path), Identity (skipped), and structured
+    operators, non-square (Ones, Dense) and size-1 ones included."""
+    size = st.integers(1, 4)
+    return st.one_of(
+        small_matrix().map(Dense),
+        size.map(Identity),
+        st.tuples(st.integers(1, 2), size).map(lambda s: Ones(*s)),
+        size.map(Prefix),
+        size.map(AllRange),
+        small_matrix().map(lambda M: Dense(M).T),  # a column-major array
+    )
+
+
 class TestKroneckerProperties:
+    @given(
+        st.lists(kron_factor(), min_size=1, max_size=4),
+        st.sampled_from([0, 1, 7]),
+    )
+    def test_kmatmat_matches_explicit(self, factors, batch):
+        E = explicit_kron([np.asarray(f.dense()) for f in factors])
+        X = np.sin(np.arange(E.shape[1] * batch, dtype=float)).reshape(
+            E.shape[1], batch
+        )
+        got = kmatmat(factors, X)
+        assert got.shape == (E.shape[0], batch)
+        assert np.allclose(got, E @ X, atol=1e-10)
+
     @given(st.lists(small_matrix(), min_size=1, max_size=3))
     def test_matvec_matches_explicit(self, mats):
         K = Kronecker([Dense(M) for M in mats])
@@ -278,6 +311,12 @@ def _timeline(entries):
 class TestOneFoldProperties:
     @settings(max_examples=30)
     @given(st.lists(_ops, max_size=12), st.sampled_from([None, 3.0]))
+    # A refused first debit under default_cap must not register the
+    # dataset: recovery, which never sees the refusal, would not list it.
+    @example(
+        ops=[("charge", "a", [1.0, 1.0, 1.5], ("laplace", None), "")],
+        default_cap=3.0,
+    )
     def test_every_view_of_the_ledger_is_bit_equal(self, ops, default_cap):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "eps.wal")

@@ -347,15 +347,13 @@ class TestQueryService:
         svc.add_dataset("adult", x, epsilon_cap=10.0)
 
         eps = np.array([0.5, 1.0, 2.0])
-        served = svc.measure(
-            "adult", W, eps, trials=2, rng=11, exact=True, warm_start=False
-        )
+        served = svc.measure("adult", W, eps, trials=2, rng=11, exact=True)
         assert served.from_registry
 
         # Reference: the in-memory mechanism at the same seeds.
         mech = HDMM(restarts=1, rng=0)
         mech.workload, mech.strategy, mech.result = W, result.strategy, result
-        ref = mech.run_batch(x, eps, trials=2, rng=11, exact=True, warm_start=False)
+        ref = mech.run_batch(x, eps, trials=2, rng=11, exact=True)
         assert np.array_equal(served.answers, ref)
         assert acct.spent("adult") == pytest.approx(2 * eps.sum())
 

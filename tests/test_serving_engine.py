@@ -16,10 +16,8 @@ from repro.core.reconstruct import (
     resolves_to_pinv,
 )
 from repro.core.solvers import (
-    GramRecycleState,
     cg_gram_solve,
     export_gram_solver_state,
-    gram_recycle_state,
     restore_gram_solver_state,
     union_gram_inverse,
     union_gram_preconditioner,
@@ -198,12 +196,47 @@ class TestSolverAgreement:
             assert np.array_equal(batch.x[:, j], single.x[:, 0])
             assert batch.iterations[j] == single.iterations[0]
 
-    def test_warm_start_agrees_with_cold(self, rng):
-        A = _union_strategy(rng)
-        y = rng.standard_normal(A.shape[0])
-        cold = least_squares(A, y, method="cg")
-        warm = least_squares(A, y, method="cg", x0=cold)
-        assert np.allclose(cold, warm, atol=1e-8)
+    @pytest.mark.parametrize("columnwise", [False, True])
+    def test_cg_columns_stopping_at_different_iterations(self, rng, columnwise):
+        """Columns leave the active set at different iterations — a zero
+        column at once, an eigenvector after one step, a random
+        right-hand side and its 1e-6 and 1e6 multiples later — and each
+        keeps its own count and solution, also when maxiter stops the
+        rest; columnwise solves match width-1 solves bit for bit."""
+        A = _multiblock_strategy(rng, 3)
+        G = A.gram()
+        Gd = G.dense()
+        _, V = np.linalg.eigh(Gd)
+        b = A.rmatvec(rng.standard_normal(A.shape[0]))
+        B = np.column_stack([b, np.zeros_like(b), V[:, -1], 1e-6 * b, 1e6 * b])
+        for maxiter in (None, 2):
+            res = cg_gram_solve(G, B, maxiter=maxiter, columnwise=columnwise)
+            assert res.iterations[1] == 0 and res.iterations[2] == 1
+            assert res.converged[1] and res.converged[2]
+            assert np.array_equal(res.x[:, 1], np.zeros_like(b))
+            for j in range(B.shape[1]):
+                single = cg_gram_solve(
+                    G, np.ascontiguousarray(B[:, j : j + 1]),
+                    maxiter=maxiter, columnwise=columnwise,
+                )
+                assert res.iterations[j] == single.iterations[0]
+                assert res.converged[j] == single.converged[0]
+                if columnwise:
+                    assert np.array_equal(res.x[:, j], single.x[:, 0])
+                else:
+                    assert np.allclose(res.x[:, j], single.x[:, 0],
+                                       rtol=1e-9, atol=0)
+        assert res.iterations[0] == 2 and not res.converged[0]
+        # The columns maxiter stopped keep their partial iterates.
+        for j in (0, 3, 4):
+            resid = np.linalg.norm(Gd @ res.x[:, j] - B[:, j])
+            assert resid < 0.5 * np.linalg.norm(B[:, j])
+        full = cg_gram_solve(G, B, columnwise=columnwise)
+        assert full.converged.all() and full.iterations[0] > 2
+        ref = np.linalg.solve(Gd, B)
+        for j in range(B.shape[1]):
+            scale = max(np.abs(ref[:, j]).max(), 1e-300)
+            assert np.abs(full.x[:, j] - ref[:, j]).max() <= 1e-8 * scale
 
 
 class TestUnionGramInverse:
@@ -237,7 +270,7 @@ class TestUnionGramInverse:
 
 
 class TestMultiblockGramSolver:
-    """Tentpole: preconditioned block-CG + subspace recycling for L ≥ 3."""
+    """Dominant-pair preconditioned block-CG for L ≥ 3 unions."""
 
     @pytest.mark.parametrize("L", [3, 4, 5])
     def test_union_solve_matches_dense_pinv(self, rng, L):
@@ -291,7 +324,7 @@ class TestMultiblockGramSolver:
     def test_preconditioned_vs_plain_cg_answers_agree(self, rng):
         A = _multiblock_strategy(rng, 4)
         Y = rng.standard_normal((A.shape[0], 3))
-        X_auto = least_squares(A, Y)  # preconditioned + recycled
+        X_auto = least_squares(A, Y)  # preconditioned
         X_cg = least_squares(A, Y, method="cg")  # plain CG
         X_lsmr = least_squares(A, Y, method="lsmr")
         assert np.allclose(X_auto, X_cg, atol=1e-7)
@@ -306,47 +339,26 @@ class TestMultiblockGramSolver:
         assert plain.converged.all() and pre.converged.all()
         assert pre.iterations.sum() < plain.iterations.sum()
 
-    def test_recycling_reduces_iterations_across_solves(self, rng):
-        A = _multiblock_strategy(rng, 4)
-        G = A.gram()
-        M = union_gram_preconditioner(A)
-        B1 = A.rmatmat(rng.standard_normal((A.shape[0], 6)))
-        B2 = A.rmatmat(rng.standard_normal((A.shape[0], 6)))
-        state = GramRecycleState()
-        cg_gram_solve(G, B1, preconditioner=M, recycle=state)
-        assert state.size > 0
-        cold = cg_gram_solve(G, B2, preconditioner=M)
-        warm = cg_gram_solve(G, B2, preconditioner=M, recycle=state)
-        assert warm.converged.all()
-        assert warm.iterations.sum() < cold.iterations.sum()
-        # Deflation must not cost accuracy.
-        ref = np.linalg.solve(G.dense(), B2)
-        assert np.allclose(warm.x, ref, atol=1e-8)
-
-    def test_recycle_state_cached_on_strategy(self, rng):
-        A = _multiblock_strategy(rng, 3)
-        assert gram_recycle_state(A) is gram_recycle_state(A)
-        Y = rng.standard_normal((A.shape[0], 2))
-        least_squares(A, Y)  # auto path populates the cached state
-        assert gram_recycle_state(A).size > 0
-
-    def test_recycling_determinism_exact_sweep(self, rng):
-        """ISSUE contract: same seeds ⇒ bit-identical answers with
-        exact=True, including the recycled L ≥ 3 path — two identical
-        fresh runs (fresh strategy instances, fresh recycle bases) must
-        agree to the last bit."""
+    def test_exact_sweep_bit_identical_to_loop(self, rng):
+        """exact=True on an L ≥ 3 union (preconditioned CG, one cold
+        solve per ε block) is bit-identical to the sequential single-shot
+        loop at the spawned seeds — no solver state couples a solve to
+        earlier ones."""
         W = workload.range_total_union(6)
         eps = np.array([0.5, 1.0, 2.0])
+        trials = 2
+        T = eps.size * trials
         x = np.arange(36, dtype=float)
-
-        def fresh_run():
-            r = np.random.default_rng(7)
-            A = _multiblock_strategy(r, 4, d1=6, d2=6)
-            mech = HDMM(restarts=1, rng=0)
-            mech.workload, mech.strategy = W, A
-            return mech.run_batch(x, eps, trials=2, rng=13, exact=True)
-
-        assert np.array_equal(fresh_run(), fresh_run())
+        mech = HDMM(restarts=1, rng=0)
+        mech.workload = W
+        mech.strategy = _multiblock_strategy(np.random.default_rng(7), 4, d1=6, d2=6)
+        batch = mech.run_batch(x, eps, trials=trials, rng=13, exact=True)
+        assert union_gram_preconditioner(mech.strategy) is not None
+        seeds = spawn_seeds(13, T)
+        loop = np.stack(
+            [mech.run(x, eps[j // trials], rng=seeds[j]) for j in range(T)]
+        )
+        assert np.array_equal(batch.reshape(T, -1), loop)
 
     def test_export_restore_precond_state(self, rng):
         A = _multiblock_strategy(rng, 4)
@@ -435,11 +447,6 @@ class TestValidationSatellites:
         with pytest.raises(ValueError):
             least_squares(Identity(4), np.zeros(4), method="bogus")
 
-    def test_x0_shape_validation(self, rng):
-        A = Identity(4)
-        with pytest.raises(ValueError):
-            least_squares(A, np.zeros(4), method="cg", x0=np.zeros(5))
-
     def test_resolves_helpers(self, rng):
         A = _union_strategy(rng)
         assert not resolves_to_pinv(A)
@@ -468,9 +475,7 @@ class TestRunBatch:
         loop = np.stack(
             [mech.run(x, eps[j // trials], rng=seeds[j]) for j in range(T)]
         )
-        batch = mech.run_batch(
-            x, eps, trials=trials, rng=11, exact=True, warm_start=False
-        )
+        batch = mech.run_batch(x, eps, trials=trials, rng=11, exact=True)
         assert batch.shape == (3, 3, mech.workload.shape[0])
         assert np.array_equal(batch.reshape(T, -1), loop)
 
@@ -539,17 +544,6 @@ class TestRunBatch:
             fitted_union.run_batch(x, eps=1.0, trials=0)
         with pytest.raises(RuntimeError):
             HDMM().run_batch(x, eps=1.0)
-
-    def test_warm_start_agrees_with_cold_sweep(self, fitted_union, rng):
-        mech = fitted_union
-        x = rng.poisson(25, mech.workload.shape[1]).astype(float)
-        eps = np.array([0.25, 0.5, 1.0])
-        warm = mech.run_batch(x, eps, trials=2, rng=1, method="cg",
-                              warm_start=True)
-        cold = mech.run_batch(x, eps, trials=2, rng=1, method="cg",
-                              warm_start=False)
-        assert np.allclose(warm, cold, atol=1e-6)
-
 
 class TestVectorizedExpectedError:
     def test_grid_matches_scalars(self):
