@@ -30,7 +30,9 @@ from ..domain import Domain, SchemaMismatchError
 def _is_integral(value) -> bool:
     """True for int-like codes (including numpy integer scalars), never
     for booleans — the values usable as raw domain codes."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 __all__ = ["Attribute", "Schema"]
 

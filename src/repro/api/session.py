@@ -108,26 +108,23 @@ class Dataset:
         self.session = session
         self.name = name
         self.schema = schema
-        # Compiled-query memo keyed by expression identity: replanning or
-        # re-asking the same expression objects reuses their compiled
-        # matrices, which keeps everything memoized *on* those matrices
-        # warm too (accelerator range specs, gather plans, span probes).
-        self._compile_memo: dict[int, tuple[QueryExpr, CompiledQuery]] = {}
 
     # -- compile / plan (lazy, budget-free) ---------------------------------
     def compile(self, expr: QueryExpr) -> CompiledQuery:
         """Vectorize one expression against this dataset's schema.
 
-        Memoized per expression object (expressions are immutable once
-        built); the memo is bounded and simply resets when full.
+        Memoized on the expression object, keyed by schema (expressions
+        are immutable once built): replanning or re-asking the same
+        expression reuses its compiled matrix, which keeps everything
+        memoized *on* that matrix warm too (accelerator range specs,
+        gather plans, span probes), and the compiled query is dropped
+        with the expression.
         """
-        hit = self._compile_memo.get(id(expr))
-        if hit is not None and hit[0] is expr:
+        hit = expr._compiled
+        if hit is not None and hit[0] is self.schema:
             return hit[1]
         cq = compile_expr(expr, self.schema)
-        if len(self._compile_memo) >= 4096:
-            self._compile_memo.clear()
-        self._compile_memo[id(expr)] = (expr, cq)
+        expr._compiled = (self.schema, cq)
         return cq
 
     def compile_many(self, exprs) -> CompiledBatch:
@@ -336,6 +333,9 @@ class Session:
 
     def datasets(self) -> list[str]:
         return sorted(self._datasets)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._datasets
 
     def budget_report(self):
         """The ε-spend view of this session's accountant: per-dataset

@@ -13,7 +13,20 @@ mechanisms:
 * the **free path** (every query answerable from cached reconstructions)
   is served inline on the event loop and is *always admitted* — it never
   touches the admission queue, the executor, or the breaker, so cheap
-  reads survive total saturation of the measurement path;
+  reads survive total saturation of the measurement path.  Its answers
+  are post-processing of x̂, so a repeated free read returns the same
+  bytes until the dataset's reconstructions or its remaining budget
+  change: the per-shape table (keyed by dataset and canonical spec JSON)
+  keeps each shape's last encoded free body, stamped with the dataset's
+  reconstruction generation (read *before* the body is computed, so a
+  store racing the computation invalidates it) and the ``remaining``
+  written in the body (read through the accountant, which syncs other
+  processes' WAL records first).  A hit returns the stored bytes after
+  the request has been fully validated.  Bodies over
+  :data:`FREE_BODY_MAX_BYTES` are not kept, and the table is bypassed
+  entirely while ``repro.obs`` tracing or metrics are on: a traced body
+  carries its own trace ID, and the engine's counters must see every
+  read;
 * the **measured path** passes the
   :class:`~repro.server.admission.AdmissionController` (bounded queue +
   per-dataset limiter, structured 429/503 + Retry-After) and runs in a
@@ -65,6 +78,24 @@ __all__ = ["ServerApp", "parse_query_spec"]
 #: Serving cost order, most expensive first — the request-level ``route``
 #: label is the priciest route any of its queries took.
 _ROUTE_RANK = {"cold": 5, "direct": 4, "warm": 3, "cache": 2, "accelerator": 1}
+
+#: Request shapes the per-shape table holds before it starts over.
+MAX_SHAPES = 4096
+#: Largest encoded free body the per-shape table keeps (large marginals
+#: are recomputed rather than held 4096 times over).
+FREE_BODY_MAX_BYTES = 64 * 1024
+
+
+class _Shape:
+    """One entry of the per-shape table: the parsed expressions of a
+    request shape and, once it has been served free, ``free`` =
+    ``(encoded body, reconstruction generation, remaining)``."""
+
+    __slots__ = ("exprs", "free")
+
+    def __init__(self, exprs: list[QueryExpr]):
+        self.exprs = exprs
+        self.free = None
 
 
 def parse_query_spec(spec) -> QueryExpr:
@@ -164,11 +195,11 @@ class ServerApp:
         self._executor = ThreadPoolExecutor(
             max_workers=max_measure, thread_name_prefix="measure"
         )
-        # Parsed-expression cache keyed by the canonical spec JSON: reusing
-        # the same QueryExpr objects across requests keeps the Dataset's
-        # compile memo (and everything memoized on the compiled matrices)
-        # warm, which is what makes the free path O(lookup).
-        self._exprs: dict[tuple[str, str], list[QueryExpr]] = {}
+        # Per-shape table keyed by (dataset, canonical spec JSON): reusing
+        # the same QueryExpr objects across requests keeps their compiled
+        # queries (and everything memoized on the compiled matrices) warm,
+        # and the stored free body makes a repeated free read O(lookup).
+        self._exprs: dict[tuple[str, str], _Shape] = {}
 
     # -- dataset management --------------------------------------------------
     def register(self, name, schema, data, epsilon_cap=None, policy=None):
@@ -224,13 +255,16 @@ class ServerApp:
                 "error": f"no route {method} {path}",
                 "retryable": False,
             }
-        return s, {"Content-Type": "application/json", **h}, encode_body(b)
+        if not isinstance(b, bytes):
+            b = encode_body(b)
+        return s, {"Content-Type": "application/json", **h}, b
 
-    async def handle_query(self, payload) -> tuple[int, dict, dict]:
+    async def handle_query(self, payload) -> tuple[int, dict, dict | bytes]:
         """Serve one query request; exceptions become the error table's
         structured responses (simulated crashes stay BaseException and
         propagate — the connection dies with no bytes written, exactly
-        like a killed process)."""
+        like a killed process).  A free read served with telemetry off
+        comes back already encoded, as ``bytes``."""
         t0 = time.perf_counter()
         track = _METRICS.enabled
         route = "none"
@@ -264,7 +298,7 @@ class ServerApp:
         name = payload.get("dataset")
         if not isinstance(name, str):
             raise ValueError("request needs a 'dataset' string")
-        if name not in self.session.datasets():
+        if name not in self.session:
             raise KeyError(name)
         ds = self.session.dataset(name)
         specs = payload.get("queries")
@@ -274,12 +308,12 @@ class ServerApp:
             name,
             json.dumps(specs, sort_keys=True, separators=(",", ":")),
         )
-        exprs = self._exprs.get(cache_key)
-        if exprs is None:
-            exprs = [parse_query_spec(s) for s in specs]
-            if len(self._exprs) >= 4096:
+        shape = self._exprs.get(cache_key)
+        if shape is None:
+            shape = _Shape([parse_query_spec(s) for s in specs])
+            if len(self._exprs) >= MAX_SHAPES:
                 self._exprs.clear()
-            self._exprs[cache_key] = exprs
+            self._exprs[cache_key] = shape
         eps = payload.get("eps")
         if eps is not None:
             eps = float(eps)
@@ -309,25 +343,40 @@ class ServerApp:
         timeout = min(float(timeout), self.max_timeout)
         if not timeout > 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        return name, ds, exprs, eps, mechanism, delta, seed, timeout
+        return name, ds, shape, eps, mechanism, delta, seed, timeout
 
-    async def _handle_query(self, payload) -> tuple[int, dict, dict]:
+    async def _handle_query(self, payload) -> tuple[int, dict, dict | bytes]:
         if self.draining:
             raise ShedError("draining", 503, 1.0)
-        name, ds, exprs, eps, mechanism, delta, seed, timeout = (
+        name, ds, shape, eps, mechanism, delta, seed, timeout = (
             self._parse_request(payload)
         )
+        exprs = shape.exprs
         deadline = Deadline(timeout)
 
         # Free path: always admitted, served inline on the event loop.
         # QueryMiss is raised by the engine *before* any budget is touched,
         # so falling through to the measured path costs nothing.
+        memo = not (_TRACER.enabled or _METRICS.enabled)
+        if memo:
+            generation = self.session.service.generation(name)
+            raw = self._stored_free_body(name, shape, generation)
+            if raw is not None:
+                return 200, {}, raw
         try:
             with _TRACER.span("server.request", dataset=name, route="free"):
                 answers = ds.ask_many(exprs, eps=None)
-            return 200, {}, self._body(name, answers, degraded=False)
         except QueryMiss:
             pass
+        else:
+            body = self._body(name, answers, degraded=False)
+            if not memo:
+                return 200, {}, body
+            del body["_route"]
+            raw = encode_body(body)
+            if len(raw) <= FREE_BODY_MAX_BYTES:
+                shape.free = (raw, generation, body.get("remaining"))
+            return 200, {}, raw
 
         if eps is None:
             raise ValueError(
@@ -372,6 +421,18 @@ class ServerApp:
         except asyncio.TimeoutError:
             return await self._late(name, deadline, fut)
         return 200, {}, self._body(name, answers, degraded=False)
+
+    def _stored_free_body(self, name, shape: _Shape, generation) -> bytes | None:
+        """The shape's stored free body, if both its stamps still hold."""
+        if shape.free is None:
+            return None
+        raw, stamped, remaining = shape.free
+        if stamped != generation:
+            return None
+        acct = self.session.service.accountant
+        if acct is not None and acct.remaining(name) != remaining:
+            return None
+        return raw
 
     async def _late(self, name, deadline, fut) -> tuple[int, dict, dict]:
         """The waiter outlived the deadline.  Which side of the ε-spend
@@ -454,9 +515,8 @@ class ServerApp:
             "degraded": degraded,
             "_route": route,
         }
-        acct = self.session.service.accountant
-        if acct is not None:
-            body["remaining"] = acct.remaining(name)
+        if self.session.service.accountant is not None:
+            body["remaining"] = answers[0].remaining
         tid = answers[0].trace_id if answers else None
         if tid is not None:
             body["trace_id"] = tid

@@ -50,6 +50,7 @@ measurement.  The serving rules:
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import time
@@ -326,10 +327,18 @@ class Reconstruction:
     mechanism: str = "laplace"
 
 
+#: Source of reconstruction generations.  Process-wide, so stores on
+#: concurrent executor threads never draw the same value.
+_GENERATIONS = itertools.count()
+
+
 @dataclass
 class _DatasetState:
     x: np.ndarray
     reconstructions: dict[str, Reconstruction] = field(default_factory=dict)
+    #: Redrawn after every store into ``reconstructions``: a free answer
+    #: computed after reading it is current while it is unchanged.
+    generation: int = field(default_factory=lambda: next(_GENERATIONS))
     #: (reconstruction key, cube shape) → summed-area table over its x̂.
     #: Entries are dropped whenever the reconstruction is replaced.
     accel: dict = field(default_factory=dict)
@@ -704,6 +713,7 @@ class QueryService:
                     mechanism=mech_obj.name,
                 )
                 self._invalidate_tables(ds, key)
+                ds.generation = next(_GENERATIONS)
         return ServeResult(
             answers=answers,
             x_hat=x_hat,
@@ -833,6 +843,12 @@ class QueryService:
             return None, None
         route = "accelerator" if range_spec_of(Q) is not None else "cache"
         return recon.key, route
+
+    def generation(self, dataset: str) -> int:
+        """Stamp of ``dataset``'s cached reconstructions.  It changes after
+        every store, so a free answer computed after reading it is stale
+        once the stamp differs."""
+        return self._dataset(dataset).generation
 
     def cached_reconstruction(
         self, dataset: str, key: str
@@ -984,6 +1000,7 @@ class QueryService:
                         key=key, strategy=S_empty, x_hat=np.zeros(n), eps=np.inf
                     ),
                 )
+                ds.generation = next(_GENERATIONS)
             return key, np.zeros(n), 0.0
         if self.accountant is not None:
             if deadline is not None:
@@ -1013,6 +1030,7 @@ class QueryService:
                     mechanism=mech_obj.name,
                 )
                 self._invalidate_tables(ds, key)
+                ds.generation = next(_GENERATIONS)
         return key, x_hat, charged
 
     def answer(
