@@ -82,12 +82,6 @@ class QueryExpr:
     def _terms(self, schema: Schema) -> list[tuple[float, dict[str, Matrix]]]:
         raise NotImplementedError
 
-    def box(self, schema: Schema) -> tuple[list[int], list[int]] | None:
-        """The inclusive codes ``(lo, hi)`` per schema attribute of the
-        one box this expression counts, or ``None`` when it is not a
-        single box known without vectorizing it."""
-        return None
-
     def compile(self, schema: Schema) -> Matrix:
         """The implicit workload matrix of this expression over ``schema``."""
         domain = schema.domain
@@ -142,9 +136,6 @@ class Condition(QueryExpr):
     def _terms(self, schema):
         return Conjunction([self])._terms(schema)
 
-    def box(self, schema):
-        return Conjunction([self]).box(schema)
-
     def __and__(self, other) -> "Conjunction":
         return Conjunction([self]) & other
 
@@ -181,27 +172,6 @@ class Conjunction(QueryExpr):
             pred = preds[0] if len(preds) == 1 else And(*preds)
             factors[attr] = vectorize_set([pred], n)
         return [(1.0, factors)]
-
-    def box(self, schema):
-        """A box when every condition is a range, an equality or the
-        total on an attribute of its own."""
-        names = schema.domain.attributes
-        lo = [0] * len(names)
-        hi = [n - 1 for n in schema.domain.sizes]
-        seen = set()
-        for c in self.conditions:
-            if c.attr in seen:
-                return None
-            seen.add(c.attr)
-            p = c.predicate(schema)
-            j = names.index(c.attr)
-            if type(p) is Range:
-                lo[j], hi[j] = p.lo, p.hi
-            elif type(p) is Equals:
-                lo[j] = hi[j] = p.value
-            elif type(p) is not TruePredicate:
-                return None
-        return lo, hi
 
     def __and__(self, other) -> "Conjunction":
         if isinstance(other, Condition):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from ..linalg import Matrix, VStack
 from ..privacy.mechanisms import get_mechanism
 from ..obs.metrics import REGISTRY as _METRICS
 from ..obs.trace import TRACER as _TRACER
-from ..service.accelerator import range_spec_of, seed_box_spec
+from ..service.accelerator import range_spec_of
 from ..service.engine import QueryService
 from ..service.fingerprint import workload_fingerprint
 from .expr import QueryExpr
@@ -66,26 +65,18 @@ class CompiledQuery:
 
     ``fingerprint`` is the canonical identity used for dedup — two
     expressions that vectorize to the same query set (``total()`` and a
-    full-domain range, say) share it.  It hashes the whole matrix, so it
-    is computed on first use: a one-expression batch needs no dedup, and
-    the planner reads it only for its span probes.  ``range_spec`` is the
-    accelerator eligibility tag: non-``None`` exactly when every query
-    row decomposes into axis-aligned boxes, so a free hit serves by
-    summed-area gather instead of a matvec.  A single-box count hands
-    its box over at compile time
-    (:func:`~repro.service.accelerator.seed_box_spec`); any other
-    expression has it derived from the matrix structure.
+    full-domain range, say) share it.  ``range_spec`` is the accelerator
+    eligibility tag, derived structurally at compile time: non-``None``
+    exactly when every query row decomposes into axis-aligned boxes, so
+    a free hit serves by summed-area gather instead of a matvec.
     """
 
     expr: QueryExpr
     matrix: Matrix
+    fingerprint: str
     rows: int
     schema: Schema
     range_spec: object | None = None
-
-    @cached_property
-    def fingerprint(self) -> str:
-        return workload_fingerprint(self.matrix, domain=self.schema.domain)
 
     @property
     def domain(self):
@@ -135,19 +126,15 @@ class CompiledBatch:
 
 
 def compile_expr(expr: QueryExpr, schema: Schema) -> CompiledQuery:
-    """Vectorize one expression and tag its accelerator eligibility."""
+    """Vectorize one expression and attach its canonical fingerprint."""
     matrix = expr.compile(schema)
-    box = expr.box(schema)
-    spec = (
-        range_spec_of(matrix) if box is None
-        else seed_box_spec(matrix, schema.domain.sizes, *box)
-    )
     return CompiledQuery(
         expr=expr,
         matrix=matrix,
+        fingerprint=workload_fingerprint(matrix, domain=schema.domain),
         rows=int(matrix.shape[0]),
         schema=schema,
-        range_spec=spec,
+        range_spec=range_spec_of(matrix),
     )
 
 
@@ -160,9 +147,6 @@ def compile_batch(exprs, schema: Schema, compile_one=None) -> CompiledBatch:
     specs, gather plans, span-probe results).
     """
     compile_one = compile_one or compile_expr
-    exprs = list(exprs)
-    if len(exprs) == 1:
-        return CompiledBatch(schema, [compile_one(exprs[0], schema)], [0])
     queries: list[CompiledQuery] = []
     by_key: dict[str, int] = {}
     index_map: list[int] = []

@@ -30,9 +30,7 @@ from ..domain import Domain, SchemaMismatchError
 def _is_integral(value) -> bool:
     """True for int-like codes (including numpy integer scalars), never
     for booleans — the values usable as raw domain codes."""
-    return type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    )
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 __all__ = ["Attribute", "Schema"]
 

@@ -24,9 +24,10 @@ mechanisms:
   processes' WAL records first).  A hit returns the stored bytes after
   the request has been fully validated.  Bodies over
   :data:`FREE_BODY_MAX_BYTES` are not kept, and the table is bypassed
-  entirely while ``repro.obs`` tracing or metrics are on: a traced body
-  carries its own trace ID, and the engine's counters must see every
-  read;
+  entirely while ``repro.obs`` tracing is on, since a traced body
+  carries its own trace ID.  With metrics on, hits are counted as
+  ``route="memo"`` in ``server.requests_total``; they never reach the
+  engine, so its counters see only the reads that were computed;
 * the **measured path** passes the
   :class:`~repro.server.admission.AdmissionController` (bounded queue +
   per-dataset limiter, structured 429/503 + Retry-After) and runs in a
@@ -76,8 +77,16 @@ from .errors import encode_body, error_response
 __all__ = ["ServerApp", "parse_query_spec"]
 
 #: Serving cost order, most expensive first — the request-level ``route``
-#: label is the priciest route any of its queries took.
+#: label is the priciest route any of its queries took (``"memo"`` for a
+#: free read served from the per-shape table).
 _ROUTE_RANK = {"cold": 5, "direct": 4, "warm": 3, "cache": 2, "accelerator": 1}
+
+
+def _request_route(answers) -> str:
+    """The request-level route label of computed answers."""
+    ranked = [a.route for a in answers if a.route in _ROUTE_RANK]
+    return max(ranked, key=_ROUTE_RANK.get, default="none")
+
 
 #: Request shapes the per-shape table holds before it starts over.
 MAX_SHAPES = 4096
@@ -263,7 +272,7 @@ class ServerApp:
         """Serve one query request; exceptions become the error table's
         structured responses (simulated crashes stay BaseException and
         propagate — the connection dies with no bytes written, exactly
-        like a killed process).  A free read served with telemetry off
+        like a killed process).  A free read served with tracing off
         comes back already encoded, as ``bytes``."""
         t0 = time.perf_counter()
         track = _METRICS.enabled
@@ -271,8 +280,7 @@ class ServerApp:
         if track:
             _METRICS.gauge("server.inflight").inc()
         try:
-            status, headers, body = await self._handle_query(payload)
-            route = body.pop("_route", "none") if isinstance(body, dict) else "none"
+            status, headers, body, route = await self._handle_query(payload)
         except ShedError as e:
             status, headers, body = error_response(e)
             if track:
@@ -345,7 +353,8 @@ class ServerApp:
             raise ValueError(f"timeout must be positive, got {timeout}")
         return name, ds, shape, eps, mechanism, delta, seed, timeout
 
-    async def _handle_query(self, payload) -> tuple[int, dict, dict | bytes]:
+    async def _handle_query(self, payload) -> tuple[int, dict, dict | bytes, str]:
+        """``(status, headers, body, route)`` of one request."""
         if self.draining:
             raise ShedError("draining", 503, 1.0)
         name, ds, shape, eps, mechanism, delta, seed, timeout = (
@@ -357,12 +366,12 @@ class ServerApp:
         # Free path: always admitted, served inline on the event loop.
         # QueryMiss is raised by the engine *before* any budget is touched,
         # so falling through to the measured path costs nothing.
-        memo = not (_TRACER.enabled or _METRICS.enabled)
+        memo = not _TRACER.enabled
         if memo:
             generation = self.session.service.generation(name)
             raw = self._stored_free_body(name, shape, generation)
             if raw is not None:
-                return 200, {}, raw
+                return 200, {}, raw, "memo"
         try:
             with _TRACER.span("server.request", dataset=name, route="free"):
                 answers = ds.ask_many(exprs, eps=None)
@@ -370,13 +379,13 @@ class ServerApp:
             pass
         else:
             body = self._body(name, answers, degraded=False)
+            route = _request_route(answers)
             if not memo:
-                return 200, {}, body
-            del body["_route"]
+                return 200, {}, body, route
             raw = encode_body(body)
             if len(raw) <= FREE_BODY_MAX_BYTES:
                 shape.free = (raw, generation, body.get("remaining"))
-            return 200, {}, raw
+            return 200, {}, raw, route
 
         if eps is None:
             raise ValueError(
@@ -420,7 +429,8 @@ class ServerApp:
             )
         except asyncio.TimeoutError:
             return await self._late(name, deadline, fut)
-        return 200, {}, self._body(name, answers, degraded=False)
+        body = self._body(name, answers, degraded=False)
+        return 200, {}, body, _request_route(answers)
 
     def _stored_free_body(self, name, shape: _Shape, generation) -> bytes | None:
         """The shape's stored free body, if both its stamps still hold."""
@@ -434,7 +444,7 @@ class ServerApp:
             return None
         return raw
 
-    async def _late(self, name, deadline, fut) -> tuple[int, dict, dict]:
+    async def _late(self, name, deadline, fut) -> tuple[int, dict, dict, str]:
         """The waiter outlived the deadline.  Which side of the ε-spend
         fence the worker is on decides everything."""
         if not deadline.commit_started:
@@ -462,10 +472,10 @@ class ServerApp:
                 "burned": True,
                 "dataset": name,
                 "epsilon_spent": 0.0 if spent is None else spent,
-            }
+            }, "none"
         body = self._body(name, answers, degraded=False)
         body["late"] = True
-        return 200, {}, body
+        return 200, {}, body, _request_route(answers)
 
     def _measured(self, name, ds, exprs, eps, mechanism, delta, seed, deadline, cold):
         """Executor-side measured request (worker thread): the root span
@@ -490,30 +500,23 @@ class ServerApp:
 
     # -- response assembly ---------------------------------------------------
     def _body(self, name, answers, degraded: bool) -> dict:
-        route = "none"
-        rank = 0
-        out = []
-        for a in answers:
-            r = _ROUTE_RANK.get(a.route, 0)
-            if r > rank:
-                rank, route = r, a.route
-            out.append(
-                {
-                    "values": [float(v) for v in a.values],
-                    "route": a.route,
-                    "epsilon": a.epsilon,
-                    "key": a.key,
-                    "span_projected": a.span_projected,
-                    "mechanism": a.mechanism,
-                }
-            )
+        out = [
+            {
+                "values": [float(v) for v in a.values],
+                "route": a.route,
+                "epsilon": a.epsilon,
+                "key": a.key,
+                "span_projected": a.span_projected,
+                "mechanism": a.mechanism,
+            }
+            for a in answers
+        ]
         charged = max((a.epsilon for a in answers), default=0.0)
         body = {
             "answers": out,
             "charged": charged,
             "dataset": name,
             "degraded": degraded,
-            "_route": route,
         }
         if self.session.service.accountant is not None:
             body["remaining"] = answers[0].remaining

@@ -55,9 +55,9 @@ noised float x̂ they agree to machine precision.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
+from itertools import product as _iproduct
 
 import numpy as np
 
@@ -80,7 +80,6 @@ __all__ = [
     "AcceleratorTable",
     "RangeSpec",
     "range_spec_of",
-    "seed_box_spec",
     "strategy_spans_everything",
     "table_key",
     "load_table",
@@ -109,29 +108,6 @@ NUMERIC_RANK_LIMIT = 512
 _SPEC_KEY = "accel_range_spec"
 _SPAN_KEY = "accel_full_span"
 _INELIGIBLE = "ineligible"  # memo sentinel: derivation ran, found nothing
-
-
-@functools.lru_cache(maxsize=32)
-def _corners(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(bits, signs)`` of the 2^d inclusion–exclusion corners: ``bits``
-    is ``(d, 2^d)``, column c holding bit j of c in row j; ``signs`` the
-    corners' ±1 weights.  Shared, so read-only."""
-    bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
-    signs = np.where((d - bits.sum(axis=1)) % 2, -1.0, 1.0)
-    bits_t = np.ascontiguousarray(bits.T)
-    bits_t.flags.writeable = signs.flags.writeable = False
-    return bits_t, signs
-
-
-@functools.lru_cache(maxsize=256)
-def _padded_strides(shape: tuple[int, ...]) -> np.ndarray:
-    """C-order strides of the zero-padded table over cube ``shape``."""
-    strides = [1]
-    for n in shape[:0:-1]:
-        strides.append(strides[-1] * (n + 1))
-    out = np.asarray(strides[::-1], dtype=np.int64)
-    out.flags.writeable = False
-    return out
 
 
 class RangeSpec:
@@ -179,14 +155,24 @@ class RangeSpec:
         ``table.flat[corner_idx] @ signs`` is the box sum.
         """
         if self._corner_idx is None:
-            # Corner c takes hi+1 on the axes whose bit is set in c and lo
-            # elsewhere: its index is the lo corner's plus the set axes'
-            # (hi+1-lo) * stride.
-            bits_t, self._signs = _corners(len(self.shape))
-            strides = _padded_strides(self.shape)
-            self._corner_idx = (self.lo @ strides)[:, None] + (
-                (self.hi + 1 - self.lo) * strides
-            ) @ bits_t
+            d = len(self.shape)
+            padded = np.asarray([s + 1 for s in self.shape], dtype=np.int64)
+            strides = np.ones(d, dtype=np.int64)
+            for j in range(d - 2, -1, -1):
+                strides[j] = strides[j + 1] * padded[j + 1]
+            hi1 = self.hi + 1
+            ncorners = 1 << d
+            idx = np.empty((self.row_idx.size, ncorners), dtype=np.int64)
+            signs = np.empty(ncorners)
+            for c in range(ncorners):
+                bits = np.array(
+                    [(c >> j) & 1 for j in range(d)], dtype=bool
+                )
+                pick = np.where(bits[None, :], hi1, self.lo)
+                idx[:, c] = pick @ strides
+                signs[c] = -1.0 if (d - int(bits.sum())) % 2 else 1.0
+            self._corner_idx = idx
+            self._signs = signs
         return self._corner_idx, self._signs
 
     def scaled(self, weight: float) -> "RangeSpec":
@@ -378,21 +364,6 @@ def range_spec_of(Q: Matrix) -> RangeSpec | None:
         return None if memo is _INELIGIBLE else memo
     spec = _derive_spec(Q)
     Q.cache_set(_SPEC_KEY, _INELIGIBLE if spec is None else spec)
-    return spec
-
-
-def seed_box_spec(Q: Matrix, shape, lo, hi) -> RangeSpec:
-    """Memoize on ``Q`` the spec of one box query, read off its bounds.
-
-    ``Q`` must be the single indicator row of the box with inclusive
-    corners ``lo .. hi`` over the cube ``shape`` — a conjunction of one
-    range, equality or total condition per attribute.  The spec equals
-    what :func:`range_spec_of` would derive from Q's rows, field for
-    field, without densifying them; later :func:`range_spec_of` calls on
-    ``Q`` hit the memo.
-    """
-    spec = RangeSpec(shape, 1, [0], [1.0], lo, hi)
-    Q.cache_set(_SPEC_KEY, spec)
     return spec
 
 

@@ -209,14 +209,13 @@ def vectorize_set(predicates: Iterable[Predicate], n: int) -> Matrix:
         isinstance(p, Range) and p.lo == 0 and p.hi == i for i, p in enumerate(preds)
     ):
         return Prefix(n)
-    rows = np.stack([vectorize(p, n) for p in preds])
-    if len(preds) == 1 and np.all(rows == 1.0):
+    if len(preds) == 1 and np.all(preds[0].mask(n) == 1.0):
         # A single predicate covering the whole domain (e.g. a range
         # [0, n-1]) is semantically the Total predicate set.  Checked
         # after the Identity/Prefix recognitions so a size-1 attribute's
         # Identity set keeps its historical vectorized form.
         return Ones(1, n)
-    return Dense(rows)
+    return Dense(np.stack([vectorize(p, n) for p in preds]))
 
 
 def identity_predicates(n: int) -> list[Predicate]:

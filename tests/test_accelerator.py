@@ -25,10 +25,8 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.api import A, Schema, Session, buckets, compile_expr, count, marginal, prefix, total
+from repro.api import A, Schema, Session, buckets, compile_expr, marginal, prefix, total
 from repro.linalg import (
     AllRange,
     Dense,
@@ -49,7 +47,7 @@ from repro.service import (
     strategy_spans_everything,
 )
 from repro.util import faults
-from repro.service.accelerator import MAX_BOXES_PER_ROW, RangeSpec, _derive_spec
+from repro.service.accelerator import MAX_BOXES_PER_ROW
 from repro.service.engine import Reconstruction
 from repro.workload.predicates import (
     Equals,
@@ -179,120 +177,6 @@ class TestEligibility:
         bad[::2] = 1.0
         D = Dense(bad[None, :])
         assert range_spec_of(D) is None and range_spec_of(D) is None
-
-
-def _loop_gather_plan(spec: RangeSpec):
-    """Reference corner gather: one pass per corner of the 2^d cube."""
-    d = len(spec.shape)
-    padded = np.asarray([s + 1 for s in spec.shape], dtype=np.int64)
-    strides = np.ones(d, dtype=np.int64)
-    for j in range(d - 2, -1, -1):
-        strides[j] = strides[j + 1] * padded[j + 1]
-    hi1 = spec.hi + 1
-    ncorners = 1 << d
-    idx = np.empty((spec.row_idx.size, ncorners), dtype=np.int64)
-    signs = np.empty(ncorners)
-    for c in range(ncorners):
-        bits = np.array([(c >> j) & 1 for j in range(d)], dtype=bool)
-        pick = np.where(bits[None, :], hi1, spec.lo)
-        idx[:, c] = pick @ strides
-        signs[c] = -1.0 if (d - int(bits.sum())) % 2 else 1.0
-    return idx, signs
-
-
-def _assert_specs_equal(a: RangeSpec, b: RangeSpec):
-    assert a.shape == b.shape and a.rows == b.rows
-    assert a.one_box_per_row == b.one_box_per_row
-    for field in ("row_idx", "coeff", "lo", "hi"):
-        x, y = getattr(a, field), getattr(b, field)
-        assert x.dtype == y.dtype and np.array_equal(x, y), field
-    for x, y in zip(a.gather_plan(), b.gather_plan()):
-        assert x.dtype == y.dtype and np.array_equal(x, y)
-
-
-@st.composite
-def _box_counts(draw):
-    """A schema (size-1 attributes included) and a count over a box on
-    some of its attributes: ranges, equalities, full-range ``between``
-    (the total predicate) and one-sided bounds."""
-    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
-    schema = Schema.from_spec({f"x{i}": n for i, n in enumerate(sizes)})
-    conds = []
-    for i, n in enumerate(sizes):
-        kind = draw(st.sampled_from(["none", "eq", "between", "full", "ge", "le"]))
-        ref = A(f"x{i}")
-        lo = draw(st.integers(0, n - 1))
-        hi = draw(st.integers(lo, n - 1))
-        if kind == "eq":
-            conds.append(ref.eq(lo))
-        elif kind == "between":
-            conds.append(ref.between(lo, hi))
-        elif kind == "full":
-            conds.append(ref.between(0, n - 1))
-        elif kind == "ge":
-            conds.append(ref.ge(lo))
-        elif kind == "le":
-            conds.append(ref.le(hi))
-    order = draw(st.permutations(conds)) if conds else [A("x0").between(0, sizes[0] - 1)]
-    return schema, count(*order)
-
-
-class TestSeededBoxSpecs:
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(case=_box_counts())
-    def test_seeded_spec_equals_the_derived_one(self, case):
-        schema, expr = case
-        assert expr.box(schema) is not None
-        cq = compile_expr(expr, schema)
-        assert range_spec_of(cq.matrix) is cq.range_spec
-        _assert_specs_equal(cq.range_spec, _derive_spec(cq.matrix))
-
-    def test_seeded_answers_are_bit_identical_to_the_matvec(self):
-        schema = Schema.from_spec({"age": 8, "one": 1, "sex": ["M", "F"]})
-        x = integer_x(16)
-        table = AcceleratorTable(x, schema.domain.shape())
-        for expr in (
-            A("age").between(2, 6) & A("sex").eq("F"),
-            A("one").eq(0) & A("age").ge(3),
-            A("age").between(0, 7) & A("one").between(0, 0),
-            A("sex").eq("M"),
-        ):
-            cq = compile_expr(expr, schema)
-            assert np.array_equal(table.answer(cq.range_spec), cq.matrix.matvec(x))
-
-    def test_other_expressions_keep_the_derivation(self):
-        schema = Schema.from_spec({"age": 8, "sex": ["M", "F"]})
-        for expr in (
-            A("age").ge(2) & A("age").le(5),  # two conditions, one attribute
-            ~A("age").between(2, 4),
-            A("age").isin([1, 3]),
-            marginal("age"),
-            total(),
-        ):
-            assert expr.box(schema) is None
-            cq = compile_expr(expr, schema)
-            derived = _derive_spec(cq.matrix)
-            assert (cq.range_spec is None) == (derived is None)
-            if derived is not None:
-                _assert_specs_equal(cq.range_spec, derived)
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(data=st.data())
-def test_broadcast_gather_plan_equals_the_corner_loop(data):
-    shape = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
-    terms = data.draw(st.integers(0, 6))
-    lo = np.empty((terms, len(shape)), dtype=np.int64)
-    hi = np.empty_like(lo)
-    for t in range(terms):
-        for j, n in enumerate(shape):
-            lo[t, j] = data.draw(st.integers(0, n - 1))
-            hi[t, j] = data.draw(st.integers(lo[t, j], n - 1))
-    spec = RangeSpec(shape, terms, np.arange(terms), np.ones(terms), lo, hi)
-    ref = _loop_gather_plan(spec)
-    got = spec.gather_plan()
-    for x, y in zip(got, ref):
-        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
 
 
 class TestSpanCertificate:

@@ -5,9 +5,9 @@ request shape while the dataset's reconstruction generation and its
 remaining budget are unchanged.  These tests pin down that the stored
 bytes always equal a fresh computation, whatever writes — direct, warm
 or cold measurements, or a debit made through another accountant on the
-same WAL — land between reads; that telemetry bypasses the table; and
-that a request shape retains its compiled queries only while the table
-holds it.
+same WAL — land between reads; that tracing bypasses the table while
+metrics count its hits; and that a request shape retains its compiled
+queries only while the table holds it.
 """
 
 import asyncio
@@ -101,9 +101,7 @@ def fresh_body(app, specs) -> bytes | None:
         answers = ds.ask_many([parse_query_spec(s) for s in specs], eps=None)
     except QueryMiss:
         return None
-    body = app._body("d", answers, degraded=False)
-    del body["_route"]
-    return encode_body(body)
+    return encode_body(app._body("d", answers, degraded=False))
 
 
 OPS = st.one_of(
@@ -233,18 +231,31 @@ def test_stores_racing_reads_invalidate_the_stored_body(tmp_path):
     assert read(app, specs)[1] == fresh_body(app, specs)
 
 
-@pytest.mark.parametrize("metrics, trace", [(False, True), (True, False)])
-def test_telemetry_bypasses_the_table(tmp_path, metrics, trace):
+def test_tracing_bypasses_the_table(tmp_path):
     app, _ = make_app(tmp_path, accountant=True)
     direct_write(app, marginal("a", "b"), 1.0, 0)
-    obs.enable(metrics=metrics, trace=trace)
+    obs.enable(metrics=False, trace=True)
     specs = READ_POOL[0]
     first = json.loads(read(app, specs)[1])
     second = json.loads(read(app, specs)[1])
     assert all(s.free is None for s in app._exprs.values())
-    if trace:
-        assert first.pop("trace_id") != second.pop("trace_id")
+    assert first.pop("trace_id") != second.pop("trace_id")
     assert first == second
+
+
+def test_metrics_count_hits_as_the_memo_route(tmp_path):
+    app, _ = make_app(tmp_path, accountant=True)
+    direct_write(app, marginal("a", "b"), 1.0, 0)
+    obs.enable(metrics=True, trace=False)
+    specs = READ_POOL[0]
+    bodies = [read(app, specs)[1] for _ in range(3)]
+    assert bodies[0] == bodies[1] == bodies[2] == fresh_body(app, specs)
+    computed = json.loads(bodies[0])["answers"][0]["route"]
+    counts = {
+        (s["labels"]["route"], s["labels"]["status"]): s["value"]
+        for s in obs.snapshot()["server.requests_total"]["series"]
+    }
+    assert counts == {(computed, "200"): 1, ("memo", "200"): 2}
 
 
 def test_a_request_shape_retains_its_compiled_queries_only_while_held(tmp_path):
