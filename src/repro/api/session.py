@@ -221,7 +221,7 @@ class Dataset:
                 Answer(
                     expr=exprs[orig],
                     values=qa.values,
-                    route=qa.route or ("cache" if qa.hit else "cold"),
+                    route=qa.route,
                     key=qa.key,
                     epsilon=0.0 if qa.hit else result.charged,
                     span_projected=bool(qa.hit),

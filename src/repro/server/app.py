@@ -32,10 +32,11 @@ mechanisms:
   :class:`~repro.server.admission.AdmissionController` (bounded queue +
   per-dataset limiter, structured 429/503 + Retry-After) and runs in a
   bounded thread-pool executor sized to the admission slots;
-* **cold** requests additionally pass the
-  :class:`~repro.server.breaker.CircuitBreaker`; while it is open the
-  server serves what it can without a fit (warm/direct misses proceed,
-  free hits always) and refuses the rest with ``degraded: true``.
+* the engine routes each request once, in the worker; the request's
+  deadline carries the :class:`~repro.server.breaker.CircuitBreaker`,
+  which the engine asks only before a cold fit.  While it is open,
+  warm/direct misses and free hits still serve; the rest is refused,
+  after admission and at zero spend, with ``degraded: true``.
   Budget-exhausted datasets degrade the same way: the measured path is
   refused up front with the remaining ε in the body, the free path keeps
   serving.
@@ -361,7 +362,7 @@ class ServerApp:
             self._parse_request(payload)
         )
         exprs = shape.exprs
-        deadline = Deadline(timeout)
+        deadline = Deadline(timeout, breaker=self.breaker)
 
         # Free path: always admitted, served inline on the event loop.
         # QueryMiss is raised by the engine *before* any budget is touched,
@@ -404,18 +405,11 @@ class ServerApp:
         if acct is not None:
             acct.check(name, eps, mechanism=mechanism, delta=delta)
 
-        # Routing decision for the breaker: only genuinely cold requests
-        # pass through it; warm/direct misses keep serving while open.
-        plan = ds.plan(exprs, eps, mechanism=mechanism, delta=delta)
-        cold = any(e.route == "cold" for e in plan.entries)
-        if cold:
-            self.breaker.allow()
-
         await self.admission.acquire_measure(name, timeout=deadline.remaining())
         loop = asyncio.get_running_loop()
         fut = loop.run_in_executor(
             self._executor, self._measured, name, ds, exprs, eps,
-            mechanism, delta, seed, deadline, cold,
+            mechanism, delta, seed, deadline,
         )
         # The slot is released when the *worker* finishes — not when the
         # waiter gives up — so the executor can never oversubscribe; the
@@ -477,26 +471,17 @@ class ServerApp:
         body["late"] = True
         return 200, {}, body, _request_route(answers)
 
-    def _measured(self, name, ds, exprs, eps, mechanism, delta, seed, deadline, cold):
+    def _measured(self, name, ds, exprs, eps, mechanism, delta, seed, deadline):
         """Executor-side measured request (worker thread): the root span
         opens here so it parents ``session.ask`` in the thread-local
-        tracer, and breaker accounting sees the true fit outcome."""
+        tracer."""
         kwargs = {} if mechanism == "laplace" else {
             "mechanism": mechanism, **({} if delta is None else {"delta": delta})
         }
-        try:
-            with _TRACER.span("server.request", dataset=name, route="measured"):
-                answers = ds.ask_many(
-                    exprs, eps=eps, rng=seed, deadline=deadline, **kwargs
-                )
-        except DeadlineExceededError as e:
-            if cold and e.stage == "fit":
-                self.breaker.record_failure()
-            raise
-        else:
-            if cold:
-                self.breaker.record_success()
-        return answers
+        with _TRACER.span("server.request", dataset=name, route="measured"):
+            return ds.ask_many(
+                exprs, eps=eps, rng=seed, deadline=deadline, **kwargs
+            )
 
     # -- response assembly ---------------------------------------------------
     def _body(self, name, answers, degraded: bool) -> dict:

@@ -21,6 +21,9 @@ breaker converts that into fast, *honest* failure:
 Only *cold* fits flow through the breaker — warm loads, direct
 measurements, and free hits never involve the guarded resource, which is
 exactly why the degraded mode stays useful while the breaker is open.
+It is consulted in the worker, inside the engine's fit scope
+(:meth:`repro.server.deadline.Deadline.fit`), which records every
+allowed fit's outcome.
 
 The clock is injectable so tests step through open → half-open without
 sleeping.  State changes are reflected in the ``server.breaker_state``
@@ -57,8 +60,8 @@ class BreakerOpenError(RuntimeError):
 class CircuitBreaker:
     """Consecutive-failure breaker with half-open probing.
 
-    Thread-safe: ``allow`` runs on the event loop, ``record_*`` in
-    executor threads.
+    Thread-safe: fits run in executor threads, ``state`` is read on
+    the event loop.
     """
 
     def __init__(

@@ -4,10 +4,10 @@ A :class:`Deadline` is created once per request and threaded (as a plain
 duck-typed object — the service layer never imports this module) through
 :meth:`repro.service.QueryService.answer` down to the measurement core.
 The engine calls :meth:`Deadline.check` at every stage boundary —
-``plan``, ``warm`` (registry probe/load), ``fit`` (cold strategy fit,
-checked on entry *and* exit so a slow fit is attributed to the fit
-stage), ``charge`` (immediately before ``accountant.charge``) — and
-:meth:`Deadline.mark_committed` right after the fsync'd debit returns.
+``plan``, ``warm`` (registry probe/load), ``fit`` (inside
+:meth:`Deadline.fit`), ``charge`` (immediately before
+``accountant.charge``) — and :meth:`Deadline.mark_committed` right after
+the fsync'd debit returns.
 
 That placement is the whole point.  The PR 6 invariant is that a
 committed debit means the noise is either released or conservatively
@@ -37,6 +37,7 @@ deterministically instead of sleeping.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 __all__ = [
     "DEFAULT_STAGE_CUTOFFS",
@@ -75,7 +76,7 @@ class Deadline:
     """
 
     __slots__ = (
-        "timeout", "cutoffs", "_clock", "_start",
+        "timeout", "cutoffs", "_clock", "_start", "breaker",
         "commit_started", "committed_epsilon", "expired_stage",
     )
 
@@ -84,6 +85,7 @@ class Deadline:
         timeout: float,
         cutoffs: dict[str, float] | None = None,
         clock=time.monotonic,
+        breaker=None,
     ):
         timeout = float(timeout)
         if not timeout > 0:
@@ -92,6 +94,8 @@ class Deadline:
         self.cutoffs = DEFAULT_STAGE_CUTOFFS if cutoffs is None else cutoffs
         self._clock = clock
         self._start = clock()
+        #: Circuit breaker guarding the request's cold fit, or None.
+        self.breaker = breaker
         #: True once the charge is in flight — from here on the deadline
         #: must be treated as possibly committed.
         self.commit_started = False
@@ -123,6 +127,27 @@ class Deadline:
         if elapsed >= cutoff:
             self.expired_stage = stage
             raise DeadlineExceededError(stage, elapsed, self.timeout)
+
+    @contextmanager
+    def fit(self):
+        """Scope of one cold fit: ``breaker.allow()``, the ``fit`` check
+        on entry, the fit, the ``fit`` check on exit (so a slow fit is
+        attributed to the fit stage).  Any exception after ``allow()``
+        records a failure, a normal exit a success.  Fits precede the
+        charge, so every refusal here is free."""
+        breaker = self.breaker
+        if breaker is not None:
+            breaker.allow()
+        try:
+            self.check("fit")
+            yield
+            self.check("fit")
+        except BaseException:
+            if breaker is not None:
+                breaker.record_failure()
+            raise
+        if breaker is not None:
+            breaker.record_success()
 
     def begin_commit(self) -> None:
         """The engine is about to append the debit to the WAL.  From this

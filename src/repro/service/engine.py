@@ -55,6 +55,7 @@ import logging
 import os
 import time
 from collections import Counter as _RouteCounter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -507,46 +508,43 @@ class QueryService:
         order: in-memory memo → registry → cold fit (persisted back to
         the registry).  Never touches data or budget.
 
-        ``deadline`` (duck-typed, see :mod:`repro.server.deadline`) is
-        consulted at the ``fit`` stage boundary — on entry, so a request
-        with no fit budget left is refused before the optimizer starts,
-        and on exit, so a fit that blew the budget is attributed to the
-        fit stage (the strategy is still memoized and persisted: the
-        *next* request gets it warm).
+        A cold fit runs inside ``deadline.fit()`` (duck-typed, see
+        :meth:`repro.server.deadline.Deadline.fit`): the request's
+        breaker, then the ``fit`` stage on entry and exit (a fit that
+        blew the budget is still memoized and persisted: the *next*
+        request gets it warm).  Refusals are free: :meth:`measure`
+        prepares before it charges.
         """
         workload, domain = as_workload_matrix(workload, domain)
         key, strategy, loss = self.probe(workload, domain=domain)
         if strategy is not None:
             return key, strategy, loss, True
-        if deadline is not None:
-            deadline.check("fit")
         mech = HDMM(restarts=self.restarts, rng=self.rng)
-        t0 = time.perf_counter()
-        with _TRACER.span("select.fit", key=key[:12]):
-            # Latency/kill fault point for the serving edge's chaos tests
-            # (a slow or dying optimizer, not a broken one).
-            faults.check("engine.fit")
-            mech.fit(workload, **self.fit_kwargs)
-        loss = mech.result.loss
-        logger.info(
-            "cold-fitted strategy %s in %.3fs (loss %s)",
-            key[:12],
-            time.perf_counter() - t0,
-            loss,
-        )
-        if _METRICS.enabled:
-            _METRICS.counter("service.cold_fits_total").inc()
-        if self.registry is not None:
-            self.registry.put(
-                workload,
-                mech.strategy,
-                loss=loss,
-                domain=domain,
-                template=self.template,
+        with nullcontext() if deadline is None else deadline.fit():
+            t0 = time.perf_counter()
+            with _TRACER.span("select.fit", key=key[:12]):
+                # Latency/kill fault point for the serving edge's chaos
+                # tests (a slow or dying optimizer, not a broken one).
+                faults.check("engine.fit")
+                mech.fit(workload, **self.fit_kwargs)
+            loss = mech.result.loss
+            logger.info(
+                "cold-fitted strategy %s in %.3fs (loss %s)",
+                key[:12],
+                time.perf_counter() - t0,
+                loss,
             )
-        self._prepared[key] = (mech.strategy, loss)
-        if deadline is not None:
-            deadline.check("fit")  # exit check: attribute a slow fit here
+            if _METRICS.enabled:
+                _METRICS.counter("service.cold_fits_total").inc()
+            if self.registry is not None:
+                self.registry.put(
+                    workload,
+                    mech.strategy,
+                    loss=loss,
+                    domain=domain,
+                    template=self.template,
+                )
+            self._prepared[key] = (mech.strategy, loss)
         return key, mech.strategy, loss, False
 
     # -- MEASURE (accounted) -------------------------------------------------
@@ -813,12 +811,6 @@ class QueryService:
         for k in [k for k in ds.accel if k[0] == key]:
             del ds.accel[k]
 
-    def covering_key(self, dataset: str, q: Matrix | np.ndarray) -> str | None:
-        """Fingerprint of the cached reconstruction that would answer ``q``
-        for free, or ``None`` — the planner's free-hit probe.  Spends no
-        budget and records nothing."""
-        return self.probe_hit(dataset, q)[0]
-
     def probe_hit(
         self,
         dataset: str,
@@ -896,50 +888,17 @@ class QueryService:
     ) -> QueryAnswer:
         """Answer a single linear query — free when cached, else measured.
 
-        Scans the dataset's reconstructions newest-first and answers from
-        the first whose measured span contains the query (Definition 5
-        post-processing: no accountant debit).  On a cache miss the query
-        delegates to the same miss-batching path as :meth:`answer` — so a
-        cold single query benefits from the direct-measure fast path and
-        its support-keyed caching exactly like a batch of one.  With no
-        ``eps``, a miss raises :class:`QueryMiss` before touching the
-        budget — callers decide whether to spend.
+        A batch of one through :meth:`answer`, which routes it: free from
+        the newest cached reconstruction whose measured span contains the
+        query (Definition 5 post-processing: no accountant debit), else
+        down the same miss path as any batch — so a cold single query
+        gets the direct-measure fast path and its support-keyed caching.
+        With no ``eps``, a miss raises :class:`QueryMiss` before touching
+        the budget — callers decide whether to spend.
         """
-        ds = self._dataset(dataset)
-        Q = _as_query_matrix(q)
-        recon = self._find_cover(ds, Q)
-        if recon is not None:
-            track = _METRICS.enabled
-            if not track and not _TRACER.enabled:
-                return self._serve_hit(dataset, ds, Q, recon)
-            with _TRACER.span("service.query", dataset=dataset):
-                t0 = time.perf_counter() if track else 0.0
-                with _TRACER.span("serve.hit"):
-                    qa = self._serve_hit(dataset, ds, Q, recon)
-                if track:
-                    dt_ms = (time.perf_counter() - t0) * 1e3
-                    if qa.route == "accelerator":
-                        _METRICS.histogram(
-                            "accelerator.gather_ms", dataset=dataset
-                        ).observe(dt_ms)
-                    _METRICS.counter(
-                        "service.answers_total", dataset=dataset, route=qa.route
-                    ).inc()
-                    if qa.key is not None:
-                        _METRICS.counter(
-                            "service.support_hits", dataset=dataset, key=qa.key
-                        ).inc()
-                qa.trace_id = _TRACER.current_trace_id()
-            return qa
-        if eps is None:
-            raise QueryMiss(
-                f"no cached reconstruction of dataset {dataset!r} spans the "
-                "query (pass eps= to measure it)"
-            )
-        batch = self.answer(
-            dataset, [Q], eps=eps, rng=rng, stage=stage, **run_kwargs
-        )
-        return batch.answers[0]
+        return self.answer(
+            dataset, [q], eps=eps, rng=rng, stage=stage, **run_kwargs
+        ).answers[0]
 
     def _measure_misses_direct(
         self,
@@ -1133,6 +1092,7 @@ class QueryService:
     ) -> BatchResult:
         answers: list[QueryAnswer | None] = [None] * len(mats)
         miss_idx: list[int] = []
+        t0 = time.perf_counter() if _METRICS.enabled else 0.0
         with _TRACER.span("serve.hits") as hits_span:
             for i, Q in enumerate(mats):
                 recon = self._find_cover(ds, Q)
@@ -1142,6 +1102,13 @@ class QueryService:
                     miss_idx.append(i)
             if hits_span is not None:
                 hits_span.attrs["hits"] = len(mats) - len(miss_idx)
+        if _METRICS.enabled and any(
+            qa is not None and qa.route == "accelerator" for qa in answers
+        ):
+            # The hit stage of a batch that gathered from a table.
+            _METRICS.histogram("accelerator.gather_ms", dataset=dataset).observe(
+                (time.perf_counter() - t0) * 1e3
+            )
 
         charged = 0.0
         if miss_idx:

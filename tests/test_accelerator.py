@@ -251,7 +251,6 @@ class TestEngineRouting:
         Q = Kronecker([Identity(s) for s in shape])
         key, route = svc.probe_hit("d", Q)
         assert (key, route) == ("k", "accelerator")
-        assert svc.covering_key("d", Q) == "k"
         assert svc.query("d", Q).route == route
 
     def test_batch_answer_routes_accelerator(self, tmp_path):

@@ -341,10 +341,22 @@ class TestRouteTraces:
         qa = svc.query("d", q)
         assert qa.route == "accelerator" and qa.trace_id is not None
         names = [s.name for s in obs.get_trace(qa.trace_id)]
-        assert names == ["serve.hit", "service.query"]
+        assert names == ["serve.hits", "service.answer"]
         h = obs.snapshot()["accelerator.gather_ms"]["series"][0]
         assert h["count"] == 1
         assert _route_counts("d") == {"accelerator": 1.0}
+
+    def test_free_read_observes_gather_once_per_batch(self, tmp_path):
+        sess = make_session(tmp_path)
+        s = small_schema()
+        ds = sess.dataset("d", schema=s, data=poisson_data(s))
+        ds.ask_many([marginal("age", "sex")], eps=0.5, rng=1)
+        obs.enable(trace=False)
+        ans = ds.ask_many([marginal("age"), prefix("age"), total()])
+        assert {a.route for a in ans} == {"accelerator"}
+        h = obs.snapshot()["accelerator.gather_ms"]["series"][0]
+        assert h["count"] == 1
+        assert _route_counts("d") == {"accelerator": 3.0}
 
     def test_trace_disabled_stamps_nothing(self, tmp_path):
         s = small_schema()

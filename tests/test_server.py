@@ -1061,6 +1061,109 @@ class TestBreakerIntegration:
             assert b["charged"] == 0.3
 
 
+
+
+COLD = {
+    "dataset": "adult", "queries": [{"marginal": ["age"]}], "eps": 0.5,
+    "seed": 1,
+}
+
+
+class TestBreakerInTheFit:
+    """The breaker is consulted inside the engine's fit scope, in the
+    worker: only a request the engine routes to a fit asks it, and every
+    allowed fit records its outcome, whatever ends it."""
+
+    def make(self, tmp_path, **app_kwargs):
+        t = [0.0]
+        breaker = CircuitBreaker(
+            trip_after=1, reset_timeout=10.0, clock=lambda: t[0]
+        )
+        app = make_app(
+            tmp_path, session_kwargs={"direct_miss_threshold": 0},
+            breaker=breaker, **app_kwargs,
+        )
+        return app, breaker, t
+
+    def test_shed_probe_does_not_hold_the_half_open_slot(self, tmp_path):
+        app, breaker, t = self.make(tmp_path, per_dataset=1)
+        breaker.record_failure()
+        t[0] = 10.0
+        assert breaker.state == "half-open"
+
+        async def shed_probe():
+            await app.admission.acquire_measure("adult")
+            try:
+                return await app.handle_query(COLD)
+            finally:
+                app.admission.release_measure("adult")
+
+        status, _, body = asyncio.run(shed_probe())
+        assert status == 429 and body["code"] == "overloaded"
+        assert breaker.state == "half-open"
+        status, _, body = asyncio.run(app.handle_query(COLD))
+        assert status == 200 and body["answers"][0]["route"] == "cold"
+        assert breaker.state == "closed"
+
+    def test_fit_that_raises_counts_as_failure(self, tmp_path):
+        app, breaker, t = self.make(tmp_path)
+        with FaultInjector().fail("engine.fit").active():
+            status, _, _ = asyncio.run(app.handle_query(COLD))
+        assert status == 500
+        assert breaker.state == "open"
+        status, _, body = asyncio.run(app.handle_query(COLD))
+        assert status == 503 and body["code"] == "breaker_open"
+        # A probe that dies re-opens the breaker and frees the slot: the
+        # probe after the next cooldown fits and closes it.
+        t[0] = 10.0
+        with FaultInjector().fail("engine.fit").active():
+            status, _, _ = asyncio.run(app.handle_query(COLD))
+        assert status == 500
+        assert breaker.state == "open"
+        t[0] = 20.0
+        status, _, body = asyncio.run(app.handle_query(COLD))
+        assert status == 200 and body["answers"][0]["route"] == "cold"
+        assert breaker.state == "closed"
+        assert app.session.service.accountant.spent("adult") == 0.5
+
+    def test_warm_miss_serves_while_breaker_open(self, tmp_path):
+        app, breaker, _ = self.make(tmp_path)
+        ds = app.session.dataset("adult")
+        app.session.service.prepare(
+            ds.compile_many([marginal("age")]).to_workload_matrix()
+        )
+        breaker.record_failure()
+        status, _, body = asyncio.run(app.handle_query(COLD))
+        assert status == 200 and body["answers"][0]["route"] == "warm"
+        assert breaker.state == "open"
+
+    @pytest.mark.parametrize("route, session_kwargs", [
+        ("direct", {}),
+        ("cold", {"direct_miss_threshold": 0, "rng": 0}),
+    ])
+    def test_measured_request_never_plans(
+        self, tmp_path, monkeypatch, route, session_kwargs
+    ):
+        payload = {
+            "dataset": "adult",
+            "queries": [{"count": [{"attr": "sex", "eq": "F"}]}],
+            "eps": 0.5, "seed": 4,
+        }
+        expected = asyncio.run(
+            make_app(session_kwargs=session_kwargs).handle_query(payload)
+        )
+
+        def no_planning(*args, **kwargs):
+            raise AssertionError("a measured request planned")
+
+        monkeypatch.setattr("repro.api.session.plan_queries", no_planning)
+        got = asyncio.run(
+            make_app(session_kwargs=session_kwargs).handle_query(payload)
+        )
+        assert got[0] == 200 and got[2]["answers"][0]["route"] == route
+        assert encode_body(got[2]) == encode_body(expected[2])
+
+
 # ---------------------------------------------------------------------------
 # chaos: concurrency, kill-points, corruption
 # ---------------------------------------------------------------------------

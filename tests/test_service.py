@@ -835,6 +835,16 @@ class TestSchemaMismatchErrors:
         with pytest.raises(SchemaMismatchError, match="'adult'.*16"):
             svc.answer("adult", [np.ones(8)], eps=1.0)
 
+    def test_free_query_rejects_mismatched_query_width(self):
+        """query() is a batch of one through answer(): a wrong width is a
+        schema error even with no eps, not a cache miss."""
+        from repro.service import SchemaMismatchError
+
+        svc = QueryService(registry=None, accountant=None, restarts=1, rng=0)
+        svc.add_dataset("adult", np.ones(16))
+        with pytest.raises(SchemaMismatchError, match="'adult'.*16"):
+            svc.query("adult", np.ones(8))
+
     def test_measure_with_logical_domain_names_attributes(self):
         from repro.service import SchemaMismatchError
         from repro.workload.predicates import TruePredicate
