@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import optimize as sopt
 from scipy import sparse as sp
 
 from ..linalg import Matrix, SparseMatrix, VStack, Weighted
+from ..optimize.lbfgsb import minimize_lbfgsb
 from ..workload.util import attribute_sizes
 from .base import StrategyMechanism
 
@@ -85,14 +85,8 @@ def optimize_level_weights(
             grad_lam[l] = 2.0 * total * trace - total**2 * 2.0 * lam[l] * tr_l
         return f, grad_lam * lam  # chain rule through λ = exp(log λ)
 
-    res = sopt.minimize(
-        objective,
-        np.zeros(L),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": maxiter},
-    )
-    return np.exp(np.clip(res.x, -30, 30))
+    log_lam, _ = minimize_lbfgsb(objective, np.zeros(L), maxiter=maxiter)
+    return np.exp(np.clip(log_lam, -30, 30))
 
 
 class GreedyH(StrategyMechanism):

@@ -14,9 +14,8 @@ matters (Theorem 4 reduces it to O(pn²)).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize as sopt
-
 from ..linalg import Dense
+from .lbfgsb import minimize_lbfgsb
 from .opt0 import OptResult
 
 
@@ -68,17 +67,10 @@ def opt_general(
             loss, grad = general_loss_and_grad(x.reshape(p, n), V)
             return loss, grad.ravel()
 
-        res = sopt.minimize(
-            fun,
-            B0.ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, None)] * (p * n),
-            options={"maxiter": maxiter},
-        )
-        if res.fun < best_loss:
-            best_loss = float(res.fun)
-            best = res.x.reshape(p, n)
+        x, loss = minimize_lbfgsb(fun, B0, lower=0.0, maxiter=maxiter)
+        if loss < best_loss:
+            best_loss = loss
+            best = x.reshape(p, n)
 
     if best is None or not np.isfinite(best_loss):
         # Every restart diverged (infinite loss, e.g. a zero column that

@@ -19,12 +19,12 @@ objective and its gradient costs O(4^d) — independent of the domain sizes
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize as sopt
 
 from ..core.error import workload_marginal_traces
 from ..linalg import MarginalsAlgebra, MarginalsStrategy, Matrix
 from ..linalg.marginals import get_algebra
 from ..workload.util import attribute_sizes
+from .lbfgsb import minimize_lbfgsb
 from .opt0 import OptResult
 
 
@@ -73,24 +73,13 @@ def marginals_loss_and_grad(
 
 def _marginals_restart(payload) -> tuple[float, np.ndarray]:
     """One OPT_M restart from a fixed initialization (engine task)."""
-    alg, delta, theta0, bounds, maxiter = payload
+    alg, delta, theta0, lower, maxiter = payload
 
     def fun(x):
-        loss, grad = marginals_loss_and_grad(x, alg, delta)
-        return loss, grad
+        return marginals_loss_and_grad(x, alg, delta)
 
-    res = sopt.minimize(
-        fun,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": maxiter},
-    )
-    # Re-evaluate at the solution: L-BFGS can report the objective of a
-    # rejected probe point when it aborts on a failed line search.
-    final_loss, _ = marginals_loss_and_grad(np.asarray(res.x), alg, delta)
-    return float(final_loss), np.asarray(res.x)
+    x, loss = minimize_lbfgsb(fun, theta0, lower=lower, maxiter=maxiter)
+    return loss, x
 
 
 def opt_marginals(
@@ -127,7 +116,8 @@ def opt_marginals(
     # θ_full strictly positive keeps the Gram invertible; the bound is set
     # high enough (relative to the O(1) initializations) that the
     # triangular solves stay well-conditioned.
-    bounds = [(0.0, None)] * (size - 1) + [(1e-4, None)]
+    lower = np.zeros(size)
+    lower[-1] = 1e-4
 
     gens = spawn_generators(rng, restarts)
     inits = []
@@ -151,7 +141,7 @@ def opt_marginals(
 
     results = run_tasks(
         _marginals_restart,
-        [(alg, delta, theta0, bounds, maxiter) for theta0 in inits],
+        [(alg, delta, theta0, lower, maxiter) for theta0 in inits],
         workers=workers,
         executor=executor,
     )

@@ -16,10 +16,11 @@ workers without giving up reproducibility:
   transparent fallback to threads when the task or its payload cannot be
   pickled.  ``executor="auto"`` picks processes whenever more than one
   CPU is usable, at any domain size: an OPT_0 restart spends much of its
-  time in Python (L-BFGS-B bookkeeping, scipy wrappers, small BLAS calls)
-  holding the GIL, so on a 2-CPU host two threads run Paper Table 3 fits
-  slower than one, while two processes run them ≈1.4× faster than
-  sequential even after fork and pickling.  With one usable CPU there is
+  time holding the GIL (the loss-and-gradient kernel's small BLAS calls,
+  the Python loop around L-BFGS-B), so on a 2-CPU host two threads run
+  Paper Table 3 fits slower than one (≈0.75×), while two processes run
+  them ≈1.3× faster than sequential even after fork and pickling, with a
+  single-threaded BLAS.  With one usable CPU there is
   no parallelism to gain and ``auto`` stays on threads.  Workers inherit
   the parent's BLAS thread count: run with a single-threaded BLAS
   (``OPENBLAS_NUM_THREADS=1`` and friends) when fanning out, or the
