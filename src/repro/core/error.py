@@ -29,6 +29,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from ..linalg import (
+    Identity,
     Kronecker,
     MarginalsStrategy,
     Matrix,
@@ -208,7 +209,8 @@ def _kron_error(W: Matrix, A: Kronecker) -> float:
     Workload products share factor objects heavily (marginal workloads
     reuse the same Identity/Total factors across terms), so per attribute
     each *distinct* factor trace is computed once — and all of them with a
-    single Cholesky factorization of the strategy factor's Gram.
+    single Cholesky factorization of the strategy factor's Gram.  An
+    ``Identity`` strategy factor needs none: its trace is ``tr(Gᵢ)``.
     """
     terms = as_union_of_products(W)
     d = len(A.factors)
@@ -220,9 +222,11 @@ def _kron_error(W: Matrix, A: Kronecker) -> float:
         distinct: dict[int, Matrix] = {}
         for _, factors in terms:
             distinct.setdefault(id(factors[i]), factors[i])
-        vals = gram_inverse_traces(
-            Ai.gram().dense(), [f.gram().dense() for f in distinct.values()]
-        )
+        grams = [f.gram().dense() for f in distinct.values()]
+        if isinstance(Ai, Identity):
+            vals = [float(np.trace(G)) for G in grams]
+        else:
+            vals = gram_inverse_traces(Ai.gram().dense(), grams)
         traces.append(dict(zip(distinct.keys(), vals)))
     total = 0.0
     for w, factors in terms:

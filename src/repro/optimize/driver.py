@@ -9,6 +9,14 @@ the returned strategy never does worse than Identity.
 
 Strategy selection is independent of the input data and consumes no
 privacy budget (the workload is public).
+
+The (restart, operator) cells run in parallel, and their submission order
+differs from their reduction order.  Cells are submitted costliest
+operator first (OPT_+, then OPT_⊗ and other operators, then OPT_M), so
+that no long cell starts last while other workers idle.  The results are
+then reduced in the canonical (restart, operator) order, with ties going
+to the first cell in that order; submission order cannot change the
+returned strategy.
 """
 
 from __future__ import annotations
@@ -49,6 +57,12 @@ def _op_union(W: Matrix, rng) -> OptResult:
 
 def _op_marginals(W: Matrix, rng) -> OptResult:
     return opt_marginals(W, rng=rng)
+
+
+#: Submission rank of the default operators, costliest first: OPT_+ runs
+#: one OPT_⊗ per group, and OPT_M's O(4^d) iterations do not grow with the
+#: domain.  Any other operator ranks between them.
+_SUBMIT_RANK = {_op_union: 0, _op_marginals: 2}
 
 
 def default_operators(W: Matrix) -> list[tuple[str, Operator]]:
@@ -104,7 +118,8 @@ def opt_hdmm(
         fixed by ``rng`` alone — the returned strategy and loss are
         bit-identical for every worker count, executor choice, and
         completion order.  The reduction picks the minimum valid loss with
-        ties broken by (restart, operator) order.
+        ties broken by (restart, operator) order, whatever order the cells
+        were submitted in (costliest operator first).
     executor:
         ``"auto"`` (processes when more than one CPU is usable, threads
         otherwise — see :func:`repro.optimize.parallel.resolve_executor`),
@@ -134,12 +149,22 @@ def opt_hdmm(
         for (name, op), seed in zip(operators, op_seeds):
             tasks.append((W, op, seed))
             labels.append((s, name))
-    results = run_tasks(
+    # Submit the costliest cells first, so that a long OPT_+ cell does not
+    # start last while the other workers idle.  The sort is stable, so
+    # cells of equal rank keep their (restart, operator) order.  Results
+    # are put back in that order, which alone decides the reduction.
+    order = sorted(
+        range(len(tasks)), key=lambda i: _SUBMIT_RANK.get(tasks[i][1], 1)
+    )
+    done = run_tasks(
         _run_operator,
-        tasks,
+        [tasks[i] for i in order],
         workers=workers,
         executor=executor,
     )
+    results = [None] * len(tasks)
+    for i, result in zip(order, done):
+        results[i] = result
 
     if verbose:
         for (s, name), result in zip(labels, results):

@@ -24,6 +24,35 @@ from ..linalg import Kronecker, Matrix
 from ..workload.util import as_union_of_products
 from .opt0 import OptResult, opt_0
 
+
+def _all_close(x: np.ndarray, y: float) -> bool:
+    """``np.allclose(x, y)`` for a scalar ``y``, without its per-element
+    boolean temporaries.
+
+    allclose asks ``|x - y| <= atol + rtol·|y|`` with ``y`` finite, or
+    ``x == y``.  For a finite ``y`` the second clause implies the first,
+    and a NaN in ``x`` makes the maximum NaN, which fails the comparison.
+    """
+    if not np.isfinite(y):
+        return bool((x == y).all())
+    return bool(abs(x - y).max() <= 1e-8 + 1e-5 * abs(y))
+
+
+def _total_identity_like(G: np.ndarray) -> bool:
+    """Whether ``G`` is a scaled identity plus a scaled all-ones matrix: its
+    diagonal close to ``G[0, 0]`` and its off-diagonal to ``G[0, 1]``,
+    under ``np.allclose``'s default tolerances."""
+    n = G.shape[0]
+    diag = G.diagonal()
+    if not _all_close(diag, diag[0]):
+        return False
+    if n == 1:
+        return True
+    off = G.copy()
+    off.flat[:: n + 1] = G[0, 1]  # the diagonal is not off-diagonal
+    return _all_close(off, G[0, 1])
+
+
 #: Per-attribute parameter heuristic (Section 7.1): p=1 when the predicate
 #: set is contained in Total ∪ Identity (extra strategy queries do not
 #: help), else n/16.
@@ -34,14 +63,11 @@ def default_p(factor_grams: list[np.ndarray], n: int) -> int:
     corresponds to predicate sets within Total ∪ Identity, for which p=1
     suffices; otherwise use the paper's n/16 heuristic.
     """
+    if n < 32:
+        return 1  # n // 16 <= 1: the Grams cannot change the answer
     for G in factor_grams:
-        diag = np.diag(G).copy()
-        off = G - np.diag(diag)
-        off_vals = off[~np.eye(n, dtype=bool)]
-        uniform_off = off_vals.size == 0 or np.allclose(off_vals, off_vals.flat[0])
-        uniform_diag = np.allclose(diag, diag[0])
-        if not (uniform_off and uniform_diag):
-            return max(1, n // 16)
+        if not _total_identity_like(G):
+            return n // 16
     return 1
 
 

@@ -28,6 +28,12 @@ workers without giving up reproducibility:
 * **Reduction** — :func:`reduce_best` picks the minimum-loss result, with
   ties broken by the lowest task index, so the winner is deterministic
   even when several restarts reach the same optimum.
+* **Submission order versus reduction order** — :func:`run_tasks`
+  submits payloads in the order given and returns results in that same
+  order.  A caller that wants its costliest tasks to start first permutes
+  the payloads and puts the results back in canonical order before it
+  reduces them, as :func:`repro.optimize.driver.opt_hdmm` does; the
+  reduction, and so the result, never sees the submission order.
 """
 
 from __future__ import annotations
@@ -153,8 +159,9 @@ def run_tasks(
         threads when ``fn`` or a payload cannot be pickled, so callers
         may always pass user-supplied closures.
 
-    Results are collected per payload index, so the output order (and any
-    reduction over it) is independent of completion order.
+    Payloads are submitted in the order given; results are collected per
+    payload index, so the output order (and any reduction over it) is
+    independent of completion order.
     """
     workers = resolve_workers(workers)
     kind = resolve_executor(executor)

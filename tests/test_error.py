@@ -14,6 +14,7 @@ from repro.core.error import (
     supports,
     workload_marginal_traces,
 )
+from repro.data import adult_domain, cps_domain
 from repro.domain import Domain
 from repro.linalg import (
     Dense,
@@ -24,7 +25,16 @@ from repro.linalg import (
     VStack,
     Weighted,
 )
-from repro.workload import k_way_marginals, prefix_2d, prefix_identity
+from repro.workload import (
+    implicit_vectorize,
+    k_way_marginals,
+    prefix_1d,
+    prefix_2d,
+    prefix_identity,
+    range_marginals,
+    sf1_workload,
+)
+from repro.workload.util import attribute_sizes
 
 
 class TestGramInverseTrace:
@@ -81,6 +91,26 @@ class TestSquaredErrorDispatch:
             * np.linalg.norm(W.dense() @ np.linalg.pinv(A.dense()), "fro") ** 2
         )
         assert np.isclose(squared_error(W, A), direct, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            lambda: k_way_marginals(adult_domain(), 2),
+            lambda: range_marginals(cps_domain(), numeric={"income", "age"}, k=2),
+            lambda: implicit_vectorize(sf1_workload()),
+            lambda: prefix_1d(128),
+            lambda: k_way_marginals(Domain(["a", "b", "c", "d"], [3, 4, 5, 2]), 3),
+        ],
+        ids=["adult_2way", "cps_range_marginals", "sf1", "prefix_1d", "marginals"],
+    )
+    def test_identity_factors_skip_the_cholesky(self, workload):
+        # An Identity factor takes tr(Gᵢ); the same factor as a Dense
+        # identity goes through the Cholesky solve.  Values are equal.
+        W = workload()
+        sizes = attribute_sizes(W)
+        fast = squared_error(W, Kronecker([Identity(n) for n in sizes]))
+        solved = squared_error(W, Kronecker([Dense(np.eye(n)) for n in sizes]))
+        assert fast == solved
 
     def test_weighted_strategy_error_invariant(self, rng):
         """Scaling a strategy rescales noise identically — same error."""

@@ -29,6 +29,59 @@ def reference_loss_and_grad(theta, V):
     return loss, grad
 
 
+def loss_and_grad_before_dispatch_trim(theta, V):
+    """``pidentity_loss_and_grad`` as it was before its dispatches were
+    trimmed, verbatim: the oracle the current kernel must match bit for
+    bit (same floating-point operations, fewer numpy calls)."""
+    B = np.asarray(theta, dtype=np.float64)
+    p, n = B.shape
+    V = np.asarray(V, dtype=np.float64)
+    if not np.all(np.isfinite(B)) or np.abs(B).max() > 1e30:
+        # Line searches can probe wildly large parameters; report an
+        # infinite objective so the optimizer backtracks.
+        return np.inf, np.zeros((p, n))
+    s = 1.0 + B.sum(axis=0)
+
+    try:
+        R = np.linalg.inv(np.eye(p) + B @ B.T)  # p x p
+    except np.linalg.LinAlgError:
+        return np.inf, np.zeros((p, n))
+    T1 = ((B * s) @ V) * s  # Θ V₁, p x n
+    T2 = R @ T1  # R Θ V₁
+    RB = R @ B  # R Θ = Θ M
+    v1_diag = np.diagonal(V) * s**2
+    loss = float(v1_diag.sum() - np.einsum("ij,ij->", B, T2))
+
+    # Y = X⁻¹ V X⁻¹ = D⁻¹ (M V₁ M) D⁻¹; only Θ·(M V₁ M) and its diagonal
+    # are needed, both O(p²n) from T1, T2 and RΘ.
+    BMVM = T2 - (T2 @ B.T) @ RB  # Θ M V₁ M, p x n
+    MVM_diag = (
+        v1_diag
+        - 2.0 * np.einsum("ij,ij->j", RB, T1)
+        + np.einsum("ij,ij->j", RB, (T1 @ B.T) @ RB)
+    )
+    Y_diag = MVM_diag * s**2
+
+    # G = -2 A Y with A = [[D],[B D]]
+    gI_diag = -2.0 * Y_diag / s  # diagonal of identity block
+    GB = -2.0 * BMVM * s  # (B/s) @ Y, p x n
+
+    grad = GB / s[None, :] - (gI_diag + np.einsum("il,il->l", GB, B)) / s[None, :] ** 2
+    return loss, grad
+
+
+@st.composite
+def table3_kernel_inputs(draw):
+    """Θ ≥ 0 at the Table 3 sizes (p ≤ 8, n ≤ 130), scaled 1e-3 to 1e3,
+    and ``V = WᵀW`` for a random W."""
+    p = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 130))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.standard_normal((draw(st.integers(1, 40)), n))
+    return scale * rng.random((p, n)), W.T @ W
+
+
 @st.composite
 def kernel_inputs(draw):
     """Θ ≥ 0 with entries up to 10 (the old kernel itself loses digits to
@@ -145,6 +198,52 @@ class TestLossAndGrad:
         # loss for gradients that vanish.
         tol = 1e-9 * np.abs(ref_grad).max() + 1e-12 * abs(ref_loss)
         assert np.abs(grad - ref_grad).max() <= tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(table3_kernel_inputs())
+    def test_bitwise_equal_to_the_kernel_before_the_dispatch_trim(self, inputs):
+        theta, V = inputs
+        loss, grad = pidentity_loss_and_grad(theta, V)
+        old_loss, old_grad = loss_and_grad_before_dispatch_trim(theta, V)
+        assert loss == old_loss
+        assert grad.dtype == old_grad.dtype and grad.shape == old_grad.shape
+        assert grad.tobytes() == old_grad.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e31])
+    def test_guard_inputs_return_inf_and_zeros(self, bad):
+        theta = np.full((2, 5), 0.5)
+        theta[1, 3] = bad
+        for kernel in (pidentity_loss_and_grad, loss_and_grad_before_dispatch_trim):
+            loss, grad = kernel(theta, np.eye(5))
+            assert loss == np.inf
+            assert grad.shape == (2, 5) and not grad.any()
+
+    def test_singular_inverse_returns_inf_and_zeros(self):
+        # Two equal rows of 1e29: I + ΘΘᵀ rounds to an exactly singular
+        # matrix, which both kernels report as an infinite objective.
+        theta = np.full((2, 6), 1e29)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.eye(2) + theta @ theta.T)
+        for kernel in (pidentity_loss_and_grad, loss_and_grad_before_dispatch_trim):
+            loss, grad = kernel(theta, np.eye(6))
+            assert loss == np.inf
+            assert grad.shape == (2, 6) and not grad.any()
+
+    def test_private_numpy_functions_match_the_public_ones(self):
+        # The kernel calls these beneath np.linalg.inv and np.einsum; if a
+        # numpy upgrade moves or changes them, this fails first.
+        from numpy._core.multiarray import c_einsum
+        from numpy.linalg._umath_linalg import inv
+
+        rng = np.random.default_rng(5)
+        for p in range(1, 9):
+            A = np.eye(p) + rng.random((p, 3 * p)) @ rng.random((3 * p, p))
+            assert inv(A, signature="d->d").tobytes() == np.linalg.inv(A).tobytes()
+            X, Y = rng.random((p, 100)), rng.random((p, 100))
+            for spec in ("ij,ij->", "ij,ij->j"):
+                assert c_einsum(spec, X, Y).tobytes() == np.einsum(spec, X, Y).tobytes()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            inv(np.ones((2, 2)), signature="d->d")
 
     def test_nonfinite_parameters_safe(self):
         V = np.eye(4)

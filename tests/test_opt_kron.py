@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.error import squared_error
 from repro.linalg import AllRange, Identity, Kronecker, Ones, Prefix
 from repro.optimize import opt_0, opt_kron
-from repro.optimize.opt_kron import default_p
+from repro.optimize.opt_kron import _total_identity_like, default_p
 from repro.workload import (
     all_range_2d,
     k_way_marginals,
@@ -19,7 +21,61 @@ from repro.workload import (
 from repro.domain import Domain
 
 
+def _uniform_before_one_pass(G, n):
+    """The loop body of ``default_p`` before the one-pass check, verbatim:
+    whether G's off-diagonal and diagonal are each allclose-uniform."""
+    diag = np.diag(G).copy()
+    off = G - np.diag(diag)
+    off_vals = off[~np.eye(n, dtype=bool)]
+    uniform_off = off_vals.size == 0 or np.allclose(off_vals, off_vals.flat[0])
+    uniform_diag = np.allclose(diag, diag[0])
+    return uniform_off and uniform_diag
+
+
+def default_p_before_one_pass(factor_grams, n):
+    """``default_p`` before the one-pass check: the oracle it must match."""
+    for G in factor_grams:
+        if not _uniform_before_one_pass(G, n):
+            return max(1, n // 16)
+    return 1
+
+
+@st.composite
+def near_uniform_gram_sets(draw):
+    """One to three n x n Grams aI + b(11ᵀ - I), a few entries of each
+    replaced by NaN, ±inf, or a value at the edge of allclose's
+    ``atol + rtol·|y|`` around the entry y it is compared with."""
+    n = draw(st.sampled_from([1, 2, 3, 17, 31, 32, 33, 48, 64]))
+    value = st.sampled_from([0.0, -0.0, 1.0, -3.5, 1e-9, 2.5e7, 1e300, 128.0])
+    grams = []
+    for _ in range(draw(st.integers(1, 3))):
+        G = np.full((n, n), draw(value))
+        np.fill_diagonal(G, draw(value))
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            kind = draw(st.sampled_from(["nan", "inf", "-inf", "edge", "edge"]))
+            y = G[0, 0] if i == j else G[0, 1]
+            if kind != "edge":
+                G[i, j] = float(kind)
+            elif np.isfinite(y):
+                factor = draw(st.sampled_from([0.5, 1 - 2**-40, 1.0, 1 + 2**-40, 2.0]))
+                sign = draw(st.sampled_from([-1.0, 1.0]))
+                G[i, j] = y + sign * factor * (1e-8 + 1e-5 * abs(y))
+        grams.append(G)
+    return grams
+
+
 class TestDefaultP:
+    @settings(max_examples=200, deadline=None)
+    @given(near_uniform_gram_sets())
+    def test_matches_the_rule_before_the_one_pass_check(self, grams):
+        n = grams[0].shape[0]
+        with np.errstate(invalid="ignore"):  # the oracle's inf - inf
+            expected = default_p_before_one_pass(grams, n)
+            uniform = [_uniform_before_one_pass(G, n) for G in grams]
+        assert default_p(grams, n) == expected
+        assert [_total_identity_like(G) for G in grams] == uniform
+
     def test_identity_gram_gets_p1(self):
         G = Identity(32).gram().dense()
         assert default_p([G], 32) == 1

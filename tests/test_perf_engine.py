@@ -27,6 +27,10 @@ from repro.linalg import (
 )
 from repro.linalg.marginals import MarginalsAlgebra
 from repro.optimize import (
+    OptResult,
+    PIdentity,
+    default_operators,
+    driver,
     opt_0,
     opt_general,
     opt_hdmm,
@@ -154,8 +158,73 @@ class TestAutoExecutor:
         assert resolve_executor("auto") == "process"
 
 
+def _config_arrays(config, path=""):
+    """Every array and scalar of a strategy config, keyed by its path."""
+    if isinstance(config, dict):
+        items = config.items()
+    elif isinstance(config, (list, tuple)):
+        items = enumerate(config)
+    else:
+        return {path: config}
+    out = {}
+    for key, value in items:
+        out.update(_config_arrays(value, f"{path}/{key}"))
+    return out
+
+
+def _same_strategy(a, b) -> bool:
+    ca, cb = _config_arrays(a.to_config()), _config_arrays(b.to_config())
+    return ca.keys() == cb.keys() and all(
+        np.array_equal(ca[k], cb[k]) for k in ca
+    )
+
+
+_submitted = []
+
+
+def _tie_first(W, rng):
+    _submitted.append("first")
+    return OptResult(PIdentity(np.zeros((1, 8))), 1.0)
+
+
+def _tie_second(W, rng):
+    _submitted.append("second")
+    return OptResult(PIdentity(np.ones((1, 8))), 1.0)
+
+
 class TestSameSeedDeterminism:
     """workers=1 and workers=4 must return bit-identical losses."""
+
+    def test_opt_hdmm_all_default_operators_any_executor(self):
+        # A two-term union runs OPT_⊗, OPT_+ and OPT_M, and its cells are
+        # submitted OPT_+ first; the result must not depend on that.
+        W = range_total_union(8)
+        assert [name for name, _ in default_operators(W)] == [
+            "OPT_kron", "OPT_union", "OPT_marginals"
+        ]
+        seq = opt_hdmm(W, restarts=3, rng=13, workers=1)
+        for executor in ("thread", "process"):
+            par = opt_hdmm(W, restarts=3, rng=13, workers=2, executor=executor)
+            assert par.loss == seq.loss
+            assert _same_strategy(par.strategy, seq.strategy)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exact_ties_go_to_the_first_cell_not_the_first_submitted(
+        self, monkeypatch, workers
+    ):
+        # Rank the second operator first: its cells are submitted before
+        # any cell of the first, yet the tie goes to cell (0, "first").
+        monkeypatch.setitem(driver._SUBMIT_RANK, _tie_second, 0)
+        _submitted.clear()
+        res = opt_hdmm(
+            prefix_identity(8), restarts=2, rng=0, workers=workers,
+            executor="thread",
+            operators=[("first", _tie_first), ("second", _tie_second)],
+        )
+        if workers == 1:
+            assert _submitted == ["second", "second", "first", "first"]
+        assert res.loss == 1.0
+        assert not res.strategy.theta.any()
 
     def test_opt_hdmm(self):
         W = prefix_identity(8)
