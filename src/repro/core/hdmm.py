@@ -234,9 +234,10 @@ class HDMM:
             # Iterative solves go ε block by ε block, each from zero.
             # Narrow blocks beat one grid-wide solve because the five CG
             # working arrays stay in cache: a 5 x 10 sweep on a 4-block
-            # 16³ union took 125–128 ms as five 10-column solves against
-            # 130–141 ms as one 50-column solve (one x86-64 core,
-            # single-threaded BLAS).
+            # 16³ union (3 PCG iterations per column) took a median 58 ms
+            # as five 10-column solves against 64 ms as one 50-column
+            # solve, the split faster in 15 of 20 alternating runs (one
+            # x86-64 core, single-threaded BLAS).
             X_hat = np.empty((A.shape[1], T))
             for e in range(k):
                 block = slice(e * trials, (e + 1) * trials)

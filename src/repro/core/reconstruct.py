@@ -13,8 +13,9 @@ never materializes A or A⁺:
   gradients (:mod:`repro.core.solvers`) with the strategy's *cached* Gram
   operator as the iteration operator.  One- and two-block unions (the
   paper's OPT_+ instantiation) short-circuit to the exact two-term Gram
-  inverse; L ≥ 3 unions run CG preconditioned by the dominant-pair
-  inverse, cold from zero on every call.  LSMR remains as the fallback
+  inverse; L ≥ 3 unions run CG preconditioned by a pair's inverse
+  widened by the other blocks' diagonal in its basis, cold from zero on
+  every call.  LSMR remains as the fallback
   for columns CG cannot converge and as an independent cross-check.
 
 Every solve accepts a whole batch of right-hand sides: structured
@@ -235,8 +236,9 @@ def least_squares(
             else:
                 X = Ginv.matmat(B)
             return X[:, 0] if single else X
-        # L ≥ 3 unions: CG preconditioned by the dominant-pair inverse.
-        # method="cg" stays plain.
+        # L ≥ 3 unions: CG preconditioned by the probe-chosen pair
+        # inverse (plus the rest-of-union diagonal when that solves the
+        # probe faster).  method="cg" stays plain.
         preconditioner = union_gram_preconditioner(A)
 
     # CG (method "cg" or the general "auto" fallback), then LSMR for any

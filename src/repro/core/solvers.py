@@ -32,14 +32,17 @@ Multi-block unions (L ≥ 3).  The exact two-term inverse only covers the
 paper's ``groups=2`` OPT_+ instantiation; for a union of L ≥ 3 blocks
 (SF-1-style ``opt_union(groups≥3)`` strategies, service miss batches)
 ``G = Σ_l ⊗K_{l,i}`` has no closed factorization, so
-:func:`union_gram_preconditioner` picks the two *dominant* blocks
-(largest Gram trace), runs the two-term factorization on that pair, and
-serves ``M = (⊗K_a + ⊗K_b)⁻¹`` as a preconditioner for
-:func:`cg_gram_solve`.  ``M`` is exact on the dominant pair, so
-``M·G = I + M·(Σ_rest ⊗K)`` has its spectrum clustered at 1 plus the
-(trace-minor) remainder, and PCG needs a handful of iterations per
-column from a cold start — per-column-frozen convergence and the LSMR
-fallback contract carry over unchanged.
+:func:`union_gram_preconditioner` factors one pair of blocks with the
+two-term factorization, ``(G_a + G_b)⁻¹ = Eᵀ diag(1/(1+⊗λ)) E``, adds
+the other blocks' diagonals in that basis,
+``M = Eᵀ diag(1/(1+⊗λ+Σ_rest)) E``, and serves the pair and candidate
+(with or without ``Σ_rest``) that solves a fixed probe right-hand side in
+the fewest PCG iterations as the preconditioner for
+:func:`cg_gram_solve`.  On the Total-like unions ``opt_union`` fits the
+other blocks are nearly diagonal in the pair's basis, so ``M·G`` is close
+to ``I`` (3 iterations per column on the ε-sweep benchmark's 4-block 16³
+union, 7 with the pair alone).  Per-column-frozen convergence and the
+LSMR fallback contract carry over unchanged.
 """
 
 from __future__ import annotations
@@ -278,7 +281,7 @@ def _two_term_factorization(
     Returns ``(Es, ⊗λ)`` or ``None`` when neither ordering of the two
     factor lists yields a positive-definite base block.  Shared by the
     exact two-term inverse (:func:`union_gram_inverse`) and the
-    dominant-pair preconditioner (:func:`union_gram_preconditioner`).
+    L-block preconditioner (:func:`union_gram_preconditioner`).
     """
     from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
@@ -302,49 +305,53 @@ def _two_term_factorization(
     return None
 
 
-#: Most dominant-pair combinations scored before the L-block
-#: preconditioner picks one (pairs are enumerated in descending combined
-#: Gram-trace order; among the factorizable ones, the pair with the
-#: smallest estimated ``λmax(M·G)`` wins).
+#: Most block pairs factorized before the L-block preconditioner picks
+#: one (pairs are enumerated in descending combined Gram-trace order;
+#: each factorizable pair yields two candidates, scored by a probe solve).
 _PRECOND_PAIR_ATTEMPTS = 8
 
 
-def _estimate_lambda_max(G: Matrix, M: Matrix, iters: int = 8) -> float:
-    """Power-iteration estimate of ``λmax(M·G)`` (a ``κ(M·G)`` proxy).
-
-    ``M·G = I + M·(Σ_rest ⊗K)`` with both factors built from PSD blocks,
-    so ``λmin ≥ 1`` and the top eigenvalue alone measures conditioning.
-    The start vector is fixed, keeping pair selection deterministic.
-    """
-    v = np.random.default_rng(0).standard_normal(G.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(iters):
-        w = M.matvec(G.matvec(v))
-        lam = float(np.linalg.norm(w))
-        if lam == 0 or not np.isfinite(lam):
-            return np.inf
-        v = w / lam
-    return lam
+def _rest_diagonal(
+    Es: list[np.ndarray], rest: list[list[np.ndarray]]
+) -> np.ndarray:
+    """``Σ_l diag((⊗Eᵢ) (⊗K_{l,i}) (⊗Eᵢ)ᵀ) = Σ_l ⊗ᵢ diag(Eᵢ K_{l,i} Eᵢᵀ)``:
+    the other blocks' Grams seen in a pair's eigenbasis, diagonal part
+    only (one einsum per factor; every entry is ≥ 0 since the Grams are
+    PSD)."""
+    total = 0.0
+    for mats in rest:
+        diag = np.ones(1)
+        for E, K in zip(Es, mats):
+            diag = np.kron(diag, np.einsum("ij,jk,ik->i", E, K, E))
+        total = total + diag
+    return total
 
 
 def union_gram_preconditioner(A: Matrix) -> Matrix | None:
-    """Dominant-pair preconditioner for an L ≥ 3 union Gram.
+    """Preconditioner for an L ≥ 3 union Gram, chosen by a probe solve.
 
     For ``G = Σ_l ⊗K_{l,i}`` with three or more blocks there is no exact
-    structured inverse, but the two blocks with the largest Gram trace
-    carry most of ``G``'s energy: their two-term inverse
-    ``M = (⊗K_a + ⊗K_b)⁻¹`` (the same per-factor Cholesky +
-    eigendecomposition as :func:`union_gram_inverse`) spectrally clusters
-    ``M·G`` around 1, making it an effective preconditioner for
-    :func:`cg_gram_solve`.  Candidate pairs are enumerated in descending
-    combined Gram-trace order (ties broken by block index), but trace
-    alone cannot see *directional* dominance — equal-trace blocks can
-    differ by orders of magnitude in how well their pair minorizes ``G``
-    — so each factorizable candidate is scored by a cheap power-iteration
-    estimate of ``λmax(M·G)`` (``λmin ≥ 1`` by construction) and the
-    best-conditioned pair wins.  The factor state is cached on ``A``
-    under ``union_gram_precond_state`` (next to ``union_gram_state``) and
+    structured inverse.  A pair of blocks (a, b) gives, by the same
+    per-factor Cholesky + eigendecomposition as
+    :func:`union_gram_inverse`, ``(G_a + G_b)⁻¹ = Eᵀ diag(1/(1+⊗λ)) E``.
+    In that basis each other block whose factor shapes match adds
+    ``⊗ᵢ diag(Eᵢ K_{l,i} Eᵢᵀ)`` to the diagonal, giving the corrected
+
+        M = Eᵀ diag(1 / (1 + ⊗λ + Σ_rest)) E,
+
+    which accounts for every block at the pair's cost per apply (two
+    Kronecker mat-mats and one diagonal) and is exact when the other
+    blocks are diagonal in the pair's basis — as the Total-like blocks
+    of ``opt_union`` fits nearly are.  It is not always the better
+    choice (on mixed-scale unions the pair alone can converge faster),
+    so every candidate — each of the first ``_PRECOND_PAIR_ATTEMPTS``
+    shape-compatible pairs in descending combined Gram-trace order,
+    pair-only then corrected — is scored by its PCG iteration count on
+    one fixed probe ``b = Aᵀu``, ``u ~ N(0, I)`` from ``default_rng(0)``,
+    each probe capped at the best count so far.  The fewest iterations
+    win; ties keep the earlier candidate.  The factor state is cached on
+    ``A`` under ``union_gram_precond_state`` (next to
+    ``union_gram_state``; ``lam`` holds ``⊗λ + Σ_rest`` or ``⊗λ``) and
     persisted by :func:`export_gram_solver_state`.
 
     Returns the preconditioner as an implicit :class:`~repro.linalg.Matrix`
@@ -375,30 +382,41 @@ def union_gram_preconditioner(A: Matrix) -> Matrix | None:
 
     from itertools import combinations
 
-    G = A.gram()
-    best: tuple | None = None
+    def compatible(i: int, j: int) -> bool:
+        return len(mats[i]) == len(mats[j]) and all(
+            a.shape == b.shape for a, b in zip(mats[i], mats[j])
+        )
+
     # All shape-compatible pairs, in genuinely descending combined-trace
     # order (combinations() alone would enumerate every (top, j) pair
     # before (second, third) regardless of trace).  Compatibility is
     # checked before a pair consumes any of the factorization budget, so
     # one odd-shaped block cannot starve the viable pairs out of the
     # _PRECOND_PAIR_ATTEMPTS cap.
-    pairs = [
-        (i, j)
-        for i, j in combinations(candidates, 2)
-        if len(mats[i]) == len(mats[j])
-        and all(a.shape == b.shape for a, b in zip(mats[i], mats[j]))
-    ]
+    pairs = [(i, j) for i, j in combinations(candidates, 2) if compatible(i, j)]
     pairs.sort(key=lambda p: (-(traces[p[0]] + traces[p[1]]), p))
+    G = A.gram()
+    u = np.random.default_rng(0).standard_normal(A.shape[0])
+    probe = A.rmatvec(u)[:, None]
+    best: tuple | None = None
     for i, j in pairs[:_PRECOND_PAIR_ATTEMPTS]:
         factored = _two_term_factorization(mats[i], mats[j])
         if factored is None:
             continue
-        Es, lam_full = factored
-        M = _assemble_gram_inverse(Es, lam_full)
-        score = _estimate_lambda_max(G, M)
-        if best is None or score < best[0]:
-            best = (score, i, j, Es, lam_full, M)
+        Es, lam_pair = factored
+        rest = [
+            mats[l] for l in candidates if l not in (i, j) and compatible(i, l)
+        ]
+        lams = [lam_pair]
+        if rest:
+            lams.append(lam_pair + _rest_diagonal(Es, rest))
+        for lam_full in lams:
+            M = _assemble_gram_inverse(Es, lam_full)
+            cap = None if best is None or best[0] == np.inf else int(best[0])
+            result = cg_gram_solve(G, probe, maxiter=cap, preconditioner=M)
+            score = result.iterations[0] if result.converged[0] else np.inf
+            if best is None or score < best[0]:
+                best = (score, i, j, Es, lam_full, M)
     if best is None:
         return unavailable()
     _, i, j, Es, lam_full, M = best
@@ -428,9 +446,10 @@ def export_gram_solver_state(A: Matrix) -> dict | None:
       reloaded strategy never re-runs the per-factor
       Cholesky/eigendecomposition setup;
     * ``{"precond_factors": [...], "precond_lam": ⊗λ,
-      "precond_blocks": [a, b]}`` — the dominant-pair preconditioner of
-      an L ≥ 3 union (same factor layout), so a warm-loaded L-block
-      strategy never re-runs the dominant-pair factorization;
+      "precond_blocks": [a, b]}`` — the preconditioner of an L ≥ 3
+      union (same factor layout; ``precond_lam`` is ``⊗λ + Σ_rest`` or
+      ``⊗λ``), so a warm-loaded L-block strategy never re-runs the
+      factorizations or probe solves;
     * ``{"unavailable": True}`` — the factorization probe ran and failed
       (no affordable structure), so a reloaded strategy skips re-probing;
     * ``None`` — nothing is known (e.g. memoization was globally
@@ -451,7 +470,7 @@ def export_gram_solver_state(A: Matrix) -> dict | None:
             "precond_lam": state["lam"],
             "precond_blocks": [int(b) for b in state["blocks"]],
         }
-    # ``precond_probed`` marks that the dominant-pair probe itself ran
+    # ``precond_probed`` marks that the preconditioner probe itself ran
     # and failed.  Registry entries written before the preconditioner
     # existed carry a bare ``{"unavailable": True}``, and restore must
     # not let that legacy state disable a probe it never ran.
@@ -462,7 +481,7 @@ def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
     """Attach exported solver state to a strategy instance.
 
     Inverts :func:`export_gram_solver_state`'s cases: factor state
-    (exact inverse or dominant-pair preconditioner) is rebuilt and
+    (exact inverse or L-block preconditioner) is rebuilt and
     cached, a recorded failed probe is cached as ``"unavailable"`` (CG
     path, no re-probe), and ``None`` leaves the strategy untouched so
     the first solve probes normally.  Keys this version does not know
@@ -476,7 +495,7 @@ def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
             A.cache_set("union_gram_inverse", "unavailable")
             # Only a probe that actually ran may be recorded as failed —
             # a legacy export (pre-preconditioner registry entry) must
-            # leave the dominant-pair probe free to run on first use.
+            # leave the preconditioner probe free to run on first use.
             if state.get("precond_probed"):
                 A.cache_set("union_gram_precond", "unavailable")
         return
@@ -573,7 +592,7 @@ def cg_gram_solve(
         see the module docstring for the bitwise-determinism contract.
     preconditioner:
         Optional symmetric positive-definite approximation of ``G⁻¹``
-        applied once per iteration (e.g. the dominant-pair inverse from
+        applied once per iteration (e.g. the L-block preconditioner from
         :func:`union_gram_preconditioner`).  Convergence is still
         measured on the *unpreconditioned* residual, so tolerances and
         the LSMR-fallback contract are unchanged.

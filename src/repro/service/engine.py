@@ -222,7 +222,7 @@ def in_measured_span(A: Matrix, q: Matrix | np.ndarray, tol: float = SPAN_TOL) -
         if Ginv is not None:
             proj = Ginv.matmat(B)
         else:
-            # L ≥ 3 unions: the dominant-pair preconditioner cuts the CG
+            # L ≥ 3 unions: the union preconditioner cuts the CG
             # projection cost.  Its existence implies the Gram is positive
             # definite (full span), so preconditioning cannot perturb the
             # rank-deficient projection semantics.

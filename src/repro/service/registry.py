@@ -17,10 +17,10 @@ The npz carries the strategy's :mod:`structural config
 split out by :func:`~repro.linalg.flatten_arrays`) *and* the factor state
 of the structured union Gram solver
 (:func:`~repro.core.solvers.export_gram_solver_state`) — the exact
-two-term inverse for one- and two-block unions, or the dominant-pair
+two-term inverse for one- and two-block unions, or the probe-chosen
 preconditioner for L ≥ 3 unions — so a loaded strategy answers its first
 query without re-running the per-factor Cholesky/eigendecomposition
-setup.  All payloads are float64-exact: a reloaded strategy is
+setup or the preconditioner's probe solves.  All payloads are float64-exact: a reloaded strategy is
 bit-identical to the fitted one.
 
 Keys are :func:`~repro.service.fingerprint.workload_fingerprint` values,
@@ -439,7 +439,7 @@ class StrategyRegistry:
 
     def refresh_solver_state(self, key: str, strategy: Matrix) -> bool:
         """Re-persist an entry's npz with the strategy's *current* solver
-        state (exact two-term inverse or dominant-pair preconditioner).
+        state (exact two-term inverse or L-block preconditioner).
 
         Solver state can accrue after ``put`` — the factorization runs on
         a strategy's first solve if it was registered unsolved.  This

@@ -29,6 +29,14 @@ from repro.linalg import (
     Weighted,
     kmatmat,
 )
+from repro.core.reconstruct import least_squares
+from repro.core.solvers import (
+    _assemble_gram_inverse,
+    _kron_gram_factor_mats,
+    _two_term_factorization,
+    cg_gram_solve,
+    union_gram_preconditioner,
+)
 from repro.obs.spend import replay, report_from_accountant
 from repro.optimize import PIdentity, pidentity_loss_and_grad
 from repro.privacy import ApproxDPPolicy, PureEpsilonPolicy, ZCDPPolicy
@@ -233,6 +241,58 @@ class TestPIdentityProperties:
         assert np.allclose(
             A.gram_inverse(), np.linalg.inv(D.T @ D), rtol=1e-6, atol=1e-8
         )
+
+
+@st.composite
+def kron_unions(draw):
+    """An L-block union (L 3–6) of weighted p-Identity Kronecker products
+    with shared factor sizes, Θ scales log-uniform in 1e-2–1e2."""
+    L = draw(st.integers(3, 6))
+    sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    r = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(L):
+        factors = []
+        for n in sizes:
+            p = draw(st.integers(1, 3))
+            scale = 10.0 ** draw(st.floats(-2, 2))
+            factors.append(PIdentity(r.random((p, n)) * scale))
+        weight = draw(st.floats(0.05, 1.0))
+        blocks.append(Weighted(Kronecker(factors), weight))
+    return VStack(blocks)
+
+
+class TestUnionPreconditionerProperties:
+    """The L ≥ 3 preconditioner is chosen by a probe solve: it never
+    probes slower than the top-trace pair's exact inverse alone, and
+    PCG with it still solves the least squares problem exactly."""
+
+    @settings(max_examples=20)
+    @given(kron_unions())
+    def test_chosen_probes_no_slower_than_pair_only(self, A):
+        M = union_gram_preconditioner(A)
+        assert M is not None
+        mats = [_kron_gram_factor_mats(b) for b in A.blocks]
+        # The top-trace pair, higher trace first: the base order of the
+        # factorization moves the probe count by rounding on ill-
+        # conditioned unions, so it must match the first candidate's.
+        traces = [np.trace(b.gram().dense()) for b in A.blocks]
+        a, b = np.argsort(-np.asarray(traces), kind="stable")[:2]
+        M_pair = _assemble_gram_inverse(*_two_term_factorization(mats[a], mats[b]))
+        G = A.gram()
+        probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
+        chosen = cg_gram_solve(G, probe[:, None], preconditioner=M)
+        pair = cg_gram_solve(G, probe[:, None], preconditioner=M_pair)
+        assert chosen.converged.all()
+        assert not pair.converged.all() or (
+            chosen.iterations[0] <= pair.iterations[0]
+        )
+
+        Y = np.random.default_rng(1).standard_normal((A.shape[0], 2))
+        X = least_squares(A, Y)
+        X_ref = np.linalg.pinv(A.dense()) @ Y
+        assert np.max(np.abs(X - X_ref)) <= 1e-8 * np.abs(X_ref).max()
 
 
 class TestErrorProperties:

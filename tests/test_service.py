@@ -165,7 +165,7 @@ class TestRegistry:
         self, tmp_path
     ):
         """Acceptance: a warm registry load of an L ≥ 3 union strategy
-        restores the dominant-pair preconditioner state — the loaded
+        restores the L-block preconditioner state — the loaded
         strategy serves without ever re-running the factorization."""
         import repro.core.solvers as solvers
         from repro.core import least_squares
@@ -192,11 +192,11 @@ class TestRegistry:
         state = rec.strategy.cache_get("union_gram_precond_state")
         assert state is not None and len(state["blocks"]) == 2
 
-        # The dominant-pair factorization must never run again: the
+        # The pair factorization must never run again: the
         # restored factors are used as-is.
         original = solvers._two_term_factorization
         solvers._two_term_factorization = lambda *a, **k: (_ for _ in ()).throw(
-            AssertionError("dominant-pair factorization re-ran on warm load")
+            AssertionError("pair factorization re-ran on warm load")
         )
         try:
             M = union_gram_preconditioner(rec.strategy)

@@ -16,6 +16,8 @@ from repro.core.reconstruct import (
     resolves_to_pinv,
 )
 from repro.core.solvers import (
+    _kron_gram_factor_mats,
+    _two_term_factorization,
     cg_gram_solve,
     export_gram_solver_state,
     restore_gram_solver_state,
@@ -269,8 +271,33 @@ class TestUnionGramInverse:
         assert union_gram_inverse(A) is union_gram_inverse(A)
 
 
+def _kron_dense(mats):
+    out = np.ones((1, 1))
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def _precond_inverse_parts(A, state):
+    """Dense pieces of an L-block preconditioner's inverse, from its
+    state and the blocks' dense Grams: a function ``σ ↦ G_pair +
+    E⁻¹ diag(σ) E⁻ᵀ`` (``E = ⊗Eᵢ``), the pair's ``⊗λ`` and the other
+    blocks' diagonal ``Σ_rest`` in the pair's basis."""
+    i, j = state["blocks"]
+    E = _kron_dense(state["factors"])
+    E_inv = np.linalg.inv(E)
+    G_pair = VStack([A.blocks[i], A.blocks[j]]).gram().dense()
+    lam_pair = np.diag(E @ G_pair @ E.T) - 1.0
+    sigma = sum(
+        np.diag(E @ A.blocks[l].gram().dense() @ E.T)
+        for l in range(len(A.blocks))
+        if l not in (i, j)
+    )
+    return (lambda s: G_pair + E_inv @ np.diag(s) @ E_inv.T), lam_pair, sigma
+
+
 class TestMultiblockGramSolver:
-    """Dominant-pair preconditioned block-CG for L ≥ 3 unions."""
+    """Probe-chosen preconditioned block-CG for L ≥ 3 unions."""
 
     @pytest.mark.parametrize("L", [3, 4, 5])
     def test_union_solve_matches_dense_pinv(self, rng, L):
@@ -282,16 +309,104 @@ class TestMultiblockGramSolver:
         assert np.max(np.abs(X - X_ref)) / scale <= 1e-8
 
     @pytest.mark.parametrize("L", [3, 4, 5])
-    def test_preconditioner_inverts_dominant_pair(self, rng, L):
+    def test_preconditioner_inverts_pair_plus_rest(self, rng, L):
+        """The stored state is ``M = Eᵀ diag(1/(1+⊗λ+Σ_rest)) E``: its
+        inverse is the pair's Gram plus the other blocks' diagonal in the
+        pair's basis, rebuilt here from dense Grams.  On these unions the
+        corrected candidate solves the probe fastest."""
         A = _multiblock_strategy(rng, L)
         M = union_gram_preconditioner(A)
         assert M is not None
         state = A.cache_get("union_gram_precond_state")
-        i, j = state["blocks"]
-        pair = VStack([A.blocks[i], A.blocks[j]])
-        G_pair = pair.gram().dense()
-        n = A.shape[1]
-        assert np.allclose(M.dense() @ G_pair, np.eye(n), atol=1e-8)
+        M_inv, lam_pair, sigma = _precond_inverse_parts(A, state)
+        assert np.any(sigma > 1e-3)
+        assert np.allclose(state["lam"], lam_pair + sigma, rtol=1e-10, atol=1e-10)
+        assert np.allclose(M.dense() @ M_inv(sigma), np.eye(A.shape[1]), atol=1e-8)
+
+    def test_preconditioner_keeps_pair_only_when_it_probes_faster(self):
+        """On mixed-scale blocks the rest-of-union diagonal can slow PCG
+        down; the probe then keeps the pair's exact inverse alone."""
+        r = np.random.default_rng(100)
+        A = VStack(
+            [
+                Weighted(
+                    Kronecker(
+                        [
+                            PIdentity(r.random((2, 8)) * r.choice([0.01, 1, 100]))
+                            for _ in range(2)
+                        ]
+                    ),
+                    r.random(),
+                )
+                for _ in range(4)
+            ]
+        )
+        M = union_gram_preconditioner(A)
+        state = A.cache_get("union_gram_precond_state")
+        M_inv, lam_pair, sigma = _precond_inverse_parts(A, state)
+        assert np.allclose(state["lam"], lam_pair, rtol=1e-10, atol=1e-10)
+        assert np.allclose(
+            M.dense() @ M_inv(np.zeros_like(sigma)), np.eye(A.shape[1]), atol=1e-8
+        )
+        # The corrected candidate for the same pair probes no faster.
+        probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
+        E = _kron_dense(state["factors"])
+        corrected = Dense(E.T @ np.diag(1.0 / (1.0 + lam_pair + sigma)) @ E)
+        G = A.gram()
+        kept = cg_gram_solve(G, probe[:, None], preconditioner=M)
+        other = cg_gram_solve(G, probe[:, None], preconditioner=corrected)
+        assert kept.converged.all() and other.converged.all()
+        assert kept.iterations[0] < other.iterations[0]
+
+    def test_preconditioner_tie_keeps_pair_only(self, rng):
+        """A third block too light to change the probe count ties the
+        two candidates of the top pair; the earlier one, pair-only, wins."""
+        A = VStack(
+            [
+                Weighted(
+                    Kronecker(
+                        [PIdentity(rng.random((2, 6))), PIdentity(rng.random((2, 5)))]
+                    ),
+                    w,
+                )
+                for w in (1.0, 1.0, 0.01)
+            ]
+        )
+        M = union_gram_preconditioner(A)
+        state = A.cache_get("union_gram_precond_state")
+        assert tuple(state["blocks"]) == (0, 1)
+        _, lam_pair, sigma = _precond_inverse_parts(A, state)
+        E = _kron_dense(state["factors"])
+        corrected = Dense(E.T @ np.diag(1.0 / (1.0 + lam_pair + sigma)) @ E)
+        probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
+        G = A.gram()
+        kept = cg_gram_solve(G, probe[:, None], preconditioner=M)
+        other = cg_gram_solve(G, probe[:, None], preconditioner=corrected)
+        assert kept.iterations[0] == other.iterations[0]
+        assert sigma.max() > 1e-4
+        assert np.allclose(state["lam"], lam_pair, rtol=0, atol=1e-10)
+
+    def test_legacy_pair_only_state_restores_and_solves(self, rng):
+        """A state exported with a pair-only ``precond_lam`` (the format
+        written before the rest-of-union diagonal existed) restores as a
+        valid preconditioner, and its solves match the dense pinv."""
+        A = _multiblock_strategy(rng, 4)
+        mats = [_kron_gram_factor_mats(b) for b in A.blocks]
+        Es, lam_pair = _two_term_factorization(mats[0], mats[1])
+        legacy = {
+            "precond_factors": Es,
+            "precond_lam": lam_pair,
+            "precond_blocks": [0, 1],
+        }
+        restore_gram_solver_state(A, legacy)
+        M = union_gram_preconditioner(A)
+        G_pair = VStack([A.blocks[0], A.blocks[1]]).gram().dense()
+        assert np.allclose(M.dense() @ G_pair, np.eye(A.shape[1]), atol=1e-8)
+        Y = rng.standard_normal((A.shape[0], 4))
+        X = least_squares(A, Y)
+        X_ref = np.linalg.pinv(A.dense()) @ Y
+        scale = max(1.0, np.abs(X_ref).max())
+        assert np.max(np.abs(X - X_ref)) / scale <= 1e-8
 
     def test_preconditioner_unavailable_below_three_blocks(self, rng):
         assert union_gram_preconditioner(_union_strategy(rng)) is None
@@ -375,7 +490,7 @@ class TestMultiblockGramSolver:
     def test_legacy_unavailable_state_does_not_disable_precond(self, rng):
         """Registry entries persisted before the preconditioner existed
         carry a bare {'unavailable': True}; restoring one onto an L ≥ 3
-        strategy must leave the dominant-pair probe free to run."""
+        strategy must leave the preconditioner probe free to run."""
         A = _multiblock_strategy(rng, 3)
         restore_gram_solver_state(A, {"unavailable": True})  # legacy form
         assert A.cache_get("union_gram_inverse") == "unavailable"
