@@ -24,7 +24,8 @@ data access is the Laplace measurement, and everything after it is
 post-processing, so each trial of the mechanism is ε-differentially
 private for its own ε.  (Running many trials composes: a 20-trial sweep
 spends the sum of its budgets — budget accounting is the caller's
-responsibility, e.g. via :class:`~repro.core.privacy.PrivacyLedger`.)
+responsibility, e.g. via
+:class:`~repro.service.accountant.PrivacyAccountant`.)
 """
 
 from __future__ import annotations
@@ -228,9 +229,7 @@ class HDMM:
             A, x, eps_flat, rng, mechanism, delta, columnwise=exact
         )
 
-        if k > 1 and not resolves_to_direct(
-            A, method, solver_kwargs.get("dense_pinv_limit")
-        ):
+        if k > 1 and not resolves_to_direct(A, method):
             # Iterative solves go ε block by ε block, each from zero.
             # Narrow blocks beat one grid-wide solve because the five CG
             # working arrays stay in cache: a 5 x 10 sweep on a 4-block

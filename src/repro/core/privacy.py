@@ -21,15 +21,9 @@ zCDP composes by *summing* ρ sequentially (and taking the max across
 parallel partitions), which is what makes it the accountant's native
 curve for Gaussian traffic: composing the converted (ε, δ) pairs
 directly would be far looser.
-
-:class:`PrivacyLedger` provides simple sequential composition accounting
-for pipelines that split the budget across stages (e.g. DAWA's
-partition + measurement stages).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,40 +32,6 @@ import numpy as np
 #: for any realistic dataset size, large enough that ε→ρ conversion does
 #: not blow up the noise.
 DEFAULT_DELTA = 1e-6
-
-
-@dataclass
-class PrivacyLedger:
-    """Sequential-composition budget tracker.
-
-    Stages register their spend with :meth:`spend`; exceeding the total
-    budget raises immediately, making over-spending a programming error
-    rather than a silent privacy violation.
-    """
-
-    epsilon: float
-    spent: float = 0.0
-    stages: list[tuple[str, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("total budget must be positive")
-
-    def spend(self, amount: float, stage: str = "") -> float:
-        """Consume ``amount`` of budget; returns the amount for chaining."""
-        if amount <= 0:
-            raise ValueError("budget spend must be positive")
-        if self.spent + amount > self.epsilon * (1 + 1e-12):
-            raise ValueError(
-                f"privacy budget exceeded: {self.spent} + {amount} > {self.epsilon}"
-            )
-        self.spent += amount
-        self.stages.append((stage, amount))
-        return amount
-
-    @property
-    def remaining(self) -> float:
-        return max(0.0, self.epsilon - self.spent)
 
 
 def sensitivity_of(A, p: int = 1) -> float:

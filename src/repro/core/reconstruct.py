@@ -43,47 +43,24 @@ from .solvers import (
 
 #: Largest min(m, n) for which an unstructured matrix is considered small
 #: enough for a dense pseudo-inverse on the ``method="auto"`` path.
-#: Override per call via ``least_squares(..., dense_pinv_limit=...)``.
 DENSE_PINV_LIMIT = 4096
 
 
-def _resolve_dense_limit(dense_pinv_limit: int | None) -> int:
-    if dense_pinv_limit is None:
-        return DENSE_PINV_LIMIT
-    if (
-        isinstance(dense_pinv_limit, bool)
-        or not isinstance(dense_pinv_limit, (int, np.integer))
-        or dense_pinv_limit < 0
-    ):
-        raise ValueError(
-            "dense_pinv_limit must be a non-negative integer or None, "
-            f"got {dense_pinv_limit!r}"
-        )
-    return int(dense_pinv_limit)
-
-
-def has_structured_pinv(A: Matrix, dense_pinv_limit: int | None = None) -> bool:
+def has_structured_pinv(A: Matrix) -> bool:
     """Whether ``A⁺`` has a structured (or affordable dense) form."""
-    limit = _resolve_dense_limit(dense_pinv_limit)
-    return _has_structured_pinv(A, limit)
-
-
-def _has_structured_pinv(A: Matrix, limit: int) -> bool:
     if isinstance(A, (MarginalsStrategy, PIdentity)):
         return True
     if isinstance(A, Weighted):
-        return _has_structured_pinv(A.base, limit)
+        return has_structured_pinv(A.base)
     if isinstance(A, Kronecker):
         return all(
-            _has_structured_pinv(f, limit) or min(f.shape) <= limit
+            has_structured_pinv(f) or min(f.shape) <= DENSE_PINV_LIMIT
             for f in A.factors
         )
-    return min(A.shape) <= limit  # small enough for a dense pseudo-inverse
+    return min(A.shape) <= DENSE_PINV_LIMIT  # small enough for a dense pinv
 
 
-def resolves_to_pinv(
-    A: Matrix, method: str = "auto", dense_pinv_limit: int | None = None
-) -> bool:
+def resolves_to_pinv(A: Matrix, method: str = "auto") -> bool:
     """Whether :func:`least_squares` would take the pseudo-inverse path
     for this strategy/method combination.  Forcing ``method="pinv"`` on a
     :class:`VStack` union raises in :func:`least_squares`, so that
@@ -91,21 +68,50 @@ def resolves_to_pinv(
     if method == "pinv":
         return not isinstance(A, VStack)
     return (
-        method == "auto"
-        and not isinstance(A, VStack)
-        and has_structured_pinv(A, dense_pinv_limit)
+        method == "auto" and not isinstance(A, VStack) and has_structured_pinv(A)
     )
 
 
-def resolves_to_direct(
-    A: Matrix, method: str = "auto", dense_pinv_limit: int | None = None
-) -> bool:
+def resolves_to_direct(A: Matrix, method: str = "auto") -> bool:
     """Whether :func:`least_squares` would solve directly (structured
     pseudo-inverse or the two-term union Gram inverse) — i.e. iteration
     caps and tolerances are irrelevant for this strategy/method pair."""
-    if resolves_to_pinv(A, method, dense_pinv_limit):
+    if resolves_to_pinv(A, method):
         return True
     return method == "auto" and union_gram_inverse(A) is not None
+
+
+def validate_solver_options(
+    A: Matrix,
+    method: str = "auto",
+    atol: float = 1e-10,
+    btol: float = 1e-10,
+    maxiter: int | None = None,
+    rtol: float = 1e-11,
+) -> tuple[str, float, float, int | None, float]:
+    """Check :func:`least_squares`' solver options for strategy ``A``.
+
+    Returns them normalized as ``(method, atol, btol, maxiter, rtol)``.
+    An unknown option name raises ``TypeError``; an unknown method, an
+    out-of-range value, or ``method="pinv"`` on a :class:`VStack` union
+    raises ``ValueError``.  The query service calls this before its
+    accountant debit, so a request it would refuse spends nothing.
+    """
+    if method not in ("auto", "pinv", "cg", "lsmr"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "pinv" and isinstance(A, VStack):
+        raise ValueError(
+            "method='pinv' is not available for VStack (union) strategies: "
+            "no structured pseudo-inverse exists for a union of products; "
+            "use method='auto', 'cg', or 'lsmr'"
+        )
+    return (
+        method,
+        validate_tolerance("atol", atol),
+        validate_tolerance("btol", btol),
+        validate_maxiter(maxiter),
+        validate_tolerance("rtol", rtol),
+    )
 
 
 def _lsmr_columns(
@@ -142,7 +148,6 @@ def least_squares(
     btol: float = 1e-10,
     maxiter: int | None = None,
     rtol: float = 1e-11,
-    dense_pinv_limit: int | None = None,
     columnwise: bool | None = None,
 ) -> np.ndarray:
     """Solve ``min_x ‖Ax - y‖₂`` using the strategy's structure.
@@ -165,8 +170,6 @@ def least_squares(
     rtol:
         CG stopping criterion on the normal-equations residual,
         ``‖AᵀA x - Aᵀy‖₂ <= rtol · ‖Aᵀy‖₂`` per column.
-    dense_pinv_limit:
-        Override of :data:`DENSE_PINV_LIMIT` for this call.
     columnwise:
         Apply operators one contiguous column at a time so a batched
         solve is bit-identical to looping the columns (the serving
@@ -178,10 +181,11 @@ def least_squares(
     Raises
     ------
     ValueError
-        If ``method="pinv"`` is forced for a :class:`VStack` union
-        strategy — no structured pseudo-inverse exists for a union, and
-        silently falling through to an iterative solver would misreport
-        how the estimate was computed.
+        On an option :func:`validate_solver_options` refuses — notably
+        ``method="pinv"`` forced for a :class:`VStack` union strategy: no
+        structured pseudo-inverse exists for a union, and silently
+        falling through to an iterative solver would misreport how the
+        estimate was computed.
     """
     y = np.asarray(y, dtype=np.float64)
     single = y.ndim == 1
@@ -192,21 +196,11 @@ def least_squares(
         raise ValueError(
             f"y must have shape ({A.shape[0]},) or ({A.shape[0]}, T), got {y.shape}"
         )
-    if method not in ("auto", "pinv", "cg", "lsmr"):
-        raise ValueError(f"unknown method {method!r}")
-    atol = validate_tolerance("atol", atol)
-    btol = validate_tolerance("btol", btol)
-    rtol = validate_tolerance("rtol", rtol)
-    maxiter = validate_maxiter(maxiter)
+    method, atol, btol, maxiter, rtol = validate_solver_options(
+        A, method, atol, btol, maxiter, rtol
+    )
 
-    if method == "pinv" and isinstance(A, VStack):
-        raise ValueError(
-            "method='pinv' is not available for VStack (union) strategies: "
-            "no structured pseudo-inverse exists for a union of products; "
-            "use method='auto', 'cg', or 'lsmr'"
-        )
-
-    if resolves_to_pinv(A, method, dense_pinv_limit):
+    if resolves_to_pinv(A, method):
         P = A.pinv()
         if columnwise:
             X = _apply_columnwise(P.matvec, Y, A.shape[1])

@@ -348,8 +348,9 @@ def union_gram_preconditioner(A: Matrix) -> Matrix | None:
     shape-compatible pairs in descending combined Gram-trace order,
     pair-only then corrected — is scored by its PCG iteration count on
     one fixed probe ``b = Aᵀu``, ``u ~ N(0, I)`` from ``default_rng(0)``,
-    each probe capped at the best count so far.  The fewest iterations
-    win; ties keep the earlier candidate.  The factor state is cached on
+    each probe capped at the best count so far (a pair's corrected
+    candidate is probed first).  The fewest iterations win; ties keep
+    the earlier candidate in that order.  The factor state is cached on
     ``A`` under ``union_gram_precond_state`` (next to
     ``union_gram_state``; ``lam`` holds ``⊗λ + Σ_rest`` or ``⊗λ``) and
     persisted by :func:`export_gram_solver_state`.
@@ -398,8 +399,12 @@ def union_gram_preconditioner(A: Matrix) -> Matrix | None:
     G = A.gram()
     u = np.random.default_rng(0).standard_normal(A.shape[0])
     probe = A.rmatvec(u)[:, None]
+    # Candidates rank by (probe iterations, pair rank, pair-only before
+    # corrected).  The corrected candidate is probed first because it
+    # usually wins, which caps the pair-only probe at its count; the rank
+    # keeps ties on the pair-only one all the same.
     best: tuple | None = None
-    for i, j in pairs[:_PRECOND_PAIR_ATTEMPTS]:
+    for rank, (i, j) in enumerate(pairs[:_PRECOND_PAIR_ATTEMPTS]):
         factored = _two_term_factorization(mats[i], mats[j])
         if factored is None:
             continue
@@ -410,13 +415,16 @@ def union_gram_preconditioner(A: Matrix) -> Matrix | None:
         lams = [lam_pair]
         if rest:
             lams.append(lam_pair + _rest_diagonal(Es, rest))
-        for lam_full in lams:
+        for corrected in reversed(range(len(lams))):
+            lam_full = lams[corrected]
             M = _assemble_gram_inverse(Es, lam_full)
-            cap = None if best is None or best[0] == np.inf else int(best[0])
+            best_score = np.inf if best is None else best[0][0]
+            cap = None if best_score == np.inf else int(best_score)
             result = cg_gram_solve(G, probe, maxiter=cap, preconditioner=M)
             score = result.iterations[0] if result.converged[0] else np.inf
-            if best is None or score < best[0]:
-                best = (score, i, j, Es, lam_full, M)
+            order = (score, rank, corrected)
+            if best is None or order < best[0]:
+                best = (order, i, j, Es, lam_full, M)
     if best is None:
         return unavailable()
     _, i, j, Es, lam_full, M = best

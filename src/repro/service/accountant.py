@@ -5,10 +5,10 @@ epsilon cap — the total privacy loss its owners have authorized.  The
 accountant is the single gate in front of MEASURE: every measurement
 debits it *before* any noise is drawn, and a debit that would exceed the
 cap raises :class:`BudgetExceededError` with the data untouched, making
-over-spending a programming error rather than a silent privacy violation
-(the same contract as :class:`~repro.core.privacy.PrivacyLedger`, which
-tracks a single pipeline's stages; the accountant tracks many datasets
-across many requests).
+over-spending a programming error rather than a silent privacy violation.
+One :class:`PrivacyAccountant` tracks many datasets across many requests;
+a single pipeline that splits its budget across stages debits it once
+per stage.
 
 Two composition rules are supported:
 

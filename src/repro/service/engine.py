@@ -46,10 +46,16 @@ measurement.  The serving rules:
   registry — :meth:`QueryService.probe`) is measured through its fitted
   strategy instead: warm beats direct in the routing order, because the
   fitted measurement is more accurate and costs no fit either.
+* **refusals are free on every route** — direct, warm and cold misses
+  share one accounted tail: every option, solver options included
+  (:func:`~repro.core.reconstruct.validate_solver_options`), is checked
+  before the accountant's debit, so a request any route would refuse
+  spends nothing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import logging
 import os
@@ -62,7 +68,7 @@ import numpy as np
 
 from ..core.hdmm import HDMM
 from ..core.privacy import DEFAULT_DELTA
-from ..core.reconstruct import resolves_to_pinv
+from ..core.reconstruct import resolves_to_pinv, validate_solver_options
 from ..core.solvers import (
     cg_gram_solve,
     union_gram_inverse,
@@ -110,28 +116,7 @@ __all__ = [
 #: fitting path regardless of row count.
 DIRECT_MISS_SUPPORT_LIMIT = 256
 
-#: Keyword options :meth:`QueryService.answer` accepts for its miss
-#: measurement.  The fitting path forwards them to ``measure`` →
-#: ``run_batch``; the closed-form direct path has no solver to configure,
-#: but still validates against this set so a misspelled option fails the
-#: same way regardless of which path the batch size selects.
-ANSWER_MEASURE_OPTIONS = frozenset(
-    {
-        "domain",
-        "cache",
-        "method",
-        "exact",
-        "atol",
-        "btol",
-        "maxiter",
-        "rtol",
-        "dense_pinv_limit",
-        "mechanism",
-        "delta",
-    }
-)
-
-#: Default relative tolerance for the measured-span membership test.
+#: Relative tolerance of the measured-span membership test.
 #: Structured pseudo-inverse paths (notably the marginals algebra's
 #: triangular solves) carry ~1e-7 of numerical noise on supported
 #: queries, while out-of-span residuals are O(1) — 1e-6 separates the
@@ -377,7 +362,6 @@ class QueryService:
         restarts: int = 25,
         rng: np.random.Generator | int | None = None,
         template: str = "opt_hdmm",
-        span_tol: float = SPAN_TOL,
         fit_kwargs: dict | None = None,
         direct_miss_threshold: int = 32,
     ):
@@ -407,12 +391,6 @@ class QueryService:
         self.restarts = validate_positive_int("restarts", restarts)
         self.rng = np.random.default_rng(rng)
         self.template = template
-        span_tol = float(span_tol)
-        if not np.isfinite(span_tol) or span_tol <= 0:
-            raise ValueError(
-                f"span_tol must be a finite positive float, got {span_tol!r}"
-            )
-        self.span_tol = span_tol
         self.fit_kwargs = dict(fit_kwargs or {})
         if (
             isinstance(direct_miss_threshold, bool)
@@ -561,7 +539,8 @@ class QueryService:
         deadline=None,
         mechanism: str = "laplace",
         delta: float | None = None,
-        **run_kwargs,
+        exact: bool = False,
+        **solver_options,
     ) -> ServeResult:
         """Run an accounted (ε-grid x trials) measurement sweep.
 
@@ -572,10 +551,14 @@ class QueryService:
         calibrated through zCDP at ``delta`` (default
         :data:`~repro.core.privacy.DEFAULT_DELTA`) and debits a v2
         record carrying the per-trial δ and ρ totals alongside the same
-        ε.  Extra keyword arguments (``exact``, ``method``, solver
-        tolerances) forward to :meth:`~repro.core.hdmm.HDMM.run_batch`,
-        so ``exact=True`` serves answers bit-identical to the sequential
-        single-shot loop at the same seeds, for every strategy class.
+        ε.  ``exact`` and the solver options (``method``, ``atol``,
+        ``btol``, ``maxiter``, ``rtol``) forward to
+        :meth:`~repro.core.hdmm.HDMM.run_batch`, so ``exact=True`` serves
+        answers bit-identical to the sequential single-shot loop at the
+        same seeds, for every strategy class.  Options are checked
+        against the strategy before the debit: an unknown name, an
+        out-of-range value or ``method="pinv"`` on a union strategy
+        raises with nothing spent.
 
         With ``cache=True`` the reconstruction of the highest-ε first
         trial is kept for zero-budget :meth:`query` serving — unless a
@@ -595,7 +578,11 @@ class QueryService:
                 deadline=deadline,
                 mechanism=mechanism,
                 delta=delta,
-                **run_kwargs,
+                exact=exact,
+                # Always passed, so a caller's own support= is refused as
+                # a duplicate instead of selecting the direct route.
+                support=None,
+                **solver_options,
             )
             result.trace_id = _TRACER.current_trace_id()
         if _METRICS.enabled:
@@ -615,8 +602,23 @@ class QueryService:
         deadline=None,
         mechanism: str = "laplace",
         delta: float | None = None,
-        **run_kwargs,
+        exact: bool = False,
+        support: np.ndarray | None = None,
+        **solver_options,
     ) -> ServeResult:
+        """The accounted tail of every measurement, fitted or direct.
+
+        With ``support=None`` the workload is measured through its
+        fitted strategy (:meth:`prepare`, then one ``run_batch`` pass).
+        Otherwise this is the cold-miss direct route: the strategy is the
+        sensitivity-1 selection matrix ``S`` of the ``support`` cells
+        (:func:`selection_matrix`), measured once under ``eps`` and
+        reconstructed by a scatter (``S⁺ = Sᵀ``); its x̂ is cached under
+        a support-derived key, so identical ad-hoc traffic later hits for
+        free.  Both routes check every option before the debit, pass the
+        same ε-spend fence and store x̂ under the same keep-the-higher-ε
+        rule.
+        """
         from ..privacy.mechanisms import get_mechanism
 
         ds = self._dataset(dataset)
@@ -638,7 +640,8 @@ class QueryService:
             charge_eps = np.ascontiguousarray(np.repeat(eps_arr, trials))
             total = float(np.sum(charge_eps))
         # Every cheap precondition runs before the debit: a programming
-        # error (wrong dataset/workload pairing) must not burn budget.
+        # error (wrong dataset/workload pairing, a misspelled or
+        # out-of-range option) must not burn budget.
         if workload.shape[1] != ds.x.shape[0]:
             raise SchemaMismatchError(
                 f"workload domain size {workload.shape[1]} does not match "
@@ -650,14 +653,26 @@ class QueryService:
                     else ""
                 )
             )
+        if support is None:
+            if deadline is not None:
+                deadline.check("warm")  # registry probe/load stage boundary
+            with _TRACER.span("select.prepare"):
+                key, strategy, loss, from_registry = self.prepare(
+                    workload, domain=domain, deadline=deadline
+                )
+        else:
+            key = f"direct:{hashlib.sha256(support.tobytes()).hexdigest()[:16]}"
+            strategy = selection_matrix(support, ds.x.shape[0])
+            loss, from_registry = None, False
+            if not support.size:
+                # All-zero queries: the answer is the constant 0 whatever
+                # the data — pure post-processing.  Nothing is charged,
+                # and the cached empty reconstruction is exact (ε = ∞).
+                eps_arr = np.full(1, np.inf)
+                charge_eps = total = 0.0
+        validate_solver_options(strategy, **solver_options)
 
-        if deadline is not None:
-            deadline.check("warm")  # registry probe/load stage boundary
-        with _TRACER.span("select.prepare"):
-            key, strategy, loss, from_registry = self.prepare(
-                workload, domain=domain, deadline=deadline
-            )
-        if self.accountant is not None:
+        if self.accountant is not None and total > 0:
             if deadline is not None:
                 # The ε-spend fence (see repro.server.deadline): the last
                 # budget check a deadline can ever fail happens *here*,
@@ -680,25 +695,36 @@ class QueryService:
             if deadline is not None:
                 deadline.mark_committed(total)
 
-        mech = HDMM(restarts=self.restarts, rng=self.rng)
-        mech.workload = workload
-        mech.strategy = strategy
-        with _TRACER.span(
-            "measure.run_batch", grid=len(eps_arr), trials=trials
-        ):
-            # Post-commit kill/latency point: a crash or stall here is the
-            # burned-budget case the WAL invariant exists for.
-            faults.check("engine.measure.noise")
-            answers, x_hat = mech.run_batch(
-                ds.x,
-                eps_arr,
-                trials=trials,
-                rng=rng,
-                return_data_vector=True,
-                mechanism=mech_obj.name,
-                delta=getattr(mech_obj, "delta", DEFAULT_DELTA),
-                **run_kwargs,
-            )
+        if support is None:
+            mech = HDMM(restarts=self.restarts, rng=self.rng)
+            mech.workload = workload
+            mech.strategy = strategy
+            with _TRACER.span(
+                "measure.run_batch", grid=len(eps_arr), trials=trials
+            ):
+                # Post-commit kill/latency point: a crash or stall here is
+                # the burned-budget case the WAL invariant exists for.
+                faults.check("engine.measure.noise")
+                answers, x_hat = mech.run_batch(
+                    ds.x,
+                    eps_arr,
+                    trials=trials,
+                    rng=rng,
+                    return_data_vector=True,
+                    mechanism=mech_obj.name,
+                    delta=getattr(mech_obj, "delta", DEFAULT_DELTA),
+                    exact=exact,
+                    **solver_options,
+                )
+        else:
+            x_hat = np.zeros((1, 1, ds.x.shape[0]))
+            if support.size:
+                faults.check("engine.measure.noise")
+                # S⁺ = Sᵀ for a selection matrix: x̂ is the scatter of y
+                x_hat[0, 0, support] = mech_obj.measure(
+                    strategy, ds.x, float(eps_arr[0]), rng
+                )
+            answers = np.asarray(workload.matvec(x_hat[0, 0])).reshape(1, 1, -1)
         if cache:
             best = int(np.argmax(eps_arr))
             existing = ds.reconstructions.get(key)
@@ -755,12 +781,12 @@ class QueryService:
                 if memo is None:
                     memo = recon.strategy.cache_set(
                         memo_key,
-                        in_measured_span(recon.strategy, Q, tol=self.span_tol),
+                        in_measured_span(recon.strategy, Q),
                     )
                 if memo:
                     return recon
                 continue
-            if in_measured_span(recon.strategy, Q, tol=self.span_tol):
+            if in_measured_span(recon.strategy, Q):
                 return recon
         return None
 
@@ -900,98 +926,6 @@ class QueryService:
             dataset, [q], eps=eps, rng=rng, stage=stage, **run_kwargs
         ).answers[0]
 
-    def _measure_misses_direct(
-        self,
-        dataset: str,
-        blocks: list[Matrix],
-        eps: float,
-        rng: np.random.Generator | int | None,
-        stage: str,
-        cache: bool = True,
-        cols: np.ndarray | None = None,
-        deadline=None,
-        mechanism: str = "laplace",
-        delta: float | None = None,
-    ) -> tuple[str, np.ndarray, float] | None:
-        """Cold-miss fast path: direct measurement of the queries' support.
-
-        One-off ad-hoc misses below :attr:`direct_miss_threshold` skip
-        the fitting template entirely.  The strategy is the sensitivity-1
-        selection matrix ``S`` of the miss queries' joint support (a
-        weighted identity restricted to the touched cells), measured once
-        under ``eps``; its pseudo-inverse is ``Sᵀ``, so RECONSTRUCT is a
-        scatter.  Returns ``(key, x̂, charged)`` and caches x̂ under a
-        support-derived key so identical ad-hoc traffic later hits for
-        free — ``in_measured_span`` accepts exactly the queries supported
-        on the measured cells.  Returns ``None`` when the joint support
-        exceeds :data:`DIRECT_MISS_SUPPORT_LIMIT` (a few wide queries can
-        touch the whole domain; measuring — and later span-checking — a
-        domain-sized selection would cost domain-sized dense algebra, and
-        a fitted strategy answers broad queries more accurately): the
-        caller then takes the full fitting path.
-        """
-        import hashlib
-
-        import scipy.sparse as sp
-
-        from ..linalg.structured import SparseMatrix
-        from ..privacy.mechanisms import get_mechanism
-
-        mech_obj = get_mechanism(mechanism, delta)
-        charged = float(validate_epsilon(eps, "eps"))
-        ds = self._dataset(dataset)
-        n = ds.x.shape[0]
-        if cols is None:
-            cols = np.flatnonzero(joint_support(blocks, n))
-        if cols.size > DIRECT_MISS_SUPPORT_LIMIT:
-            return None
-        key = f"direct:{hashlib.sha256(cols.tobytes()).hexdigest()[:16]}"
-        if cols.size == 0:
-            # All-zero queries: the answer is the constant 0, independent
-            # of the data — pure post-processing.  Cache the (exact,
-            # budget-free) empty reconstruction so identical traffic
-            # later hits in query() instead of re-entering this path.
-            if cache:
-                S_empty = SparseMatrix(sp.csr_matrix((0, n)))
-                ds.reconstructions.setdefault(
-                    key,
-                    Reconstruction(
-                        key=key, strategy=S_empty, x_hat=np.zeros(n), eps=np.inf
-                    ),
-                )
-                ds.generation = next(_GENERATIONS)
-            return key, np.zeros(n), 0.0
-        if self.accountant is not None:
-            if deadline is not None:
-                # Same ε-spend fence as _measure_impl: last free refusal
-                # point, then the debit is possibly durable.
-                deadline.check("charge")
-                deadline.begin_commit()
-            self.accountant.charge(
-                dataset,
-                charged,
-                stage=stage or "answer:direct",
-                mechanism=mech_obj.name,
-                delta=getattr(mech_obj, "delta", None),
-            )
-            if deadline is not None:
-                deadline.mark_committed(charged)
-        S = selection_matrix(cols, n)
-        faults.check("engine.measure.noise")
-        y = mech_obj.measure(S, ds.x, charged, rng)
-        x_hat = np.zeros(n)
-        x_hat[cols] = y  # S⁺ = Sᵀ for a selection matrix
-        if cache:
-            existing = ds.reconstructions.get(key)
-            if existing is None or charged >= existing.eps:
-                ds.reconstructions[key] = Reconstruction(
-                    key=key, strategy=S, x_hat=x_hat, eps=charged,
-                    mechanism=mech_obj.name,
-                )
-                self._invalidate_tables(ds, key)
-                ds.generation = next(_GENERATIONS)
-        return key, x_hat, charged
-
     def answer(
         self,
         dataset: str,
@@ -1016,11 +950,10 @@ class QueryService:
         2. **direct measurement** — an unprepared miss batch totalling at
            most :attr:`direct_miss_threshold` query rows whose joint
            support does not exceed :data:`DIRECT_MISS_SUPPORT_LIMIT`
-           cells takes the cold-miss fast path
-           (:meth:`_measure_misses_direct`): a selection measurement on
-           the joint query support, no strategy fit, with solver-related
-           keyword arguments not applicable (the direct reconstruction
-           is closed-form and deterministic);
+           cells takes the cold-miss fast path: a selection measurement
+           on the joint query support, no strategy fit, and a
+           closed-form, deterministic reconstruction (solver options
+           have nothing to configure there);
         3. **cold fit** — everything else runs the fitting template and
            is measured through one
            :meth:`~repro.core.hdmm.HDMM.run_batch` call under ``eps``.
@@ -1029,7 +962,10 @@ class QueryService:
         must be a scalar and the pass runs one trial: each miss query
         gets exactly one answer, so there is no grid to choose from.
         With no ``eps`` and at least one miss, raises :class:`QueryMiss`
-        before touching the budget.
+        before touching the budget.  Keyword arguments are
+        :meth:`measure`'s options; every route checks all of them
+        before the debit, so an option any route would refuse raises
+        with nothing spent.
         """
         if eps is not None and np.ndim(eps) != 0:
             raise ValueError(
@@ -1124,63 +1060,35 @@ class QueryService:
                 mroute = self.route_misses(blocks)
                 if rspan is not None:
                     rspan.attrs["route"] = mroute.route
-            if mroute.route == "direct":
-                # Cold-miss fast path: measure the joint query support
-                # directly instead of fitting a strategy for a one-off.
-                # Solver-related run_kwargs (method=, exact=, ...) do not
-                # apply here — the direct reconstruction is closed-form
-                # (S⁺ = Sᵀ) and deterministic by construction, a strictly
-                # stronger contract than any solver option requests — but
-                # unknown option names must fail just like on the fitting
-                # path, not vanish because the batch happened to be small.
-                unknown = set(run_kwargs) - ANSWER_MEASURE_OPTIONS
-                if unknown:
-                    raise TypeError(
-                        f"answer() got unknown measure options {sorted(unknown)}; "
-                        f"valid options are {sorted(ANSWER_MEASURE_OPTIONS)}"
-                    )
-                from ..privacy.mechanisms import get_mechanism
-
-                mech_name = get_mechanism(
-                    run_kwargs.get("mechanism", "laplace"),
-                    run_kwargs.get("delta"),
-                ).name
-                with _TRACER.span("serve.measure", route="direct"):
-                    key, x_hat, charged = self._measure_misses_direct(
-                        dataset,
-                        blocks,
-                        eps,
-                        rng,
-                        stage,
-                        cache=run_kwargs.get("cache", True),
-                        cols=mroute.support_cols,
-                        deadline=deadline,
-                        mechanism=run_kwargs.get("mechanism", "laplace"),
-                        delta=run_kwargs.get("delta"),
-                    )
-                for i in miss_idx:
-                    values = np.asarray(mats[i].matvec(x_hat)).reshape(-1)
-                    answers[i] = QueryAnswer(
-                        values=values, hit=False, key=key, route="direct",
-                        mechanism=mech_name,
-                    )
-                return BatchResult(
-                    answers=list(answers),  # type: ignore[arg-type]
-                    charged=charged,
-                    hits=len(mats) - len(miss_idx),
-                    misses=len(miss_idx),
-                )
             W_miss = blocks[0] if len(blocks) == 1 else VStack(blocks)
             with _TRACER.span("serve.measure", route=mroute.route):
-                result = self.measure(
-                    dataset,
-                    W_miss,
-                    eps,
-                    rng=rng,
-                    stage=stage or "answer:misses",
-                    deadline=deadline,
-                    **run_kwargs,
-                )
+                if mroute.route == "direct":
+                    # A selection measurement of the joint query support
+                    # instead of a strategy fit for a one-off.  Solver
+                    # options are still checked, though the closed-form
+                    # scatter (S⁺ = Sᵀ) has no solver to configure.
+                    result = self._measure_impl(
+                        dataset,
+                        W_miss,
+                        eps,
+                        rng=rng,
+                        stage=stage or "answer:direct",
+                        deadline=deadline,
+                        support=mroute.support_cols,
+                        **run_kwargs,
+                    )
+                    route = "direct"
+                else:
+                    result = self.measure(
+                        dataset,
+                        W_miss,
+                        eps,
+                        rng=rng,
+                        stage=stage or "answer:misses",
+                        deadline=deadline,
+                        **run_kwargs,
+                    )
+                    route = "warm" if result.from_registry else "cold"
             charged = result.charged
             flat = np.asarray(result.answers).reshape(-1)
             offset = 0
@@ -1190,7 +1098,7 @@ class QueryService:
                     values=flat[offset : offset + rows],
                     hit=False,
                     key=result.key,
-                    route="warm" if result.from_registry else "cold",
+                    route=route,
                     mechanism=result.mechanism,
                 )
                 offset += rows

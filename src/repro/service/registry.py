@@ -637,13 +637,9 @@ class StrategyRegistry:
         quarantined: the caller re-fits cold rather than failing.
         """
         key = self.key_for(workload, domain=domain, template=template)
-        if key not in self:
-            return None
         try:
             return self.load(key)
-        except RegistryCorruptionError:
-            return None
-        except KeyError:  # entry vanished between the check and the load
+        except (KeyError, RegistryCorruptionError):  # unknown or quarantined
             return None
 
     def delete(self, key: str) -> None:

@@ -591,11 +591,6 @@ class TestConstructorValidation:
         with pytest.raises(ValueError, match="restarts"):
             QueryService(restarts=0)
 
-    def test_span_tol_validated(self):
-        for bad in (0.0, -1e-6, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="span_tol"):
-                QueryService(span_tol=bad)
-
     def test_direct_miss_threshold_validated(self):
         with pytest.raises(ValueError, match="direct_miss_threshold"):
             QueryService(direct_miss_threshold=-1)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import HDMM, workload
-from repro.core.privacy import PrivacyLedger
 from repro.domain import Domain
 
 
@@ -97,24 +96,3 @@ class TestStatisticalCorrectness:
             np.sqrt(mech.expected_error(1.0) / W.shape[0]),
         )
 
-
-class TestPrivacyLedger:
-    def test_budget_tracking(self):
-        ledger = PrivacyLedger(1.0)
-        ledger.spend(0.25, "partition")
-        ledger.spend(0.75, "measure")
-        assert ledger.remaining == pytest.approx(0.0)
-
-    def test_overspend_raises(self):
-        ledger = PrivacyLedger(1.0)
-        ledger.spend(0.9)
-        with pytest.raises(ValueError):
-            ledger.spend(0.2)
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            PrivacyLedger(0.0)
-
-    def test_invalid_spend_rejected(self):
-        with pytest.raises(ValueError):
-            PrivacyLedger(1.0).spend(-0.1)

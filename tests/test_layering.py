@@ -92,3 +92,32 @@ def test_walker_sees_nested_and_relative_imports(tmp_path):
     assert list(_targets(mod, ("repro", "obs"))) == [
         (1, "server"), (3, "service"), (4, "api"), (5, "obs"),
     ]
+
+
+def test_perfbench_probes_resolve():
+    """Every function perfbench's traced pass patches
+    (``perfbench/pb_layers.PROBES``) still exists at its module path: a
+    refactor that moves or renames one breaks ``perfbench/run.py
+    --trace 1`` and would otherwise fail no test."""
+    import importlib
+    import sys
+
+    bench = str(SRC.parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        pb_layers = importlib.import_module("pb_layers")
+        pb_trace = importlib.import_module("pb_trace")
+    finally:
+        sys.path.remove(bench)
+    missing = []
+    for probe in pb_layers.PROBES:
+        try:
+            owner, attr = pb_trace.resolve(probe.module, probe.path)
+        except (ImportError, AttributeError) as e:
+            missing.append(f"{probe.module}.{probe.path}: {e}")
+            continue
+        if not hasattr(owner, attr):
+            missing.append(f"{probe.module}.{probe.path}")
+    assert pb_layers.PROBES and not missing, "unresolved probes:\n" + "\n".join(
+        missing
+    )

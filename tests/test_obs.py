@@ -267,7 +267,8 @@ class TestRouteTraces:
         ans = ds.ask_many([total()], eps=0.5, rng=1)
         spans = self._assert_traced(ans, route="direct")
         names = [s.name for s in spans]
-        assert "plan.route" in names and "serve.measure" in names
+        for expected in ("plan.route", "serve.measure", "accountant.charge"):
+            assert expected in names, expected
         assert _route_counts("d") == {"direct": 1.0}
 
     def test_cold_then_accelerator_and_cache(self, tmp_path):

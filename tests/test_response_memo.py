@@ -28,7 +28,7 @@ from repro.server import app as app_module
 from repro.server.app import MAX_SHAPES, ServerApp, parse_query_spec
 from repro.server.errors import encode_body
 from repro.service import PrivacyAccountant
-from repro.service.engine import QueryMiss
+from repro.service.engine import QueryMiss, joint_support
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +83,10 @@ def direct_write(app, expr, eps, seed):
     """Measure ``expr``'s support directly: a store (and, with an
     accountant, a debit) under a support-derived key."""
     Q = expr.compile(app.session.dataset("d").schema)
-    app.session.service._measure_misses_direct("d", [Q], eps, seed, stage="t")
+    support = np.flatnonzero(joint_support([Q], Q.shape[1]))
+    app.session.service._measure_impl(
+        "d", Q, eps, rng=seed, stage="t", support=support
+    )
 
 
 def read(app, specs):

@@ -4,6 +4,8 @@ the end-to-end persistence acceptance contract (fit once, reload in a
 fresh process-equivalent, serve bit-identically, post-process for free,
 and never out-spend a budget cap)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -683,6 +685,117 @@ class TestColdMissFastPath:
         assert batch.misses == 2
         assert batch.charged == pytest.approx(0.5)
         assert len(svc.registry) == 1  # fitted strategy was persisted
+
+
+def _union_operator(W, rng):
+    """An ``opt_hdmm`` operator whose union strategy always wins the
+    reduction (its loss is reported as tiny): a cold fit is a union."""
+    return dataclasses.replace(opt_union(W, rng=rng), loss=1e-12)
+
+
+#: Options every route refuses: an unknown name, out-of-range values and
+#: an unknown method.
+_BAD_OPTIONS = [
+    ({"rtoll": 1e-9}, TypeError),
+    ({"maxiter": 0}, ValueError),
+    ({"rtol": -1.0}, ValueError),
+    ({"method": "pnv"}, ValueError),
+]
+#: Refused where the measured strategy is a union.
+_PINV_ON_UNION = ({"method": "pinv"}, ValueError)
+
+
+class TestOptionsRefusedBeforeTheDebit:
+    """Every miss route checks its options before the accountant debit:
+    a refused option raises with ``spent`` unchanged and no WAL debit."""
+
+    @pytest.fixture
+    def setup(self, tmp_path, union_workload, fitted_union):
+        wal = tmp_path / "eps.wal"
+        acct = PrivacyAccountant(wal_path=str(wal))
+        svc = QueryService(
+            registry=StrategyRegistry(tmp_path / "reg"),
+            accountant=acct,
+            restarts=1,
+            rng=0,
+            fit_kwargs={"operators": [("union", _union_operator)], "workers": 1},
+        )
+        # range_total_union(8) is prepared (warm) with a union strategy;
+        # range_total_union(4, 16) is not (cold, fitted as a union).
+        svc.registry.put(
+            union_workload, fitted_union.strategy, template=svc.template
+        )
+        x = np.random.default_rng(0).poisson(20, 64).astype(float)
+        svc.add_dataset("d", x, epsilon_cap=100.0)
+        return svc, acct, wal
+
+    @staticmethod
+    def _assert_refused(acct, wal, call, options, exc):
+        before = wal.read_bytes()
+        with pytest.raises(exc):
+            call(**options)
+        assert acct.spent("d") == 0.0
+        assert wal.read_bytes() == before
+
+    #: The route the same request takes once valid: a refused cold
+    #: request has already fitted (for free), so it comes back warm.
+    SERVED = {"direct": "direct", "warm": "warm", "cold": "warm"}
+
+    @pytest.mark.parametrize("options,exc", _BAD_OPTIONS + [_PINV_ON_UNION])
+    def test_measure(self, setup, union_workload, options, exc):
+        svc, acct, wal = setup
+
+        def call(**o):
+            return svc.measure("d", union_workload, [0.5, 1.0], rng=0, **o)
+
+        self._assert_refused(acct, wal, call, options, exc)
+
+    @pytest.mark.parametrize(
+        "route,options,exc",
+        [("direct", *bad) for bad in _BAD_OPTIONS]  # a selection, no union
+        + [
+            (route, *bad)
+            for route in ("warm", "cold")
+            for bad in _BAD_OPTIONS + [_PINV_ON_UNION]
+        ],
+    )
+    def test_answer(self, setup, union_workload, route, options, exc):
+        svc, acct, wal = setup
+        if route == "direct":
+            query = np.zeros(64)
+            query[[3, 9]] = 1.0
+        elif route == "warm":
+            query = union_workload
+        else:
+            query = workload.range_total_union(4, 16)
+
+        def call(**o):
+            return svc.answer("d", [query], eps=0.5, rng=0, **o)
+
+        self._assert_refused(acct, wal, call, options, exc)
+        assert call().answers[0].route == self.SERVED[route]
+
+    @pytest.mark.parametrize("route", ["direct", "cold"])
+    @pytest.mark.parametrize("options,exc", _BAD_OPTIONS)
+    def test_session_ask_many(self, tmp_path, route, options, exc):
+        from repro.api import A, Schema, Session, prefix
+
+        wal = tmp_path / "eps.wal"
+        acct = PrivacyAccountant(wal_path=str(wal))
+        sess = Session(accountant=acct, restarts=1, rng=0)
+        schema = Schema.from_spec({"a": 8, "b": 8})
+        ds = sess.dataset(
+            "d", schema=schema, data=np.ones(64), epsilon_cap=100.0
+        )
+        if route == "cold":
+            sess.service.direct_miss_threshold = 0
+        expr = A("a").eq(3) if route == "direct" else prefix("a")
+
+        def call(**o):
+            return ds.ask_many([expr], eps=0.5, rng=0, **o)
+
+        self._assert_refused(acct, wal, call, options, exc)
+        assert call()[0].route == self.SERVED[route]
 
 
 class TestValidateEpsilonCentralized:

@@ -32,6 +32,7 @@ from repro.linalg import (
     Identity,
     Kronecker,
     MarginalsStrategy,
+    Ones,
     Prefix,
     VStack,
     Weighted,
@@ -525,22 +526,17 @@ class TestValidationSatellites:
 
     def test_dense_pinv_limit_constant(self):
         assert DENSE_PINV_LIMIT == 4096
-        big = Dense(np.eye(8))
-        assert has_structured_pinv(big)
-        assert not has_structured_pinv(big, dense_pinv_limit=4)
+        assert has_structured_pinv(Dense(np.eye(8)))
+        n = DENSE_PINV_LIMIT + 1
+        assert not has_structured_pinv(Ones(n, n))
 
     def test_dense_pinv_limit_override_in_solver(self, rng):
         A = Dense(rng.standard_normal((10, 8)))
         y = rng.standard_normal(10)
         ref = least_squares(A, y, method="pinv")
-        # Below the per-call limit the auto path must fall to the
-        # iterative solver and still agree.
-        via_cg = least_squares(A, y, dense_pinv_limit=4)
+        # The iterative solver agrees with the dense pseudo-inverse.
+        via_cg = least_squares(A, y, method="cg")
         assert np.allclose(ref, via_cg, atol=1e-7)
-
-    def test_dense_pinv_limit_validation(self):
-        with pytest.raises(ValueError):
-            has_structured_pinv(Identity(4), dense_pinv_limit=-1)
 
     def test_maxiter_validation(self, rng):
         A = Identity(4)
