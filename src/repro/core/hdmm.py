@@ -56,13 +56,11 @@ def _measure_once(A, x, eps, rng, mechanism, delta):
     raise ValueError(f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}")
 
 
-def _measure_grid(A, x, eps, rng, mechanism, delta, columnwise):
+def _measure_grid(A, x, eps, rng, mechanism, delta):
     if mechanism == "laplace":
-        return laplace_measure_batch(A, x, eps, rng=rng, columnwise=columnwise)
+        return laplace_measure_batch(A, x, eps, rng=rng)
     if mechanism == "gaussian":
-        return gaussian_measure_batch(
-            A, x, eps, rng=rng, columnwise=columnwise, delta=delta
-        )
+        return gaussian_measure_batch(A, x, eps, rng=rng, delta=delta)
     raise ValueError(f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}")
 
 
@@ -174,19 +172,18 @@ class HDMM:
           Returns answers of shape ``(t, m)``.
 
         Determinism contract (mirrors ``optimize/parallel.py``): noise is
-        assigned by flat trial index via ``SeedSequence.spawn``, so the
-        measurements are bit-identical to the sequential loop ::
+        assigned by flat trial index via ``SeedSequence.spawn``.  With
+        ``exact=True`` the call *is* the sequential loop ::
 
             seeds = spawn_seeds(rng, T)
-            [self.run(x, eps[j], rng=seeds[j]) for j in range(T)]
+            [self.run(x_j, eps_j, rng=seeds[j]) for j in range(T)]
 
-        for any batch composition — and with ``exact=True`` the
-        *answers* are too, for every strategy class including L ≥ 3
-        unions, because every operator is then applied one contiguous
-        column at a time and every solve starts cold (the same
-        arithmetic as the loop, different orchestration).  The default
-        fast mode (``exact=False``) batches the BLAS width and agrees
-        with the loop to solver tolerance.
+        (``x_j`` the shared vector or column ``j`` of a batch), so its
+        answers are bit-identical to it for every strategy class.  The
+        default (``exact=False``) measures the grid in one pass and
+        solves it as multi-RHS least squares at BLAS width: its noise is
+        the loop's, and its answers agree with the loop's to solver
+        tolerance.  Both modes refuse the same inputs.
 
         Privacy: each trial is ε-DP for its own budget; a full sweep
         spends the sum of its trials' budgets under sequential
@@ -202,57 +199,68 @@ class HDMM:
         if eps_arr.ndim != 1:
             raise ValueError(f"eps must be a scalar or 1-D grid, got {eps_arr.shape}")
         trials = validate_positive_int("trials", trials)
-
         if x.ndim == 2:
             if trials != 1:
                 raise ValueError(
                     "trials > 1 requires a single shared data vector; got a "
                     f"(n, {x.shape[1]}) batch with trials={trials}"
                 )
-            Y = _measure_grid(
-                A, x, eps_arr, rng, mechanism, delta, columnwise=exact
-            )
-            X_hat = least_squares(
-                A, Y, method=method, columnwise=exact, **solver_kwargs
-            )
-            answers = answer_workload(self.workload, X_hat, columnwise=exact).T
-            if return_data_vector:
-                return answers, X_hat.T
-            return answers
-        if x.ndim != 1:
+            t = x.shape[1]
+            if t == 0 or (t != 1 and eps_arr.size not in (1, t)):
+                raise ValueError(
+                    f"inconsistent trial counts: x gives {t}, eps gives "
+                    f"{eps_arr.size}"
+                )
+            eps_flat = eps_arr
+            lead = (max(t, eps_arr.size),)
+        elif x.ndim == 1:
+            eps_flat = np.repeat(eps_arr, trials)  # flat trial j = e * trials + r
+            lead = (eps_arr.size, trials)
+        else:
             raise ValueError(f"x must be 1-D or 2-D, got shape {x.shape}")
 
-        k = eps_arr.size
-        T = k * trials
-        eps_flat = np.repeat(eps_arr, trials)  # flat trial j = e * trials + r
-        Y = _measure_grid(
-            A, x, eps_flat, rng, mechanism, delta, columnwise=exact
-        )
-
-        if k > 1 and not resolves_to_direct(A, method):
-            # Iterative solves go ε block by ε block, each from zero.
-            # Narrow blocks beat one grid-wide solve because the five CG
-            # working arrays stay in cache: a 5 x 10 sweep on a 4-block
-            # 16³ union (3 PCG iterations per column) took a median 58 ms
-            # as five 10-column solves against 64 ms as one 50-column
-            # solve, the split faster in 15 of 20 alternating runs (one
-            # x86-64 core, single-threaded BLAS).
+        if exact:
+            # The sequential loop itself, length-1 axes of a paired batch
+            # broadcast.
+            T = int(np.prod(lead))
             X_hat = np.empty((A.shape[1], T))
-            for e in range(k):
-                block = slice(e * trials, (e + 1) * trials)
-                X_hat[:, block] = least_squares(
-                    A, Y[:, block], method=method, columnwise=exact,
+            answers = np.empty((self.workload.shape[0], T))
+            for j, seed in enumerate(spawn_seeds(rng, T)):
+                x_j = x if x.ndim == 1 else x[:, j % x.shape[1]]
+                answers[:, j], X_hat[:, j] = self.run(
+                    np.ascontiguousarray(x_j),
+                    float(eps_flat[j % eps_flat.size]),
+                    rng=seed,
+                    return_data_vector=True,
+                    mechanism=mechanism,
+                    delta=delta,
+                    method=method,
                     **solver_kwargs,
                 )
         else:
-            X_hat = least_squares(
-                A, Y, method=method, columnwise=exact, **solver_kwargs
-            )
+            Y = _measure_grid(A, x, eps_flat, rng, mechanism, delta)
+            k = eps_arr.size
+            if x.ndim == 1 and k > 1 and not resolves_to_direct(A, method):
+                # Iterative solves go ε block by ε block, each from zero.
+                # Narrow blocks beat one grid-wide solve because the five
+                # CG working arrays stay in cache: a 5 x 10 sweep on a
+                # 4-block 16³ union (3 PCG iterations per column) took a
+                # median 58 ms as five 10-column solves against 64 ms as
+                # one 50-column solve, the split faster in 15 of 20
+                # alternating runs (one x86-64 core, single-threaded BLAS).
+                X_hat = np.empty((A.shape[1], Y.shape[1]))
+                for e in range(k):
+                    block = slice(e * trials, (e + 1) * trials)
+                    X_hat[:, block] = least_squares(
+                        A, Y[:, block], method=method, **solver_kwargs
+                    )
+            else:
+                X_hat = least_squares(A, Y, method=method, **solver_kwargs)
+            answers = answer_workload(self.workload, X_hat)
 
-        answers = answer_workload(self.workload, X_hat, columnwise=exact)
-        answers = answers.T.reshape(k, trials, self.workload.shape[0])
+        answers = answers.T.reshape(*lead, self.workload.shape[0])
         if return_data_vector:
-            return answers, X_hat.T.reshape(k, trials, A.shape[1])
+            return answers, X_hat.T.reshape(*lead, A.shape[1])
         return answers
 
     def measure_seeds(

@@ -26,15 +26,18 @@ values, and data vectors.  :func:`laplace_measure_batch` /
 the strategy answers are computed once per distinct data vector, and the
 noise for trial ``j`` is drawn from child ``j`` of the caller's seed
 (``SeedSequence.spawn``).  The determinism contract mirrors
-``optimize/parallel.py``: the batched measurements are bit-identical to
-the sequential loop ::
+``optimize/parallel.py``: the *noise* is bit-identical to the sequential
+loop ::
 
     seeds = spawn_seeds(rng, T)
     [laplace_measure(A, x_j, eps_j, rng=seeds[j]) for j in range(T)]
 
 for any batch composition (and identically for the Gaussian pair),
-because randomness is assigned by trial index and the noise-free answers
-are computed by the same mat-vec.
+because randomness is assigned by trial index.  With one shared data
+vector the noise-free answers are the loop's own mat-vec, so the whole
+measurement is bit-identical; a batch of data vectors is answered by one
+``matmat``, which agrees with the per-column mat-vecs to rounding, not
+bit for bit.
 """
 
 from __future__ import annotations
@@ -44,12 +47,7 @@ import numpy as np
 from ..linalg import Matrix
 from ..optimize.parallel import spawn_seeds
 from .privacy import DEFAULT_DELTA, gaussian_sigma
-from .solvers import (
-    apply_columnwise,
-    validate_budget,
-    validate_epsilon,
-    validate_positive_int,
-)
+from .solvers import validate_budget, validate_epsilon, validate_positive_int
 
 
 def laplace_noise(
@@ -67,6 +65,15 @@ def laplace_noise(
     matrix is the transposed view of a ``(T, size)`` buffer, so each
     trial's draw lands in contiguous memory.
     """
+    return _spawned_noise(np.random.Generator.laplace, scale, size, rng, "scale")
+
+
+def _spawned_noise(draw, scale, size, rng, name) -> np.ndarray:
+    """The seeding both noise distributions share: ``draw(gen, 0, s, size)``
+    (an unbound :class:`numpy.random.Generator` method) from one stream
+    for a scalar scale, or from spawned child ``j`` for trial ``j`` of a
+    1-D array of scales, returned as the ``(size, T)`` transposed view of
+    a ``(T, size)`` buffer.  A zero scale draws nothing."""
     scales = np.asarray(scale, dtype=np.float64)
     if np.any(scales < 0):
         raise ValueError("noise scale must be non-negative")
@@ -74,13 +81,13 @@ def laplace_noise(
         rng = np.random.default_rng(rng)
         if scales == 0:
             return np.zeros(size)
-        return rng.laplace(0.0, float(scales), size)
+        return draw(rng, 0.0, float(scales), size)
     if scales.ndim != 1:
-        raise ValueError(f"scale must be a scalar or 1-D array, got {scales.shape}")
+        raise ValueError(f"{name} must be a scalar or 1-D array, got {scales.shape}")
     out = np.zeros((scales.size, size))
     for j, seed in enumerate(spawn_seeds(rng, scales.size)):
         if scales[j] > 0:
-            out[j] = np.random.default_rng(seed).laplace(0.0, scales[j], size)
+            out[j] = draw(np.random.default_rng(seed), 0.0, scales[j], size)
     return out.T
 
 
@@ -109,7 +116,6 @@ def laplace_measure_batch(
     eps: float | np.ndarray,
     rng: np.random.Generator | int | None = None,
     trials: int | None = None,
-    columnwise: bool = False,
 ) -> np.ndarray:
     """A batch of ε-DP measurements ``Y[:, j] = A x_j + Lap(‖A‖₁/ε_j)``.
 
@@ -128,17 +134,13 @@ def laplace_measure_batch(
     rng:
         Root seed; trial ``j`` draws its noise from child ``j``
         (``SeedSequence.spawn``) — see the module docstring for the
-        bitwise determinism contract.
-    columnwise:
-        With a 2-D ``x``, compute strategy answers one contiguous column
-        at a time (bit-identical to the sequential loop) instead of one
-        batched ``matmat``.
+        determinism contract.
 
     Returns
     -------
     The measurement matrix Y, shape (m, T).
     """
-    answers, eps_arr, T = _batch_answers(A, x, eps, trials, columnwise)
+    answers, eps_arr, T = _batch_answers(A, x, eps, trials)
     scales = np.broadcast_to(A.sensitivity() / eps_arr, (T,))
     return _add_noise(
         answers, laplace_noise(np.ascontiguousarray(scales), A.shape[0], rng)
@@ -152,7 +154,7 @@ def _add_noise(answers: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return np.add(answers, noise, out=np.empty(noise.shape))
 
 
-def _batch_answers(A, x, eps, trials, columnwise):
+def _batch_answers(A, x, eps, trials):
     """Shared input policy of the batched mechanisms: validate the trial
     grid, compute the noise-free strategy answers once, and return
     ``(answers, eps_arr, T)``."""
@@ -184,10 +186,7 @@ def _batch_answers(A, x, eps, trials, columnwise):
             raise ValueError(
                 f"data vectors must have length {A.shape[1]}, got {x.shape}"
             )
-        if columnwise:
-            answers = apply_columnwise(A.matvec, x, A.shape[0])
-        else:
-            answers = A.matmat(x)
+        answers = A.matmat(x)
     else:
         raise ValueError(f"x must be 1-D or 2-D, got shape {x.shape}")
     return answers, eps_arr, T
@@ -207,21 +206,7 @@ def gaussian_noise(
     the scalar call with the spawned seeds.  Like :func:`laplace_noise`,
     the matrix is the transposed view of a ``(T, size)`` buffer.
     """
-    sigmas = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigmas < 0):
-        raise ValueError("noise scale must be non-negative")
-    if sigmas.ndim == 0:
-        rng = np.random.default_rng(rng)
-        if sigmas == 0:
-            return np.zeros(size)
-        return rng.normal(0.0, float(sigmas), size)
-    if sigmas.ndim != 1:
-        raise ValueError(f"sigma must be a scalar or 1-D array, got {sigmas.shape}")
-    out = np.zeros((sigmas.size, size))
-    for j, seed in enumerate(spawn_seeds(rng, sigmas.size)):
-        if sigmas[j] > 0:
-            out[j] = np.random.default_rng(seed).normal(0.0, sigmas[j], size)
-    return out.T
+    return _spawned_noise(np.random.Generator.normal, sigma, size, rng, "sigma")
 
 
 def gaussian_measure(
@@ -255,15 +240,14 @@ def gaussian_measure_batch(
     eps: float | np.ndarray,
     rng: np.random.Generator | int | None = None,
     trials: int | None = None,
-    columnwise: bool = False,
     delta: float = DEFAULT_DELTA,
 ) -> np.ndarray:
     """A batch of (ε, δ)-DP Gaussian measurements — the Gaussian twin of
     :func:`laplace_measure_batch`, with the identical batching, seeding,
-    and bitwise-determinism contract (trial ``j`` draws from spawned
-    child ``j``)."""
+    and determinism contract (trial ``j`` draws from spawned child
+    ``j``)."""
     validate_budget(delta=delta)
-    answers, eps_arr, T = _batch_answers(A, x, eps, trials, columnwise)
+    answers, eps_arr, T = _batch_answers(A, x, eps, trials)
     sigmas = np.broadcast_to(
         gaussian_sigma(A.sensitivity(p=2), eps_arr, delta), (T,)
     )

@@ -34,15 +34,6 @@ import numpy as np
 DEFAULT_DELTA = 1e-6
 
 
-def sensitivity_of(A, p: int = 1) -> float:
-    """Lp sensitivity of a strategy matrix (Definition 6 for p=1).
-
-    ``p=1`` is ``‖A‖₁`` (Laplace calibration); ``p=2`` is the maximum
-    column Euclidean norm (Gaussian calibration).
-    """
-    return A.sensitivity(p=p)
-
-
 # -- zCDP ↔ (ε, δ) conversion curves ------------------------------------
 
 def rho_to_eps(rho, delta: float):

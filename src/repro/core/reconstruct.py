@@ -33,7 +33,6 @@ from ..linalg import Kronecker, MarginalsStrategy, Matrix, VStack, Weighted
 from ..obs.metrics import REGISTRY as _METRICS
 from ..optimize.opt0 import PIdentity
 from .solvers import (
-    apply_columnwise as _apply_columnwise,
     cg_gram_solve,
     union_gram_inverse,
     union_gram_preconditioner,
@@ -82,7 +81,7 @@ def resolves_to_direct(A: Matrix, method: str = "auto") -> bool:
 
 
 def validate_solver_options(
-    A: Matrix,
+    A: Matrix | None,
     method: str = "auto",
     atol: float = 1e-10,
     btol: float = 1e-10,
@@ -94,8 +93,11 @@ def validate_solver_options(
     Returns them normalized as ``(method, atol, btol, maxiter, rtol)``.
     An unknown option name raises ``TypeError``; an unknown method, an
     out-of-range value, or ``method="pinv"`` on a :class:`VStack` union
-    raises ``ValueError``.  The query service calls this before its
-    accountant debit, so a request it would refuse spends nothing.
+    raises ``ValueError``.  ``A=None`` checks names and values only.
+    The query service checks them with ``A=None`` before it resolves a
+    strategy, so a refused cold request fits nothing, and again with the
+    strategy before its accountant debit, so a refused request spends
+    nothing.
     """
     if method not in ("auto", "pinv", "cg", "lsmr"):
         raise ValueError(f"unknown method {method!r}")
@@ -148,7 +150,6 @@ def least_squares(
     btol: float = 1e-10,
     maxiter: int | None = None,
     rtol: float = 1e-11,
-    columnwise: bool | None = None,
 ) -> np.ndarray:
     """Solve ``min_x ‖Ax - y‖₂`` using the strategy's structure.
 
@@ -170,13 +171,12 @@ def least_squares(
     rtol:
         CG stopping criterion on the normal-equations residual,
         ``‖AᵀA x - Aᵀy‖₂ <= rtol · ‖Aᵀy‖₂`` per column.
-    columnwise:
-        Apply operators one contiguous column at a time so a batched
-        solve is bit-identical to looping the columns (the serving
-        determinism contract).  Defaults to True for 1-D ``y`` (where it
-        is the natural path) and False for batches (BLAS-width
-        throughput; answers then agree with the loop to solver
-        tolerance).
+
+    One path serves every width: operators are applied to the whole
+    batch by one ``matmat``, and a 1-D ``y`` is a width-1 batch.  BLAS
+    results depend on the batch width, so the columns of a batched solve
+    agree with solving them one at a time to solver tolerance, not bit
+    for bit.
 
     Raises
     ------
@@ -189,9 +189,7 @@ def least_squares(
     """
     y = np.asarray(y, dtype=np.float64)
     single = y.ndim == 1
-    if columnwise is None:
-        columnwise = single
-    Y = y[:, None] if single else y
+    Y = y[:, None] if single else y  # one right-hand side: a width-1 batch
     if Y.ndim != 2 or Y.shape[0] != A.shape[0]:
         raise ValueError(
             f"y must have shape ({A.shape[0]},) or ({A.shape[0]}, T), got {y.shape}"
@@ -201,11 +199,7 @@ def least_squares(
     )
 
     if resolves_to_pinv(A, method):
-        P = A.pinv()
-        if columnwise:
-            X = _apply_columnwise(P.matvec, Y, A.shape[1])
-        else:
-            X = P.matmat(Y)
+        X = A.pinv().matmat(Y)
         return X[:, 0] if single else X
 
     if method == "lsmr":
@@ -214,10 +208,7 @@ def least_squares(
         return X[:, 0] if single else X
 
     # Normal equations ``(AᵀA) x̄ = Aᵀy`` with the cached Gram operator.
-    if columnwise:
-        B = _apply_columnwise(A.rmatvec, Y, A.shape[1])
-    else:
-        B = A.rmatmat(Y)
+    B = A.rmatmat(Y)
 
     preconditioner = None
     if method == "auto":
@@ -225,10 +216,7 @@ def least_squares(
         # structured Gram inverse — two Kronecker mat-mats per solve.
         Ginv = union_gram_inverse(A)
         if Ginv is not None:
-            if columnwise:
-                X = _apply_columnwise(Ginv.matvec, B, A.shape[1])
-            else:
-                X = Ginv.matmat(B)
+            X = Ginv.matmat(B)
             return X[:, 0] if single else X
         # L ≥ 3 unions: CG preconditioned by the probe-chosen pair
         # inverse (plus the rest-of-union diagonal when that solves the
@@ -242,7 +230,6 @@ def least_squares(
         B,
         rtol=rtol,
         maxiter=maxiter,
-        columnwise=columnwise,
         preconditioner=preconditioner,
     )
     X = result.x
@@ -256,18 +243,13 @@ def least_squares(
     return X[:, 0] if single else X
 
 
-def answer_workload(
-    W: Matrix, x_hat: np.ndarray, columnwise: bool = False
-) -> np.ndarray:
+def answer_workload(W: Matrix, x_hat: np.ndarray) -> np.ndarray:
     """Final RECONSTRUCT step: the workload answers ``W x̄``.
 
     Accepts a single data-vector estimate (length n) or a batch as
-    columns (n x T).  ``columnwise=True`` answers one contiguous column
-    at a time — bit-identical to looping :meth:`Matrix.matvec`.
+    columns (n x T), answered by one ``matmat``.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x_hat.ndim == 1:
         return W.matvec(x_hat)
-    if columnwise:
-        return _apply_columnwise(W.matvec, x_hat, W.shape[0])
     return W.matmat(x_hat)

@@ -10,19 +10,15 @@ operator and solves a whole batch of right-hand sides at once, keeping
 the still-running columns in contiguous working arrays so an iteration
 never gathers or scatters.
 
-Batch determinism contract (mirrors ``optimize/parallel.py``): every
-per-column quantity is computed with arithmetic that does not depend on
-which other columns share the batch — step scalars are per-column einsum
-reductions, updates are elementwise, and converged columns are frozen.
-The one width-sensitive operation is the operator application itself:
-BLAS matmat results are *not* bit-identical across batch widths, so
-
-* ``columnwise=True`` applies the Gram one contiguous column at a time —
-  a width-T solve is then bit-identical to T independent width-1 solves
-  (and hence to the sequential single-shot serving loop);
-* ``columnwise=False`` (default) applies one ``matmat`` per iteration to
-  every active column — maximum BLAS throughput, results agree with the
-  looped solve to solver tolerance rather than bitwise.
+Batch determinism: the iteration is per column — step scalars are
+per-column reductions, updates are elementwise, and converged columns
+are frozen, so each column keeps its own iteration count and stopping
+point.  The operator application (one ``matmat`` per iteration over
+every active column) and the einsum reductions run over the whole batch,
+and their rounding depends on its width, so a width-T solve agrees with
+T width-1 solves to solver tolerance rather than bitwise.  Callers that
+need the single-shot bits solve one right-hand side at a time
+(``HDMM.run_batch(exact=True)`` is that loop).
 
 A solve depends only on its own right-hand sides: no state survives from
 one call to the next, so the same inputs give the same bits whatever was
@@ -58,7 +54,6 @@ from ..obs.metrics import REGISTRY as _METRICS
 __all__ = [
     "CGResult",
     "KRON_FACTOR_LIMIT",
-    "apply_columnwise",
     "cg_gram_solve",
     "export_gram_solver_state",
     "restore_gram_solver_state",
@@ -176,19 +171,6 @@ def validate_tolerance(name: str, value: float) -> float:
     if not np.isfinite(v) or v < 0:
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
     return v
-
-
-def apply_columnwise(apply_vec, Y: np.ndarray, out_rows: int) -> np.ndarray:
-    """Apply a vector operation to each contiguous column of ``Y``.
-
-    The building block of the bitwise-determinism contract: the per-column
-    arithmetic (contiguous input, single mat-vec) is exactly what the
-    sequential single-shot loop performs, independent of batch width.
-    """
-    out = np.empty((out_rows, Y.shape[1]))
-    for j in range(Y.shape[1]):
-        out[:, j] = apply_vec(np.ascontiguousarray(Y[:, j]))
-    return out
 
 
 def _kron_gram_factor_mats(block: Matrix) -> list[np.ndarray] | None:
@@ -545,31 +527,9 @@ class CGResult:
     converged: np.ndarray
 
 
-def _apply_gram(G: Matrix, P: np.ndarray, columnwise: bool) -> np.ndarray:
-    """``G @ P``, either one batched matmat or per-contiguous-column matvec."""
-    if not columnwise:
-        return G.matmat(P)
-    return apply_columnwise(G.matvec, P, P.shape[0])
-
-
-def _col_dots(X: np.ndarray, Y: np.ndarray, columnwise: bool) -> np.ndarray:
-    """Per-column inner products ``out[j] = X[:, j] · Y[:, j]``.
-
-    Reductions are where batch width can leak into per-column bits: a
-    strided column inside an (n, T) array may be summed in a different
-    order than a standalone contiguous vector.  ``columnwise=True``
-    therefore reduces each column as a contiguous copy — exactly the
-    arithmetic of a width-1 solve — while the default uses one einsum
-    over the whole batch.
-    """
-    if not columnwise:
-        return np.einsum("ij,ij->j", X, Y)
-    out = np.empty(X.shape[1])
-    for j in range(X.shape[1]):
-        out[j] = np.dot(
-            np.ascontiguousarray(X[:, j]), np.ascontiguousarray(Y[:, j])
-        )
-    return out
+def _col_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-column inner products ``out[j] = X[:, j] · Y[:, j]``."""
+    return np.einsum("ij,ij->j", X, Y)
 
 
 def cg_gram_solve(
@@ -577,7 +537,6 @@ def cg_gram_solve(
     B: np.ndarray,
     rtol: float = 1e-11,
     maxiter: int | None = None,
-    columnwise: bool = False,
     preconditioner: Matrix | None = None,
 ) -> CGResult:
     """Solve ``G X = B`` for a batch of right-hand sides by (P)CG from zero.
@@ -595,9 +554,6 @@ def cg_gram_solve(
         Per-column stopping criterion ``‖G x - b‖₂ <= rtol · ‖b‖₂``.
     maxiter:
         Iteration cap (default ``3 n``).
-    columnwise:
-        Apply ``G`` per contiguous column instead of one batched matmat —
-        see the module docstring for the bitwise-determinism contract.
     preconditioner:
         Optional symmetric positive-definite approximation of ``G⁻¹``
         applied once per iteration (e.g. the L-block preconditioner from
@@ -621,13 +577,13 @@ def cg_gram_solve(
 
     X = np.zeros((n, T))
     iterations = np.zeros(T, dtype=np.intp)
-    thresh = rtol * np.sqrt(_col_dots(B, B, columnwise))
+    thresh = rtol * np.sqrt(_col_dots(B, B))
     R = np.ascontiguousarray(B)
     # With no preconditioner Z aliases R, so rz doubles as the residual
     # norm² — exactly the plain-CG arithmetic.
-    Z = R if M is None else _apply_gram(M, R, columnwise)
-    rz = _col_dots(R, Z, columnwise)
-    rs = rz if M is None else _col_dots(R, R, columnwise)
+    Z = R if M is None else M.matmat(R)
+    rz = _col_dots(R, Z)
+    rs = rz if M is None else _col_dots(R, R)
     converged = np.sqrt(rs) <= thresh
     # The active columns live in C-ordered working arrays that are
     # updated in place; a column that stops is written back to X and the
@@ -641,8 +597,8 @@ def cg_gram_solve(
     for _ in range(maxiter):
         if idx.size == 0:
             break
-        GP = _apply_gram(G, Pa, columnwise)
-        pgp = _col_dots(Pa, GP, columnwise)
+        GP = G.matmat(Pa)
+        pgp = _col_dots(Pa, GP)
         ok = pgp > 0  # pᵀGp <= 0 ⇒ semi-definite breakdown: freeze, unconverged
         alpha = np.zeros_like(pgp)
         alpha[ok] = rza[ok] / pgp[ok]
@@ -651,12 +607,12 @@ def cg_gram_solve(
         iterations[idx] += 1
         if M is None:
             Za = Ra
-            rz_new = _col_dots(Ra, Ra, columnwise)
+            rz_new = _col_dots(Ra, Ra)
             rs_new = rz_new
         else:
-            Za = _apply_gram(M, Ra, columnwise)
-            rz_new = _col_dots(Ra, Za, columnwise)
-            rs_new = _col_dots(Ra, Ra, columnwise)
+            Za = M.matmat(Ra)
+            rz_new = _col_dots(Ra, Za)
+            rs_new = _col_dots(Ra, Ra)
         done = np.sqrt(rs_new) <= thresh[idx]
         cont = ok & ~done
         beta = np.zeros_like(pgp)

@@ -1,7 +1,7 @@
 """The mechanism objects: noise distribution + calibration + cost.
 
 :mod:`repro.core.measure` exposes the mechanisms as free functions
-(``laplace_measure_batch``, ``gaussian_measure_batch``, …).  This module
+(``laplace_measure``, ``gaussian_measure``, …).  This module
 wraps them in first-class objects so layers that *choose* a mechanism —
 the planner's RMSE comparison, the engine's measurement routing, the
 server's request parser — can pass one value around instead of threading
@@ -14,11 +14,8 @@ server's request parser — can pass one value around instead of threading
   ``ρ = eps_to_rho(ε, δ)``.  The δ is part of the mechanism's identity.
 
 Both expose the same surface (:meth:`Mechanism.measure`,
-:meth:`Mechanism.measure_batch`, :meth:`Mechanism.variance`,
-:meth:`Mechanism.expected_error`, :meth:`Mechanism.cost`) and both
-inherit the batched-noise determinism contract of the underlying
-functions: trial ``j`` draws from ``SeedSequence.spawn`` child ``j``,
-bit-identical to the sequential loop.  :meth:`Mechanism.cost` returns
+:meth:`Mechanism.variance`, :meth:`Mechanism.expected_error`,
+:meth:`Mechanism.cost`).  :meth:`Mechanism.cost` returns
 the :class:`~repro.privacy.accounting.PrivacyCost` the accountant debits
 *before* any noise is drawn — so what the planner reports is, by
 construction, what the ledger records.
@@ -65,12 +62,6 @@ class Mechanism:
 
     def measure(self, A, x, eps, rng=None) -> np.ndarray:
         """One private measurement ``y = Ax + noise``."""
-        raise NotImplementedError
-
-    def measure_batch(
-        self, A, x, eps, rng=None, trials=None, columnwise=False
-    ) -> np.ndarray:
-        """A trial grid of private measurements (shape ``(m, T)``)."""
         raise NotImplementedError
 
     def variance(self, A, eps):
@@ -123,11 +114,6 @@ class LaplaceMechanism(Mechanism):
     def measure(self, A, x, eps, rng=None):
         return _measure.laplace_measure(A, x, eps, rng)
 
-    def measure_batch(self, A, x, eps, rng=None, trials=None, columnwise=False):
-        return _measure.laplace_measure_batch(
-            A, x, eps, rng, trials=trials, columnwise=columnwise
-        )
-
     def cost(self, eps) -> PrivacyCost:
         total = float(np.sum(validate_budget(eps=eps)["eps"]))
         return PrivacyCost.laplace(total)
@@ -157,12 +143,6 @@ class GaussianMechanism(Mechanism):
 
     def measure(self, A, x, eps, rng=None):
         return _measure.gaussian_measure(A, x, eps, rng, delta=self.delta)
-
-    def measure_batch(self, A, x, eps, rng=None, trials=None, columnwise=False):
-        return _measure.gaussian_measure_batch(
-            A, x, eps, rng, trials=trials, columnwise=columnwise,
-            delta=self.delta,
-        )
 
     def cost(self, eps) -> PrivacyCost:
         eps_arr = validate_budget(eps=eps)["eps"]

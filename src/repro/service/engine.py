@@ -50,7 +50,8 @@ measurement.  The serving rules:
   share one accounted tail: every option, solver options included
   (:func:`~repro.core.reconstruct.validate_solver_options`), is checked
   before the accountant's debit, so a request any route would refuse
-  spends nothing.
+  spends nothing; solver option names and values are checked before a
+  strategy is resolved, so a refused cold request fits nothing either.
 """
 
 from __future__ import annotations
@@ -553,12 +554,14 @@ class QueryService:
         record carrying the per-trial δ and ρ totals alongside the same
         ε.  ``exact`` and the solver options (``method``, ``atol``,
         ``btol``, ``maxiter``, ``rtol``) forward to
-        :meth:`~repro.core.hdmm.HDMM.run_batch`, so ``exact=True`` serves
-        answers bit-identical to the sequential single-shot loop at the
-        same seeds, for every strategy class.  Options are checked
-        against the strategy before the debit: an unknown name, an
-        out-of-range value or ``method="pinv"`` on a union strategy
-        raises with nothing spent.
+        :meth:`~repro.core.hdmm.HDMM.run_batch`: ``exact=True`` runs the
+        sequential single-shot loop itself, so its answers are
+        bit-identical to that loop at the same seeds for every strategy
+        class; the default batched pass agrees with it to solver
+        tolerance.  An unknown option name or an out-of-range value
+        raises before the strategy is resolved (a cold request fits
+        nothing), and ``method="pinv"`` on a union strategy raises before
+        the debit: either way nothing is spent.
 
         With ``cache=True`` the reconstruction of the highest-ε first
         trial is kept for zero-budget :meth:`query` serving — unless a
@@ -653,6 +656,9 @@ class QueryService:
                     else ""
                 )
             )
+        # Option names and values need no strategy: refused before
+        # prepare, a cold request fits nothing.
+        validate_solver_options(None, **solver_options)
         if support is None:
             if deadline is not None:
                 deadline.check("warm")  # registry probe/load stage boundary
@@ -670,7 +676,7 @@ class QueryService:
                 # and the cached empty reconstruction is exact (ε = ∞).
                 eps_arr = np.full(1, np.inf)
                 charge_eps = total = 0.0
-        validate_solver_options(strategy, **solver_options)
+        validate_solver_options(strategy, **solver_options)  # pinv on a union
 
         if self.accountant is not None and total > 0:
             if deadline is not None:

@@ -192,6 +192,30 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _read_verified(path: str, expected: str | None, site: str, what: str, parse):
+    """``(digest, parse(npz))`` of the npz at ``path``, its SHA-256 checked
+    against the manifest's ``expected`` digest first.
+
+    Transient read faults (EINTR/EAGAIN/ENOSPC) retry under the shared
+    backoff policy, before a caller's except-clause would misclassify
+    them as corruption and quarantine a good file; a digest mismatch
+    raises :class:`RegistryCorruptionError`.
+    """
+
+    def read():
+        faults.check(site)
+        digest = _file_sha256(path)
+        if expected is not None and digest != expected:
+            raise RegistryCorruptionError(
+                f"{what} failed its checksum: manifest records sha256 "
+                f"{expected[:16]}…, file has {digest[:16]}…"
+            )
+        with np.load(path, allow_pickle=False) as npz:
+            return digest, parse(npz)
+
+    return call_retrying(read)
+
+
 class StrategyRegistry:
     """npz + JSON-manifest store of fitted strategies, keyed by fingerprint.
 
@@ -493,7 +517,8 @@ class StrategyRegistry:
     def get_table(self, key: str) -> dict | None:
         """Load a persisted accelerator table's arrays, or ``None``.
 
-        A checksum mismatch, torn zip, or missing file quarantines the
+        A transient read fault is retried, as in :meth:`load`.  A
+        checksum mismatch, torn zip, or missing file quarantines the
         table and returns ``None`` — the caller rebuilds the table from
         the cached reconstruction and re-persists it; corruption never
         crashes serving and never produces wrong answers.
@@ -501,18 +526,12 @@ class StrategyRegistry:
         meta = self._read_manifest().get("tables", {}).get(key)
         if meta is None:
             return None
-        path = self._table_path(key)
         try:
-            faults.check("registry.table.load")
-            digest = _file_sha256(path)
-            expected = meta.get("sha256")
-            if expected is not None and digest != expected:
-                raise RegistryCorruptionError(
-                    f"table {key!r} failed its checksum: manifest records "
-                    f"sha256 {expected[:16]}…, file has {digest[:16]}…"
-                )
-            with np.load(path, allow_pickle=False) as npz:
-                return {name: npz[name] for name in npz.files}
+            return _read_verified(
+                self._table_path(key), meta.get("sha256"),
+                "registry.table.load", f"table {key!r}",
+                lambda npz: {name: npz[name] for name in npz.files},
+            )[1]
         except Exception as e:  # checksum, torn zip, missing file
             self._quarantine_table(key, f"{type(e).__name__}: {e}")
             return None
@@ -582,27 +601,14 @@ class StrategyRegistry:
         meta = self.entry(key)
         path = self._strategy_path(key)
         t0 = time.perf_counter()
+        expected = meta.get("sha256")
         try:
-            # Transient read faults (EINTR/EAGAIN/ENOSPC) retry under the
-            # shared backoff policy before the except-clause below would
-            # misclassify them as corruption and quarantine a good entry.
-            def _read_verified():
-                faults.check("registry.load")
-                digest = _file_sha256(path)
-                expected = meta.get("sha256")
-                if expected is not None and digest != expected:
-                    raise RegistryCorruptionError(
-                        f"strategy {key!r} failed its checksum: manifest "
-                        f"records sha256 {expected[:16]}…, file has "
-                        f"{digest[:16]}…"
-                    )
-                with np.load(path, allow_pickle=False) as npz:
-                    payload = restore_arrays(
-                        json.loads(npz["__config__"].item()), npz
-                    )
-                return digest, expected, payload
-
-            digest, expected, payload = call_retrying(_read_verified)
+            digest, payload = _read_verified(
+                path, expected, "registry.load", f"strategy {key!r}",
+                lambda npz: restore_arrays(
+                    json.loads(npz["__config__"].item()), npz
+                ),
+            )
             strategy = matrix_from_config(payload["strategy"])
             restore_gram_solver_state(strategy, payload["solver"])
         except RegistryCorruptionError as e:

@@ -21,6 +21,7 @@ The PR 7 contracts:
   declarative layer, and planned routes equal executed routes.
 """
 
+import errno
 import os
 
 import numpy as np
@@ -322,6 +323,18 @@ class TestDurability:
         assert inj.fired
         assert reg.get_table("accel-test") is None
         assert "accel-test" not in reg.table_keys()
+
+    def test_transient_read_fault_is_retried_not_quarantined(self, tmp_path):
+        reg = StrategyRegistry(tmp_path / "reg")
+        reg.put_table("accel-eintr", {"table": np.arange(9.0)})
+        inj = faults.FaultInjector().fail("registry.table.load", errno.EINTR)
+        with inj.active():
+            arrays = reg.get_table("accel-eintr")
+        assert inj.fired
+        assert np.array_equal(arrays["table"], np.arange(9.0))
+        assert "accel-eintr" in reg.table_keys()
+        qdir = os.path.join(reg.root, "quarantine")
+        assert not os.path.isdir(qdir) or not os.listdir(qdir)
 
     def test_missing_table_file_is_a_miss(self, tmp_path):
         reg = StrategyRegistry(tmp_path / "reg")

@@ -29,6 +29,7 @@ from repro.linalg import (
     Weighted,
     kmatmat,
 )
+from repro.core import HDMM
 from repro.core.reconstruct import least_squares
 from repro.core.solvers import (
     _assemble_gram_inverse,
@@ -38,7 +39,7 @@ from repro.core.solvers import (
     union_gram_preconditioner,
 )
 from repro.obs.spend import replay, report_from_accountant
-from repro.optimize import PIdentity, pidentity_loss_and_grad
+from repro.optimize import PIdentity, pidentity_loss_and_grad, spawn_seeds
 from repro.privacy import ApproxDPPolicy, PureEpsilonPolicy, ZCDPPolicy
 from repro.service import BudgetExceededError, PrivacyAccountant
 
@@ -293,6 +294,77 @@ class TestUnionPreconditionerProperties:
         X = least_squares(A, Y)
         X_ref = np.linalg.pinv(A.dense()) @ Y
         assert np.max(np.abs(X - X_ref)) <= 1e-8 * np.abs(X_ref).max()
+
+
+@st.composite
+def served_strategies(draw):
+    """A strategy on at most 64 cells from each class ``run_batch`` solves
+    differently: a p-Identity and a Kronecker product of p-Identities
+    (structured pseudo-inverses), a 2-block union (exact two-term Gram
+    inverse) and a 3-block union (preconditioned CG)."""
+    kind = draw(st.sampled_from(["pidentity", "kron", "union2", "union3"]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pidentity(n):
+        return PIdentity(r.random((draw(st.integers(1, 3)), n)))
+
+    if kind == "pidentity":
+        return pidentity(draw(st.integers(2, 64)))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    if kind == "kron":
+        return Kronecker([pidentity(n) for n in sizes])
+    return VStack([
+        Weighted(Kronecker([pidentity(n) for n in sizes]), draw(st.floats(0.2, 1.0)))
+        for _ in range(2 if kind == "union2" else 3)
+    ])
+
+
+class TestExactIsTheLoop:
+    """``run_batch(exact=True)`` is the sequential ``run`` loop at the
+    spawned seeds, bit for bit; the default batched pass agrees with it
+    to 1e-8 relative."""
+
+    @settings(max_examples=40)
+    @given(
+        served_strategies(),
+        st.sampled_from(["laplace", "gaussian"]),
+        st.sampled_from(["sweep", "paired"]),
+        st.sampled_from(["auto", "cg"]),
+        st.lists(st.floats(0.2, 4.0), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_exact_equals_loop_and_fast_agrees(
+        self, A, mechanism, mode, method, eps, width, seed
+    ):
+        n = A.shape[1]
+        mech = HDMM(restarts=1)
+        mech.workload, mech.strategy = Prefix(n), A
+        data = np.random.default_rng(seed).poisson(20.0, (n, width)).astype(float)
+        if mode == "sweep":
+            x, trials = data[:, 0], width
+            cells = [(x, e) for e in eps for _ in range(trials)]
+        else:
+            # Length-1 axes broadcast: a scalar ε over t vectors, or one
+            # vector under an ε grid.
+            x, trials = data, 1
+            if width > 1 and len(eps) != width:
+                eps = eps[:1]
+            cells = [
+                (np.ascontiguousarray(data[:, j % width]), eps[j % len(eps)])
+                for j in range(max(width, len(eps)))
+            ]
+        kw = dict(rng=seed, mechanism=mechanism, method=method)
+        loop = np.stack([
+            mech.run(x_j, e, **{**kw, "rng": s})
+            for (x_j, e), s in zip(cells, spawn_seeds(seed, len(cells)))
+        ])
+        exact = mech.run_batch(x, eps, trials=trials, exact=True, **kw)
+        fast = mech.run_batch(x, eps, trials=trials, **kw)
+        assert exact.shape == fast.shape
+        assert np.array_equal(exact.reshape(loop.shape), loop)
+        scale = np.abs(loop).max()
+        assert np.abs(fast.reshape(loop.shape) - loop).max() <= 1e-8 * scale
 
 
 class TestErrorProperties:

@@ -729,17 +729,44 @@ class TestOptionsRefusedBeforeTheDebit:
         svc.add_dataset("d", x, epsilon_cap=100.0)
         return svc, acct, wal
 
+    @pytest.fixture(autouse=True)
+    def _metrics_on(self):
+        """``service.cold_fits_total`` counts only with metrics on."""
+        from repro.obs.metrics import REGISTRY
+
+        REGISTRY.reset()
+        REGISTRY.enable()
+        yield
+        REGISTRY.disable()
+        REGISTRY.reset()
+
     @staticmethod
-    def _assert_refused(acct, wal, call, options, exc):
+    def _cold_fits():
+        from repro.obs.metrics import REGISTRY
+
+        series = REGISTRY.snapshot().get("service.cold_fits_total", {})
+        return sum(s["value"] for s in series.get("series", []))
+
+    @classmethod
+    def _assert_refused(cls, acct, wal, call, options, exc, registry):
         before = wal.read_bytes()
+        fits, keys = cls._cold_fits(), registry.keys()
         with pytest.raises(exc):
             call(**options)
         assert acct.spent("d") == 0.0
         assert wal.read_bytes() == before
+        if options != _PINV_ON_UNION[0]:
+            # Names and values are refused before a strategy is resolved.
+            assert cls._cold_fits() == fits
+            assert registry.keys() == keys
 
-    #: The route the same request takes once valid: a refused cold
-    #: request has already fitted (for free), so it comes back warm.
-    SERVED = {"direct": "direct", "warm": "warm", "cold": "warm"}
+    @staticmethod
+    def _served(route, options):
+        """The route the same request takes once valid.  A request
+        refused on an option name or value fitted nothing, so a cold one
+        comes back cold; ``method="pinv"`` is refused only once the
+        union strategy is fitted (for free), so it comes back warm."""
+        return "warm" if options == _PINV_ON_UNION[0] else route
 
     @pytest.mark.parametrize("options,exc", _BAD_OPTIONS + [_PINV_ON_UNION])
     def test_measure(self, setup, union_workload, options, exc):
@@ -748,7 +775,7 @@ class TestOptionsRefusedBeforeTheDebit:
         def call(**o):
             return svc.measure("d", union_workload, [0.5, 1.0], rng=0, **o)
 
-        self._assert_refused(acct, wal, call, options, exc)
+        self._assert_refused(acct, wal, call, options, exc, svc.registry)
 
     @pytest.mark.parametrize(
         "route,options,exc",
@@ -772,8 +799,8 @@ class TestOptionsRefusedBeforeTheDebit:
         def call(**o):
             return svc.answer("d", [query], eps=0.5, rng=0, **o)
 
-        self._assert_refused(acct, wal, call, options, exc)
-        assert call().answers[0].route == self.SERVED[route]
+        self._assert_refused(acct, wal, call, options, exc, svc.registry)
+        assert call().answers[0].route == self._served(route, options)
 
     @pytest.mark.parametrize("route", ["direct", "cold"])
     @pytest.mark.parametrize("options,exc", _BAD_OPTIONS)
@@ -782,7 +809,8 @@ class TestOptionsRefusedBeforeTheDebit:
 
         wal = tmp_path / "eps.wal"
         acct = PrivacyAccountant(wal_path=str(wal))
-        sess = Session(accountant=acct, restarts=1, rng=0)
+        registry = StrategyRegistry(tmp_path / "reg")
+        sess = Session(registry=registry, accountant=acct, restarts=1, rng=0)
         schema = Schema.from_spec({"a": 8, "b": 8})
         ds = sess.dataset(
             "d", schema=schema, data=np.ones(64), epsilon_cap=100.0
@@ -794,8 +822,8 @@ class TestOptionsRefusedBeforeTheDebit:
         def call(**o):
             return ds.ask_many([expr], eps=0.5, rng=0, **o)
 
-        self._assert_refused(acct, wal, call, options, exc)
-        assert call()[0].route == self.SERVED[route]
+        self._assert_refused(acct, wal, call, options, exc, registry)
+        assert call()[0].route == self._served(route, options)
 
 
 class TestValidateEpsilonCentralized:

@@ -105,15 +105,6 @@ class TestBatchedMeasure:
                 Y[:, j], laplace_measure(A, x, float(eps[j]), rng=seeds[j])
             )
 
-    def test_paired_data_vectors(self, rng):
-        A = Prefix(8)
-        X = rng.poisson(30, (8, 4)).astype(float)
-        Y = laplace_measure_batch(A, X, 1.0, rng=3, columnwise=True)
-        seeds = spawn_seeds(3, 4)
-        for j in range(4):
-            xj = np.ascontiguousarray(X[:, j])
-            assert np.array_equal(Y[:, j], laplace_measure(A, xj, 1.0, rng=seeds[j]))
-
     def test_trials_argument(self, rng):
         A = Identity(6)
         Y = laplace_measure_batch(A, np.ones(6), 2.0, rng=0, trials=7)
@@ -180,61 +171,41 @@ class TestSolverAgreement:
             xj = least_squares(A, np.ascontiguousarray(Y[:, j]))
             assert np.allclose(X[:, j], xj, atol=1e-9)
 
-    def test_multi_rhs_columnwise_bit_identical(self, rng):
-        A = _union_strategy(rng)
-        Y = rng.standard_normal((A.shape[0], 4))
-        X = least_squares(A, Y, columnwise=True)
-        for j in range(4):
-            xj = least_squares(A, np.ascontiguousarray(Y[:, j]))
-            assert np.array_equal(X[:, j], xj)
-
-    def test_cg_columnwise_bit_identical_per_column(self, rng):
-        A = _union_strategy(rng)
-        G = A.gram()
-        B = A.rmatmat(rng.standard_normal((A.shape[0], 6)))
-        batch = cg_gram_solve(G, B, columnwise=True)
-        for j in range(6):
-            single = cg_gram_solve(G, np.ascontiguousarray(B[:, j : j + 1]),
-                                   columnwise=True)
-            assert np.array_equal(batch.x[:, j], single.x[:, 0])
-            assert batch.iterations[j] == single.iterations[0]
-
-    @pytest.mark.parametrize("columnwise", [False, True])
-    def test_cg_columns_stopping_at_different_iterations(self, rng, columnwise):
+    @pytest.mark.parametrize("fortran_order", [False, True])
+    def test_cg_columns_stopping_at_different_iterations(self, rng, fortran_order):
         """Columns leave the active set at different iterations — a zero
         column at once, an eigenvector after one step, a random
         right-hand side and its 1e-6 and 1e6 multiples later — and each
         keeps its own count and solution, also when maxiter stops the
-        rest; columnwise solves match width-1 solves bit for bit."""
+        rest; every column matches its width-1 solve to 1e-9, whether the
+        batch comes C- or Fortran-ordered."""
         A = _multiblock_strategy(rng, 3)
         G = A.gram()
         Gd = G.dense()
         _, V = np.linalg.eigh(Gd)
         b = A.rmatvec(rng.standard_normal(A.shape[0]))
         B = np.column_stack([b, np.zeros_like(b), V[:, -1], 1e-6 * b, 1e6 * b])
+        if fortran_order:
+            B = np.asfortranarray(B)
         for maxiter in (None, 2):
-            res = cg_gram_solve(G, B, maxiter=maxiter, columnwise=columnwise)
+            res = cg_gram_solve(G, B, maxiter=maxiter)
             assert res.iterations[1] == 0 and res.iterations[2] == 1
             assert res.converged[1] and res.converged[2]
             assert np.array_equal(res.x[:, 1], np.zeros_like(b))
             for j in range(B.shape[1]):
                 single = cg_gram_solve(
-                    G, np.ascontiguousarray(B[:, j : j + 1]),
-                    maxiter=maxiter, columnwise=columnwise,
+                    G, np.ascontiguousarray(B[:, j : j + 1]), maxiter=maxiter
                 )
                 assert res.iterations[j] == single.iterations[0]
                 assert res.converged[j] == single.converged[0]
-                if columnwise:
-                    assert np.array_equal(res.x[:, j], single.x[:, 0])
-                else:
-                    assert np.allclose(res.x[:, j], single.x[:, 0],
-                                       rtol=1e-9, atol=0)
+                assert np.allclose(res.x[:, j], single.x[:, 0],
+                                   rtol=1e-9, atol=0)
         assert res.iterations[0] == 2 and not res.converged[0]
         # The columns maxiter stopped keep their partial iterates.
         for j in (0, 3, 4):
             resid = np.linalg.norm(Gd @ res.x[:, j] - B[:, j])
             assert resid < 0.5 * np.linalg.norm(B[:, j])
-        full = cg_gram_solve(G, B, columnwise=columnwise)
+        full = cg_gram_solve(G, B)
         assert full.converged.all() and full.iterations[0] > 2
         ref = np.linalg.solve(Gd, B)
         for j in range(B.shape[1]):
@@ -716,8 +687,6 @@ class TestAnswerWorkloadBatched:
         W = workload.prefix_identity(4)
         X = rng.standard_normal((16, 5))
         batched = answer_workload(W, X)
-        columnwise = answer_workload(W, X, columnwise=True)
         for j in range(5):
             ref = W.matvec(np.ascontiguousarray(X[:, j]))
             assert np.allclose(batched[:, j], ref, atol=1e-12)
-            assert np.array_equal(columnwise[:, j], ref)
