@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from ..core.measure import laplace_noise
 from ..domain import Domain
 from ..linalg import Matrix
 from .base import DataDependentMechanism
@@ -127,7 +128,9 @@ class PrivBayes(DataDependentMechanism):
         conditionals = {}
         for attr, parents in network:
             joint = _marginal_counts(tensor, (attr, *parents)).astype(float)
-            joint += rng.laplace(0.0, 1.0 / eps_each, joint.shape)
+            joint += laplace_noise(1.0 / eps_each, joint.size, rng).reshape(
+                joint.shape
+            )
             joint = np.clip(joint, 0.0, None)
             flat = joint.reshape(joint.shape[0], -1)
             col_sums = flat.sum(axis=0, keepdims=True)

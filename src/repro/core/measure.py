@@ -10,6 +10,15 @@ column sum) equals the L1 sensitivity of the strategy query set: one
 record added to or removed from the database changes each column of the
 answer vector by at most that column's absolute sum.
 
+The Laplace draws come from one function, :func:`laplace_noise`, which
+every Laplace value in the package goes through (the baselines too).  It
+samples Laplace(0, b) as ``b·(E₁ − E₂)`` for independent standard
+exponentials E₁, E₂: ``standard_exponential(2·size)`` on the stream's
+generator, first half minus second half.  numpy's exponential sampler is
+a ziggurat that rarely calls ``log``, where its ``laplace`` is an inverse
+CDF with one ``log`` per draw; the distribution is the same, the bits at
+a fixed seed are not.
+
 The Gaussian mechanism releases ``y = A x + N(0, σ²)^m`` with σ
 calibrated from the *L2* sensitivity (maximum column Euclidean norm,
 ``A.sensitivity(p=2)``) through the zCDP curve of
@@ -55,39 +64,58 @@ def laplace_noise(
     size: int,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Draw i.i.d. Laplace(0, scale) samples.
+    """Draw i.i.d. Laplace(0, scale) samples as ``scale·(E₁ − E₂)``.
+
+    E₁ and E₂ are the two halves of one ``standard_exponential(2·size)``
+    draw (first minus second) on the stream's generator; the difference
+    of two independent Exp(1) variables is Laplace(0, 1).
 
     A scalar ``scale`` returns ``size`` draws from a single stream — the
-    single-shot path.  An array of per-trial scales (length T) returns a
-    ``(size, T)`` matrix whose column ``j`` is drawn from child ``j`` of
-    ``rng`` via ``SeedSequence.spawn``, so the batch is bit-identical to
-    looping the scalar call with the spawned seeds, for any T.  The
-    matrix is the transposed view of a ``(T, size)`` buffer, so each
-    trial's draw lands in contiguous memory.
+    single-shot path; a :class:`numpy.random.Generator` passed as ``rng``
+    is that stream and advances.  An array of per-trial scales (length
+    T) returns a ``(size, T)`` matrix whose column ``j`` is drawn from
+    child ``j`` of ``rng`` via ``SeedSequence.spawn``, so the batch is
+    bit-identical to looping the scalar call with the spawned seeds, for
+    any T.  The matrix is the transposed view of a ``(T, size)`` buffer,
+    so each trial's draw lands in contiguous memory.
     """
-    return _spawned_noise(np.random.Generator.laplace, scale, size, rng, "scale")
+    return _spawned_noise(_laplace, scale, size, rng, "scale")
+
+
+def _laplace(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
+    """``size`` Laplace(0, scale) draws as ``scale·(E₁ − E₂)``."""
+    e = gen.standard_exponential(2 * size)
+    out = e[:size] - e[size:]
+    out *= scale
+    return out
+
+
+def _normal(gen: np.random.Generator, sigma: float, size: int) -> np.ndarray:
+    """``size`` N(0, sigma²) draws."""
+    return gen.normal(0.0, sigma, size)
 
 
 def _spawned_noise(draw, scale, size, rng, name) -> np.ndarray:
-    """The seeding both noise distributions share: ``draw(gen, 0, s, size)``
-    (an unbound :class:`numpy.random.Generator` method) from one stream
+    """The seeding both noise distributions share: ``draw(gen, s, size)``
+    (:func:`_laplace` or :func:`_normal`) from one stream
     for a scalar scale, or from spawned child ``j`` for trial ``j`` of a
     1-D array of scales, returned as the ``(size, T)`` transposed view of
-    a ``(T, size)`` buffer.  A zero scale draws nothing."""
+    a ``(T, size)`` buffer.  A zero scale draws nothing; a negative,
+    infinite or NaN one is refused."""
     scales = np.asarray(scale, dtype=np.float64)
-    if np.any(scales < 0):
-        raise ValueError("noise scale must be non-negative")
+    if not np.all(np.isfinite(scales) & (scales >= 0)):
+        raise ValueError("noise scale must be finite and non-negative")
     if scales.ndim == 0:
         rng = np.random.default_rng(rng)
         if scales == 0:
             return np.zeros(size)
-        return draw(rng, 0.0, float(scales), size)
+        return draw(rng, float(scales), size)
     if scales.ndim != 1:
         raise ValueError(f"{name} must be a scalar or 1-D array, got {scales.shape}")
     out = np.zeros((scales.size, size))
     for j, seed in enumerate(spawn_seeds(rng, scales.size)):
         if scales[j] > 0:
-            out[j] = draw(np.random.default_rng(seed), 0.0, scales[j], size)
+            out[j] = draw(np.random.default_rng(seed), scales[j], size)
     return out.T
 
 
@@ -206,7 +234,7 @@ def gaussian_noise(
     the scalar call with the spawned seeds.  Like :func:`laplace_noise`,
     the matrix is the transposed view of a ``(T, size)`` buffer.
     """
-    return _spawned_noise(np.random.Generator.normal, sigma, size, rng, "sigma")
+    return _spawned_noise(_normal, sigma, size, rng, "sigma")
 
 
 def gaussian_measure(

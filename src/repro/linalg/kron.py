@@ -13,6 +13,15 @@ stored as its d factors, and every key operation decomposes per factor:
 * ``WᵀW = W1ᵀW1 ⊗ ... ⊗ WdᵀWd`` (Section 4.4);
 * ``(A1 ⊗ ... ⊗ Ad)⁺ = A1⁺ ⊗ ... ⊗ Ad⁺``;
 * ``‖A1 ⊗ ... ⊗ Ad‖₁ = Π ‖Ai‖₁`` (Theorem 3).
+
+Both products apply every factor of at most :data:`DENSE_FACTOR_CELLS`
+cells (``Identity`` aside, which is skipped) as its memoized dense array,
+by the same stacked ``matmul`` as an explicit :class:`Dense` factor;
+larger factors, and single-column ones, keep their own structured
+``matmat``.  The factor objects are unchanged — a ``PIdentity`` stays a
+``PIdentity`` to persistence and to every ``isinstance`` check — so the
+rule reaches fits, runs and warm loads alike, and it moves products only
+by rounding.
 """
 
 from __future__ import annotations
@@ -23,16 +32,46 @@ from collections.abc import Sequence
 import numpy as np
 
 from .base import Dense, Matrix
+from .identity import Identity
+
+#: A factor with at most this many cells (m·n), ``Identity`` aside, is
+#: applied as its dense array through one stacked ``matmul``.  Timed in
+#: ``_apply_factors`` on a 2-vCPU x86 host with one BLAS thread (factor
+#: alone and as the middle axis of ``I₁₆ ⊗ F ⊗ I₁₆``, batch 1 and 50,
+#: ``F`` and ``Fᵀ``): dense took at most 0.71× the structured time for
+#: ``Prefix``, ``AllRange``, ``PIdentity`` and ``Ones(1, n)`` up to 4,352
+#: cells and at most 0.91× up to 8,550; the first loss measured was a
+#: 116×110 ``PIdentity`` (12,760 cells, 1.05× at batch 50).  The limit
+#: keeps a factor of three below that crossover.  A single-column factor
+#: is a broadcast, which ``matmul`` with an inner dimension of 1 ran up
+#: to 3.8× slower than ``Ones(n, 1)``'s own ``matmat``; it stays
+#: structured at any size.
+DENSE_FACTOR_CELLS = 4096
+
+
+def _factor_array(A: Matrix) -> np.ndarray | None:
+    """The explicit array :func:`kmatvec` and :func:`kmatmat` apply for
+    factor ``A``, or ``None`` to apply ``A``'s own ``matmat``.
+
+    A :class:`Dense` factor gives its array; any other factor of at most
+    :data:`DENSE_FACTOR_CELLS` cells and more than one column gives its
+    memoized ``dense()``.
+    """
+    if isinstance(A, Dense):
+        return A.array
+    m, n = A.shape
+    if m * n > DENSE_FACTOR_CELLS or n == 1:
+        return None
+    return A.dense()
 
 
 def _application_order(factors: Sequence[Matrix]) -> list[int]:
-    """Factor application order shared by :func:`kmatvec` and :func:`kmatmat`.
+    """Factor application order of :func:`_apply_factors`.
 
     Factors act on distinct tensor axes, so application order is free:
     apply shrinking factors (m < n, e.g. Total) first so the working
     tensor collapses before the expensive factors run; within each class,
-    rightmost axis first (the trailing axis is contiguous, so no
-    transpose copy of the still-large tensor is needed).
+    rightmost axis first.
     """
     return sorted(
         range(len(factors)),
@@ -40,14 +79,52 @@ def _application_order(factors: Sequence[Matrix]) -> list[int]:
     )
 
 
+def _apply_factors(factors: Sequence[Matrix], X: np.ndarray) -> np.ndarray:
+    """Algorithm 1 with a trailing batch axis, the loop both products run.
+
+    ``X`` is ``(Π ni, b)`` with ``b ≥ 1``.  The working tensor carries the
+    batch axis last, and no factor touches it; each factor is applied
+    along its own axis in :func:`_application_order`, ``Identity``
+    factors skipped.  Returns ``(Π mi, b)``.
+    """
+    batch = X.shape[1]
+    # ``shape`` tracks the tensor's current axis sizes; each step
+    # reshapes T to the view it needs.
+    shape = [A.shape[1] for A in factors]
+    T = X
+    for i in _application_order(factors):
+        A = factors[i]
+        if isinstance(A, Identity):
+            continue
+        m_i, n_i = A.shape
+        array = _factor_array(A)
+        if array is not None:
+            # View the tensor as (lead, n_i, trail) — the axes before i,
+            # axis i, the axes after it with the batch axis — and let one
+            # stacked matmul contract the middle axis: no transpose copy,
+            # and the result is already C-ordered for the next factor.
+            lead = math.prod(shape[:i])
+            trail = math.prod(shape[i + 1 :]) * batch
+            T = np.matmul(array, T.reshape(lead, n_i, trail))
+        else:
+            # Move the factor's axis to the front and flatten the rest
+            # (one contiguity copy at most); apply the factor to all
+            # remaining cells * batch columns in a single matmat.
+            moved = np.moveaxis(T.reshape(shape + [batch]), i, 0)
+            Y = A.matmat(moved.reshape(n_i, -1))  # m_i x (rest * batch)
+            T = np.moveaxis(Y.reshape((m_i,) + moved.shape[1:]), 0, i)
+        shape[i] = m_i
+    return T.reshape(-1, batch)
+
+
 def kmatvec(factors: Sequence[Matrix], x: np.ndarray) -> np.ndarray:
     """Compute ``(A1 ⊗ ... ⊗ Ad) @ x`` without materializing the product.
 
-    Implements Algorithm 1 (Appendix A.5): iteratively reshape the working
-    vector into a matrix whose trailing axis matches factor ``Ai``, apply
-    ``Ai`` to that axis, and fold the result back in.  For square n x n
-    factors the cost is ``O(d * n^(d+1))`` time and ``O(n^d)`` space versus
-    ``O(n^(2d))`` for the explicit product.
+    Implements Algorithm 1 (Appendix A.5): view the working vector as a
+    d-way tensor, apply each factor ``Ai`` along axis ``i``, and fold the
+    result back in.  For square n x n factors the cost is
+    ``O(d * n^(d+1))`` time and ``O(n^d)`` space versus ``O(n^(2d))`` for
+    the explicit product.
 
     Parameters
     ----------
@@ -56,26 +133,11 @@ def kmatvec(factors: Sequence[Matrix], x: np.ndarray) -> np.ndarray:
     x:
         Vector of length ``Π ni`` (the product of factor column counts).
     """
-    from .identity import Identity
-
     x = np.asarray(x, dtype=np.float64)
     total_cols = math.prod(A.shape[1] for A in factors)
     if x.shape != (total_cols,):
         raise ValueError(f"expected vector of length {total_cols}, got {x.shape}")
-    # View x as a d-way tensor (row-major) and apply factor Ai along axis i
-    # in _application_order, skipping Identity factors outright.
-    X = x.reshape([A.shape[1] for A in factors])
-    for i in _application_order(factors):
-        A = factors[i]
-        if isinstance(A, Identity):
-            continue
-        m_i, n_i = A.shape
-        moved = np.moveaxis(X, i, -1)
-        lead_shape = moved.shape[:-1]
-        Z = moved.reshape(-1, n_i).T  # n_i x (rest)
-        Y = A.matmat(Z)  # m_i x (rest)
-        X = np.moveaxis(Y.T.reshape(lead_shape + (m_i,)), -1, i)
-    return X.reshape(-1)
+    return _apply_factors(factors, x[:, None]).reshape(-1)
 
 
 def kmatmat(factors: Sequence[Matrix], X: np.ndarray) -> np.ndarray:
@@ -83,7 +145,7 @@ def kmatmat(factors: Sequence[Matrix], X: np.ndarray) -> np.ndarray:
 
     Algorithm 1 with a trailing batch axis: the working tensor carries an
     extra final axis of size ``X.shape[1]`` that no factor touches, so
-    every column of ``X`` flows through each factor in a single ``matmat``
+    every column of ``X`` flows through each factor in a single BLAS
     call.  Compared to applying ``kmatvec`` column-by-column this turns
     ``b`` Python-level passes (each with its own reshapes and small BLAS
     calls) into one pass with ``b``-times-wider BLAS calls.
@@ -96,47 +158,16 @@ def kmatmat(factors: Sequence[Matrix], X: np.ndarray) -> np.ndarray:
         Matrix of shape ``(Π ni, b)`` (one column per right-hand side); a
         1-D input falls back to :func:`kmatvec`.
     """
-    from .identity import Identity
-
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         return kmatvec(factors, X)
     total_cols = math.prod(A.shape[1] for A in factors)
     if X.ndim != 2 or X.shape[0] != total_cols:
         raise ValueError(f"expected ({total_cols}, b) matrix, got {X.shape}")
-    batch = X.shape[1]
-    total_rows = math.prod(A.shape[0] for A in factors)
-    if batch == 0:
+    if X.shape[1] == 0:
         # Degenerate RHS: reshape(-1, ...) cannot infer axes of size 0.
-        return np.empty((total_rows, 0))
-    # d-way tensor plus the untouched trailing batch axis, applying each
-    # factor in the shared _application_order (Identity factors skipped).
-    # ``shape`` tracks the tensor's current axis sizes; each step
-    # reshapes T to the view it needs.
-    shape = [A.shape[1] for A in factors]
-    T = X
-    for i in _application_order(factors):
-        A = factors[i]
-        if isinstance(A, Identity):
-            continue
-        m_i, n_i = A.shape
-        if isinstance(A, Dense):
-            # View the tensor as (lead, n_i, trail) — the axes before i,
-            # axis i, the axes after it with the batch axis — and let one
-            # stacked matmul contract the middle axis: no transpose copy,
-            # and the result is already C-ordered for the next factor.
-            lead = math.prod(shape[:i])
-            trail = math.prod(shape[i + 1 :]) * batch
-            T = np.matmul(A.array, T.reshape(lead, n_i, trail))
-        else:
-            # Move the factor's axis to the front and flatten the rest
-            # (one contiguity copy at most); apply the factor to all
-            # remaining cells * batch columns in a single matmat.
-            moved = np.moveaxis(T.reshape(shape + [batch]), i, 0)
-            Y = A.matmat(moved.reshape(n_i, -1))  # m_i x (rest * batch)
-            T = np.moveaxis(Y.reshape((m_i,) + moved.shape[1:]), 0, i)
-        shape[i] = m_i
-    return T.reshape(total_rows, batch)
+        return np.empty((math.prod(A.shape[0] for A in factors), 0))
+    return _apply_factors(factors, X)
 
 
 class Kronecker(Matrix):

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from repro.core.measure import laplace_measure, laplace_noise, measurement_variance
+from repro.core.measure import (
+    gaussian_noise,
+    laplace_measure,
+    laplace_noise,
+    measurement_variance,
+)
 from repro.core.reconstruct import answer_workload, least_squares
 from repro.linalg import (
     Dense,
@@ -25,6 +31,12 @@ class TestLaplaceNoise:
         with pytest.raises(ValueError):
             laplace_noise(-1.0, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, [1.0, np.nan]])
+    @pytest.mark.parametrize("noise", [laplace_noise, gaussian_noise])
+    def test_non_finite_scale_rejected(self, noise, bad):
+        with pytest.raises(ValueError, match="finite"):
+            noise(bad, 5, 0)
+
     def test_variance_statistics(self, rng):
         samples = laplace_noise(2.0, 200_000, rng)
         # Laplace(b) variance = 2b².
@@ -35,6 +47,38 @@ class TestLaplaceNoise:
         a = laplace_noise(1.0, 10, 42)
         b = laplace_noise(1.0, 10, 42)
         assert np.allclose(a, b)
+
+
+class TestLaplaceShape:
+    """The noise is Laplace in shape, not only in its first two moments:
+    a normal (or any law) with variance 2b² passes the calibration tests
+    above but not these.  Fixed seeds, so each check is deterministic."""
+
+    SCALES = np.array([0.5, 1.0, 3.0])
+
+    @staticmethod
+    def _check_standard_laplace(z):
+        # z = X / b should be Laplace(0, 1): E|z| = 1 and Pearson
+        # kurtosis 6 (a normal has 3); each tolerance is several standard
+        # errors at these sample sizes.
+        assert stats.kstest(z, stats.laplace.cdf).pvalue > 1e-3
+        assert abs(np.abs(z).mean() - 1.0) < 0.02
+        assert abs(stats.kurtosis(z, fisher=False) - 6.0) < 0.6
+
+    def test_scalar_path(self):
+        b = 2.5
+        self._check_standard_laplace(laplace_noise(b, 100_000, 11) / b)
+
+    def test_batched_path(self):
+        noise = laplace_noise(self.SCALES, 50_000, 12)
+        assert noise.shape == (50_000, self.SCALES.size)
+        for j, b in enumerate(self.SCALES):
+            self._check_standard_laplace(noise[:, j] / b)
+
+    def test_the_checks_reject_a_normal_of_the_same_variance(self):
+        z = np.random.default_rng(13).normal(0.0, np.sqrt(2.0), 100_000)
+        with pytest.raises(AssertionError):
+            self._check_standard_laplace(z)
 
 
 class TestLaplaceMeasure:

@@ -8,11 +8,13 @@ invariant that every view of a privacy ledger (live accountant, WAL
 recovery, read-only replay, live report) folds to bit-equal state.
 """
 
+import math
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,6 +31,7 @@ from repro.linalg import (
     Weighted,
     kmatmat,
 )
+from repro.linalg.kron import DENSE_FACTOR_CELLS
 from repro.core import HDMM
 from repro.core.reconstruct import least_squares
 from repro.core.solvers import (
@@ -131,6 +134,110 @@ class TestKroneckerProperties:
         K = Kronecker([Dense(M) for M in mats])
         E = explicit_kron(mats)
         assert np.allclose(K.pinv().dense(), np.linalg.pinv(E), atol=1e-6)
+
+
+#: Factors against DENSE_FACTOR_CELLS: tiny ones, one at the limit
+#: (applied dense) and one of each kind just above it (applied by its own
+#: matmat).  At most one non-tiny factor per product, and the bound on
+#: the product's cells, keep the explicit Kronecker product small.
+LIMIT = DENSE_FACTOR_CELLS
+_ABOVE_N = math.isqrt(LIMIT) + 1  # Prefix(n): n² cells
+_ALLRANGE_N = next(n for n in range(1, LIMIT) if n * n * (n + 1) // 2 > LIMIT)
+
+
+def _pidentity(p, n, seed):
+    return PIdentity(np.random.default_rng(seed).random((p, n)))
+
+
+def tiny_factor():
+    size = st.integers(1, 3)
+    return st.one_of(
+        st.tuples(st.integers(1, 2), size, st.integers(0, 9)).map(
+            lambda a: _pidentity(*a)
+        ),
+        st.tuples(st.integers(1, 2), size).map(lambda s: Ones(*s)),
+        size.map(AllRange),
+        size.map(Prefix),
+        size.map(Identity),
+    )
+
+
+def big_factor():
+    """A factor at the limit or just above it, of each kind."""
+    return st.sampled_from([
+        lambda: Prefix(math.isqrt(LIMIT)),  # exactly LIMIT cells: dense
+        lambda: Prefix(_ABOVE_N),
+        lambda: AllRange(_ALLRANGE_N),
+        lambda: _pidentity(1, _ABOVE_N - 1, 0),
+        lambda: Ones(2, LIMIT // 2 + 1),
+    ]).map(lambda make: make())
+
+
+@st.composite
+def limit_products(draw):
+    factors = draw(st.lists(tiny_factor(), min_size=0, max_size=2))
+    if draw(st.booleans()) or not factors:
+        factors.insert(
+            draw(st.integers(0, len(factors))), draw(big_factor())
+        )
+    return Kronecker(factors)
+
+
+def _close(got, ref):
+    assert got.shape == ref.shape
+    scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+    assert float(np.max(np.abs(got - ref), initial=0.0)) <= 1e-12 * scale
+
+
+class TestDenseFactorPath:
+    """Factors of at most DENSE_FACTOR_CELLS cells are applied as their
+    dense arrays; every product must still be the explicit one."""
+
+    @given(limit_products(), st.sampled_from([0, 1, 5]))
+    def test_products_match_dense(self, K, width):
+        assume(K.shape[0] * K.shape[1] <= 2_000_000)  # E is at most 16 MB
+        E = K.dense()
+        m, n = K.shape
+        X = np.sin(np.arange(n * width, dtype=float)).reshape(n, width)
+        Y = np.cos(np.arange(m * width, dtype=float)).reshape(m, width)
+        _close(K.matmat(X), E @ X)
+        _close(K.rmatmat(Y), E.T @ Y)
+        x, y = np.sin(np.arange(n, dtype=float)), np.cos(np.arange(m, dtype=float))
+        _close(K.matvec(x), E @ x)
+        _close(K.rmatvec(y), E.T @ y)
+
+    @pytest.mark.parametrize(
+        "structured, rmat",
+        [
+            (lambda: _pidentity(1, _ABOVE_N - 1, 0), False),
+            (lambda: _pidentity(1, _ABOVE_N - 1, 0), True),
+            # LIMIT x 1: within the limit, but a single column.
+            (lambda: _pidentity(LIMIT - 1, 1, 0), False),
+        ],
+        ids=["above-the-limit", "above-the-limit-transposed", "single-column"],
+    )
+    def test_a_factor_keeps_its_own_matmat(self, structured, rmat):
+        small = _pidentity(2, 3, 1)
+        big = structured()
+        m, n = big.shape
+        assert small.shape[0] * small.shape[1] <= LIMIT
+        assert m * n > LIMIT or n == 1
+        calls = []
+        name = "rmatmat" if rmat else "matmat"
+        own = getattr(big, name)
+        setattr(big, name, lambda Z: calls.append(Z.shape) or own(Z))
+
+        def refuse(Z):
+            raise AssertionError("a small factor must be applied dense")
+
+        setattr(small, name, refuse)
+        K = Kronecker([small, big])
+        E = K.dense()
+        X = np.sin(np.arange(3 * K.shape[0 if rmat else 1], dtype=float))
+        X = X.reshape(-1, 3)
+        got = K.rmatmat(X) if rmat else K.matmat(X)
+        _close(got, (E.T if rmat else E) @ X)
+        assert len(calls) == 1 and calls[0][0] == big.shape[0 if rmat else 1]
 
 
 class TestStackProperties:
