@@ -40,8 +40,7 @@ from .solvers import (
     cg_gram_solve,
     export_gram_solver_state,
     restore_gram_solver_state,
-    union_gram_inverse,
-    union_gram_preconditioner,
+    union_gram_solver,
     validate_budget,
     validate_epsilon,
 )
@@ -75,8 +74,7 @@ __all__ = [
     "restore_gram_solver_state",
     "rho_to_eps",
     "rootmse",
-    "union_gram_inverse",
-    "union_gram_preconditioner",
+    "union_gram_solver",
     "validate_budget",
     "validate_epsilon",
     "squared_error",

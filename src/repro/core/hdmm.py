@@ -263,13 +263,6 @@ class HDMM:
             return answers, X_hat.T.reshape(*lead, A.shape[1])
         return answers
 
-    def measure_seeds(
-        self, total: int, rng: np.random.Generator | int | None = None
-    ) -> list[np.random.SeedSequence]:
-        """The per-trial seed children :meth:`run_batch` uses for a grid of
-        ``total`` trials — for reproducing any single trial standalone."""
-        return spawn_seeds(rng, total)
-
     # -- diagnostics ---------------------------------------------------------
     def expected_error(
         self,

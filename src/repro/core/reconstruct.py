@@ -11,12 +11,14 @@ never materializes A or A⁺:
 * union-of-product strategies — no structured pseudo-inverse exists, so
   the normal equations ``(AᵀA) x̄ = Aᵀy`` are solved by conjugate
   gradients (:mod:`repro.core.solvers`) with the strategy's *cached* Gram
-  operator as the iteration operator.  One- and two-block unions (the
-  paper's OPT_+ instantiation) short-circuit to the exact two-term Gram
-  inverse; L ≥ 3 unions run CG preconditioned by a pair's inverse
-  widened by the other blocks' diagonal in its basis, cold from zero on
-  every call.  LSMR remains as the fallback
-  for columns CG cannot converge and as an independent cross-check.
+  operator as the iteration operator.  One union Gram solver
+  (:func:`~repro.core.solvers.union_gram_solver`) factors a block pair
+  and picks its candidate by a probe solve: when the pair covers every
+  block and the probe converges in one iteration (the paper's two-group
+  OPT_+ output) it is applied directly as the Gram inverse, and
+  otherwise it preconditions CG, cold from zero on every call.  LSMR
+  remains as the fallback for columns CG cannot converge and as an
+  independent cross-check.
 
 Every solve accepts a whole batch of right-hand sides: structured
 pseudo-inverses are applied through ``matmat``/``kmatmat`` rather than
@@ -34,8 +36,7 @@ from ..obs.metrics import REGISTRY as _METRICS
 from ..optimize.opt0 import PIdentity
 from .solvers import (
     cg_gram_solve,
-    union_gram_inverse,
-    union_gram_preconditioner,
+    union_gram_solver,
     validate_maxiter,
     validate_tolerance,
 )
@@ -73,11 +74,15 @@ def resolves_to_pinv(A: Matrix, method: str = "auto") -> bool:
 
 def resolves_to_direct(A: Matrix, method: str = "auto") -> bool:
     """Whether :func:`least_squares` would solve directly (structured
-    pseudo-inverse or the two-term union Gram inverse) — i.e. iteration
-    caps and tolerances are irrelevant for this strategy/method pair."""
+    pseudo-inverse, or a union Gram solver whose probe showed it exact)
+    — i.e. iteration caps and tolerances are irrelevant for this
+    strategy/method pair."""
     if resolves_to_pinv(A, method):
         return True
-    return method == "auto" and union_gram_inverse(A) is not None
+    if method != "auto":
+        return False
+    solver = union_gram_solver(A)
+    return solver is not None and solver.exact
 
 
 def validate_solver_options(
@@ -212,16 +217,15 @@ def least_squares(
 
     preconditioner = None
     if method == "auto":
-        # Two-term unions (the paper's OPT_+ output) have an exact
-        # structured Gram inverse — two Kronecker mat-mats per solve.
-        Ginv = union_gram_inverse(A)
-        if Ginv is not None:
-            X = Ginv.matmat(B)
+        # A union Gram solver the probe showed exact (the paper's two-
+        # group OPT_+ output) is applied directly — two Kronecker
+        # mat-mats per solve; any other preconditions CG.  method="cg"
+        # stays plain.
+        solver = union_gram_solver(A)
+        if solver is not None and solver.exact:
+            X = solver.inverse.matmat(B)
             return X[:, 0] if single else X
-        # L ≥ 3 unions: CG preconditioned by the probe-chosen pair
-        # inverse (plus the rest-of-union diagonal when that solves the
-        # probe faster).  method="cg" stays plain.
-        preconditioner = union_gram_preconditioner(A)
+        preconditioner = None if solver is None else solver.inverse
 
     # CG (method "cg" or the general "auto" fallback), then LSMR for any
     # column CG could not converge.

@@ -24,26 +24,27 @@ A solve depends only on its own right-hand sides: no state survives from
 one call to the next, so the same inputs give the same bits whatever was
 solved before.
 
-Multi-block unions (L ≥ 3).  The exact two-term inverse only covers the
-paper's ``groups=2`` OPT_+ instantiation; for a union of L ≥ 3 blocks
-(SF-1-style ``opt_union(groups≥3)`` strategies, service miss batches)
-``G = Σ_l ⊗K_{l,i}`` has no closed factorization, so
-:func:`union_gram_preconditioner` factors one pair of blocks with the
-two-term factorization, ``(G_a + G_b)⁻¹ = Eᵀ diag(1/(1+⊗λ)) E``, adds
-the other blocks' diagonals in that basis,
-``M = Eᵀ diag(1/(1+⊗λ+Σ_rest)) E``, and serves the pair and candidate
-(with or without ``Σ_rest``) that solves a fixed probe right-hand side in
-the fewest PCG iterations as the preconditioner for
-:func:`cg_gram_solve`.  On the Total-like unions ``opt_union`` fits the
-other blocks are nearly diagonal in the pair's basis, so ``M·G`` is close
-to ``I`` (3 iterations per column on the ε-sweep benchmark's 4-block 16³
-union, 7 with the pair alone).  Per-column-frozen convergence and the
-LSMR fallback contract carry over unchanged.
+Union Gram solver.  ``G = Σ_l ⊗K_{l,i}`` has no closed factorization in
+general, so :func:`union_gram_solver` factors one pair of blocks with
+the two-term factorization, ``(G_a + G_b)⁻¹ = Eᵀ diag(1/(1+⊗λ)) E``
+(a lone block pairs with a zero Gram), optionally adds the other
+blocks' diagonals in that basis, ``M = Eᵀ diag(1/(1+⊗λ+Σ_rest)) E``,
+and keeps the pair and candidate that solve a fixed probe right-hand
+side in the fewest PCG iterations.  When the pair covers every block
+(the paper's ``groups=2`` OPT_+ output) and solves the probe in one
+iteration, ``M`` is the Gram inverse and is applied directly; otherwise
+it preconditions :func:`cg_gram_solve`.  On the Total-like unions
+``opt_union`` fits the other blocks are nearly diagonal in the pair's
+basis, so ``M·G`` is close to ``I`` (3 iterations per column on the
+ε-sweep benchmark's 4-block 16³ union, 7 with the pair alone).
+Per-column-frozen convergence and the LSMR fallback contract carry over
+unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -57,15 +58,15 @@ __all__ = [
     "cg_gram_solve",
     "export_gram_solver_state",
     "restore_gram_solver_state",
-    "union_gram_inverse",
-    "union_gram_preconditioner",
+    "UnionGramSolver",
+    "union_gram_solver",
     "validate_epsilon",
     "validate_maxiter",
     "validate_positive_int",
     "validate_tolerance",
 ]
 
-#: Largest square Kronecker-factor Gram that the two-term union solver
+#: Largest square Kronecker-factor Gram that the union Gram solver
 #: will densify and eigendecompose (cost O(n_i³) per factor, once per
 #: fitted strategy).
 KRON_FACTOR_LIMIT = 1024
@@ -198,72 +199,22 @@ def _kron_gram_factor_mats(block: Matrix) -> list[np.ndarray] | None:
     return mats
 
 
-def union_gram_inverse(A: Matrix) -> Matrix | None:
-    """Exact structured inverse of ``AᵀA`` for a union of two products.
-
-    The paper's OPT_+ instantiation partitions the workload into *two*
-    groups, so the canonical union strategy is a :class:`VStack` of two
-    weighted Kronecker products and its Gram is a two-term Kronecker sum
-    ``G = ⊗Kᵢ + ⊗Mᵢ``.  With ``Cᵢ = chol(Kᵢ)`` and the per-factor
-    eigendecompositions ``Cᵢ⁻¹ Mᵢ Cᵢ⁻ᵀ = Uᵢ Λᵢ Uᵢᵀ``::
-
-        G  = (⊗Cᵢ) (⊗Uᵢ) [I + ⊗Λᵢ] (⊗Uᵢ)ᵀ (⊗Cᵢ)ᵀ
-        G⁻¹ = (⊗Eᵢ)ᵀ · diag(1 / (1 + ⊗λ)) · (⊗Eᵢ),   Eᵢ = Uᵢᵀ Cᵢ⁻¹
-
-    so applying the inverse costs two Kronecker mat-mats plus one
-    diagonal scaling — the same order as a *single* CG iteration, and
-    exact.  Setup is one small Cholesky + eigendecomposition per factor
-    (O(Σ nᵢ³), done once per fitted strategy and memoized on ``A``).
-    ``⊗Λ`` is positive semi-definite, so the denominator is ≥ 1 and the
-    form is unconditionally stable once a positive-definite base block
-    is found; both blocks are tried as the base.
-
-    Returns the inverse as an implicit :class:`~repro.linalg.Matrix`
-    (so batched application routes through ``kmatmat``), or ``None``
-    when the strategy is not a two-term union of affordable Kronecker
-    Grams — callers then fall back to the CG solver.
-    """
-    if not isinstance(A, VStack) or len(A.blocks) not in (1, 2):
-        return None
-    cached = A.cache_get("union_gram_inverse")
-    if cached is not None:
-        return None if isinstance(cached, str) else cached
-
-    def unavailable():
-        A.cache_set("union_gram_inverse", "unavailable")
-        return None
-
-    g1 = _kron_gram_factor_mats(A.blocks[0])
-    if g1 is None:
-        return unavailable()
-    if len(A.blocks) == 2:
-        g2 = _kron_gram_factor_mats(A.blocks[1])
-    else:
-        g2 = [np.zeros_like(m) for m in g1]  # single block: G = ⊗Kᵢ + 0
-    if (
-        g2 is None
-        or len(g1) != len(g2)
-        or any(a.shape != b.shape for a, b in zip(g1, g2))
-    ):
-        return unavailable()
-
-    factored = _two_term_factorization(g1, g2)
-    if factored is None:
-        return unavailable()
-    Es, lam_full = factored
-    A.cache_set("union_gram_state", {"factors": Es, "lam": lam_full})
-    return A.cache_set("union_gram_inverse", _assemble_gram_inverse(Es, lam_full))
-
-
 def _two_term_factorization(
     g1: list[np.ndarray], g2: list[np.ndarray]
 ) -> tuple[list[np.ndarray], np.ndarray] | None:
     """Factor ``(⊗Kᵢ + ⊗Mᵢ)⁻¹ = (⊗Eᵢ)ᵀ diag(1/(1+⊗λ)) (⊗Eᵢ)``.
 
-    Returns ``(Es, ⊗λ)`` or ``None`` when neither ordering of the two
-    factor lists yields a positive-definite base block.  Shared by the
-    exact two-term inverse (:func:`union_gram_inverse`) and the
-    L-block preconditioner (:func:`union_gram_preconditioner`).
+    With ``Cᵢ = chol(Kᵢ)`` and the per-factor eigendecompositions
+    ``Cᵢ⁻¹ Mᵢ Cᵢ⁻ᵀ = Uᵢ Λᵢ Uᵢᵀ``::
+
+        ⊗Kᵢ + ⊗Mᵢ = (⊗Cᵢ) (⊗Uᵢ) [I + ⊗Λᵢ] (⊗Uᵢ)ᵀ (⊗Cᵢ)ᵀ,   Eᵢ = Uᵢᵀ Cᵢ⁻¹
+
+    so applying the inverse costs two Kronecker mat-mats plus one
+    diagonal scaling.  Returns ``(Es, ⊗λ)`` or ``None`` when neither
+    ordering of the two factor lists passes Cholesky.  Passing Cholesky
+    does not make the result an inverse: a rank-deficient base factor can
+    pass with a pivot at rounding level, so :func:`union_gram_solver`
+    measures exactness with a probe solve instead of assuming it.
     """
     from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
@@ -287,9 +238,9 @@ def _two_term_factorization(
     return None
 
 
-#: Most block pairs factorized before the L-block preconditioner picks
-#: one (pairs are enumerated in descending combined Gram-trace order;
-#: each factorizable pair yields two candidates, scored by a probe solve).
+#: Most block pairs factorized before the union Gram solver picks one
+#: (pairs are enumerated in descending combined Gram-trace order; each
+#: factorizable pair yields up to two candidates, scored by a probe solve).
 _PRECOND_PAIR_ATTEMPTS = 8
 
 
@@ -298,86 +249,127 @@ def _rest_diagonal(
 ) -> np.ndarray:
     """``Σ_l diag((⊗Eᵢ) (⊗K_{l,i}) (⊗Eᵢ)ᵀ) = Σ_l ⊗ᵢ diag(Eᵢ K_{l,i} Eᵢᵀ)``:
     the other blocks' Grams seen in a pair's eigenbasis, diagonal part
-    only (one einsum per factor; every entry is ≥ 0 since the Grams are
-    PSD)."""
+    only (one BLAS product and a row sum per factor; every entry is ≥ 0
+    since the Grams are PSD)."""
     total = 0.0
     for mats in rest:
         diag = np.ones(1)
         for E, K in zip(Es, mats):
-            diag = np.kron(diag, np.einsum("ij,jk,ik->i", E, K, E))
+            diag = np.kron(diag, ((E @ K) * E).sum(axis=1))
         total = total + diag
     return total
 
 
-def union_gram_preconditioner(A: Matrix) -> Matrix | None:
-    """Preconditioner for an L ≥ 3 union Gram, chosen by a probe solve.
+def _assemble_gram_inverse(Es: list[np.ndarray], lam_full: np.ndarray) -> Matrix:
+    """``(⊗Eᵢ)ᵀ diag(1/(1+⊗λ)) (⊗Eᵢ)`` from its factor state."""
+    E = Kronecker([Dense(Ei) for Ei in Es])
+    return E.T @ Diagonal(1.0 / (1.0 + lam_full)) @ E
 
-    For ``G = Σ_l ⊗K_{l,i}`` with three or more blocks there is no exact
-    structured inverse.  A pair of blocks (a, b) gives, by the same
-    per-factor Cholesky + eigendecomposition as
-    :func:`union_gram_inverse`, ``(G_a + G_b)⁻¹ = Eᵀ diag(1/(1+⊗λ)) E``.
-    In that basis each other block whose factor shapes match adds
-    ``⊗ᵢ diag(Eᵢ K_{l,i} Eᵢᵀ)`` to the diagonal, giving the corrected
 
-        M = Eᵀ diag(1 / (1 + ⊗λ + Σ_rest)) E,
+@dataclass
+class UnionGramSolver:
+    """A union's Gram inverse or preconditioner, from one block pair.
 
-    which accounts for every block at the pair's cost per apply (two
-    Kronecker mat-mats and one diagonal) and is exact when the other
-    blocks are diagonal in the pair's basis — as the Total-like blocks
-    of ``opt_union`` fits nearly are.  It is not always the better
-    choice (on mixed-scale unions the pair alone can converge faster),
-    so every candidate — each of the first ``_PRECOND_PAIR_ATTEMPTS``
-    shape-compatible pairs in descending combined Gram-trace order,
-    pair-only then corrected — is scored by its PCG iteration count on
-    one fixed probe ``b = Aᵀu``, ``u ~ N(0, I)`` from ``default_rng(0)``,
-    each probe capped at the best count so far (a pair's corrected
-    candidate is probed first).  The fewest iterations win; ties keep
-    the earlier candidate in that order.  The factor state is cached on
-    ``A`` under ``union_gram_precond_state`` (next to
-    ``union_gram_state``; ``lam`` holds ``⊗λ + Σ_rest`` or ``⊗λ``) and
-    persisted by :func:`export_gram_solver_state`.
-
-    Returns the preconditioner as an implicit :class:`~repro.linalg.Matrix`
-    or ``None`` when ``A`` is not an L ≥ 3 :class:`VStack` of affordable
-    Kronecker-Gram blocks — callers then run plain CG.
+    ``inverse = (⊗Eᵢ)ᵀ diag(1/(1+lam)) (⊗Eᵢ)`` with ``Eᵢ = factors[i]``;
+    ``blocks`` names the factored pair (one index for a single-block
+    union).  ``exact`` marks that the pair covers every block *and*
+    solved the probe in one PCG iteration: callers then apply
+    ``inverse`` directly, and run PCG with it otherwise.
     """
-    if not isinstance(A, VStack) or len(A.blocks) < 3:
-        return None
-    cached = A.cache_get("union_gram_precond")
-    if cached is not None:
-        return None if isinstance(cached, str) else cached
 
-    def unavailable():
-        A.cache_set("union_gram_precond", "unavailable")
-        return None
+    factors: list[np.ndarray]
+    lam: np.ndarray
+    blocks: tuple[int, ...]
+    exact: bool
+    inverse: Matrix = field(init=False, repr=False)
 
-    mats = [_kron_gram_factor_mats(block) for block in A.blocks]
+    def __post_init__(self):
+        self.inverse = _assemble_gram_inverse(self.factors, self.lam)
+
+
+def _candidate_pairs(mats: list) -> tuple[list[int], list[tuple[int, int | None]]]:
+    """The blocks with factor Grams, in descending Gram-trace order, and
+    the block pairs to factor, best first.
+
+    A single block pairs with a zero Gram (``j`` is ``None``); two
+    blocks factor (0, 1), block 0 as the first base.  From three
+    blocks on, every shape-compatible pair is listed in descending
+    combined Gram-trace order, higher-trace block first, and the first
+    ``_PRECOND_PAIR_ATTEMPTS`` are kept.  Compatibility is checked
+    before a pair takes a slot, so one odd-shaped block cannot starve
+    the viable pairs out of the cap.
+    """
     traces = [
         float(np.prod([np.trace(m) for m in g])) if g is not None else -np.inf
         for g in mats
     ]
-    candidates = sorted(
+    ranked = sorted(
         (i for i, g in enumerate(mats) if g is not None),
         key=lambda i: (-traces[i], i),
     )
-    if len(candidates) < 2:
-        return unavailable()
-
-    from itertools import combinations
-
-    def compatible(i: int, j: int) -> bool:
-        return len(mats[i]) == len(mats[j]) and all(
-            a.shape == b.shape for a, b in zip(mats[i], mats[j])
-        )
-
-    # All shape-compatible pairs, in genuinely descending combined-trace
-    # order (combinations() alone would enumerate every (top, j) pair
-    # before (second, third) regardless of trace).  Compatibility is
-    # checked before a pair consumes any of the factorization budget, so
-    # one odd-shaped block cannot starve the viable pairs out of the
-    # _PRECOND_PAIR_ATTEMPTS cap.
-    pairs = [(i, j) for i, j in combinations(candidates, 2) if compatible(i, j)]
+    if len(mats) == 1:
+        return ranked, [(0, None)] if ranked else []
+    pairs = [
+        (i, j) for i, j in combinations(ranked, 2) if _compatible(mats[i], mats[j])
+    ]
+    if len(mats) == 2:
+        return ranked, [tuple(sorted(p)) for p in pairs]
     pairs.sort(key=lambda p: (-(traces[p[0]] + traces[p[1]]), p))
+    return ranked, pairs[:_PRECOND_PAIR_ATTEMPTS]
+
+
+def _compatible(g1: list[np.ndarray], g2: list[np.ndarray]) -> bool:
+    return len(g1) == len(g2) and all(a.shape == b.shape for a, b in zip(g1, g2))
+
+
+def union_gram_solver(A: Matrix) -> UnionGramSolver | None:
+    """The structured solver of a :class:`VStack` union's Gram, memoized.
+
+    ``G = Σ_l ⊗K_{l,i}`` has no closed factorization in general.  A pair
+    of blocks (a, b) gives, by :func:`_two_term_factorization`,
+    ``(G_a + G_b)⁻¹ = Eᵀ diag(1/(1+⊗λ)) E``; each other block whose
+    factor shapes match adds ``⊗ᵢ diag(Eᵢ K_{l,i} Eᵢᵀ)`` to the diagonal,
+    giving the corrected
+
+        M = Eᵀ diag(1 / (1 + ⊗λ + Σ_rest)) E,
+
+    which accounts for every block at the pair's cost per apply and is
+    exact when the other blocks are diagonal in the pair's basis — as
+    the Total-like blocks of ``opt_union`` fits nearly are.  The pairs
+    are :func:`_candidate_pairs`; each gives its corrected candidate
+    (when other blocks exist) then its pair-only one.  Every candidate is
+    scored by its PCG iteration count on one fixed probe ``b = Aᵀu``,
+    ``u ~ N(0, I)`` from ``default_rng(0)``, each probe capped at the
+    best count so far.  The fewest iterations win; ties keep the earlier
+    pair and, within a pair, the pair-only candidate.
+
+    The winner is ``exact`` when its pair covers every block (one- and
+    two-block unions, the paper's OPT_+ output) and it solved the probe
+    in one iteration, i.e. ``M b`` solved ``G x = b`` for a random ``b``
+    in ``range(AᵀA)`` at once.  A factorization that passed Cholesky on
+    a rank-deficient factor with a pivot at rounding level typically
+    fails that test and serves as a preconditioner only.
+
+    Returns ``None`` when ``A`` is not a :class:`VStack` or no block
+    pair of affordable Kronecker Grams factors — callers then run plain
+    CG.  The outcome, ``None`` included, is memoized on ``A`` under
+    ``union_gram_solver``.
+    """
+    if not isinstance(A, VStack):
+        return None
+    cached = A.cache_get("union_gram_solver")
+    if cached is not None:
+        return None if isinstance(cached, str) else cached
+    solver = _fit_union_gram_solver(A)
+    A.cache_set("union_gram_solver", "unavailable" if solver is None else solver)
+    return solver
+
+
+def _fit_union_gram_solver(A: VStack) -> UnionGramSolver | None:
+    mats = [_kron_gram_factor_mats(block) for block in A.blocks]
+    ranked, pairs = _candidate_pairs(mats)
+    if not pairs:
+        return None
     G = A.gram()
     u = np.random.default_rng(0).standard_normal(A.shape[0])
     probe = A.rmatvec(u)[:, None]
@@ -386,123 +378,79 @@ def union_gram_preconditioner(A: Matrix) -> Matrix | None:
     # usually wins, which caps the pair-only probe at its count; the rank
     # keeps ties on the pair-only one all the same.
     best: tuple | None = None
-    for rank, (i, j) in enumerate(pairs[:_PRECOND_PAIR_ATTEMPTS]):
-        factored = _two_term_factorization(mats[i], mats[j])
+    for rank, (i, j) in enumerate(pairs):
+        partner = [np.zeros_like(m) for m in mats[i]] if j is None else mats[j]
+        factored = _two_term_factorization(mats[i], partner)
         if factored is None:
             continue
         Es, lam_pair = factored
         rest = [
-            mats[l] for l in candidates if l not in (i, j) and compatible(i, l)
+            mats[l]
+            for l in ranked
+            if l not in (i, j) and _compatible(mats[i], mats[l])
         ]
         lams = [lam_pair]
         if rest:
             lams.append(lam_pair + _rest_diagonal(Es, rest))
         for corrected in reversed(range(len(lams))):
-            lam_full = lams[corrected]
-            M = _assemble_gram_inverse(Es, lam_full)
-            best_score = np.inf if best is None else best[0][0]
-            cap = None if best_score == np.inf else int(best_score)
+            M = _assemble_gram_inverse(Es, lams[corrected])
+            cap = None if best is None or best[0][0] == np.inf else int(best[0][0])
             result = cg_gram_solve(G, probe, maxiter=cap, preconditioner=M)
             score = result.iterations[0] if result.converged[0] else np.inf
             order = (score, rank, corrected)
             if best is None or order < best[0]:
-                best = (order, i, j, Es, lam_full, M)
+                best = (order, (i,) if j is None else (i, j), Es, lams[corrected])
     if best is None:
-        return unavailable()
-    _, i, j, Es, lam_full, M = best
-    A.cache_set(
-        "union_gram_precond_state",
-        {"factors": Es, "lam": lam_full, "blocks": (i, j)},
-    )
-    return A.cache_set("union_gram_precond", M)
-
-
-def _assemble_gram_inverse(Es: list[np.ndarray], lam_full: np.ndarray) -> Matrix:
-    """``G⁻¹ = (⊗Eᵢ)ᵀ diag(1/(1+⊗λ)) (⊗Eᵢ)`` from its factor state."""
-    E = Kronecker([Dense(Ei) for Ei in Es])
-    return E.T @ Diagonal(1.0 / (1.0 + lam_full)) @ E
+        return None
+    (score, _, _), blocks, Es, lam_full = best
+    exact = len(blocks) == len(A.blocks) and bool(score == 1)
+    return UnionGramSolver(Es, lam_full, blocks, exact)
 
 
 def export_gram_solver_state(A: Matrix) -> dict | None:
-    """The factor state of ``A``'s structured union Gram solver, if any.
+    """The state of ``A``'s :func:`union_gram_solver`, for persistence.
 
-    Triggers the (memoized) factorization — :func:`union_gram_inverse`
-    for one- and two-block unions, :func:`union_gram_preconditioner` for
-    L ≥ 3 — and returns one of four values
-    :func:`restore_gram_solver_state` understands:
-
-    * ``{"factors": [E₁, ..., E_d], "lam": ⊗λ}`` — the exact two-term
-      inverse, as plain float64 arrays ready for npz persistence, so a
-      reloaded strategy never re-runs the per-factor
-      Cholesky/eigendecomposition setup;
-    * ``{"precond_factors": [...], "precond_lam": ⊗λ,
-      "precond_blocks": [a, b]}`` — the preconditioner of an L ≥ 3
-      union (same factor layout; ``precond_lam`` is ``⊗λ + Σ_rest`` or
-      ``⊗λ``), so a warm-loaded L-block strategy never re-runs the
-      factorizations or probe solves;
-    * ``{"unavailable": True}`` — the factorization probe ran and failed
-      (no affordable structure), so a reloaded strategy skips re-probing;
-    * ``None`` — nothing is known (e.g. memoization was globally
-      disabled, so the probe outcome was not recorded); a reloaded
-      strategy probes afresh on first use.
+    Runs the (memoized) solver build and returns
+    ``{"factors": [E₁, ..., E_d], "lam": λ, "blocks": [a, b],
+    "exact": bool}`` as plain float64 arrays and JSON scalars, so a
+    reloaded strategy never re-runs the factorizations or probe solves;
+    ``None`` when ``A`` has no union solver (not a union, or no block
+    pair factors), which a reloaded strategy rediscovers on first use.
     """
-    if union_gram_inverse(A) is not None:
-        state = A.cache_get("union_gram_state")
-        if state is None:  # cache globally disabled — outcome not recorded
-            return None
-        return {"factors": list(state["factors"]), "lam": state["lam"]}
-    if union_gram_preconditioner(A) is not None:
-        state = A.cache_get("union_gram_precond_state")
-        if state is None:  # cache globally disabled — outcome not recorded
-            return None
-        return {
-            "precond_factors": list(state["factors"]),
-            "precond_lam": state["lam"],
-            "precond_blocks": [int(b) for b in state["blocks"]],
-        }
-    # ``precond_probed`` marks that the preconditioner probe itself ran
-    # and failed.  Registry entries written before the preconditioner
-    # existed carry a bare ``{"unavailable": True}``, and restore must
-    # not let that legacy state disable a probe it never ran.
-    return {"unavailable": True, "precond_probed": True}
+    solver = union_gram_solver(A)
+    if solver is None:
+        return None
+    return {
+        "factors": list(solver.factors),
+        "lam": solver.lam,
+        "blocks": [int(b) for b in solver.blocks],
+        "exact": bool(solver.exact),
+    }
 
 
 def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
-    """Attach exported solver state to a strategy instance.
+    """Attach a state from :func:`export_gram_solver_state` to ``A``.
 
-    Inverts :func:`export_gram_solver_state`'s cases: factor state
-    (exact inverse or L-block preconditioner) is rebuilt and
-    cached, a recorded failed probe is cached as ``"unavailable"`` (CG
-    path, no re-probe), and ``None`` leaves the strategy untouched so
-    the first solve probes normally.  Keys this version does not know
-    — such as the ``recycle_*`` Ritz basis that older registry entries
-    carry — are ignored.
+    Only that shape is restored: any other — ``None``, or one of the
+    shapes older registry entries carry (``{"factors", "lam"}`` without
+    ``blocks``/``exact``, ``precond_*`` keys, ``{"unavailable": True}``)
+    — leaves ``A`` untouched, so its first solve rebuilds the solver and
+    a legacy two-term state is never trusted as exact.  Extra keys, such
+    as the ``recycle_*`` fields of old entries, are ignored.
     """
-    if state is None:
+    if not isinstance(A, VStack) or not isinstance(state, dict):
         return
-    if state.get("unavailable"):
-        if isinstance(A, VStack):
-            A.cache_set("union_gram_inverse", "unavailable")
-            # Only a probe that actually ran may be recorded as failed —
-            # a legacy export (pre-preconditioner registry entry) must
-            # leave the preconditioner probe free to run on first use.
-            if state.get("precond_probed"):
-                A.cache_set("union_gram_precond", "unavailable")
+    if not {"factors", "lam", "blocks", "exact"} <= state.keys():
         return
-    if "precond_factors" in state:
-        Es = [np.asarray(E, dtype=np.float64) for E in state["precond_factors"]]
-        lam_full = np.asarray(state["precond_lam"], dtype=np.float64)
-        blocks = tuple(int(b) for b in state.get("precond_blocks", ()))
-        A.cache_set(
-            "union_gram_precond_state",
-            {"factors": Es, "lam": lam_full, "blocks": blocks},
-        )
-        A.cache_set("union_gram_precond", _assemble_gram_inverse(Es, lam_full))
-        return
-    Es = [np.asarray(E, dtype=np.float64) for E in state["factors"]]
-    lam_full = np.asarray(state["lam"], dtype=np.float64)
-    A.cache_set("union_gram_state", {"factors": Es, "lam": lam_full})
-    A.cache_set("union_gram_inverse", _assemble_gram_inverse(Es, lam_full))
+    A.cache_set(
+        "union_gram_solver",
+        UnionGramSolver(
+            [np.asarray(E, dtype=np.float64) for E in state["factors"]],
+            np.asarray(state["lam"], dtype=np.float64),
+            tuple(int(b) for b in state["blocks"]),
+            bool(state["exact"]),
+        ),
+    )
 
 
 @dataclass
@@ -556,8 +504,8 @@ def cg_gram_solve(
         Iteration cap (default ``3 n``).
     preconditioner:
         Optional symmetric positive-definite approximation of ``G⁻¹``
-        applied once per iteration (e.g. the L-block preconditioner from
-        :func:`union_gram_preconditioner`).  Convergence is still
+        applied once per iteration (e.g. the inverse of a
+        :func:`union_gram_solver` that is not exact).  Convergence is still
         measured on the *unpreconditioned* residual, so tolerances and
         the LSMR-fallback contract are unchanged.
     """

@@ -302,11 +302,6 @@ class MarginalsAlgebra:
             self.x_operator(u), np.asarray(delta, dtype=np.float64)
         )
 
-    def gram_weights(self, theta: np.ndarray) -> np.ndarray:
-        """Weights u with ``M(θ)ᵀ M(θ) = G(u)``: simply ``u = θ²``."""
-        theta = np.asarray(theta, dtype=np.float64)
-        return theta**2
-
 
 class MarginalsGram(Matrix):
     """``G(v) = Σ_a v_a C(a)`` as an implicit N x N matrix.

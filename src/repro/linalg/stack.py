@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .base import Dense, Matrix
+from .base import Matrix
 
 
 class Weighted(Matrix):
@@ -335,8 +335,3 @@ class Sum(Matrix):
             f"Sum({len(self.terms)} terms, shape={self.shape}, "
             f"dtype={self.dtype.__name__})"
         )
-
-
-def hstack_dense(blocks: Sequence[np.ndarray]) -> Dense:
-    """Convenience: horizontally stack dense blocks into a Dense matrix."""
-    return Dense(np.hstack(blocks))

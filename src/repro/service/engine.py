@@ -72,8 +72,7 @@ from ..core.privacy import DEFAULT_DELTA
 from ..core.reconstruct import resolves_to_pinv, validate_solver_options
 from ..core.solvers import (
     cg_gram_solve,
-    union_gram_inverse,
-    union_gram_preconditioner,
+    union_gram_solver,
     validate_epsilon,
     validate_positive_int,
 )
@@ -189,9 +188,10 @@ def in_measured_span(A: Matrix, q: Matrix | np.ndarray, tol: float = SPAN_TOL) -
     reconstruction answers with bounded, data-independent error — the
     queries a cached x̂ can serve for free.  The membership test projects
     ``qᵀ`` through ``A⁺A = (AᵀA)⁺(AᵀA)`` using the strategy's own
-    structured machinery (structured pseudo-inverse, the two-term union
-    Gram inverse, or batched CG — which converges to the pseudo-inverse
-    solve because Krylov iterates stay in ``range(AᵀA)``), and accepts
+    structured machinery (structured pseudo-inverse, a union Gram solver
+    the probe showed exact, or batched CG — which converges to the
+    pseudo-inverse solve because Krylov iterates stay in
+    ``range(AᵀA)``), and accepts
     when the projection residual is below ``tol`` relative to the query
     norm.  Full-row-rank strategies (anything containing a scaled
     identity, e.g. every p-Identity product) span everything.
@@ -204,16 +204,17 @@ def in_measured_span(A: Matrix, q: Matrix | np.ndarray, tol: float = SPAN_TOL) -
         proj = A.pinv().matmat(A.matmat(Qt))
     else:
         B = A.gram().matmat(Qt)
-        Ginv = union_gram_inverse(A)
-        if Ginv is not None:
-            proj = Ginv.matmat(B)
+        solver = union_gram_solver(A)
+        if solver is not None and solver.exact:
+            proj = solver.inverse.matmat(B)
         else:
-            # L ≥ 3 unions: the union preconditioner cuts the CG
-            # projection cost.  Its existence implies the Gram is positive
-            # definite (full span), so preconditioning cannot perturb the
-            # rank-deficient projection semantics.
-            M = union_gram_preconditioner(A)
-            proj = cg_gram_solve(A.gram(), B, preconditioner=M).x
+            # Plain CG: its iterates stay in range(AᵀA), so it converges
+            # to the pseudo-inverse projection even on a singular Gram.
+            # Preconditioned by the union solver it would converge to
+            # the M-norm-minimal solution instead, off the projection
+            # by a null-space part whenever a rank-deficient union
+            # still factors.
+            proj = cg_gram_solve(A.gram(), B).x
     scale = np.maximum(np.abs(Qt).sum(axis=0), 1.0)
     return bool(np.max(np.abs(proj - Qt).max(axis=0) / scale) <= tol)
 

@@ -14,14 +14,15 @@ Layout — one JSON manifest plus one npz per strategy::
 
 The npz carries the strategy's :mod:`structural config
 <repro.linalg.serialize>` (JSON string under ``__config__``, ndarrays
-split out by :func:`~repro.linalg.flatten_arrays`) *and* the factor state
-of the structured union Gram solver
-(:func:`~repro.core.solvers.export_gram_solver_state`) — the exact
-two-term inverse for one- and two-block unions, or the probe-chosen
-preconditioner for L ≥ 3 unions — so a loaded strategy answers its first
-query without re-running the per-factor Cholesky/eigendecomposition
-setup or the preconditioner's probe solves.  All payloads are float64-exact: a reloaded strategy is
-bit-identical to the fitted one.
+split out by :func:`~repro.linalg.flatten_arrays`) *and*, for a union, the
+state of its Gram solver
+(:func:`~repro.core.solvers.export_gram_solver_state`: the block pair's
+factors and diagonal, and whether the probe showed it exact) — so a
+loaded strategy answers its first query without re-running the
+per-factor Cholesky/eigendecomposition setup or the probe solves.
+Solver states of older entries in other shapes are ignored on load; the
+strategy re-factors on first use.  All payloads are float64-exact: a
+reloaded strategy is bit-identical to the fitted one.
 
 Keys are :func:`~repro.service.fingerprint.workload_fingerprint` values,
 so any process that can *construct* the workload can find its strategy —
@@ -432,10 +433,7 @@ class StrategyRegistry:
                 "sensitivity": float(strategy.sensitivity()),
                 "loss": None if loss is None else float(loss),
                 "template": template or "",
-                "solver_state": bool(
-                    solver
-                    and ("factors" in solver or "precond_factors" in solver)
-                ),
+                "solver_state": solver is not None,
                 "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
                 "metadata": metadata or {},
             }
@@ -462,11 +460,11 @@ class StrategyRegistry:
         return digest, solver
 
     def refresh_solver_state(self, key: str, strategy: Matrix) -> bool:
-        """Re-persist an entry's npz with the strategy's *current* solver
-        state (exact two-term inverse or L-block preconditioner).
+        """Re-persist an entry's npz with the strategy's union Gram solver
+        state (:func:`~repro.core.solvers.export_gram_solver_state`).
 
-        Solver state can accrue after ``put`` — the factorization runs on
-        a strategy's first solve if it was registered unsolved.  This
+        An entry can lack that state — one written before the current
+        state shape, whose solver state is ignored on load.  This
         rewrites the npz in place (atomically, checksum updated before
         the manifest flips) while preserving the entry's fit metadata,
         so a fresh process warm loads the strategy already factored.
@@ -481,10 +479,7 @@ class StrategyRegistry:
             if entry is None:  # deleted concurrently; npz is orphaned
                 return False
             entry["sha256"] = digest
-            entry["solver_state"] = bool(
-                solver
-                and ("factors" in solver or "precond_factors" in solver)
-            )
+            entry["solver_state"] = solver is not None
             self._write_manifest(manifest)
         return True
 

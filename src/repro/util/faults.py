@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "FaultInjector",
     "SimulatedCrash",
-    "active_injector",
     "check",
     "mangle",
     "mangle_file",
@@ -145,13 +144,6 @@ class FaultInjector:
         )
         return self
 
-    # -- introspection -------------------------------------------------------
-    def op_count(self, site: str) -> int:
-        """How many times ``site`` has been hit while this injector was
-        active — run a workload once with a passive injector to *discover*
-        the operation numbers a kill matrix should sweep."""
-        return self._counts.get(site, 0)
-
     # -- firing --------------------------------------------------------------
     def _hit(self, site: str) -> tuple[int, list[_Plan]]:
         with self._lock:
@@ -238,10 +230,6 @@ class FaultInjector:
 
 
 _ACTIVE: FaultInjector | None = None
-
-
-def active_injector() -> FaultInjector | None:
-    return _ACTIVE
 
 
 def check(site: str) -> None:

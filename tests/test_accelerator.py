@@ -390,15 +390,21 @@ class TestRitzPersistence:
 
     def test_legacy_recycle_fields_are_ignored(self, tmp_path, monkeypatch):
         """Entries written when the solver recycled a Ritz basis carry
-        ``recycle_U/GU/ritz/tuning`` beside the preconditioner factors.
-        They must still load — the extra fields ignored — and solve."""
+        ``recycle_U/GU/ritz/tuning`` beside the preconditioner factors
+        (``precond_*``, a shape restore no longer writes).  They must
+        still load — the whole state ignored, re-factored on first use —
+        and solve."""
         from repro.core.reconstruct import least_squares
+        from repro.core.solvers import union_gram_solver
         from repro.service import registry as registry_mod
 
-        export = registry_mod.export_gram_solver_state
-
         def legacy_export(A):
-            state = export(A)
+            solver = union_gram_solver(A)
+            state = {
+                "precond_factors": list(solver.factors),
+                "precond_lam": solver.lam,
+                "precond_blocks": list(solver.blocks),
+            }
             U = np.random.default_rng(5).standard_normal((A.shape[1], 3))
             state.update(
                 recycle_U=U,
@@ -421,7 +427,7 @@ class TestRitzPersistence:
 
         loaded = StrategyRegistry(tmp_path / "reg").load(key).strategy
         assert loaded.cache_get("gram_recycle_state") is None
-        assert loaded.cache_get("union_gram_precond_state") is not None
+        assert loaded.cache_get("union_gram_solver") is None
         Y = np.random.default_rng(6).standard_normal((loaded.shape[0], 3))
         X = least_squares(loaded, Y)
         ref = np.linalg.pinv(loaded.dense()) @ Y
@@ -435,7 +441,7 @@ class TestRitzPersistence:
         assert reg.refresh_solver_state(key, A_strat)
         loaded = StrategyRegistry(tmp_path / "reg").load(key)
         assert loaded.meta["solver_state"]
-        assert loaded.strategy.cache_get("union_gram_precond_state") is not None
+        assert loaded.strategy.cache_get("union_gram_solver") is not None
 
     def test_refresh_unknown_key_is_noop(self, tmp_path):
         reg = StrategyRegistry(tmp_path / "reg")
@@ -448,11 +454,11 @@ class TestRitzPersistence:
         with np.load(reg._strategy_path(key)) as npz:
             assert "recycle" not in str(npz["__config__"])
         loaded = reg.load(key).strategy
-        saved = A_strat.cache_get("union_gram_precond_state")
-        got = loaded.cache_get("union_gram_precond_state")
-        assert got["blocks"] == saved["blocks"]
-        assert np.array_equal(got["lam"], saved["lam"])
-        for E_got, E_saved in zip(got["factors"], saved["factors"]):
+        saved = A_strat.cache_get("union_gram_solver")
+        got = loaded.cache_get("union_gram_solver")
+        assert got.blocks == saved.blocks and got.exact == saved.exact
+        assert np.array_equal(got.lam, saved.lam)
+        for E_got, E_saved in zip(got.factors, saved.factors):
             assert np.array_equal(E_got, E_saved)
 
 

@@ -39,7 +39,7 @@ from repro.core.solvers import (
     _kron_gram_factor_mats,
     _two_term_factorization,
     cg_gram_solve,
-    union_gram_preconditioner,
+    union_gram_solver,
 )
 from repro.obs.spend import replay, report_from_accountant
 from repro.optimize import PIdentity, pidentity_loss_and_grad, spawn_seeds
@@ -353,9 +353,11 @@ class TestPIdentityProperties:
 
 @st.composite
 def kron_unions(draw):
-    """An L-block union (L 3–6) of weighted p-Identity Kronecker products
-    with shared factor sizes, Θ scales log-uniform in 1e-2–1e2."""
-    L = draw(st.integers(3, 6))
+    """An L-block union (L 1–6) of weighted p-Identity Kronecker products
+    with shared factor sizes, Θ scales log-uniform in 1e-2–1e2; when
+    ``deficient`` is drawn, one factor of one block is a ``Dense`` with
+    fewer rows than columns, whose Gram is rank-deficient."""
+    L = draw(st.integers(1, 6))
     sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
     seed = draw(st.integers(0, 2**32 - 1))
     r = np.random.default_rng(seed)
@@ -368,39 +370,68 @@ def kron_unions(draw):
             factors.append(PIdentity(r.random((p, n)) * scale))
         weight = draw(st.floats(0.05, 1.0))
         blocks.append(Weighted(Kronecker(factors), weight))
-    return VStack(blocks)
+    deficient = draw(st.booleans())
+    if deficient:
+        l = draw(st.integers(0, L - 1))
+        i = draw(st.integers(0, len(sizes) - 1))
+        factors = list(blocks[l].base.factors)
+        n = sizes[i]
+        factors[i] = Dense(r.standard_normal((draw(st.integers(1, n - 1)), n)))
+        blocks[l] = Weighted(Kronecker(factors), blocks[l].weight)
+    return VStack(blocks), deficient
+
+
+def _first_pair_only(A):
+    """The pair-only inverse of the first candidate pair: a lone block
+    with a zero Gram, blocks (0, 1) of two, else the top-trace pair,
+    higher trace first (the base order of the factorization moves the
+    probe count by rounding on ill-conditioned unions, so it must match
+    the first candidate's)."""
+    mats = [_kron_gram_factor_mats(b) for b in A.blocks]
+    if len(mats) == 1:
+        return _two_term_factorization(mats[0], [np.zeros_like(m) for m in mats[0]])
+    if len(mats) == 2:
+        return _two_term_factorization(mats[0], mats[1])
+    traces = [np.trace(b.gram().dense()) for b in A.blocks]
+    a, b = np.argsort(-np.asarray(traces), kind="stable")[:2]
+    return _two_term_factorization(mats[a], mats[b])
 
 
 class TestUnionPreconditionerProperties:
-    """The L ≥ 3 preconditioner is chosen by a probe solve: it never
-    probes slower than the top-trace pair's exact inverse alone, and
-    PCG with it still solves the least squares problem exactly."""
+    """The union Gram solver is chosen by a probe solve: it never probes
+    slower than the first pair's factorization alone, and every solve —
+    direct or PCG, rank-deficient unions included — answers the
+    strategy's rows as the pseudo-inverse does."""
 
     @settings(max_examples=20)
     @given(kron_unions())
-    def test_chosen_probes_no_slower_than_pair_only(self, A):
-        M = union_gram_preconditioner(A)
-        assert M is not None
-        mats = [_kron_gram_factor_mats(b) for b in A.blocks]
-        # The top-trace pair, higher trace first: the base order of the
-        # factorization moves the probe count by rounding on ill-
-        # conditioned unions, so it must match the first candidate's.
-        traces = [np.trace(b.gram().dense()) for b in A.blocks]
-        a, b = np.argsort(-np.asarray(traces), kind="stable")[:2]
-        M_pair = _assemble_gram_inverse(*_two_term_factorization(mats[a], mats[b]))
-        G = A.gram()
-        probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
-        chosen = cg_gram_solve(G, probe[:, None], preconditioner=M)
-        pair = cg_gram_solve(G, probe[:, None], preconditioner=M_pair)
-        assert chosen.converged.all()
-        assert not pair.converged.all() or (
-            chosen.iterations[0] <= pair.iterations[0]
-        )
+    def test_chosen_probes_no_slower_than_pair_only(self, union):
+        A, deficient = union
+        solver = union_gram_solver(A)
+        if not deficient:
+            assert solver is not None
+            G = A.gram()
+            probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
+            chosen = cg_gram_solve(G, probe[:, None], preconditioner=solver.inverse)
+            pair = cg_gram_solve(
+                G,
+                probe[:, None],
+                preconditioner=_assemble_gram_inverse(*_first_pair_only(A)),
+            )
+            assert chosen.converged.all()
+            assert not pair.converged.all() or (
+                chosen.iterations[0] <= pair.iterations[0]
+            )
+            assert solver.exact == (len(A.blocks) <= 2 and chosen.iterations[0] == 1)
 
+        Ad = A.dense()
         Y = np.random.default_rng(1).standard_normal((A.shape[0], 2))
         X = least_squares(A, Y)
-        X_ref = np.linalg.pinv(A.dense()) @ Y
-        assert np.max(np.abs(X - X_ref)) <= 1e-8 * np.abs(X_ref).max()
+        ref = Ad @ np.linalg.pinv(Ad) @ Y
+        assert np.max(np.abs(Ad @ X - ref)) <= 1e-8 * np.abs(ref).max()
+        if not deficient:
+            X_ref = np.linalg.pinv(Ad) @ Y
+            assert np.max(np.abs(X - X_ref)) <= 1e-8 * np.abs(X_ref).max()
 
 
 @st.composite

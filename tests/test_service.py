@@ -122,17 +122,18 @@ class TestRegistry:
     def test_loaded_strategy_is_serve_ready(
         self, tmp_path, union_workload, fitted_union
     ):
-        """The union Gram inverse factor cache must be attached on load —
-        no re-factorization before the first solve."""
+        """The union Gram solver must be attached on load, exact as it
+        was fitted — no re-factorization before the first solve."""
         reg = StrategyRegistry(tmp_path / "reg")
         key = reg.put(union_workload, fitted_union.strategy)
         rec = reg.load(key)
         assert rec.meta["solver_state"]
-        op = rec.strategy.cache_get("union_gram_inverse")
-        assert op is not None and not isinstance(op, str)
+        solver = rec.strategy.cache_get("union_gram_solver")
+        assert solver is not None and not isinstance(solver, str)
+        assert solver.exact
         G = rec.strategy.gram().dense()
         n = rec.strategy.shape[1]
-        assert np.allclose(op.dense() @ G, np.eye(n), atol=1e-8)
+        assert np.allclose(solver.inverse.dense() @ G, np.eye(n), atol=1e-8)
 
     def test_get_miss_returns_none(self, tmp_path):
         reg = StrategyRegistry(tmp_path / "reg")
@@ -171,7 +172,7 @@ class TestRegistry:
         strategy serves without ever re-running the factorization."""
         import repro.core.solvers as solvers
         from repro.core import least_squares
-        from repro.core.solvers import union_gram_preconditioner
+        from repro.core.solvers import union_gram_solver
         from repro.optimize import PIdentity
 
         r = np.random.default_rng(3)
@@ -191,8 +192,8 @@ class TestRegistry:
         assert reg.entry(key)["solver_state"]
 
         rec = reg.load(key)
-        state = rec.strategy.cache_get("union_gram_precond_state")
-        assert state is not None and len(state["blocks"]) == 2
+        state = rec.strategy.cache_get("union_gram_solver")
+        assert state is not None and len(state.blocks) == 2
 
         # The pair factorization must never run again: the
         # restored factors are used as-is.
@@ -201,8 +202,7 @@ class TestRegistry:
             AssertionError("pair factorization re-ran on warm load")
         )
         try:
-            M = union_gram_preconditioner(rec.strategy)
-            assert M is not None
+            assert union_gram_solver(rec.strategy) is state
             y = np.random.default_rng(0).standard_normal(rec.strategy.shape[0])
             x = least_squares(rec.strategy, y)
         finally:
@@ -213,10 +213,10 @@ class TestRegistry:
     def test_cache_disabled_put_does_not_poison_loaded_strategy(
         self, tmp_path, union_workload
     ):
-        """A put() under globally-disabled memoization records 'unknown',
-        not 'unavailable': the loaded strategy must still find its exact
-        structured Gram inverse on first use."""
-        from repro.core.solvers import union_gram_inverse
+        """A put() under globally-disabled memoization still builds and
+        persists the solver state (it is only not memoized): the loaded
+        strategy finds its exact structured Gram inverse."""
+        from repro.core.solvers import union_gram_solver
         from repro.linalg import set_cache_enabled
 
         result = opt_union(union_workload, rng=0)
@@ -226,9 +226,9 @@ class TestRegistry:
             key = reg.put(union_workload, result.strategy)
         finally:
             set_cache_enabled(prev)
-        assert not reg.entry(key)["solver_state"]
+        assert reg.entry(key)["solver_state"]
         rec = reg.load(key)
-        assert union_gram_inverse(rec.strategy) is not None
+        assert rec.strategy.cache_get("union_gram_solver").exact
 
 
 class TestAccountant:

@@ -21,8 +21,7 @@ from repro.core.solvers import (
     cg_gram_solve,
     export_gram_solver_state,
     restore_gram_solver_state,
-    union_gram_inverse,
-    union_gram_preconditioner,
+    union_gram_solver,
     validate_maxiter,
     validate_tolerance,
 )
@@ -214,33 +213,87 @@ class TestSolverAgreement:
 
 
 class TestUnionGramInverse:
+    """One- and two-block unions: the probe shows the pair factorization
+    exact, and it is applied directly as the Gram inverse."""
+
     def test_two_block_inverse_is_exact(self, rng):
         A = _union_strategy(rng)
-        op = union_gram_inverse(A)
-        assert op is not None
+        solver = union_gram_solver(A)
+        assert solver is not None and solver.exact
+        assert solver.blocks == (0, 1)
         G = A.gram().dense()
-        assert np.allclose(op.dense() @ G, np.eye(A.shape[1]), atol=1e-8)
+        assert np.allclose(solver.inverse.dense() @ G, np.eye(A.shape[1]), atol=1e-8)
+        assert resolves_to_direct(A)
 
     def test_single_block_inverse(self, rng):
         A = VStack([Weighted(Kronecker([PIdentity(rng.random((2, 4))),
                                         PIdentity(rng.random((2, 3)))]), 1.0)])
-        op = union_gram_inverse(A)
-        assert op is not None
-        assert np.allclose(op.dense() @ A.gram().dense(), np.eye(12), atol=1e-8)
+        solver = union_gram_solver(A)
+        assert solver is not None and solver.exact and solver.blocks == (0,)
+        assert np.allclose(
+            solver.inverse.dense() @ A.gram().dense(), np.eye(12), atol=1e-8
+        )
 
     def test_unavailable_for_three_blocks(self, rng):
+        """A pair cannot cover three blocks: never applied as exact."""
         blocks = [
             Weighted(Kronecker([PIdentity(rng.random((1, 4))), Identity(3)]), 0.3)
             for _ in range(3)
         ]
-        assert union_gram_inverse(VStack(blocks)) is None
+        A = VStack(blocks)
+        assert not union_gram_solver(A).exact
+        assert not resolves_to_direct(A)
 
     def test_unavailable_for_non_vstack(self, rng):
-        assert union_gram_inverse(PIdentity(rng.random((2, 5)))) is None
+        assert union_gram_solver(PIdentity(rng.random((2, 5)))) is None
 
     def test_cached_on_instance(self, rng):
         A = _union_strategy(rng)
-        assert union_gram_inverse(A) is union_gram_inverse(A)
+        assert union_gram_solver(A) is union_gram_solver(A)
+
+
+def _rank_deficient_union(seed):
+    """A 2-block union of rank 9 on 12 cells whose Dense block's 3 x 3
+    factor Gram has rank 2 yet can pass Cholesky with a pivot at
+    rounding level (seed 0 does)."""
+    r = np.random.default_rng(seed)
+    return VStack(
+        [
+            Kronecker([Identity(3), Ones(1, 4)]),
+            Kronecker(
+                [Dense(r.standard_normal((2, 3))), Dense(r.standard_normal((5, 4)))]
+            ),
+        ]
+    )
+
+
+class TestRankDeficientUnion:
+    """A factorization that passes Cholesky is not trusted as exact: the
+    probe finds it inexact, so it only preconditions CG."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_answers_match_pinv_on_the_strategy_rows(self, seed):
+        A = _rank_deficient_union(seed)
+        Ad = A.dense()
+        assert np.linalg.matrix_rank(Ad) == 9
+        Y = np.random.default_rng(seed + 100).standard_normal((A.shape[0], 3))
+        ref = Ad @ np.linalg.pinv(Ad) @ Y
+        for y, want in ((Y, ref), (Y[:, 0], ref[:, 0])):
+            got = Ad @ least_squares(A, y)
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_strategy_rows_are_in_the_measured_span(self, seed):
+        from repro.service import in_measured_span
+
+        A = _rank_deficient_union(seed)
+        assert in_measured_span(A, A.dense()[:4])
+
+    def test_seed_zero_factors_but_is_not_exact(self):
+        A = _rank_deficient_union(0)
+        solver = union_gram_solver(A)
+        assert solver is not None and not solver.exact
+        assert not resolves_to_direct(A)
 
 
 def _kron_dense(mats):
@@ -250,13 +303,13 @@ def _kron_dense(mats):
     return out
 
 
-def _precond_inverse_parts(A, state):
+def _precond_inverse_parts(A, solver):
     """Dense pieces of an L-block preconditioner's inverse, from its
-    state and the blocks' dense Grams: a function ``σ ↦ G_pair +
+    solver state and the blocks' dense Grams: a function ``σ ↦ G_pair +
     E⁻¹ diag(σ) E⁻ᵀ`` (``E = ⊗Eᵢ``), the pair's ``⊗λ`` and the other
     blocks' diagonal ``Σ_rest`` in the pair's basis."""
-    i, j = state["blocks"]
-    E = _kron_dense(state["factors"])
+    i, j = solver.blocks
+    E = _kron_dense(solver.factors)
     E_inv = np.linalg.inv(E)
     G_pair = VStack([A.blocks[i], A.blocks[j]]).gram().dense()
     lam_pair = np.diag(E @ G_pair @ E.T) - 1.0
@@ -287,13 +340,14 @@ class TestMultiblockGramSolver:
         pair's basis, rebuilt here from dense Grams.  On these unions the
         corrected candidate solves the probe fastest."""
         A = _multiblock_strategy(rng, L)
-        M = union_gram_preconditioner(A)
-        assert M is not None
-        state = A.cache_get("union_gram_precond_state")
-        M_inv, lam_pair, sigma = _precond_inverse_parts(A, state)
+        solver = union_gram_solver(A)
+        assert solver is not None and not solver.exact
+        M_inv, lam_pair, sigma = _precond_inverse_parts(A, solver)
         assert np.any(sigma > 1e-3)
-        assert np.allclose(state["lam"], lam_pair + sigma, rtol=1e-10, atol=1e-10)
-        assert np.allclose(M.dense() @ M_inv(sigma), np.eye(A.shape[1]), atol=1e-8)
+        assert np.allclose(solver.lam, lam_pair + sigma, rtol=1e-10, atol=1e-10)
+        assert np.allclose(
+            solver.inverse.dense() @ M_inv(sigma), np.eye(A.shape[1]), atol=1e-8
+        )
 
     def test_preconditioner_keeps_pair_only_when_it_probes_faster(self):
         """On mixed-scale blocks the rest-of-union diagonal can slow PCG
@@ -313,16 +367,16 @@ class TestMultiblockGramSolver:
                 for _ in range(4)
             ]
         )
-        M = union_gram_preconditioner(A)
-        state = A.cache_get("union_gram_precond_state")
-        M_inv, lam_pair, sigma = _precond_inverse_parts(A, state)
-        assert np.allclose(state["lam"], lam_pair, rtol=1e-10, atol=1e-10)
+        solver = union_gram_solver(A)
+        M = solver.inverse
+        M_inv, lam_pair, sigma = _precond_inverse_parts(A, solver)
+        assert np.allclose(solver.lam, lam_pair, rtol=1e-10, atol=1e-10)
         assert np.allclose(
             M.dense() @ M_inv(np.zeros_like(sigma)), np.eye(A.shape[1]), atol=1e-8
         )
         # The corrected candidate for the same pair probes no faster.
         probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
-        E = _kron_dense(state["factors"])
+        E = _kron_dense(solver.factors)
         corrected = Dense(E.T @ np.diag(1.0 / (1.0 + lam_pair + sigma)) @ E)
         G = A.gram()
         kept = cg_gram_solve(G, probe[:, None], preconditioner=M)
@@ -344,11 +398,11 @@ class TestMultiblockGramSolver:
                 for w in (1.0, 1.0, 0.01)
             ]
         )
-        M = union_gram_preconditioner(A)
-        state = A.cache_get("union_gram_precond_state")
-        assert tuple(state["blocks"]) == (0, 1)
-        _, lam_pair, sigma = _precond_inverse_parts(A, state)
-        E = _kron_dense(state["factors"])
+        solver = union_gram_solver(A)
+        M = solver.inverse
+        assert solver.blocks == (0, 1)
+        _, lam_pair, sigma = _precond_inverse_parts(A, solver)
+        E = _kron_dense(solver.factors)
         corrected = Dense(E.T @ np.diag(1.0 / (1.0 + lam_pair + sigma)) @ E)
         probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
         G = A.gram()
@@ -356,12 +410,13 @@ class TestMultiblockGramSolver:
         other = cg_gram_solve(G, probe[:, None], preconditioner=corrected)
         assert kept.iterations[0] == other.iterations[0]
         assert sigma.max() > 1e-4
-        assert np.allclose(state["lam"], lam_pair, rtol=0, atol=1e-10)
+        assert np.allclose(solver.lam, lam_pair, rtol=0, atol=1e-10)
 
     def test_legacy_pair_only_state_restores_and_solves(self, rng):
         """A state exported with a pair-only ``precond_lam`` (the format
-        written before the rest-of-union diagonal existed) restores as a
-        valid preconditioner, and its solves match the dense pinv."""
+        written before the rest-of-union diagonal existed) is a shape
+        restore does not write: it is ignored, the first solve re-factors,
+        and its solves match the dense pinv."""
         A = _multiblock_strategy(rng, 4)
         mats = [_kron_gram_factor_mats(b) for b in A.blocks]
         Es, lam_pair = _two_term_factorization(mats[0], mats[1])
@@ -371,9 +426,9 @@ class TestMultiblockGramSolver:
             "precond_blocks": [0, 1],
         }
         restore_gram_solver_state(A, legacy)
-        M = union_gram_preconditioner(A)
-        G_pair = VStack([A.blocks[0], A.blocks[1]]).gram().dense()
-        assert np.allclose(M.dense() @ G_pair, np.eye(A.shape[1]), atol=1e-8)
+        assert A.cache_get("union_gram_solver") is None
+        fresh = union_gram_solver(_multiblock_strategy(np.random.default_rng(12345), 4))
+        assert np.array_equal(union_gram_solver(A).lam, fresh.lam)
         Y = rng.standard_normal((A.shape[0], 4))
         X = least_squares(A, Y)
         X_ref = np.linalg.pinv(A.dense()) @ Y
@@ -381,12 +436,14 @@ class TestMultiblockGramSolver:
         assert np.max(np.abs(X - X_ref)) / scale <= 1e-8
 
     def test_preconditioner_unavailable_below_three_blocks(self, rng):
-        assert union_gram_preconditioner(_union_strategy(rng)) is None
-        assert union_gram_preconditioner(PIdentity(rng.random((2, 5)))) is None
+        """Below three blocks the probe shows the solver exact, so it is
+        applied directly and never preconditions CG."""
+        assert union_gram_solver(_union_strategy(rng)).exact
+        assert union_gram_solver(PIdentity(rng.random((2, 5)))) is None
 
     def test_preconditioner_cached_on_instance(self, rng):
         A = _multiblock_strategy(rng, 3)
-        assert union_gram_preconditioner(A) is union_gram_preconditioner(A)
+        assert union_gram_solver(A) is union_gram_solver(A)
 
     def test_incompatible_top_trace_block_does_not_starve_pairs(self, rng):
         """A dominant block whose factor shapes match nothing else must
@@ -403,10 +460,9 @@ class TestMultiblockGramSolver:
             for _ in range(3)
         ]
         A = VStack([odd] + compatible)
-        M = union_gram_preconditioner(A)
-        assert M is not None
-        state = A.cache_get("union_gram_precond_state")
-        assert 0 not in state["blocks"]  # the odd block cannot pair
+        solver = union_gram_solver(A)
+        assert solver is not None
+        assert 0 not in solver.blocks  # the odd block cannot pair
 
     def test_preconditioned_vs_plain_cg_answers_agree(self, rng):
         A = _multiblock_strategy(rng, 4)
@@ -422,7 +478,7 @@ class TestMultiblockGramSolver:
         G = A.gram()
         B = A.rmatmat(rng.standard_normal((A.shape[0], 8)))
         plain = cg_gram_solve(G, B)
-        pre = cg_gram_solve(G, B, preconditioner=union_gram_preconditioner(A))
+        pre = cg_gram_solve(G, B, preconditioner=union_gram_solver(A).inverse)
         assert plain.converged.all() and pre.converged.all()
         assert pre.iterations.sum() < plain.iterations.sum()
 
@@ -440,7 +496,7 @@ class TestMultiblockGramSolver:
         mech.workload = W
         mech.strategy = _multiblock_strategy(np.random.default_rng(7), 4, d1=6, d2=6)
         batch = mech.run_batch(x, eps, trials=trials, rng=13, exact=True)
-        assert union_gram_preconditioner(mech.strategy) is not None
+        assert not union_gram_solver(mech.strategy).exact
         seeds = spawn_seeds(13, T)
         loop = np.stack(
             [mech.run(x, eps[j // trials], rng=seeds[j]) for j in range(T)]
@@ -450,36 +506,40 @@ class TestMultiblockGramSolver:
     def test_export_restore_precond_state(self, rng):
         A = _multiblock_strategy(rng, 4)
         state = export_gram_solver_state(A)
-        assert "precond_factors" in state and "precond_blocks" in state
+        assert set(state) == {"factors", "lam", "blocks", "exact"}
+        assert state["exact"] is False and len(state["blocks"]) == 2
         fresh = np.random.default_rng(12345)
         A2 = _multiblock_strategy(fresh, 4)  # same arrays, fresh caches
         restore_gram_solver_state(A2, state)
-        M2 = A2.cache_get("union_gram_precond")
-        assert M2 is not None and not isinstance(M2, str)
-        M1 = union_gram_preconditioner(A)
-        assert np.allclose(M1.dense(), M2.dense())
+        restored = A2.cache_get("union_gram_solver")
+        assert restored is not None and not isinstance(restored, str)
+        assert restored.blocks == union_gram_solver(A).blocks
+        assert np.array_equal(
+            restored.inverse.dense(), union_gram_solver(A).inverse.dense()
+        )
 
     def test_legacy_unavailable_state_does_not_disable_precond(self, rng):
         """Registry entries persisted before the preconditioner existed
         carry a bare {'unavailable': True}; restoring one onto an L ≥ 3
-        strategy must leave the preconditioner probe free to run."""
+        strategy must leave the solver free to build on first use."""
         A = _multiblock_strategy(rng, 3)
         restore_gram_solver_state(A, {"unavailable": True})  # legacy form
-        assert A.cache_get("union_gram_inverse") == "unavailable"
-        assert union_gram_preconditioner(A) is not None
+        assert A.cache_get("union_gram_solver") is None
+        assert union_gram_solver(A) is not None
 
     def test_failed_precond_probe_roundtrips_as_unavailable(self, rng):
-        """A probe that genuinely ran and failed is persisted so the
-        reloaded strategy skips re-probing."""
+        """A union with no factorizable pair exports nothing, and the
+        reloaded strategy finds no solver again on first use."""
         A = VStack(
             [Weighted(Kronecker([PIdentity(rng.random((1, 2000)))]), 1.0)]
             * 3
-        )  # factor too large for KRON_FACTOR_LIMIT — probe must fail
-        state = export_gram_solver_state(A)
-        assert state == {"unavailable": True, "precond_probed": True}
+        )  # factor too large for KRON_FACTOR_LIMIT — no pair factors
+        assert export_gram_solver_state(A) is None
+        assert A.cache_get("union_gram_solver") == "unavailable"
         A2 = VStack(A.blocks)
-        restore_gram_solver_state(A2, state)
-        assert A2.cache_get("union_gram_precond") == "unavailable"
+        restore_gram_solver_state(A2, None)
+        assert A2.cache_get("union_gram_solver") is None
+        assert union_gram_solver(A2) is None
 
     def test_cg_preconditioner_shape_validated(self, rng):
         A = _union_strategy(rng)
@@ -487,6 +547,82 @@ class TestMultiblockGramSolver:
         B = A.rmatmat(rng.standard_normal((A.shape[0], 2)))
         with pytest.raises(ValueError, match="preconditioner"):
             cg_gram_solve(G, B, preconditioner=Identity(G.shape[0] + 1))
+
+
+def _legacy_state(A, shape):
+    """One solver-state shape older registry entries carry, built by
+    hand: the two-term ``{factors, lam}`` or the ``precond_*``
+    preconditioner (both from ``A``'s first pair), or one of the two
+    ``unavailable`` markers (the latter is what every non-union wrote)."""
+    if shape == "unavailable":
+        return {"unavailable": True}
+    if shape == "unavailable_probed":
+        return {"unavailable": True, "precond_probed": True}
+    mats = [_kron_gram_factor_mats(b) for b in A.blocks]
+    partner = mats[1] if len(mats) > 1 else [np.zeros_like(m) for m in mats[0]]
+    Es, lam = _two_term_factorization(mats[0], partner)
+    if shape == "two_term":
+        return {"factors": Es, "lam": lam}
+    return {
+        "precond_factors": Es,
+        "precond_lam": lam,
+        "precond_blocks": [0, 1][: len(mats)],
+    }
+
+
+_LEGACY_STRATEGIES = {
+    "L1": lambda: _multiblock_strategy(np.random.default_rng(1), 1),
+    "L2": lambda: _multiblock_strategy(np.random.default_rng(2), 2),
+    "L4": lambda: _multiblock_strategy(np.random.default_rng(4), 4),
+    "kron": lambda: Kronecker(
+        [PIdentity(np.random.default_rng(5).random((2, 6))), Identity(5)]
+    ),
+}
+
+
+class TestLegacySolverStates:
+    """Registry entries written before the one union Gram solver still
+    load: their solver state is ignored and the strategy re-factors on
+    first use, answering bit-identically to a fresh factorization."""
+
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [
+            (kind, shape)
+            for kind in ("L1", "L2", "L4")
+            for shape in ("two_term", "precond", "unavailable", "unavailable_probed")
+        ]
+        + [("kron", "unavailable"), ("kron", "unavailable_probed")],
+    )
+    def test_legacy_state_loads_and_answers_as_fresh(
+        self, tmp_path, monkeypatch, kind, shape
+    ):
+        from repro.service import StrategyRegistry
+        from repro.service import registry as registry_mod
+
+        strategy = _LEGACY_STRATEGIES[kind]
+        A = strategy()
+        state = _legacy_state(A, shape)
+        reg = StrategyRegistry(tmp_path / "reg")
+        monkeypatch.setattr(registry_mod, "export_gram_solver_state", lambda _: state)
+        key = reg.put(workload.range_total_union(6, 5), A)
+        monkeypatch.undo()
+
+        loaded = StrategyRegistry(tmp_path / "reg").load(key).strategy
+        assert loaded.cache_get("union_gram_solver") is None
+        Y = np.random.default_rng(9).standard_normal((A.shape[0], 5))
+        assert np.array_equal(least_squares(loaded, Y), least_squares(strategy(), Y))
+
+    def test_legacy_two_term_state_is_not_trusted_as_exact(self):
+        """Older versions applied any two-term state directly; restored from
+        the rank-deficient union's factorization it must not be."""
+        A = _rank_deficient_union(0)
+        restore_gram_solver_state(A, _legacy_state(A, "two_term"))
+        assert not resolves_to_direct(A)
+        Ad = A.dense()
+        Y = np.random.default_rng(3).standard_normal((A.shape[0], 2))
+        ref = Ad @ np.linalg.pinv(Ad) @ Y
+        assert np.abs(Ad @ least_squares(A, Y) - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 class TestValidationSatellites:
