@@ -5,14 +5,9 @@ machine-readable trajectory in ``BENCH_PERF.json`` so future PRs can
 regress against it:
 
 * ``opt_hdmm`` on a Table-3-style multi-attribute workload (Adult 2-way
-  marginals — five attributes, 190 union terms), comparing the engine
-  (``workers=4``, Gram caching, dense marginals algebra) against the
-  *seed-equivalent path*: sequential execution with the structural-result
-  cache disabled (``set_cache_enabled(False)``) and the marginals algebra
-  forced onto its sparse/loop code path
-  (``set_dense_algebra_enabled(False)``) — the code path the seed commit
-  executed on every restart.  The engine must also return a loss equal to
-  its own ``workers=1`` run for the same seed (the determinism contract).
+  marginals — five attributes, 190 union terms), timing the engine at
+  ``workers=1`` and ``workers=4``.  The two must return equal losses for
+  the same seed (the determinism contract).
 * ``kmatmat`` — Algorithm 1 with a trailing batch axis — applying a
   3-factor Kronecker product to a 64-column right-hand side at n = 4096,
   against the seed's per-column ``kmatvec`` loop (what ``Matrix.matmat``
@@ -112,8 +107,6 @@ from repro.linalg import (
     Total,
     kmatmat,
     kmatvec,
-    set_cache_enabled,
-    set_dense_algebra_enabled,
 )
 from repro.optimize import opt_hdmm
 from repro.workload import k_way_marginals
@@ -127,18 +120,7 @@ def _workload():
 
 
 def bench_opt_hdmm(restarts: int = 25, workers: int = 4, rng: int = 0) -> dict:
-    """Engine (workers=4 / workers=1) vs seed-equivalent sequential path."""
-    # Seed-equivalent: no structural caching, sparse marginals algebra,
-    # strictly sequential restarts.
-    set_cache_enabled(False)
-    set_dense_algebra_enabled(False)
-    try:
-        with Timer() as t_seed:
-            seed_res = opt_hdmm(_workload(), restarts=restarts, rng=rng, workers=1)
-    finally:
-        set_cache_enabled(True)
-        set_dense_algebra_enabled(True)
-
+    """Engine at workers=1 vs workers=N: time and loss determinism."""
     with Timer() as t_w1:
         w1_res = opt_hdmm(_workload(), restarts=restarts, rng=rng, workers=1)
     with Timer() as t_w4:
@@ -148,11 +130,8 @@ def bench_opt_hdmm(restarts: int = 25, workers: int = 4, rng: int = 0) -> dict:
         "workload": "adult-2way-marginals",
         "restarts": restarts,
         "workers": workers,
-        "seed_path_seconds": round(t_seed.elapsed, 4),
         "engine_workers1_seconds": round(t_w1.elapsed, 4),
         "engine_seconds": round(t_w4.elapsed, 4),
-        "speedup_vs_seed": round(t_seed.elapsed / t_w4.elapsed, 3),
-        "loss_seed_path": seed_res.loss,
         "loss_workers1": w1_res.loss,
         "loss_workers4": w4_res.loss,
         "loss_deterministic": bool(w1_res.loss == w4_res.loss),
@@ -1294,12 +1273,11 @@ def main() -> None:
     h = results["opt_hdmm"]
     k = results["kmatmat"]
     rows = [
-        ["opt_hdmm seed path", f"{h['seed_path_seconds']:.2f}s", ""],
         ["opt_hdmm engine (workers=1)", f"{h['engine_workers1_seconds']:.2f}s", ""],
         [
             f"opt_hdmm engine (workers={h['workers']})",
             f"{h['engine_seconds']:.2f}s",
-            f"{h['speedup_vs_seed']:.2f}x vs seed",
+            "",
         ],
     ]
     for name, case in k["cases"].items():

@@ -64,18 +64,17 @@ def show(tag: str, status: int, body: dict) -> None:
 
 
 def main() -> None:
-    schema = Schema.from_spec({"age": 16, "income": 8, "sex": ["M", "F"]})
+    # 640 cells: every query below touches more than
+    # DIRECT_MISS_SUPPORT_LIMIT (256) of them, so each miss takes a
+    # strategy fit (route "cold") and the demo exercises the
+    # breaker-guarded path; narrower misses would take the fit-free
+    # direct route.
+    schema = Schema.from_spec({"age": 40, "income": 8, "sex": ["M", "F"]})
     data = (
         np.random.default_rng(7).poisson(25, schema.domain.shape())
         .astype(float)
     )
-    # direct_miss_threshold=0 routes every miss through a strategy fit
-    # (route "cold") so the demo exercises the breaker-guarded path; the
-    # default keeps small miss batches on the fit-free direct route.
-    session = Session(
-        accountant=PrivacyAccountant(default_cap=2.0),
-        direct_miss_threshold=0,
-    )
+    session = Session(accountant=PrivacyAccountant(default_cap=2.0))
     app = ServerApp(session, max_measure=1, max_queue=1, per_dataset=1)
     app.register("adult", schema, data, epsilon_cap=2.0)
     # One dataset per demonstration: a measured request only happens when

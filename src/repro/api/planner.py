@@ -8,19 +8,17 @@ compilation, one answer, and — on a miss — one joint ε debit), and
 routes every group through the cheapest serving path *before any budget
 is spent*:
 
-1. **accelerator** — a cached reconstruction spans the query *and* the
-   query decomposes into axis-aligned boxes at compile time
-   (:func:`repro.service.accelerator.range_spec_of`): answered free by
-   a summed-area corner gather, O(2^k) per query independent of the
-   domain size;
-2. **cache** — a cached reconstruction's measured span contains the
-   query: answered free (Definition 5 post-processing) by a structured
-   matvec;
-3. **warm**  — the miss union is already prepared (memo or registry):
+1. **accelerator** — a cached reconstruction's measured span contains
+   the query: answered free (Definition 5 post-processing), by a
+   summed-area corner gather when the query decomposes into
+   axis-aligned boxes at compile time
+   (:func:`repro.service.accelerator.range_spec_of`; O(2^k) per query
+   independent of the domain size), else by a structured matvec;
+2. **warm**  — the miss union is already prepared (memo or registry):
    measured through the fitted strategy, no cold fit;
-4. **direct** — a small unprepared miss batch with narrow joint support:
+3. **direct** — a small unprepared miss batch with narrow joint support:
    the sensitivity-1 selection measurement (no fit at all);
-5. **cold**  — everything else: fitting template + one accounted pass.
+4. **cold**  — everything else: fitting template + one accounted pass.
 
 The emitted :class:`Plan` is inspectable — per-group route, estimated ε
 debit, and expected per-query RMSE (Definition 7 via
@@ -171,7 +169,7 @@ class PlanEntry:
     :class:`~repro.service.QueryMiss` before touching the budget.
     """
 
-    route: str  # "accelerator" | "cache" | "warm" | "direct" | "cold"
+    route: str  # "accelerator" | "warm" | "direct" | "cold"
     indices: tuple[int, ...]  # positions in the deduped batch
     rows: int
     key: str | None
@@ -344,6 +342,17 @@ def _rmse_pair(
     )
 
 
+def _hit_detail(gathers: int, queries: int) -> str:
+    """How a hit group's ``Q @ x̂`` is evaluated: ``gathers`` of its
+    ``queries`` decompose into boxes (summed-area gather), the rest go
+    through the structured matvec."""
+    if gathers == queries:
+        return "summed-area gather"
+    if gathers == 0:
+        return "matvec"
+    return f"summed-area gather ({gathers}) + matvec ({queries - gathers})"
+
+
 def _stack(mats: list[Matrix]) -> Matrix:
     return mats[0] if len(mats) == 1 else VStack(mats)
 
@@ -400,23 +409,19 @@ def _plan_queries_impl(
     if not batch.queries:
         return plan
 
-    # 1. Free hits from cached reconstructions, grouped by
-    # (covering key, serving route) — accelerator-eligible hits serve by
-    # summed-area gather, the rest by the span-projection matvec.  The
-    # compiled fingerprint memoizes the span probe on the strategy, so
-    # re-planning (and execution after planning) never repeats the
+    # 1. Free hits from cached reconstructions, grouped by covering key.
+    # The compiled fingerprint memoizes the span probe on the strategy,
+    # so re-planning (and execution after planning) never repeats the
     # projection for the same query shape.
-    hit_groups: dict[tuple[str, str], list[int]] = {}
+    hit_groups: dict[str, list[int]] = {}
     miss: list[int] = []
     for i, cq in enumerate(batch.queries):
-        key, route = service.probe_hit(
-            dataset, cq.matrix, fingerprint=cq.fingerprint
-        )
+        key = service.probe_hit(dataset, cq.matrix, fingerprint=cq.fingerprint)
         if key is None:
             miss.append(i)
         else:
-            hit_groups.setdefault((key, route), []).append(i)
-    for (key, route), idxs in hit_groups.items():
+            hit_groups.setdefault(key, []).append(i)
+    for key, idxs in hit_groups.items():
         recon = service.cached_reconstruction(dataset, key)
         rmse = rmse_alt = None
         hit_mech = "laplace"
@@ -441,19 +446,16 @@ def _plan_queries_impl(
                     ),
                 )
             rmse, rmse_alt = memo
+        gathers = sum(batch.queries[i].range_spec is not None for i in idxs)
         plan.entries.append(
             PlanEntry(
-                route=route,
+                route="accelerator",
                 indices=tuple(idxs),
                 rows=sum(batch.queries[i].rows for i in idxs),
                 key=key,
                 epsilon=0.0,
                 expected_rmse=rmse,
-                detail=(
-                    "summed-area gather"
-                    if route == "accelerator"
-                    else "measured-span projection"
-                ),
+                detail=_hit_detail(gathers, len(idxs)),
                 mechanism=hit_mech,
                 expected_rmse_alt=rmse_alt,
             )

@@ -68,7 +68,7 @@ class Answer:
 
     expr: QueryExpr
     values: np.ndarray
-    route: str  # "accelerator" | "cache" | "warm" | "direct" | "cold"
+    route: str  # "accelerator" | "warm" | "direct" | "cold"
     key: str | None
     epsilon: float
     span_projected: bool

@@ -177,6 +177,13 @@ def least_squares(
         CG stopping criterion on the normal-equations residual,
         ``‖AᵀA x - Aᵀy‖₂ <= rtol · ‖Aᵀy‖₂`` per column.
 
+    Every method returns the minimum-norm solution ``x̂ = A⁺y`` (to
+    solver tolerance), not just some least-squares solution: plain CG
+    from zero stays in ``range(AᵀA)``, and a union Gram solver exists
+    only when its pair's Gram is positive definite (every relative
+    Cholesky pivot clears :data:`~repro.core.solvers.PIVOT_TOL`), so
+    the Gram it solves or preconditions is nonsingular.
+
     One path serves every width: operators are applied to the whole
     batch by one ``matmat``, and a 1-D ``y`` is a width-1 batch.  BLAS
     results depend on the batch width, so the columns of a batched solve

@@ -30,7 +30,9 @@ the two-term factorization, ``(G_a + G_b)⁻¹ = Eᵀ diag(1/(1+⊗λ)) E``
 (a lone block pairs with a zero Gram), optionally adds the other
 blocks' diagonals in that basis, ``M = Eᵀ diag(1/(1+⊗λ+Σ_rest)) E``,
 and keeps the pair and candidate that solve a fixed probe right-hand
-side in the fewest PCG iterations.  When the pair covers every block
+side in the fewest PCG iterations.  A pair is factored only when every
+base factor's relative Cholesky pivot clears ``PIVOT_TOL``, so its Gram
+is positive definite.  When the pair covers every block
 (the paper's ``groups=2`` OPT_+ output) and solves the probe in one
 iteration, ``M`` is the Gram inverse and is applied directly; otherwise
 it preconditions :func:`cg_gram_solve`.  On the Total-like unions
@@ -55,6 +57,7 @@ from ..obs.metrics import REGISTRY as _METRICS
 __all__ = [
     "CGResult",
     "KRON_FACTOR_LIMIT",
+    "PIVOT_TOL",
     "cg_gram_solve",
     "export_gram_solver_state",
     "restore_gram_solver_state",
@@ -199,9 +202,20 @@ def _kron_gram_factor_mats(block: Matrix) -> list[np.ndarray] | None:
     return mats
 
 
+#: Smallest relative Cholesky pivot ``min_j C_jj² / K_jj`` a base factor
+#: Gram may have for its two-term factorization to be trusted (√ε).  A
+#: rank-deficient factor Gram can pass Cholesky with a pivot at rounding
+#: level; the largest such pivot seen on generated unions (L 1–6, factors
+#: from Ones, Identity, Prefix, random Dense and weighted p-Identities)
+#: was 9.2e-10, while the smallest full-rank one, on the test fixtures,
+#: ``opt_union`` fits and the same generated unions, was 3.2e-7 (the
+#: ε-sweep benchmark's ``opt_union(groups=4)`` strategy).
+PIVOT_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
 def _two_term_factorization(
     g1: list[np.ndarray], g2: list[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray] | None:
+) -> tuple[list[np.ndarray], np.ndarray, list[float]] | None:
     """Factor ``(⊗Kᵢ + ⊗Mᵢ)⁻¹ = (⊗Eᵢ)ᵀ diag(1/(1+⊗λ)) (⊗Eᵢ)``.
 
     With ``Cᵢ = chol(Kᵢ)`` and the per-factor eigendecompositions
@@ -210,19 +224,25 @@ def _two_term_factorization(
         ⊗Kᵢ + ⊗Mᵢ = (⊗Cᵢ) (⊗Uᵢ) [I + ⊗Λᵢ] (⊗Uᵢ)ᵀ (⊗Cᵢ)ᵀ,   Eᵢ = Uᵢᵀ Cᵢ⁻¹
 
     so applying the inverse costs two Kronecker mat-mats plus one
-    diagonal scaling.  Returns ``(Es, ⊗λ)`` or ``None`` when neither
-    ordering of the two factor lists passes Cholesky.  Passing Cholesky
-    does not make the result an inverse: a rank-deficient base factor can
-    pass with a pivot at rounding level, so :func:`union_gram_solver`
-    measures exactness with a probe solve instead of assuming it.
+    diagonal scaling.  Returns ``(Es, ⊗λ, pivots)``, ``pivots`` holding
+    each base factor's relative Cholesky pivot ``min_j C_jj² / K_jj``,
+    or ``None`` when neither ordering of the two factor lists passes
+    Cholesky with every pivot at least :data:`PIVOT_TOL`.  Passing
+    Cholesky alone is not enough: a rank-deficient base factor can pass
+    with a pivot at rounding level, and its factorization is then
+    neither an inverse nor a preconditioner that keeps CG's iterates in
+    ``range(AᵀA)``.
     """
     from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
     for base, other in ((g1, g2), (g2, g1)):
         try:
-            Es, lam_full = [], np.ones(1)
+            Es, lam_full, pivots = [], np.ones(1), []
             for K, M in zip(base, other):
                 C = cholesky(K, lower=True, check_finite=False)
+                pivots.append(float((np.diag(C) ** 2 / np.diag(K)).min()))
+                if pivots[-1] < PIVOT_TOL:
+                    raise LinAlgError("rank-deficient base factor")
                 T1 = solve_triangular(C, M, lower=True, check_finite=False)
                 S = solve_triangular(C, T1.T, lower=True, check_finite=False).T
                 lam, U = np.linalg.eigh((S + S.T) / 2.0)
@@ -234,7 +254,7 @@ def _two_term_factorization(
                 lam_full = np.kron(lam_full, lam)
         except (LinAlgError, np.linalg.LinAlgError):
             continue  # base block Gram not positive definite — swap roles
-        return Es, lam_full
+        return Es, lam_full, pivots
     return None
 
 
@@ -272,15 +292,18 @@ class UnionGramSolver:
 
     ``inverse = (⊗Eᵢ)ᵀ diag(1/(1+lam)) (⊗Eᵢ)`` with ``Eᵢ = factors[i]``;
     ``blocks`` names the factored pair (one index for a single-block
-    union).  ``exact`` marks that the pair covers every block *and*
-    solved the probe in one PCG iteration: callers then apply
-    ``inverse`` directly, and run PCG with it otherwise.
+    union); ``pivots`` are its base factors' relative Cholesky pivots,
+    each at least :data:`PIVOT_TOL`.  ``exact`` marks that the pair
+    covers every block *and* solved the probe in one PCG iteration:
+    callers then apply ``inverse`` directly, and run PCG with it
+    otherwise.
     """
 
     factors: list[np.ndarray]
     lam: np.ndarray
     blocks: tuple[int, ...]
     exact: bool
+    pivots: list[float]
     inverse: Matrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -343,12 +366,13 @@ def union_gram_solver(A: Matrix) -> UnionGramSolver | None:
     best count so far.  The fewest iterations win; ties keep the earlier
     pair and, within a pair, the pair-only candidate.
 
-    The winner is ``exact`` when its pair covers every block (one- and
-    two-block unions, the paper's OPT_+ output) and it solved the probe
-    in one iteration, i.e. ``M b`` solved ``G x = b`` for a random ``b``
-    in ``range(AᵀA)`` at once.  A factorization that passed Cholesky on
-    a rank-deficient factor with a pivot at rounding level typically
-    fails that test and serves as a preconditioner only.
+    Only factorizations whose base factors' relative Cholesky pivots all
+    reach :data:`PIVOT_TOL` become candidates, so the pair's Gram is
+    positive definite.  The winner is ``exact`` when its pair covers
+    every block (one- and two-block unions, the paper's OPT_+ output) —
+    ``M`` is then ``G⁻¹`` — and it solved the probe in one iteration,
+    i.e. ``M b`` solved ``G x = b`` for a random ``b`` in ``range(AᵀA)``
+    at once.
 
     Returns ``None`` when ``A`` is not a :class:`VStack` or no block
     pair of affordable Kronecker Grams factors — callers then run plain
@@ -383,7 +407,7 @@ def _fit_union_gram_solver(A: VStack) -> UnionGramSolver | None:
         factored = _two_term_factorization(mats[i], partner)
         if factored is None:
             continue
-        Es, lam_pair = factored
+        Es, lam_pair, pivots = factored
         rest = [
             mats[l]
             for l in ranked
@@ -399,12 +423,13 @@ def _fit_union_gram_solver(A: VStack) -> UnionGramSolver | None:
             score = result.iterations[0] if result.converged[0] else np.inf
             order = (score, rank, corrected)
             if best is None or order < best[0]:
-                best = (order, (i,) if j is None else (i, j), Es, lams[corrected])
+                blocks = (i,) if j is None else (i, j)
+                best = (order, blocks, Es, lams[corrected], pivots)
     if best is None:
         return None
-    (score, _, _), blocks, Es, lam_full = best
+    (score, _, _), blocks, Es, lam_full, pivots = best
     exact = len(blocks) == len(A.blocks) and bool(score == 1)
-    return UnionGramSolver(Es, lam_full, blocks, exact)
+    return UnionGramSolver(Es, lam_full, blocks, exact, pivots)
 
 
 def export_gram_solver_state(A: Matrix) -> dict | None:
@@ -412,7 +437,8 @@ def export_gram_solver_state(A: Matrix) -> dict | None:
 
     Runs the (memoized) solver build and returns
     ``{"factors": [E₁, ..., E_d], "lam": λ, "blocks": [a, b],
-    "exact": bool}`` as plain float64 arrays and JSON scalars, so a
+    "exact": bool, "pivots": [p₁, ..., p_d]}`` as plain float64 arrays
+    and JSON scalars, so a
     reloaded strategy never re-runs the factorizations or probe solves;
     ``None`` when ``A`` has no union solver (not a union, or no block
     pair factors), which a reloaded strategy rediscovers on first use.
@@ -425,22 +451,28 @@ def export_gram_solver_state(A: Matrix) -> dict | None:
         "lam": solver.lam,
         "blocks": [int(b) for b in solver.blocks],
         "exact": bool(solver.exact),
+        "pivots": [float(p) for p in solver.pivots],
     }
 
 
 def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
     """Attach a state from :func:`export_gram_solver_state` to ``A``.
 
-    Only that shape is restored: any other — ``None``, or one of the
-    shapes older registry entries carry (``{"factors", "lam"}`` without
-    ``blocks``/``exact``, ``precond_*`` keys, ``{"unavailable": True}``)
-    — leaves ``A`` untouched, so its first solve rebuilds the solver and
-    a legacy two-term state is never trusted as exact.  Extra keys, such
-    as the ``recycle_*`` fields of old entries, are ignored.
+    Only that shape, with every pivot at least :data:`PIVOT_TOL`, is
+    restored: any other — ``None``, or one of the shapes older registry
+    entries carry (``{"factors", "lam"}`` without ``blocks``/``exact``,
+    ``precond_*`` keys, ``{"unavailable": True}``, or the pivot-less
+    ``{"factors", "lam", "blocks", "exact"}`` written before pivots were
+    checked) — leaves ``A`` untouched, so its first solve rebuilds the
+    solver and no state factored without the pivot check is trusted.
+    Extra keys, such as the ``recycle_*`` fields of old entries, are
+    ignored.
     """
     if not isinstance(A, VStack) or not isinstance(state, dict):
         return
-    if not {"factors", "lam", "blocks", "exact"} <= state.keys():
+    if not {"factors", "lam", "blocks", "exact", "pivots"} <= state.keys():
+        return
+    if min(state["pivots"], default=0.0) < PIVOT_TOL:
         return
     A.cache_set(
         "union_gram_solver",
@@ -449,6 +481,7 @@ def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
             np.asarray(state["lam"], dtype=np.float64),
             tuple(int(b) for b in state["blocks"]),
             bool(state["exact"]),
+            [float(p) for p in state["pivots"]],
         ),
     )
 

@@ -5,7 +5,7 @@ implicit linear operator supporting mat-vec products, Gram matrices,
 sensitivity (max L1 column norm), and structured pseudo-inverses.
 """
 
-from .base import Dense, Matrix, cache_enabled, set_cache_enabled
+from .base import Dense, Matrix
 from .identity import Diagonal, Identity, Ones, Total
 from .kron import Kronecker, kmatmat, kmatvec
 from .serialize import (
@@ -23,7 +23,6 @@ from .marginals import (
     index_to_subset,
     marginal_c_matrix,
     marginal_query_matrix,
-    set_dense_algebra_enabled,
     subset_to_index,
 )
 from .stack import Sum, VStack, Weighted
@@ -56,7 +55,6 @@ __all__ = [
     "VStack",
     "Weighted",
     "WidthRange",
-    "cache_enabled",
     "flatten_arrays",
     "get_algebra",
     "haar_wavelet",
@@ -70,7 +68,5 @@ __all__ = [
     "matrix_to_config",
     "registered_types",
     "restore_arrays",
-    "set_cache_enabled",
-    "set_dense_algebra_enabled",
     "subset_to_index",
 ]

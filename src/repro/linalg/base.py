@@ -28,10 +28,6 @@ subclass override via ``__init_subclass__``.  Strategy optimization calls
 ``gram().dense()`` on the same workload factors hundreds of times across
 random restarts; with the cache those recomputations collapse to dict
 lookups.  Callers must treat returned arrays as read-only.
-
-``set_cache_enabled(False)`` disables the layer globally (used by the
-perf-regression benchmark to emulate the pre-cache code path, and useful
-when memory is tighter than CPU).
 """
 
 from __future__ import annotations
@@ -56,35 +52,12 @@ _MEMOIZED_OPS = (
     "gram_inverse",
 )
 
-_CACHE_ENABLED = True
-
-
-def set_cache_enabled(enabled: bool) -> bool:
-    """Globally enable/disable structural-operation memoization.
-
-    Returns the previous setting.  Already-cached values are not evicted
-    (they stay correct — matrices are immutable); disabling only stops new
-    values from being stored or served.
-    """
-    global _CACHE_ENABLED
-    previous = _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-def cache_enabled() -> bool:
-    """Whether structural-operation memoization is currently on."""
-    return _CACHE_ENABLED
-
-
 def _memoized(fn):
     """Wrap a zero-argument structural method with per-instance caching."""
     name = fn.__name__
 
     @functools.wraps(fn)
     def wrapper(self):
-        if not _CACHE_ENABLED:
-            return fn(self)
         memo = self.__dict__.get("_memo")
         if memo is None:
             memo = {}
@@ -128,23 +101,18 @@ class Matrix:
     # -- memoization plumbing ---------------------------------------------
     def cache_get(self, key: str, default=None):
         """Read an arbitrary memoized value (used by workload decomposition
-        and error caches that live outside this module).  Returns
-        ``default`` while the cache is globally disabled, matching the
-        memoized structural operations."""
-        if not _CACHE_ENABLED:
-            return default
+        and error caches that live outside this module)."""
         memo = self.__dict__.get("_memo")
         return default if memo is None else memo.get(key, default)
 
     def cache_set(self, key: str, value):
-        """Store an arbitrary memoized value on this matrix (no-op when the
-        cache is globally disabled).  Returns ``value`` for chaining."""
-        if _CACHE_ENABLED:
-            memo = self.__dict__.get("_memo")
-            if memo is None:
-                memo = {}
-                object.__setattr__(self, "_memo", memo)
-            memo[key] = value
+        """Store an arbitrary memoized value on this matrix.  Returns
+        ``value`` for chaining."""
+        memo = self.__dict__.get("_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        memo[key] = value
         return value
 
     def __getstate__(self):

@@ -84,25 +84,6 @@ def marginal_query_matrix(sizes, a: int) -> Kronecker:
 #: ~24 MB; beyond it the algebra falls back to the loop/sparse code paths.
 _DENSE_TABLE_LIMIT = 1024
 
-_DENSE_TABLES_ENABLED = True
-
-
-def set_dense_algebra_enabled(enabled: bool) -> bool:
-    """Toggle the vectorized dense-table fast path of the marginals algebra.
-
-    Returns the previous setting.  Used by the perf-regression benchmark to
-    time the pre-vectorization (sparse/loop) code path, and as an escape
-    hatch when the O(4^d) tables are too large for the available memory.
-    """
-    global _DENSE_TABLES_ENABLED
-    previous = _DENSE_TABLES_ENABLED
-    _DENSE_TABLES_ENABLED = bool(enabled)
-    if previous and not _DENSE_TABLES_ENABLED:
-        # Free already-materialized tables too — disabling is the memory
-        # escape hatch, so it must actually release the O(4^d) arrays.
-        get_algebra.cache_clear()
-    return previous
-
 
 @functools.lru_cache(maxsize=8)
 def get_algebra(sizes: tuple) -> "MarginalsAlgebra":
@@ -112,7 +93,7 @@ def get_algebra(sizes: tuple) -> "MarginalsAlgebra":
     call; the instance (and its lazily-built O(4^d) tables) depends only
     on the attribute sizes, so it is cached process-wide.  The cache is
     deliberately small — near the d = 10 table limit each entry can pin
-    ~24 MB — and is cleared by ``set_dense_algebra_enabled(False)``.
+    ~24 MB.
     """
     return MarginalsAlgebra(sizes)
 
@@ -150,7 +131,7 @@ class MarginalsAlgebra:
     @property
     def has_dense_tables(self) -> bool:
         """Whether the vectorized O(4^d)-table fast path is available."""
-        return _DENSE_TABLES_ENABLED and self.size <= _DENSE_TABLE_LIMIT
+        return self.size <= _DENSE_TABLE_LIMIT
 
     def _pair_tables(self):
         """``(AND, CBAR_OR, FLAT)`` with ``AND[a,b] = a & b``,

@@ -6,7 +6,7 @@ Zero-dependency (numpy only) and built for a hot serving path:
   shared null metric whose ``inc``/``set``/``observe`` are no-ops, so an
   uninstrumented deployment pays one attribute check per call site;
 * metric families are label-keyed: ``counter("service.answers_total",
-  dataset="adult", route="cache")`` resolves (or creates) the child for
+  dataset="adult", route="warm")`` resolves (or creates) the child for
   that exact label set, and two call sites with the same labels share one
   child regardless of keyword order;
 * histograms are fixed-bucket: a tuple of ascending edges bisected per

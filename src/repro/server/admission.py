@@ -4,7 +4,7 @@ The server's capacity model has two tiers, because the serving stack's
 cost model has two tiers (see the routing table in
 :mod:`repro.service.engine`):
 
-* **free routes** (accelerator / cache hits, plans with ε = 0) are
+* **free routes** (accelerator hits, plans with ε = 0) are
   microseconds of post-processing — they are *always admitted*, even
   when every fit executor thread is busy.  A saturated measurement path
   must never take down the cheap reads that make the service useful

@@ -80,7 +80,7 @@ __all__ = ["ServerApp", "parse_query_spec"]
 #: Serving cost order, most expensive first — the request-level ``route``
 #: label is the priciest route any of its queries took (``"memo"`` for a
 #: free read served from the per-shape table).
-_ROUTE_RANK = {"cold": 5, "direct": 4, "warm": 3, "cache": 2, "accelerator": 1}
+_ROUTE_RANK = {"cold": 4, "direct": 3, "warm": 2, "accelerator": 1}
 
 
 def _request_route(answers) -> str:

@@ -397,11 +397,9 @@ def _full_column_rank(A: Matrix) -> bool:
     m, n = A.shape
     if m < n:
         return False
-    from ..linalg.base import cache_enabled
-    if n <= NUMERIC_RANK_LIMIT and cache_enabled():
+    if n <= NUMERIC_RANK_LIMIT:
         # One-time (memoized) numeric fallback for small unrecognized
-        # strategies; skipped when memoization is globally off — a
-        # per-query O(n^3) would dwarf what the certificate saves.
+        # strategies.
         try:
             return int(np.linalg.matrix_rank(A.dense())) == n
         except Exception:

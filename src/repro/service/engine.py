@@ -23,20 +23,21 @@ measurement.  The serving rules:
   accurate reconstruction x̂, and :meth:`QueryService.query` answers any
   linear query inside the measured span from that cache with **zero**
   accountant debit (Definition 5's post-processing invariance).
-  :meth:`QueryService.answer` routes a mixed batch: cache hits are
+  :meth:`QueryService.answer` routes a mixed batch: hits are
   answered free, and the misses are stacked into one ad-hoc union
   workload measured in a single accounted ``run_batch`` pass.
 * **hits are O(1) in the domain** — a hit whose query decomposes into
   axis-aligned boxes (:func:`~repro.service.accelerator.range_spec_of`)
   is served from the reconstruction's summed-area
   :class:`~repro.service.accelerator.AcceleratorTable` by a vectorized
-  corner gather (route ``"accelerator"``) instead of a structured
-  matvec; tables are built lazily per (reconstruction, cube shape),
-  invalidated with the reconstruction, and persisted through the
-  registry under the PR 6 durability contracts.  The full routing
-  order is **accelerator → cache → warm → direct → cold**.
+  corner gather instead of a structured matvec; tables are built lazily
+  per (reconstruction, cube shape), invalidated with the
+  reconstruction, and persisted through the registry under its
+  durability contracts.  Either way a free hit is route
+  ``"accelerator"``: both evaluate exactly ``Q @ x̂``.  The full routing
+  order is **accelerator → warm → direct → cold**.
 * **small cold misses skip SELECT entirely** — an *unprepared* one-off
-  miss batch at or below ``direct_miss_threshold`` query rows (touching
+  miss batch of at most :data:`DIRECT_MISS_ROWS` query rows (touching
   at most ``DIRECT_MISS_SUPPORT_LIMIT`` domain cells) is not worth a
   full strategy fit: the service measures a sensitivity-1 selection
   matrix over the queries' joint support instead (Laplace on the touched
@@ -109,12 +110,18 @@ __all__ = [
 ]
 
 #: Largest joint query support (touched cells) the cold-miss fast path
-#: will measure directly.  Beyond it the selection strategy stops being
-#: cheap — its dense span-check algebra scales with the support — and a
-#: fitted strategy answers broad queries far more accurately than
-#: noisy per-cell measurements anyway, so wide misses take the full
-#: fitting path regardless of row count.
+#: will measure directly.  The limit trades latency, not accuracy: the
+#: direct route measures Identity restricted to the support, and a cold
+#: fit never does worse than Identity, so a narrow miss goes direct only
+#: because it skips the fit.  Beyond the limit the selection strategy
+#: stops being cheap — its dense span-check algebra scales with the
+#: support — so wide misses take the fitting path regardless of row
+#: count.
 DIRECT_MISS_SUPPORT_LIMIT = 256
+
+#: Most query rows an unprepared miss batch may total and still take
+#: the direct route (see :data:`DIRECT_MISS_SUPPORT_LIMIT`).
+DIRECT_MISS_ROWS = 32
 
 #: Relative tolerance of the measured-span membership test.
 #: Structured pseudo-inverse paths (notably the marginals algebra's
@@ -248,11 +255,10 @@ class QueryAnswer:
     ``hit`` marks a zero-budget answer from a cached reconstruction;
     ``key`` names the strategy fingerprint whose measurement produced the
     reconstruction used; ``route`` records which serving path produced
-    the answer (``"accelerator"`` / ``"cache"`` / ``"warm"`` /
-    ``"direct"`` / ``"cold"``) — the provenance the declarative layer
-    surfaces per query.  ``"accelerator"`` and ``"cache"`` are both free
-    hits; they differ only in how ``Q @ x̂`` was evaluated (summed-area
-    corner gather vs structured matvec).
+    the answer (``"accelerator"`` / ``"warm"`` / ``"direct"`` /
+    ``"cold"``) — the provenance the declarative layer surfaces per
+    query.  Every free hit is ``"accelerator"``, whether ``Q @ x̂`` was
+    evaluated by summed-area corner gather or structured matvec.
     """
 
     values: np.ndarray
@@ -348,13 +354,6 @@ class QueryService:
     template:
         Template-class tag folded into registry keys (strategies fitted
         under different templates never collide).
-    direct_miss_threshold:
-        Miss batches in :meth:`answer` totalling at most this many query
-        rows (and touching at most :data:`DIRECT_MISS_SUPPORT_LIMIT`
-        domain cells) take the cold-miss fast path: a direct
-        sensitivity-1 selection measurement on the queries' joint support
-        instead of a full strategy fit.  ``0`` disables the fast path
-        (every miss batch runs the fitting template).
     """
 
     def __init__(
@@ -365,7 +364,6 @@ class QueryService:
         rng: np.random.Generator | int | None = None,
         template: str = "opt_hdmm",
         fit_kwargs: dict | None = None,
-        direct_miss_threshold: int = 32,
     ):
         # Every constructor argument is validated here, with the failure
         # naming the argument — a service wired up wrong must refuse to
@@ -394,17 +392,6 @@ class QueryService:
         self.rng = np.random.default_rng(rng)
         self.template = template
         self.fit_kwargs = dict(fit_kwargs or {})
-        if (
-            isinstance(direct_miss_threshold, bool)
-            or not isinstance(direct_miss_threshold, (int, np.integer))
-            or direct_miss_threshold < 0
-        ):
-            raise ValueError(
-                "direct_miss_threshold must be a non-negative integer "
-                f"(0 disables the direct fast path), got "
-                f"{direct_miss_threshold!r}"
-            )
-        self.direct_miss_threshold = int(direct_miss_threshold)
         self._datasets: dict[str, _DatasetState] = {}
         self._prepared: dict[str, tuple[Matrix, float | None]] = {}
 
@@ -569,29 +556,24 @@ class QueryService:
         higher-ε (more accurate) reconstruction for the same strategy is
         already cached, which is retained instead.
         """
-        with _TRACER.span("service.measure", dataset=dataset, stage=stage):
-            result = self._measure_impl(
-                dataset,
-                workload,
-                eps,
-                trials=trials,
-                rng=rng,
-                domain=domain,
-                stage=stage,
-                cache=cache,
-                deadline=deadline,
-                mechanism=mechanism,
-                delta=delta,
-                exact=exact,
-                # Always passed, so a caller's own support= is refused as
-                # a duplicate instead of selecting the direct route.
-                support=None,
-                **solver_options,
-            )
-            result.trace_id = _TRACER.current_trace_id()
-        if _METRICS.enabled:
-            _METRICS.counter("service.measures_total", dataset=dataset).inc()
-        return result
+        return self._measure_impl(
+            dataset,
+            workload,
+            eps,
+            trials=trials,
+            rng=rng,
+            domain=domain,
+            stage=stage,
+            cache=cache,
+            deadline=deadline,
+            mechanism=mechanism,
+            delta=delta,
+            exact=exact,
+            # Always passed, so a caller's own support= is refused as
+            # a duplicate instead of selecting the direct route.
+            support=None,
+            **solver_options,
+        )
 
     def _measure_impl(
         self,
@@ -620,142 +602,149 @@ class QueryService:
         reconstructed by a scatter (``S⁺ = Sᵀ``); its x̂ is cached under
         a support-derived key, so identical ad-hoc traffic later hits for
         free.  Both routes check every option before the debit, pass the
-        same ε-spend fence and store x̂ under the same keep-the-higher-ε
-        rule.
+        same ε-spend fence, store x̂ under the same keep-the-higher-ε
+        rule, and are recorded alike: one ``service.measure`` span and
+        one ``service.measures_total`` count per call.
         """
         from ..privacy.mechanisms import get_mechanism
 
-        ds = self._dataset(dataset)
-        mech_obj = get_mechanism(mechanism, delta)
-        workload, domain = as_workload_matrix(workload, domain)
-        eps_arr = np.atleast_1d(validate_epsilon(eps))
-        if eps_arr.ndim != 1:
-            raise ValueError(
-                f"eps must be a scalar or 1-D grid, got shape {eps_arr.shape}"
-            )
-        trials = validate_positive_int("trials", trials)
-        if mech_obj.name == "laplace":
-            # the historical scalar debit — v1 records stay byte-identical
-            charge_eps: float | np.ndarray = float(eps_arr.sum()) * trials
-            total = charge_eps
-        else:
-            # per-trial grid: the Gaussian debit's δ and ρ compose per
-            # release (Σρ_j is tighter than converting the summed ε)
-            charge_eps = np.ascontiguousarray(np.repeat(eps_arr, trials))
-            total = float(np.sum(charge_eps))
-        # Every cheap precondition runs before the debit: a programming
-        # error (wrong dataset/workload pairing, a misspelled or
-        # out-of-range option) must not burn budget.
-        if workload.shape[1] != ds.x.shape[0]:
-            raise SchemaMismatchError(
-                f"workload domain size {workload.shape[1]} does not match "
-                f"dataset {dataset!r}, whose data vector has length "
-                f"{ds.x.shape[0]}"
-                + (
-                    f" (expected domain {dict(zip(domain.attributes, domain.sizes))})"
-                    if domain is not None
-                    else ""
+        with _TRACER.span("service.measure", dataset=dataset, stage=stage):
+            ds = self._dataset(dataset)
+            mech_obj = get_mechanism(mechanism, delta)
+            workload, domain = as_workload_matrix(workload, domain)
+            eps_arr = np.atleast_1d(validate_epsilon(eps))
+            if eps_arr.ndim != 1:
+                raise ValueError(
+                    f"eps must be a scalar or 1-D grid, got shape {eps_arr.shape}"
                 )
-            )
-        # Option names and values need no strategy: refused before
-        # prepare, a cold request fits nothing.
-        validate_solver_options(None, **solver_options)
-        if support is None:
-            if deadline is not None:
-                deadline.check("warm")  # registry probe/load stage boundary
-            with _TRACER.span("select.prepare"):
-                key, strategy, loss, from_registry = self.prepare(
-                    workload, domain=domain, deadline=deadline
+            trials = validate_positive_int("trials", trials)
+            if mech_obj.name == "laplace":
+                # the historical scalar debit — v1 records stay byte-identical
+                charge_eps: float | np.ndarray = float(eps_arr.sum()) * trials
+                total = charge_eps
+            else:
+                # per-trial grid: the Gaussian debit's δ and ρ compose per
+                # release (Σρ_j is tighter than converting the summed ε)
+                charge_eps = np.ascontiguousarray(np.repeat(eps_arr, trials))
+                total = float(np.sum(charge_eps))
+            # Every cheap precondition runs before the debit: a programming
+            # error (wrong dataset/workload pairing, a misspelled or
+            # out-of-range option) must not burn budget.
+            if workload.shape[1] != ds.x.shape[0]:
+                raise SchemaMismatchError(
+                    f"workload domain size {workload.shape[1]} does not match "
+                    f"dataset {dataset!r}, whose data vector has length "
+                    f"{ds.x.shape[0]}"
+                    + (
+                        " (expected domain "
+                        f"{dict(zip(domain.attributes, domain.sizes))})"
+                        if domain is not None
+                        else ""
+                    )
                 )
-        else:
-            key = f"direct:{hashlib.sha256(support.tobytes()).hexdigest()[:16]}"
-            strategy = selection_matrix(support, ds.x.shape[0])
-            loss, from_registry = None, False
-            if not support.size:
-                # All-zero queries: the answer is the constant 0 whatever
-                # the data — pure post-processing.  Nothing is charged,
-                # and the cached empty reconstruction is exact (ε = ∞).
-                eps_arr = np.full(1, np.inf)
-                charge_eps = total = 0.0
-        validate_solver_options(strategy, **solver_options)  # pinv on a union
+            # Option names and values need no strategy: refused before
+            # prepare, a cold request fits nothing.
+            validate_solver_options(None, **solver_options)
+            if support is None:
+                if deadline is not None:
+                    deadline.check("warm")  # registry probe/load stage boundary
+                with _TRACER.span("select.prepare"):
+                    key, strategy, loss, from_registry = self.prepare(
+                        workload, domain=domain, deadline=deadline
+                    )
+            else:
+                key = f"direct:{hashlib.sha256(support.tobytes()).hexdigest()[:16]}"
+                strategy = selection_matrix(support, ds.x.shape[0])
+                loss, from_registry = None, False
+                if not support.size:
+                    # All-zero queries: the answer is the constant 0 whatever
+                    # the data — pure post-processing.  Nothing is charged,
+                    # and the cached empty reconstruction is exact (ε = ∞).
+                    eps_arr = np.full(1, np.inf)
+                    charge_eps = total = 0.0
+            validate_solver_options(strategy, **solver_options)  # pinv on a union
 
-        if self.accountant is not None and total > 0:
-            if deadline is not None:
-                # The ε-spend fence (see repro.server.deadline): the last
-                # budget check a deadline can ever fail happens *here*,
-                # while refusal is still free.  begin_commit() flips the
-                # deadline into possibly-committed before the WAL append
-                # inside charge(); a cap refusal or lock timeout below
-                # raises strictly before that append, and the server maps
-                # those exceptions explicitly, so the conservative flag is
-                # never read on that path.
-                deadline.check("charge")
-                deadline.begin_commit()
-            with _TRACER.span("accountant.charge", epsilon=total):
-                self.accountant.charge(
-                    dataset,
-                    charge_eps,
-                    stage=stage or f"measure:{key[:8]}",
-                    mechanism=mech_obj.name,
-                    delta=getattr(mech_obj, "delta", None),
-                )
-            if deadline is not None:
-                deadline.mark_committed(total)
+            if self.accountant is not None and total > 0:
+                if deadline is not None:
+                    # The ε-spend fence (see repro.server.deadline): the last
+                    # budget check a deadline can ever fail happens *here*,
+                    # while refusal is still free.  begin_commit() flips the
+                    # deadline into possibly-committed before the WAL append
+                    # inside charge(); a cap refusal or lock timeout below
+                    # raises strictly before that append, and the server maps
+                    # those exceptions explicitly, so the conservative flag is
+                    # never read on that path.
+                    deadline.check("charge")
+                    deadline.begin_commit()
+                with _TRACER.span("accountant.charge", epsilon=total):
+                    self.accountant.charge(
+                        dataset,
+                        charge_eps,
+                        stage=stage or f"measure:{key[:8]}",
+                        mechanism=mech_obj.name,
+                        delta=getattr(mech_obj, "delta", None),
+                    )
+                if deadline is not None:
+                    deadline.mark_committed(total)
 
-        if support is None:
-            mech = HDMM(restarts=self.restarts, rng=self.rng)
-            mech.workload = workload
-            mech.strategy = strategy
-            with _TRACER.span(
-                "measure.run_batch", grid=len(eps_arr), trials=trials
-            ):
-                # Post-commit kill/latency point: a crash or stall here is
-                # the burned-budget case the WAL invariant exists for.
-                faults.check("engine.measure.noise")
-                answers, x_hat = mech.run_batch(
-                    ds.x,
-                    eps_arr,
-                    trials=trials,
-                    rng=rng,
-                    return_data_vector=True,
-                    mechanism=mech_obj.name,
-                    delta=getattr(mech_obj, "delta", DEFAULT_DELTA),
-                    exact=exact,
-                    **solver_options,
-                )
-        else:
-            x_hat = np.zeros((1, 1, ds.x.shape[0]))
-            if support.size:
-                faults.check("engine.measure.noise")
-                # S⁺ = Sᵀ for a selection matrix: x̂ is the scatter of y
-                x_hat[0, 0, support] = mech_obj.measure(
-                    strategy, ds.x, float(eps_arr[0]), rng
-                )
-            answers = np.asarray(workload.matvec(x_hat[0, 0])).reshape(1, 1, -1)
-        if cache:
-            best = int(np.argmax(eps_arr))
-            existing = ds.reconstructions.get(key)
-            if existing is None or float(eps_arr[best]) >= existing.eps:
-                ds.reconstructions[key] = Reconstruction(
-                    key=key,
-                    strategy=strategy,
-                    x_hat=np.ascontiguousarray(x_hat[best, 0]),
-                    eps=float(eps_arr[best]),
-                    mechanism=mech_obj.name,
-                )
-                self._invalidate_tables(ds, key)
-                ds.generation = next(_GENERATIONS)
-        return ServeResult(
-            answers=answers,
-            x_hat=x_hat,
-            key=key,
-            eps=eps_arr,
-            trials=trials,
-            charged=total,
-            loss=loss,
-            from_registry=from_registry,
-            mechanism=mech_obj.name,
-        )
+            if support is None:
+                mech = HDMM(restarts=self.restarts, rng=self.rng)
+                mech.workload = workload
+                mech.strategy = strategy
+                with _TRACER.span(
+                    "measure.run_batch", grid=len(eps_arr), trials=trials
+                ):
+                    # Post-commit kill/latency point: a crash or stall here is
+                    # the burned-budget case the WAL invariant exists for.
+                    faults.check("engine.measure.noise")
+                    answers, x_hat = mech.run_batch(
+                        ds.x,
+                        eps_arr,
+                        trials=trials,
+                        rng=rng,
+                        return_data_vector=True,
+                        mechanism=mech_obj.name,
+                        delta=getattr(mech_obj, "delta", DEFAULT_DELTA),
+                        exact=exact,
+                        **solver_options,
+                    )
+            else:
+                x_hat = np.zeros((1, 1, ds.x.shape[0]))
+                if support.size:
+                    faults.check("engine.measure.noise")
+                    # S⁺ = Sᵀ for a selection matrix: x̂ is the scatter of y
+                    x_hat[0, 0, support] = mech_obj.measure(
+                        strategy, ds.x, float(eps_arr[0]), rng
+                    )
+                answers = np.asarray(workload.matvec(x_hat[0, 0])).reshape(1, 1, -1)
+            if cache:
+                best = int(np.argmax(eps_arr))
+                existing = ds.reconstructions.get(key)
+                if existing is None or float(eps_arr[best]) >= existing.eps:
+                    ds.reconstructions[key] = Reconstruction(
+                        key=key,
+                        strategy=strategy,
+                        x_hat=np.ascontiguousarray(x_hat[best, 0]),
+                        eps=float(eps_arr[best]),
+                        mechanism=mech_obj.name,
+                    )
+                    self._invalidate_tables(ds, key)
+                    ds.generation = next(_GENERATIONS)
+            result = ServeResult(
+                answers=answers,
+                x_hat=x_hat,
+                key=key,
+                eps=eps_arr,
+                trials=trials,
+                charged=total,
+                loss=loss,
+                from_registry=from_registry,
+                trace_id=_TRACER.current_trace_id(),
+                mechanism=mech_obj.name,
+            )
+        if _METRICS.enabled:
+            _METRICS.counter("service.measures_total", dataset=dataset).inc()
+        return result
 
     # -- free post-processing ------------------------------------------------
     def _find_cover(
@@ -802,20 +791,18 @@ class QueryService:
     ) -> QueryAnswer:
         """Answer a free hit, via the summed-area table when the query
         decomposes into boxes, else the structured matvec.  Both evaluate
-        exactly ``Q @ x̂``."""
+        exactly ``Q @ x̂``, so both are route ``"accelerator"``."""
         spec = range_spec_of(Q)
         if spec is not None:
             table = self._accel_table(dataset, ds, recon, spec.shape)
-            return QueryAnswer(
-                values=table.answer(spec),
-                hit=True,
-                key=recon.key,
-                route="accelerator",
-                mechanism=recon.mechanism,
-            )
-        values = np.asarray(Q.matvec(recon.x_hat)).reshape(-1)
+            values = table.answer(spec)
+        else:
+            values = np.asarray(Q.matvec(recon.x_hat)).reshape(-1)
         return QueryAnswer(
-            values=values, hit=True, key=recon.key, route="cache",
+            values=values,
+            hit=True,
+            key=recon.key,
+            route="accelerator",
             mechanism=recon.mechanism,
         )
 
@@ -849,25 +836,19 @@ class QueryService:
         dataset: str,
         q: Matrix | np.ndarray,
         fingerprint: str | None = None,
-    ) -> tuple[str | None, str | None]:
-        """The planner's hit probe: ``(covering key, serving route)``.
+    ) -> str | None:
+        """The planner's hit probe: the covering reconstruction's key.
 
-        ``(None, None)`` when no cached reconstruction spans ``q``; else
-        the reconstruction's key and the route :meth:`answer` would use
-        for it (``"accelerator"`` for box-decomposable queries,
-        ``"cache"`` otherwise) — keeping planned routes equal to executed
-        routes by construction.  ``fingerprint`` (from a compiled query)
+        ``None`` when no cached reconstruction spans ``q``; else the key
+        of the one :meth:`answer` would serve it from, on route
+        ``"accelerator"``.  ``fingerprint`` (from a compiled query)
         memoizes the span projection across planning passes.  Spends no
         budget and records nothing.
         """
-        Q = _as_query_matrix(q)
         recon = self._find_cover(
-            self._dataset(dataset), Q, fingerprint=fingerprint
+            self._dataset(dataset), _as_query_matrix(q), fingerprint=fingerprint
         )
-        if recon is None:
-            return None, None
-        route = "accelerator" if range_spec_of(Q) is not None else "cache"
-        return recon.key, route
+        return None if recon is None else recon.key
 
     def generation(self, dataset: str) -> int:
         """Stamp of ``dataset``'s cached reconstructions.  It changes after
@@ -904,7 +885,7 @@ class QueryService:
             if strategy is not None:
                 return MissRoute("warm", key, strategy, loss)
         rows = sum(Q.shape[0] for Q in blocks)
-        if 0 < rows <= self.direct_miss_threshold:
+        if 0 < rows <= DIRECT_MISS_ROWS:
             cols = np.flatnonzero(joint_support(blocks, blocks[0].shape[1]))
             if cols.size <= DIRECT_MISS_SUPPORT_LIMIT:
                 return MissRoute("direct", None, None, None, cols)
@@ -955,7 +936,7 @@ class QueryService:
            strategy: more accurate than per-cell measurement, and never
            triggers a fit;
         2. **direct measurement** — an unprepared miss batch totalling at
-           most :attr:`direct_miss_threshold` query rows whose joint
+           most :data:`DIRECT_MISS_ROWS` query rows whose joint
            support does not exceed :data:`DIRECT_MISS_SUPPORT_LIMIT`
            cells takes the cold-miss fast path: a selection measurement
            on the joint query support, no strategy fit, and a
@@ -1007,13 +988,13 @@ class QueryService:
                 qa.trace_id = tid
         if _METRICS.enabled:
             by_route = _RouteCounter(
-                (qa.route, qa.key) for qa in result.answers
+                (qa.route, qa.key, qa.hit) for qa in result.answers
             )
-            for (route, key), count in by_route.items():
+            for (route, key, hit), count in by_route.items():
                 _METRICS.counter(
                     "service.answers_total", dataset=dataset, route=route
                 ).inc(count)
-                if key is not None and route in ("accelerator", "cache"):
+                if hit:
                     _METRICS.counter(
                         "service.support_hits", dataset=dataset, key=key
                     ).inc(count)
@@ -1045,10 +1026,8 @@ class QueryService:
                     miss_idx.append(i)
             if hits_span is not None:
                 hits_span.attrs["hits"] = len(mats) - len(miss_idx)
-        if _METRICS.enabled and any(
-            qa is not None and qa.route == "accelerator" for qa in answers
-        ):
-            # The hit stage of a batch that gathered from a table.
+        if _METRICS.enabled and len(miss_idx) < len(mats):
+            # The hit stage of a batch with at least one free hit.
             _METRICS.histogram("accelerator.gather_ms", dataset=dataset).observe(
                 (time.perf_counter() - t0) * 1e3
             )

@@ -17,7 +17,8 @@ The npz carries the strategy's :mod:`structural config
 split out by :func:`~repro.linalg.flatten_arrays`) *and*, for a union, the
 state of its Gram solver
 (:func:`~repro.core.solvers.export_gram_solver_state`: the block pair's
-factors and diagonal, and whether the probe showed it exact) — so a
+factors, diagonal and relative Cholesky pivots, and whether the probe
+showed it exact) — so a
 loaded strategy answers its first query without re-running the
 per-factor Cholesky/eigendecomposition setup or the probe solves.
 Solver states of older entries in other shapes are ignored on load; the
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import logging
 import os
@@ -155,19 +157,26 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _atomic_write(path: str, data: bytes, site: str) -> None:
-    """temp file → write → flush → fsync → replace → dir fsync.
+def _atomic_write(path: str, data: bytes, site: str) -> str:
+    """temp file → write → flush → fsync → replace → dir fsync; returns
+    the SHA-256 of the bytes written.
 
-    Ordinary failures clean up the temp file; a :class:`SimulatedCrash`
-    (``BaseException``) leaves it behind exactly as a real kill would.
+    The digest is taken *after* the ``<site>.payload`` mangle point, so
+    injected bit flips reach the checksum machinery exactly as silent
+    on-disk corruption would.  Ordinary failures clean up the temp file;
+    a :class:`SimulatedCrash` (``BaseException``) leaves it behind
+    exactly as a real kill would (read paths ignore ``*.tmp-*``).
     """
     tmp = f"{path}.tmp-{os.getpid()}"
+    payload = data
     try:
         with open(tmp, "wb") as f:
 
             def _write():
+                nonlocal payload
                 faults.check(f"{site}.write")
-                f.write(faults.mangle(f"{site}.payload", data))
+                payload = faults.mangle(f"{site}.payload", data)
+                f.write(payload)
                 f.flush()
 
             def _fsync():
@@ -183,6 +192,7 @@ def _atomic_write(path: str, data: bytes, site: str) -> None:
             os.remove(tmp)
         raise
     _fsync_dir(os.path.dirname(os.path.abspath(path)))
+    return hashlib.sha256(payload).hexdigest()
 
 
 def _file_sha256(path: str) -> str:
@@ -340,40 +350,11 @@ class StrategyRegistry:
         return os.path.join(self.root, f"{key}{_TABLE_SUFFIX}")
 
     def _write_npz(self, path: str, arrays: dict, site: str) -> str:
-        """Atomically write an npz and return its SHA-256.
-
-        The same temp → fsync → replace → dir-fsync dance as the
-        manifest, with the digest computed from the temp file *after*
-        the ``<site>.payload`` mangle point so injected bit flips are
-        visible to the checksum machinery exactly as silent on-disk
-        corruption would be.  A :class:`SimulatedCrash` leaves the temp
-        file behind, as a real kill would; read paths ignore ``*.tmp-*``.
-        """
-        tmp = f"{path[:-4]}.tmp-{os.getpid()}.npz"
-        try:
-            with open(tmp, "wb") as f:
-
-                def _write():
-                    faults.check(f"{site}.write")
-                    np.savez(f, **arrays)
-                    f.flush()
-
-                def _fsync():
-                    faults.check(f"{site}.fsync")
-                    os.fsync(f.fileno())
-
-                call_retrying(_write, DURABLE_WRITE_POLICY)
-                call_retrying(_fsync, DURABLE_WRITE_POLICY)
-            faults.mangle_file(f"{site}.payload", tmp)
-            digest = _file_sha256(tmp)
-            faults.check(f"{site}.replace")
-            os.replace(tmp, path)
-            _fsync_dir(self.root)
-        except Exception:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
-        return digest
+        """Atomically write an npz (serialized in memory, then through
+        :func:`_atomic_write`) and return the SHA-256 of its bytes."""
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        return _atomic_write(path, buf.getvalue(), site)
 
     # -- keys --------------------------------------------------------------
     def key_for(
@@ -449,9 +430,9 @@ class StrategyRegistry:
             "solver": solver,
         }
         flat, arrays = flatten_arrays(payload)
-        # np.savez writes into an open file object verbatim; the atomic
-        # temp → fsync → replace dance makes a concurrent load of the
-        # same key read either the old complete file or the new one.
+        # The atomic temp → fsync → replace dance makes a concurrent
+        # load of the same key read either the old complete file or the
+        # new one.
         digest = self._write_npz(
             self._strategy_path(key),
             {"__config__": json.dumps(flat), **arrays},
@@ -528,27 +509,11 @@ class StrategyRegistry:
                 lambda npz: {name: npz[name] for name in npz.files},
             )[1]
         except Exception as e:  # checksum, torn zip, missing file
-            self._quarantine_table(key, f"{type(e).__name__}: {e}")
+            self._quarantine(
+                "tables", key, f"{key}{_TABLE_SUFFIX}",
+                "registry.table_quarantined", f"{type(e).__name__}: {e}",
+            )
             return None
-
-    def _quarantine_table(self, key: str, reason: str) -> None:
-        """Move a damaged table aside and forget it; the next eligible
-        hit rebuilds it from x̂."""
-        where = self._quarantine_file(f"{key}{_TABLE_SUFFIX}")
-        with self._locked():
-            manifest = self._read_manifest()
-            tables = manifest.get("tables", {})
-            if key in tables:
-                del tables[key]
-                manifest["tables"] = tables
-                self._write_manifest(manifest)
-        _emit(
-            logger,
-            "registry.table_quarantined",
-            key=key,
-            reason=reason,
-            quarantined_to=where,
-        )
 
     def table_keys(self) -> list[str]:
         return sorted(self._read_manifest().get("tables", {}))
@@ -560,19 +525,23 @@ class StrategyRegistry:
         manifest forgets the key, so every later lookup is a clean cold
         miss that re-fits and re-persists the strategy.
         """
-        where = self._quarantine_file(f"{key}.npz")
+        self._quarantine(
+            "entries", key, f"{key}.npz", "registry.entry_quarantined", reason
+        )
+
+    def _quarantine(
+        self, section: str, key: str, name: str, event: str, reason: str
+    ) -> None:
+        """Move ``<root>/<name>`` aside, drop ``key`` from the manifest's
+        ``section`` (``"entries"``, or ``"tables"``, whose next eligible
+        hit rebuilds the table from x̂) and emit ``event``."""
+        where = self._quarantine_file(name)
         with self._locked():
             manifest = self._read_manifest()
-            if key in manifest["entries"]:
-                del manifest["entries"][key]
+            if key in manifest.get(section, {}):
+                del manifest[section][key]
                 self._write_manifest(manifest)
-        _emit(
-            logger,
-            "registry.entry_quarantined",
-            key=key,
-            reason=reason,
-            quarantined_to=where,
-        )
+        _emit(logger, event, key=key, reason=reason, quarantined_to=where)
 
     def _backfill_checksum(self, key: str, digest: str) -> None:
         """Lazily record the digest of a pre-checksum (version-1) entry."""

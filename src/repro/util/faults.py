@@ -21,9 +21,8 @@ run) and installed with :meth:`FaultInjector.active`:
   with a chosen errno (``ENOSPC``, ``EINTR``, ...), exercising the
   bounded-retry paths;
 * :meth:`~FaultInjector.flip_bit` — a byte-level corruption applied to
-  data flowing through the site (:func:`mangle`) or to the file just
-  written there (:func:`mangle_file`), exercising the checksum /
-  quarantine paths;
+  data flowing through the site (:func:`mangle`), exercising the
+  checksum / quarantine paths;
 * :meth:`~FaultInjector.delay` — injected latency: chosen hits of a
   site sleep for a fixed duration before proceeding, exercising the
   serving edge's deadline, admission-queue, and circuit-breaker paths
@@ -52,7 +51,6 @@ __all__ = [
     "SimulatedCrash",
     "check",
     "mangle",
-    "mangle_file",
 ]
 
 
@@ -195,27 +193,6 @@ class FaultInjector:
                 data = bytes(buf)
         return data
 
-    def mangle_file(self, site: str, path: str) -> None:
-        """Like :meth:`mangle`, for sites where the payload is written by
-        third-party code (``np.savez``): corrupts the file in place."""
-        op, due = self._hit(site)
-        self._sleep_delays(due)
-        for plan in due:
-            if plan.kind == "crash":
-                raise SimulatedCrash(site, op)
-            if plan.kind == "error":
-                raise OSError(plan.err, os.strerror(plan.err), site)
-            if plan.kind == "flip":
-                with open(path, "r+b") as f:
-                    f.seek(0, os.SEEK_END)
-                    size = f.tell()
-                    if size == 0:
-                        continue
-                    f.seek(plan.byte % size)
-                    b = f.read(1)
-                    f.seek(plan.byte % size)
-                    f.write(bytes([b[0] ^ (1 << (plan.bit & 7))]))
-
     # -- installation --------------------------------------------------------
     @contextlib.contextmanager
     def active(self):
@@ -244,9 +221,4 @@ def mangle(site: str, data: bytes) -> bytes:
         return _ACTIVE.mangle(site, data)
     return data
 
-
-def mangle_file(site: str, path: str) -> None:
-    """File-level fault point for payloads written by third-party code."""
-    if _ACTIVE is not None:
-        _ACTIVE.mangle_file(site, path)
 

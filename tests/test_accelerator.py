@@ -238,21 +238,24 @@ class TestEngineRouting:
             ans.values, np.asarray(Q.matvec(x_hat)).reshape(-1)
         )
 
-    def test_non_decomposable_hit_stays_on_cache_route(self, tmp_path):
+    def test_non_decomposable_hit_is_served_by_matvec(self, tmp_path):
+        """A hit with no box decomposition is evaluated by matvec and,
+        like a gathered hit, reports route "accelerator"."""
         svc, x_hat, shape = _service_with_integer_recon(tmp_path)
         n = int(np.prod(shape))
         bad = np.zeros(n)
         bad[::2] = 1.0  # too many runs: ineligible
+        assert range_spec_of(Dense(bad[None, :])) is None
         ans = svc.query("d", bad)
-        assert ans.hit and ans.route == "cache"
+        assert ans.hit and ans.route == "accelerator"
         assert np.array_equal(ans.values, bad[None, :] @ x_hat)
+        assert svc._datasets["d"].accel == {}  # no table was built
 
     def test_probe_hit_matches_execution(self, tmp_path):
         svc, _, shape = _service_with_integer_recon(tmp_path)
         Q = Kronecker([Identity(s) for s in shape])
-        key, route = svc.probe_hit("d", Q)
-        assert (key, route) == ("k", "accelerator")
-        assert svc.query("d", Q).route == route
+        assert svc.probe_hit("d", Q) == "k"
+        assert svc.query("d", Q).key == "k"
 
     def test_batch_answer_routes_accelerator(self, tmp_path):
         svc, x_hat, shape = _service_with_integer_recon(tmp_path)
@@ -570,3 +573,22 @@ class TestSessionProvenance:
         assert all(
             a.route == "accelerator" and a.epsilon == 0.0 for a in answers
         )
+
+    def test_plan_groups_gather_and_matvec_hits_by_key(self, tmp_path):
+        """Hits group by covering key alone; the entry's detail says how
+        many of them gather and how many go through the matvec."""
+        sess = Session(
+            registry=StrategyRegistry(tmp_path / "reg"),
+            accountant=PrivacyAccountant(default_cap=100.0),
+            restarts=1,
+            rng=0,
+        )
+        s = Schema.from_spec({"age": 40, "sex": ["M", "F"]})
+        ds = sess.dataset("d", schema=s, data=integer_x(s.domain.size()))
+        ds.ask_many([marginal("age", "sex")], eps=1.0, rng=1)
+        exprs = [marginal("age"), A("age").isin(list(range(0, 40, 2)))]
+        plan = ds.plan(exprs)
+        (entry,) = plan.entries
+        assert entry.route == "accelerator" and entry.epsilon == 0.0
+        assert entry.detail == "summed-area gather (1) + matvec (1)"
+        assert [a.route for a in ds.ask_many(exprs)] == ["accelerator"] * 2

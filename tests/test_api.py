@@ -446,10 +446,13 @@ class TestEndToEndEquivalence:
         ]
 
     @pytest.mark.parametrize("threshold", [0, 32])
-    def test_bit_identical_to_matrix_level(self, tmp_path, threshold):
-        """Both the fitted path (threshold=0 → cold fit) and the direct
-        path (rows ≤ 32) must agree bit-for-bit with QueryService.answer
-        on hand-built matrices at the same seeds."""
+    def test_bit_identical_to_matrix_level(self, tmp_path, monkeypatch, threshold):
+        """Both the fitted path (DIRECT_MISS_ROWS=0 → cold fit) and the
+        direct path (rows ≤ 32) must agree bit-for-bit with
+        QueryService.answer on hand-built matrices at the same seeds."""
+        from repro.service import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "DIRECT_MISS_ROWS", threshold)
         s = small_schema()
         x = poisson_data(s)
         exprs = self._exprs() if threshold == 0 else [self._exprs()[1]]
@@ -462,7 +465,6 @@ class TestEndToEndEquivalence:
             accountant=PrivacyAccountant(default_cap=100.0),
             restarts=1,
             rng=0,
-            direct_miss_threshold=threshold,
         )
         svc.add_dataset("d", x)
         physical = svc.answer("d", mats, eps=0.8, rng=11, exact=True)
@@ -472,7 +474,6 @@ class TestEndToEndEquivalence:
             accountant=PrivacyAccountant(default_cap=100.0),
             restarts=1,
             rng=0,
-            direct_miss_threshold=threshold,
         )
         ds = sess.dataset("d", schema=s, data=x)
         declarative = ds.ask_many(exprs, eps=0.8, rng=11, exact=True)

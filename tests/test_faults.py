@@ -591,10 +591,6 @@ class TestConstructorValidation:
         with pytest.raises(ValueError, match="restarts"):
             QueryService(restarts=0)
 
-    def test_direct_miss_threshold_validated(self):
-        with pytest.raises(ValueError, match="direct_miss_threshold"):
-            QueryService(direct_miss_threshold=-1)
-
     def test_ledger_missing_directory_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="ledger directory"):
             WriteAheadLedger(str(tmp_path / "nope" / "eps.wal"))

@@ -33,6 +33,7 @@ from repro.service import (
     QueryService,
     StrategyRegistry,
 )
+from repro.service import engine as engine_mod
 from repro.service.engine import Reconstruction
 
 
@@ -86,9 +87,9 @@ class TestMetrics:
 
     def test_counter_labels_and_keyword_order(self):
         reg = MetricsRegistry(enabled=True)
-        reg.counter("hits", dataset="d", route="cache").inc()
+        reg.counter("hits", dataset="d", route="accelerator").inc()
         # Same label set, different keyword order: same child.
-        reg.counter("hits", route="cache", dataset="d").inc(2.0)
+        reg.counter("hits", route="accelerator", dataset="d").inc(2.0)
         reg.counter("hits", dataset="d", route="cold").inc()
         snap = reg.snapshot()["hits"]
         assert snap["type"] == "counter"
@@ -96,7 +97,7 @@ class TestMetrics:
             tuple(sorted(s["labels"].items())): s["value"]
             for s in snap["series"]
         }
-        assert by_labels[(("dataset", "d"), ("route", "cache"))] == 3.0
+        assert by_labels[(("dataset", "d"), ("route", "accelerator"))] == 3.0
         assert by_labels[(("dataset", "d"), ("route", "cold"))] == 1.0
 
     def test_kind_mismatch_raises(self):
@@ -126,12 +127,12 @@ class TestMetrics:
 
     def test_render_text_prometheus_format(self):
         reg = MetricsRegistry(enabled=True)
-        reg.counter("service.answers_total", dataset='d"x', route="cache").inc()
+        reg.counter("service.answers_total", dataset='d"x', route="accelerator").inc()
         reg.histogram("t.ms", buckets=(1.0, 2.0)).observe(1.5)
         text = reg.render_text()
         assert "# TYPE service_answers_total counter" in text
         # Escaped label value, sanitized metric name.
-        assert 'service_answers_total{dataset="d\\"x",route="cache"} 1' in text
+        assert 'service_answers_total{dataset="d\\"x",route="accelerator"} 1' in text
         # Cumulative buckets with the +Inf terminal and _sum/_count.
         assert 't_ms_bucket{le="1"} 0' in text
         assert 't_ms_bucket{le="2"} 1' in text
@@ -271,13 +272,28 @@ class TestRouteTraces:
             assert expected in names, expected
         assert _route_counts("d") == {"direct": 1.0}
 
-    def test_cold_then_accelerator_and_cache(self, tmp_path):
+    def test_direct_miss_counts_as_a_measurement(self, tmp_path):
+        """A direct miss debits ε like any measurement, so it records a
+        ``service.measure`` span and a ``service.measures_total`` count."""
         obs.enable()
         sess = make_session(tmp_path)
-        svc = sess.service
-        svc.direct_miss_threshold = 0  # force the fitting path
+        ds = sess.dataset("d", schema=small_schema(), data=poisson_data(small_schema()))
+        ans = ds.ask_many([total()], eps=1.0, rng=1)
+        assert ans[0].route == "direct" and ans[0].epsilon == 1.0
+        names = [s_.name for s_ in obs.get_trace(ans[0].trace_id)]
+        assert "service.measure" in names
+        assert names.index("accountant.charge") < names.index("service.measure")
+        series = obs.snapshot()["service.measures_total"]["series"]
+        assert [(s_["labels"], s_["value"]) for s_ in series] == [
+            ({"dataset": "d"}, 1.0)
+        ]
+
+    def test_cold_then_accelerator_and_cache(self, tmp_path, monkeypatch):
+        obs.enable()
+        sess = make_session(tmp_path)
+        monkeypatch.setattr(engine_mod, "DIRECT_MISS_ROWS", 0)  # fit every miss
         # age is wide enough that an every-other-value selection exceeds
-        # the accelerator's per-row run limit (the cache-route case).
+        # the accelerator's per-row run limit (a hit served by matvec).
         s = Schema.from_spec({"age": 40, "sex": ["M", "F"]})
         ds = sess.dataset("d", schema=s, data=poisson_data(s))
         cold = ds.ask_many([marginal("age"), marginal("sex")], eps=1.0, rng=2)
@@ -295,26 +311,27 @@ class TestRouteTraces:
             "measure.run_batch",
         ):
             assert expected in names, expected
-        # Box-decomposable hit → accelerator; a scattered selection has
-        # too many runs for a gather and stays on the cache route.
+        # Box-decomposable hit → gather; a scattered selection has too
+        # many runs for a gather and is served by matvec.  Both are free
+        # hits on route "accelerator", and both time their hit stage.
         hit = ds.ask_many([marginal("age")], eps=None)
         self._assert_traced(hit, route="accelerator")
         wq = ds.ask_many([A("age").isin(list(range(0, 40, 2)))])
-        self._assert_traced(wq, route="cache")
+        self._assert_traced(wq, route="accelerator")
         counts = _route_counts("d")
-        assert counts["cold"] == 2.0
-        assert counts["accelerator"] == 1.0
-        assert counts["cache"] == 1.0
+        assert counts == {"cold": 2.0, "accelerator": 2.0}
+        gather = obs.snapshot()["accelerator.gather_ms"]["series"]
+        assert sum(s_["count"] for s_ in gather) == 2
         # Free hits also land per-support counters under the serving key.
         support = obs.snapshot()["service.support_hits"]["series"]
         assert sum(s_["value"] for s_ in support) == 2.0
 
-    def test_warm_route(self, tmp_path):
+    def test_warm_route(self, tmp_path, monkeypatch):
         obs.enable()
         s = small_schema()
         sess = make_session(tmp_path)
         svc = sess.service
-        svc.direct_miss_threshold = 0
+        monkeypatch.setattr(engine_mod, "DIRECT_MISS_ROWS", 0)
         ds = sess.dataset("d", schema=s, data=poisson_data(s))
         # Prepare the exact miss union first: the second ask routes warm.
         exprs = [prefix("age")]

@@ -19,12 +19,10 @@ from repro.linalg import (
     VStack,
     Weighted,
     WidthRange,
-    cache_enabled,
     kmatmat,
     kmatvec,
-    set_cache_enabled,
-    set_dense_algebra_enabled,
 )
+from repro.linalg import marginals
 from repro.linalg.marginals import MarginalsAlgebra
 from repro.optimize import (
     OptResult,
@@ -280,23 +278,10 @@ class TestGramCaching:
         A = Kronecker([Identity(6), Identity(5)])
         warm1 = squared_error(W, A)
         warm2 = squared_error(W, A)  # fully cached second pass
-        prev = set_cache_enabled(False)
-        try:
-            W_fresh = k_way_marginals(Domain(["a", "b"], [6, 5]), 1)
-            cold = squared_error(W_fresh, Kronecker([Identity(6), Identity(5)]))
-        finally:
-            set_cache_enabled(prev)
+        # Freshly built objects carry no memo: computed from scratch.
+        W_fresh = k_way_marginals(Domain(["a", "b"], [6, 5]), 1)
+        cold = squared_error(W_fresh, Kronecker([Identity(6), Identity(5)]))
         assert warm1 == warm2 == cold
-
-    def test_cache_disabled_recomputes(self):
-        prev = set_cache_enabled(False)
-        try:
-            assert not cache_enabled()
-            P = Prefix(8)
-            assert P.gram() is not P.gram()
-        finally:
-            set_cache_enabled(prev)
-        assert cache_enabled()
 
     def test_union_of_products_memoized(self):
         W = range_total_union(8)
@@ -307,13 +292,10 @@ class TestGramCaching:
         d1 = workload_marginal_traces(W)
         d2 = workload_marginal_traces(W)
         assert d1 is d2
-        prev = set_cache_enabled(False)
-        try:
-            fresh = workload_marginal_traces(
-                k_way_marginals(Domain(["a", "b", "c"], [3, 4, 2]), 2)
-            )
-        finally:
-            set_cache_enabled(prev)
+        fresh = workload_marginal_traces(
+            k_way_marginals(Domain(["a", "b", "c"], [3, 4, 2]), 2)
+        )
+        assert fresh is not d1
         assert np.allclose(d1, fresh)
 
     def test_pickle_drops_memo(self):
@@ -380,22 +362,23 @@ class TestKmatmat:
 
 
 class TestDenseMarginalsAlgebra:
-    def test_dense_matches_sparse_everywhere(self, rng):
+    def test_dense_matches_sparse_everywhere(self, rng, monkeypatch):
         alg = MarginalsAlgebra((3, 4, 2))
         u = rng.random(8) + 0.01
         v = rng.random(8)
         delta = rng.random(8)
-        prev = set_dense_algebra_enabled(False)
-        try:
-            sparse = (
-                alg.x_matrix(u).toarray(),
-                alg.multiply_weights(u, v),
-                alg.ginv_weights(u),
-                alg.adjoint_solve(u, delta),
-                alg.grad_dot(delta, v),
-            )
-        finally:
-            set_dense_algebra_enabled(prev)
+        # A zero table limit forces the loop/sparse path used above d = 10.
+        monkeypatch.setattr(marginals, "_DENSE_TABLE_LIMIT", 0)
+        assert not alg.has_dense_tables
+        sparse = (
+            alg.x_matrix(u).toarray(),
+            alg.multiply_weights(u, v),
+            alg.ginv_weights(u),
+            alg.adjoint_solve(u, delta),
+            alg.grad_dot(delta, v),
+        )
+        monkeypatch.undo()
+        assert alg.has_dense_tables
         assert np.allclose(sparse[0], alg.x_matrix_dense(u))
         assert np.allclose(sparse[1], alg.multiply_weights(u, v))
         assert np.allclose(sparse[2], alg.ginv_weights(u))

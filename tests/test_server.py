@@ -47,6 +47,7 @@ from repro.server.errors import encode_body, error_response
 from repro.server.http import serve_in_thread
 from repro.service import PrivacyAccountant, StrategyRegistry
 from repro.service.accountant import BudgetExceededError
+from repro.service import engine as engine_mod
 from repro.service.engine import QueryMiss
 from repro.service.ledger import LockTimeoutError, WriteAheadLedger
 from repro.util import faults
@@ -100,6 +101,12 @@ def make_app(tmp_path=None, cap=100.0, wal=False, registry=False,
     schema = small_schema()
     app.register("adult", schema, poisson_data(schema), epsilon_cap=cap)
     return app
+
+
+@pytest.fixture
+def fit_every_miss(monkeypatch):
+    """Route every miss through a strategy fit: no direct route."""
+    monkeypatch.setattr(engine_mod, "DIRECT_MISS_ROWS", 0)
 
 
 def post(port, payload, timeout=30):
@@ -688,9 +695,7 @@ class TestHttpIntegration:
             })
             assert s == 200
             assert b["charged"] == 0.0
-            assert all(
-                a["route"] in ("accelerator", "cache") for a in b["answers"]
-            )
+            assert all(a["route"] == "accelerator" for a in b["answers"])
             s, raw = get(srv.port, "/healthz")
             assert (s, json.loads(raw)["status"]) == (200, "ok")
             s, raw = get(srv.port, "/readyz")
@@ -800,12 +805,10 @@ class TestDeadlineSpendInvariant:
         assert wal.stat().st_size == base  # not one byte appended
         assert dl.committed_epsilon is None
 
-    def test_fit_timeout_spends_nothing(self, tmp_path):
+    def test_fit_timeout_spends_nothing(self, tmp_path, fit_every_miss):
         """A slow cold fit blows the deadline at the fit-exit check —
         strictly before the charge, so refusal is free."""
-        app = make_app(
-            tmp_path, wal=True, session_kwargs={"direct_miss_threshold": 0}
-        )
+        app = make_app(tmp_path, wal=True)
         ds = app.session.dataset("adult")
         inj = FaultInjector().delay("engine.fit", 0.15)
         with inj.active():
@@ -833,10 +836,8 @@ class TestDeadlineSpendInvariant:
         assert acct.spent("adult") == 0.5
         assert replay(str(tmp_path / "eps.wal")).spent("adult") == 0.5
 
-    def test_http_504_before_charge_is_free(self, tmp_path):
-        app = make_app(
-            tmp_path, wal=True, session_kwargs={"direct_miss_threshold": 0}
-        )
+    def test_http_504_before_charge_is_free(self, tmp_path, fit_every_miss):
+        app = make_app(tmp_path, wal=True)
         inj = FaultInjector().delay("engine.fit", 0.3)
         with inj.active():
             with serve_in_thread(app) as srv:
@@ -1014,10 +1015,11 @@ class TestOverloadBehavior:
 
 
 class TestBreakerIntegration:
-    def test_fit_timeouts_trip_then_degraded_refusal(self, tmp_path):
+    def test_fit_timeouts_trip_then_degraded_refusal(
+        self, tmp_path, fit_every_miss
+    ):
         app = make_app(
             tmp_path,
-            session_kwargs={"direct_miss_threshold": 0},
             breaker=CircuitBreaker(trip_after=1, reset_timeout=60.0),
         )
         inj = FaultInjector().delay("engine.fit", 0.3, times=10)
@@ -1079,12 +1081,10 @@ class TestBreakerInTheFit:
         breaker = CircuitBreaker(
             trip_after=1, reset_timeout=10.0, clock=lambda: t[0]
         )
-        app = make_app(
-            tmp_path, session_kwargs={"direct_miss_threshold": 0},
-            breaker=breaker, **app_kwargs,
-        )
+        app = make_app(tmp_path, breaker=breaker, **app_kwargs)
         return app, breaker, t
 
+    @pytest.mark.usefixtures("fit_every_miss")
     def test_shed_probe_does_not_hold_the_half_open_slot(self, tmp_path):
         app, breaker, t = self.make(tmp_path, per_dataset=1)
         breaker.record_failure()
@@ -1105,6 +1105,7 @@ class TestBreakerInTheFit:
         assert status == 200 and body["answers"][0]["route"] == "cold"
         assert breaker.state == "closed"
 
+    @pytest.mark.usefixtures("fit_every_miss")
     def test_fit_that_raises_counts_as_failure(self, tmp_path):
         app, breaker, t = self.make(tmp_path)
         with FaultInjector().fail("engine.fit").active():
@@ -1126,6 +1127,7 @@ class TestBreakerInTheFit:
         assert breaker.state == "closed"
         assert app.session.service.accountant.spent("adult") == 0.5
 
+    @pytest.mark.usefixtures("fit_every_miss")
     def test_warm_miss_serves_while_breaker_open(self, tmp_path):
         app, breaker, _ = self.make(tmp_path)
         ds = app.session.dataset("adult")
@@ -1139,7 +1141,7 @@ class TestBreakerInTheFit:
 
     @pytest.mark.parametrize("route, session_kwargs", [
         ("direct", {}),
-        ("cold", {"direct_miss_threshold": 0, "rng": 0}),
+        ("cold", {"rng": 0}),
     ])
     def test_measured_request_never_plans(
         self, tmp_path, monkeypatch, route, session_kwargs
@@ -1149,6 +1151,8 @@ class TestBreakerInTheFit:
             "queries": [{"count": [{"attr": "sex", "eq": "F"}]}],
             "eps": 0.5, "seed": 4,
         }
+        if route == "cold":
+            monkeypatch.setattr(engine_mod, "DIRECT_MISS_ROWS", 0)
         expected = asyncio.run(
             make_app(session_kwargs=session_kwargs).handle_query(payload)
         )
@@ -1265,13 +1269,12 @@ class TestChaos:
         # The torn tail was physically truncated during recovery.
         assert not open(wal, "rb").read().endswith(b'"eps')
 
-    def test_bit_flipped_registry_entry_degrades_to_refit(self, tmp_path):
+    def test_bit_flipped_registry_entry_degrades_to_refit(
+        self, tmp_path, fit_every_miss
+    ):
         """A corrupted persisted strategy is quarantined and re-fit cold —
         the request succeeds; nothing 5xxes."""
-        app = make_app(
-            tmp_path, registry=True,
-            session_kwargs={"direct_miss_threshold": 0},
-        )
+        app = make_app(tmp_path, registry=True)
         with serve_in_thread(app) as srv:
             s, _, b = post(srv.port, {
                 "dataset": "adult", "queries": [{"marginal": ["age"]}],
@@ -1288,10 +1291,7 @@ class TestChaos:
         path.write_bytes(bytes(blob))
         # Fresh process over the same registry: the flipped entry must
         # quarantine into a cold re-fit, not an error.
-        app2 = make_app(
-            tmp_path, registry=True,
-            session_kwargs={"direct_miss_threshold": 0},
-        )
+        app2 = make_app(tmp_path, registry=True)
         with serve_in_thread(app2) as srv:
             s, _, b = post(srv.port, {
                 "dataset": "adult", "queries": [{"marginal": ["age"]}],
@@ -1339,6 +1339,30 @@ class TestServerObservability:
         inflight = snap["server.inflight"]["series"][0]["value"]
         assert inflight == 0  # gauge returns to zero after the turn
         assert "server.breaker_state" in snap
+
+    def test_matvec_hit_reports_accelerator_on_the_wire(
+        self, tmp_path, monkeypatch
+    ):
+        """A free hit evaluated by matvec (no box decomposition) carries
+        route "accelerator" in its answer and in the request label."""
+        obs.enable()
+        app = make_app(tmp_path)
+        query = {"dataset": "adult", "queries": [{"marginal": ["age"]}]}
+        status, _, _ = asyncio.run(
+            app.handle_query({**query, "eps": 0.5, "seed": 1})
+        )
+        assert status == 200
+        # No query decomposes into boxes: every hit is served by matvec.
+        monkeypatch.setattr(engine_mod, "range_spec_of", lambda Q: None)
+        status, _, body = asyncio.run(app.handle_query(query))
+        assert status == 200 and body["charged"] == 0.0
+        assert [a["route"] for a in body["answers"]] == ["accelerator"]
+        assert app.session.service._datasets["adult"].accel == {}
+        routes = {
+            s["labels"]["route"]
+            for s in obs.snapshot()["server.requests_total"]["series"]
+        }
+        assert routes == {"direct", "accelerator"}
 
     def test_shed_total_by_reason(self, tmp_path):
         obs.enable()

@@ -210,26 +210,6 @@ class TestRegistry:
         ref = np.linalg.pinv(A.dense()) @ y
         assert np.allclose(x, ref, atol=1e-8)
 
-    def test_cache_disabled_put_does_not_poison_loaded_strategy(
-        self, tmp_path, union_workload
-    ):
-        """A put() under globally-disabled memoization still builds and
-        persists the solver state (it is only not memoized): the loaded
-        strategy finds its exact structured Gram inverse."""
-        from repro.core.solvers import union_gram_solver
-        from repro.linalg import set_cache_enabled
-
-        result = opt_union(union_workload, rng=0)
-        reg = StrategyRegistry(tmp_path / "reg")
-        prev = set_cache_enabled(False)
-        try:
-            key = reg.put(union_workload, result.strategy)
-        finally:
-            set_cache_enabled(prev)
-        assert reg.entry(key)["solver_state"]
-        rec = reg.load(key)
-        assert rec.strategy.cache_get("union_gram_solver").exact
-
 
 class TestAccountant:
     def test_sequential_composition_sums(self):
@@ -597,7 +577,10 @@ class TestColdMissFastPath:
         assert again.hits == 1 and again.charged == 0.0
 
     def test_threshold_zero_disables_fast_path(self, tmp_path, monkeypatch):
-        svc, _ = self._service(tmp_path, direct_miss_threshold=0)
+        from repro.service import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "DIRECT_MISS_ROWS", 0)
+        svc, _ = self._service(tmp_path)
         svc.add_dataset("d", np.ones(8), epsilon_cap=5.0)
         fits = []
         original = HDMM.fit
@@ -637,12 +620,6 @@ class TestColdMissFastPath:
                 svc.answer("d", [np.zeros(8)], eps=bad)
         assert acct.spent("d") == 0.0
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="direct_miss_threshold"):
-            QueryService(direct_miss_threshold=-1)
-        with pytest.raises(ValueError, match="direct_miss_threshold"):
-            QueryService(direct_miss_threshold=2.5)
-
     def test_direct_path_honors_cache_false(self, tmp_path):
         svc, _ = self._service(tmp_path)
         x = np.random.default_rng(3).poisson(25, 10).astype(float)
@@ -672,10 +649,13 @@ class TestColdMissFastPath:
         batch = svc.answer("d", [q], eps=0.5, rng=1, exact=True)
         assert batch.misses == 1
 
-    def test_oversized_miss_batch_uses_full_path(self, tmp_path):
+    def test_oversized_miss_batch_uses_full_path(self, tmp_path, monkeypatch):
         """Miss batches above the threshold still go through the fitted
         union-measurement path (and the registry)."""
-        svc, acct = self._service(tmp_path, direct_miss_threshold=1)
+        from repro.service import engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "DIRECT_MISS_ROWS", 1)
+        svc, acct = self._service(tmp_path)
         x = np.random.default_rng(0).poisson(30, 8).astype(float)
         svc.add_dataset("d", x, epsilon_cap=5.0)
         q1 = np.zeros(8)
@@ -804,8 +784,9 @@ class TestOptionsRefusedBeforeTheDebit:
 
     @pytest.mark.parametrize("route", ["direct", "cold"])
     @pytest.mark.parametrize("options,exc", _BAD_OPTIONS)
-    def test_session_ask_many(self, tmp_path, route, options, exc):
+    def test_session_ask_many(self, tmp_path, monkeypatch, route, options, exc):
         from repro.api import A, Schema, Session, prefix
+        from repro.service import engine as engine_mod
 
         wal = tmp_path / "eps.wal"
         acct = PrivacyAccountant(wal_path=str(wal))
@@ -816,7 +797,7 @@ class TestOptionsRefusedBeforeTheDebit:
             "d", schema=schema, data=np.ones(64), epsilon_cap=100.0
         )
         if route == "cold":
-            sess.service.direct_miss_threshold = 0
+            monkeypatch.setattr(engine_mod, "DIRECT_MISS_ROWS", 0)
         expr = A("a").eq(3) if route == "direct" else prefix("a")
 
         def call(**o):
@@ -928,7 +909,7 @@ class TestWarmBeforeDirect:
             restarts=1,
             rng=0,
         )
-        W = Prefix(8)  # 8 rows — well under direct_miss_threshold
+        W = Prefix(8)  # 8 rows — well under DIRECT_MISS_ROWS
         key, _, _, _ = svc.prepare(W)
         x = np.random.default_rng(2).poisson(30, 8).astype(float)
         svc.add_dataset("d", x)

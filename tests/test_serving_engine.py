@@ -15,6 +15,7 @@ from repro.core.reconstruct import (
     resolves_to_direct,
     resolves_to_pinv,
 )
+from repro.core import solvers
 from repro.core.solvers import (
     _kron_gram_factor_mats,
     _two_term_factorization,
@@ -267,9 +268,18 @@ def _rank_deficient_union(seed):
     )
 
 
+def _one_block_deficient(seed):
+    """A one-block union whose 2 x 4 Dense factor has a rank-2 Gram;
+    Cholesky passes on that Gram with a pivot at rounding level for
+    seeds 11, 15, 31, 32, 34 and 36 of 0–39."""
+    r = np.random.default_rng(seed)
+    return VStack([Kronecker([Dense(r.standard_normal((2, 4))), Identity(2)])])
+
+
 class TestRankDeficientUnion:
-    """A factorization that passes Cholesky is not trusted as exact: the
-    probe finds it inexact, so it only preconditions CG."""
+    """A factorization that passes Cholesky with a rounding-level pivot is
+    rejected by the pivot check: it is neither applied as exact nor used
+    to precondition CG, whose iterates then stay in ``range(AᵀA)``."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_answers_match_pinv_on_the_strategy_rows(self, seed):
@@ -290,10 +300,38 @@ class TestRankDeficientUnion:
         assert in_measured_span(A, A.dense()[:4])
 
     def test_seed_zero_factors_but_is_not_exact(self):
+        """Seed 0's rank-2 Dense factor Gram passes Cholesky, but with a
+        relative pivot below PIVOT_TOL, so the pair yields no solver."""
+        from scipy.linalg import cholesky
+
         A = _rank_deficient_union(0)
-        solver = union_gram_solver(A)
-        assert solver is not None and not solver.exact
+        mats = [_kron_gram_factor_mats(b) for b in A.blocks]
+        K = mats[1][0]
+        C = cholesky(K, lower=True)
+        assert (np.diag(C) ** 2 / np.diag(K)).min() < solvers.PIVOT_TOL
+        assert _two_term_factorization(mats[0], mats[1]) is None
+        assert union_gram_solver(A) is None
         assert not resolves_to_direct(A)
+
+    @pytest.mark.parametrize("seed", [11, 15, 31, 32, 34, 36])
+    def test_rounding_pivot_block_solves_as_pinv(self, seed):
+        from repro.service import in_measured_span
+
+        A = _one_block_deficient(seed)
+        y = np.random.default_rng(seed + 100).standard_normal(A.shape[0])
+        ref = np.linalg.pinv(A.dense()) @ y
+        assert np.abs(least_squares(A, y) - ref).max() <= 1e-8 * np.abs(ref).max()
+        assert in_measured_span(A, A.dense()[:2])
+        assert not resolves_to_direct(A)
+
+    def test_healthy_fixture_pivots_clear_the_threshold(self, rng):
+        for A in (
+            _union_strategy(rng),
+            _multiblock_strategy(rng, 2),
+            _multiblock_strategy(rng, 4),
+        ):
+            solver = union_gram_solver(A)
+            assert min(solver.pivots) >= solvers.PIVOT_TOL
 
 
 def _kron_dense(mats):
@@ -419,7 +457,7 @@ class TestMultiblockGramSolver:
         and its solves match the dense pinv."""
         A = _multiblock_strategy(rng, 4)
         mats = [_kron_gram_factor_mats(b) for b in A.blocks]
-        Es, lam_pair = _two_term_factorization(mats[0], mats[1])
+        Es, lam_pair, _ = _two_term_factorization(mats[0], mats[1])
         legacy = {
             "precond_factors": Es,
             "precond_lam": lam_pair,
@@ -506,7 +544,7 @@ class TestMultiblockGramSolver:
     def test_export_restore_precond_state(self, rng):
         A = _multiblock_strategy(rng, 4)
         state = export_gram_solver_state(A)
-        assert set(state) == {"factors", "lam", "blocks", "exact"}
+        assert set(state) == {"factors", "lam", "blocks", "exact", "pivots"}
         assert state["exact"] is False and len(state["blocks"]) == 2
         fresh = np.random.default_rng(12345)
         A2 = _multiblock_strategy(fresh, 4)  # same arrays, fresh caches
@@ -560,7 +598,7 @@ def _legacy_state(A, shape):
         return {"unavailable": True, "precond_probed": True}
     mats = [_kron_gram_factor_mats(b) for b in A.blocks]
     partner = mats[1] if len(mats) > 1 else [np.zeros_like(m) for m in mats[0]]
-    Es, lam = _two_term_factorization(mats[0], partner)
+    Es, lam, _ = _two_term_factorization(mats[0], partner)
     if shape == "two_term":
         return {"factors": Es, "lam": lam}
     return {
@@ -613,16 +651,40 @@ class TestLegacySolverStates:
         Y = np.random.default_rng(9).standard_normal((A.shape[0], 5))
         assert np.array_equal(least_squares(loaded, Y), least_squares(strategy(), Y))
 
-    def test_legacy_two_term_state_is_not_trusted_as_exact(self):
+    def test_legacy_two_term_state_is_not_trusted_as_exact(self, monkeypatch):
         """Older versions applied any two-term state directly; restored from
-        the rank-deficient union's factorization it must not be."""
+        the rank-deficient union's factorization (which they made without
+        a pivot check) it must not be."""
         A = _rank_deficient_union(0)
-        restore_gram_solver_state(A, _legacy_state(A, "two_term"))
+        monkeypatch.setattr(solvers, "PIVOT_TOL", 0.0)
+        state = _legacy_state(A, "two_term")
+        monkeypatch.undo()
+        restore_gram_solver_state(A, state)
         assert not resolves_to_direct(A)
         Ad = A.dense()
         Y = np.random.default_rng(3).standard_normal((A.shape[0], 2))
         ref = Ad @ np.linalg.pinv(Ad) @ Y
         assert np.abs(Ad @ least_squares(A, Y) - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+    @pytest.mark.parametrize("pivots", ["absent", "rounding"])
+    def test_state_factored_without_the_pivot_check_is_ignored(
+        self, monkeypatch, pivots
+    ):
+        """Entries written before the pivot check carry
+        ``{factors, lam, blocks, exact}`` and could mark a rounding-level
+        factorization exact; restore ignores them, as it ignores a state
+        whose pivots fall below PIVOT_TOL."""
+        monkeypatch.setattr(solvers, "PIVOT_TOL", 0.0)
+        state = export_gram_solver_state(_one_block_deficient(11))
+        monkeypatch.undo()
+        assert state["exact"] and min(state["pivots"]) < solvers.PIVOT_TOL
+        if pivots == "absent":
+            del state["pivots"]
+        A = _one_block_deficient(11)
+        restore_gram_solver_state(A, state)
+        assert A.cache_get("union_gram_solver") is None
+        assert not resolves_to_direct(A)
 
 
 class TestValidationSatellites:
