@@ -21,8 +21,9 @@ is spent*:
 4. **cold**  — everything else: fitting template + one accounted pass.
 
 The emitted :class:`Plan` is inspectable — per-group route, estimated ε
-debit, and expected per-query RMSE (Definition 7 via
-:func:`repro.core.error.rootmse` where a strategy is already known) —
+debit, and expected per-query RMSE under both mechanisms (Definition 7,
+scaled from one :func:`repro.core.error.squared_error` where a strategy
+is already known) —
 and its ε estimates are exact: executing the plan debits the accountant
 by precisely :attr:`Plan.total_epsilon`.
 """
@@ -30,11 +31,12 @@ by precisely :attr:`Plan.total_epsilon`.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.error import rootmse
+from ..core.error import error_at_budget, squared_error
 from ..core.privacy import DEFAULT_DELTA
 from ..linalg import Matrix, VStack
 from ..privacy.mechanisms import get_mechanism
@@ -310,36 +312,31 @@ class Plan:
         )
 
 
-def _safe_rmse(
-    W: Matrix,
-    A: Matrix,
-    eps: float,
-    mechanism: str = "laplace",
-    delta: float = DEFAULT_DELTA,
-) -> float | None:
-    """Definition 7 per-query RMSE under the chosen mechanism, or None
-    where the structured error algebra does not cover the (workload,
-    strategy) pairing."""
-    if eps <= 0:
-        return None
-    try:
-        return float(rootmse(W, A, eps, mechanism=mechanism, delta=delta))
-    except Exception:
-        return None
-
-
 def _rmse_pair(
     W: Matrix, A: Matrix, eps: float | None, mechanism: str, delta: float
 ) -> tuple[float | None, float | None]:
     """(RMSE under ``mechanism``, RMSE under the other mechanism) at the
-    same per-group budget — the planner's Laplace-vs-Gaussian column."""
-    if eps is None:
+    same per-group budget — the planner's Laplace-vs-Gaussian column.
+
+    Both are Definition 7 per-query RMSEs scaled from one
+    ``squared_error(W, A)``; None where the structured error algebra
+    does not cover the (workload, strategy) pairing."""
+    if eps is None or eps <= 0:
         return None, None
+    try:
+        strategy_error = squared_error(W, A)
+    except Exception:
+        return None, None
+
+    def rmse(mech: str) -> float | None:
+        try:
+            total = error_at_budget(strategy_error, A, eps, mech, delta)
+        except Exception:
+            return None
+        return math.sqrt(total / W.shape[0])
+
     alt = "gaussian" if mechanism == "laplace" else "laplace"
-    return (
-        _safe_rmse(W, A, eps, mechanism=mechanism, delta=delta),
-        _safe_rmse(W, A, eps, mechanism=alt, delta=delta),
-    )
+    return rmse(mechanism), rmse(alt)
 
 
 def _hit_detail(gathers: int, queries: int) -> str:

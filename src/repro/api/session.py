@@ -117,8 +117,9 @@ class Dataset:
         are immutable once built): replanning or re-asking the same
         expression reuses its compiled matrix, which keeps everything
         memoized *on* that matrix warm too (accelerator range specs,
-        gather plans, span probes), and the compiled query is dropped
-        with the expression.
+        gather plans), and the compiled query is dropped with the
+        expression.  Its fingerprint also keys the span verdict that
+        replanning reuses; answering does not use that memo.
         """
         hit = expr._compiled
         if hit is not None and hit[0] is self.schema:

@@ -153,26 +153,39 @@ def expected_error(
     mechanism: str = "laplace",
     delta: float = DEFAULT_DELTA,
 ) -> float | np.ndarray:
-    """Expected total squared error at budget ε (vectorized over ε).
+    """Expected total squared error at budget ε (vectorized over ε): one
+    ``squared_error(W, A)`` scaled by :func:`error_at_budget`."""
+    return error_at_budget(squared_error(W, A), A, eps, mechanism, delta)
+
+
+def error_at_budget(
+    strategy_error: float,
+    A: Matrix,
+    eps: float | np.ndarray = 1.0,
+    mechanism: str = "laplace",
+    delta: float = DEFAULT_DELTA,
+) -> float | np.ndarray:
+    """Expected total squared error at budget ε (vectorized over ε) from
+    ``strategy_error = squared_error(W, A)``.
 
     For the Laplace mechanism this is Definition 7 in full:
     ``(2/ε²) · ‖A‖₁² · ‖W A⁺‖_F²``.  Every structured ``squared_error``
     path is the per-measurement Laplace variance at ε = √2 (i.e. ``‖A‖₁²``)
     times an effective trace term ``‖W A⁺‖_F²``, so the Gaussian value is
     the same trace term scaled by the Gaussian per-measurement variance
-    instead: ``σ(Δ₂, ε, δ)² · ‖W A⁺‖_F²``.  Only one strategy-error
-    evaluation is needed either way (``squared_error`` is ε-independent) —
-    the closed-form half of a batched ε sweep.
+    instead: ``σ(Δ₂, ε, δ)² · ‖W A⁺‖_F²``.  One strategy-error evaluation
+    serves every ε and both mechanisms — the closed-form half of a
+    batched ε sweep, and both of the planner's RMSE columns.
     """
     eps_arr = validate_epsilon(eps)
     if mechanism == "laplace":
-        out = 2.0 / eps_arr**2 * squared_error(W, A)
+        out = 2.0 / eps_arr**2 * strategy_error
     elif mechanism == "gaussian":
         validate_budget(delta=delta)
         # squared_error / ‖A‖₁² is the effective trace term; the strategy-
         # scaling invariance holds because σ ∝ Δ₂ picks the weight back up.
         sigma = np.asarray(gaussian_sigma(A.sensitivity(p=2), eps_arr, delta))
-        out = sigma**2 * (squared_error(W, A) / A.sensitivity() ** 2)
+        out = sigma**2 * (strategy_error / A.sensitivity() ** 2)
     else:
         raise ValueError(
             f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}"

@@ -131,7 +131,15 @@ def _lsmr_columns(
     maxiter: int | None,
     x0: np.ndarray | None,
 ) -> None:
-    """Solve the selected columns with LSMR, writing into ``X`` in place."""
+    """Solve the selected columns with LSMR, writing into ``X`` in place.
+
+    An unset ``maxiter`` allows ``10 · min(m, n)`` iterations: scipy's
+    default, ``min(m, n)``, is LSMR's bound in exact arithmetic, and on an
+    ill-conditioned ``A`` rounding stretches the run well past it before
+    ``atol``/``btol`` are met.
+    """
+    if maxiter is None:
+        maxiter = 10 * min(A.shape)
     op = LinearOperator(
         shape=A.shape, matvec=A.matvec, rmatvec=A.rmatvec, dtype=np.float64
     )
@@ -171,8 +179,11 @@ def least_squares(
     atol, btol:
         LSMR stopping tolerances (fallback and ``method="lsmr"``).
     maxiter:
-        Iteration cap for the iterative solvers (``None`` = solver
-        default).
+        Iteration cap for the iterative solvers.  ``None`` gives CG
+        ``3 n`` iterations (the :func:`~repro.core.solvers.cg_gram_solve`
+        default) and LSMR ``10 · min(m, n)``, enough on ill-conditioned
+        strategies for LSMR to meet ``atol``/``btol`` rather than stop at
+        the cap.
     rtol:
         CG stopping criterion on the normal-equations residual,
         ``‖AᵀA x - Aᵀy‖₂ <= rtol · ‖Aᵀy‖₂`` per column.
@@ -260,7 +271,4 @@ def answer_workload(W: Matrix, x_hat: np.ndarray) -> np.ndarray:
     Accepts a single data-vector estimate (length n) or a batch as
     columns (n x T), answered by one ``matmat``.
     """
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x_hat.ndim == 1:
-        return W.matvec(x_hat)
     return W.matmat(x_hat)

@@ -7,7 +7,8 @@ is infeasible in high dimensions (the paper's SF1+ workload matrix would be
 operator that knows how to perform the handful of operations the paradigm
 needs *without* densifying:
 
-* ``matvec`` / ``rmatvec`` — products ``Ax`` and ``Aᵀy``;
+* ``matmat`` / ``rmatmat`` — products ``AX`` and ``AᵀY`` (``matvec`` /
+  ``rmatvec`` are their width-1 views);
 * ``gram`` — the Gram matrix ``AᵀA`` (central to strategy optimization);
 * ``sensitivity`` — ``sensitivity(p=1)`` is the maximum absolute column
   sum ``‖A‖₁``, the L1 sensitivity of the query set (paper Definition 6,
@@ -16,8 +17,12 @@ needs *without* densifying:
 * ``pinv`` — the Moore–Penrose pseudo-inverse, where a structured form
   exists (used by RECONSTRUCT, paper Section 7.2).
 
-Subclasses override whichever operations have a structured fast path;
-:class:`Dense` is the explicit fallback used for modest domain sizes.
+A subclass writes one product per direction, ``matmat`` and
+``rmatmat``, for 2-D input only: :class:`Matrix` gives every such method
+the one rule for a 1-D input (a vector is a one-column matrix) and
+derives ``matvec``/``rmatvec`` from it.  Subclasses override whichever
+other operations have a structured fast path; :class:`Dense` is the
+explicit fallback used for modest domain sizes.
 
 Matrices in this library are **immutable**: once constructed, neither the
 shape nor the numerical content of a :class:`Matrix` changes.  The base
@@ -71,6 +76,21 @@ def _memoized(fn):
     return wrapper
 
 
+def _columns(fn):
+    """Give a subclass's 2-D ``matmat``/``rmatmat`` the rule for a 1-D
+    input: a vector is applied as a one-column matrix."""
+
+    @functools.wraps(fn)
+    def wrapper(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim == 1:
+            return fn(self, X[:, None])[:, 0]
+        return fn(self, X)
+
+    wrapper._takes_vectors = True
+    return wrapper
+
+
 class Matrix:
     """A real matrix represented implicitly as a linear operator.
 
@@ -97,6 +117,10 @@ class Matrix:
                 fn, "_is_memoized", False
             ):
                 setattr(cls, name, _memoized(fn))
+        for name in ("matmat", "rmatmat"):
+            fn = cls.__dict__.get(name)
+            if fn is not None and not getattr(fn, "_takes_vectors", False):
+                setattr(cls, name, _columns(fn))
 
     # -- memoization plumbing ---------------------------------------------
     def cache_get(self, key: str, default=None):
@@ -127,20 +151,29 @@ class Matrix:
 
     # -- core linear operator interface ---------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Return ``A @ x`` for a vector ``x`` of length ``n``."""
-        raise NotImplementedError
+        """Return ``A @ x`` for a vector ``x`` of length ``n``: the
+        width-1 view of :meth:`matmat`."""
+        if type(self).matmat is Matrix.matmat:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither matmat nor matvec"
+            )
+        return self.matmat(x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Return ``Aᵀ @ y`` for a vector ``y`` of length ``m``."""
-        raise NotImplementedError
+        """Return ``Aᵀ @ y`` for a vector ``y`` of length ``m``: the
+        width-1 view of :meth:`rmatmat`."""
+        if type(self).rmatmat is Matrix.rmatmat:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither rmatmat nor rmatvec"
+            )
+        return self.rmatmat(y)
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """Return ``A @ X`` for a dense matrix ``X``.
 
-        Generic fallback: one ``matvec`` per column into a preallocated
-        output.  Structured subclasses (:class:`~repro.linalg.Kronecker`,
-        :class:`~repro.linalg.VStack`, ...) override this with batched
-        implementations that apply the whole right-hand side at once.
+        Every class in this library overrides this with a batched
+        product.  The default serves a class that defines only
+        ``matvec``: one ``matvec`` per column into a preallocated output.
         """
         X = np.asarray(X, dtype=self.dtype)
         if X.ndim == 1:
@@ -151,8 +184,8 @@ class Matrix:
         return out
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        """Return ``Aᵀ @ Y`` for a dense matrix ``Y`` (column-by-column
-        fallback; structured subclasses override with batched paths)."""
+        """Return ``Aᵀ @ Y`` for a dense matrix ``Y`` (the column loop over
+        ``rmatvec`` of a class that defines only that)."""
         Y = np.asarray(Y, dtype=self.dtype)
         if Y.ndim == 1:
             return self.rmatvec(Y)
@@ -185,7 +218,10 @@ class Matrix:
     @_memoized
     def l1_sensitivity(self) -> float:
         """L1 sensitivity ``‖A‖₁`` = maximum absolute column sum."""
-        return float(np.abs(self.dense()).sum(axis=0).max())
+        c = self.constant_column_abs_sum()
+        if c is not None:
+            return float(c)
+        return float(self.column_abs_sums().max())
 
     @_memoized
     def l2_sensitivity(self) -> float:
@@ -315,12 +351,6 @@ class Dense(Matrix):
             raise ValueError(f"expected 2-D array, got shape {self.array.shape}")
         self.shape = self.array.shape
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.array @ x
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.array.T @ y
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self.array @ X
 
@@ -329,9 +359,6 @@ class Dense(Matrix):
 
     def gram(self) -> "Dense":
         return Dense(self.array.T @ self.array)
-
-    def l1_sensitivity(self) -> float:
-        return float(np.abs(self.array).sum(axis=0).max())
 
     def column_abs_sums(self) -> np.ndarray:
         return np.abs(self.array).sum(axis=0)
@@ -372,12 +399,6 @@ class _Transpose(Matrix):
         self.base = base
         self.shape = (base.shape[1], base.shape[0])
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.base.rmatvec(x)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.base.matvec(y)
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self.base.rmatmat(X)
 
@@ -400,12 +421,6 @@ class _Product(Matrix):
         self.left = left
         self.right = right
         self.shape = (left.shape[0], right.shape[1])
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.left.matvec(self.right.matvec(x))
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.right.rmatvec(self.left.rmatvec(y))
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         # Structured pseudo-inverses are lazy products (e.g. (MᵀM)⁻Mᵀ for

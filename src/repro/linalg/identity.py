@@ -23,23 +23,14 @@ class Identity(Matrix):
         self.n = n
         self.shape = (n, n)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=self.dtype).copy()
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=self.dtype).copy()
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=self.dtype).copy()
+        return X.copy()
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        return np.asarray(Y, dtype=self.dtype).copy()
+        return Y.copy()
 
     def gram(self) -> "Identity":
         return Identity(self.n)
-
-    def l1_sensitivity(self) -> float:
-        return 1.0
 
     def column_abs_sums(self) -> np.ndarray:
         return np.ones(self.n)
@@ -91,23 +82,11 @@ class Ones(Matrix):
             raise ValueError("dimensions must be positive")
         self.shape = (m, n)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.full(self.shape[0], float(np.sum(x)))
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return np.full(self.shape[1], float(np.sum(y)))
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
-        if X.ndim == 1:
-            return self.matvec(X)
         col_sums = X.sum(axis=0)
         return np.tile(col_sums, (self.shape[0], 1))
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=self.dtype)
-        if Y.ndim == 1:
-            return self.rmatvec(Y)
         return np.tile(Y.sum(axis=0), (self.shape[1], 1))
 
     def gram(self) -> "Ones":
@@ -118,9 +97,6 @@ class Ones(Matrix):
         if m == 1:
             return Ones(n, n)
         return Weighted(Ones(n, n), float(m))  # type: ignore[return-value]
-
-    def l1_sensitivity(self) -> float:
-        return float(self.shape[0])
 
     def column_abs_sums(self) -> np.ndarray:
         return np.full(self.shape[1], float(self.shape[0]))
@@ -181,16 +157,7 @@ class Diagonal(Matrix):
         n = self.d.shape[0]
         self.shape = (n, n)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.d * np.asarray(x, dtype=self.dtype)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.d * np.asarray(y, dtype=self.dtype)
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
-        if X.ndim == 1:
-            return self.matvec(X)
         return self.d[:, None] * X
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
@@ -198,9 +165,6 @@ class Diagonal(Matrix):
 
     def gram(self) -> "Diagonal":
         return Diagonal(self.d**2)
-
-    def l1_sensitivity(self) -> float:
-        return float(np.abs(self.d).max())
 
     def column_abs_sums(self) -> np.ndarray:
         return np.abs(self.d)

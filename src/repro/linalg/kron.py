@@ -50,8 +50,8 @@ DENSE_FACTOR_CELLS = 4096
 
 
 def _factor_array(A: Matrix) -> np.ndarray | None:
-    """The explicit array :func:`kmatvec` and :func:`kmatmat` apply for
-    factor ``A``, or ``None`` to apply ``A``'s own ``matmat``.
+    """The explicit array :func:`kmatmat` applies for factor ``A``, or
+    ``None`` to apply ``A``'s own ``matmat``.
 
     A :class:`Dense` factor gives its array; any other factor of at most
     :data:`DENSE_FACTOR_CELLS` cells and more than one column gives its
@@ -124,7 +124,7 @@ def kmatvec(factors: Sequence[Matrix], x: np.ndarray) -> np.ndarray:
     d-way tensor, apply each factor ``Ai`` along axis ``i``, and fold the
     result back in.  For square n x n factors the cost is
     ``O(d * n^(d+1))`` time and ``O(n^d)`` space versus ``O(n^(2d))`` for
-    the explicit product.
+    the explicit product.  This is the width-1 view of :func:`kmatmat`.
 
     Parameters
     ----------
@@ -133,11 +133,7 @@ def kmatvec(factors: Sequence[Matrix], x: np.ndarray) -> np.ndarray:
     x:
         Vector of length ``Π ni`` (the product of factor column counts).
     """
-    x = np.asarray(x, dtype=np.float64)
-    total_cols = math.prod(A.shape[1] for A in factors)
-    if x.shape != (total_cols,):
-        raise ValueError(f"expected vector of length {total_cols}, got {x.shape}")
-    return _apply_factors(factors, x[:, None]).reshape(-1)
+    return kmatmat(factors, np.asarray(x, dtype=np.float64)[:, None])[:, 0]
 
 
 def kmatmat(factors: Sequence[Matrix], X: np.ndarray) -> np.ndarray:
@@ -156,7 +152,7 @@ def kmatmat(factors: Sequence[Matrix], X: np.ndarray) -> np.ndarray:
         The Kronecker factors ``A1 ... Ad``, leftmost factor first.
     X:
         Matrix of shape ``(Π ni, b)`` (one column per right-hand side); a
-        1-D input falls back to :func:`kmatvec`.
+        1-D input is :func:`kmatvec`.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -180,12 +176,6 @@ class Kronecker(Matrix):
         m = math.prod(A.shape[0] for A in self.factors)
         n = math.prod(A.shape[1] for A in self.factors)
         self.shape = (m, n)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return kmatvec(self.factors, x)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return kmatvec([A.T for A in self.factors], y)
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return kmatmat(self.factors, X)

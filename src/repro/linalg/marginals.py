@@ -302,7 +302,7 @@ class MarginalsGram(Matrix):
 
     def _terms(self):
         # Build the weighted C(a) terms once per instance: every batched
-        # pinv application re-enters matvec/matmat, and rebuilding the
+        # pinv application re-enters matmat, and rebuilding the
         # Kronecker objects would discard their memoized structure.
         terms = self.cache_get("gram_terms")
         if terms is None:
@@ -316,19 +316,7 @@ class MarginalsGram(Matrix):
             )
         return terms
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape[0])
-        for term in self._terms():
-            out += term.matvec(x)
-        return out
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.matvec(y)  # G(v) is symmetric
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
-        if X.ndim == 1:
-            return self.matvec(X)
         out = np.zeros((self.shape[0], X.shape[1]))
         for term in self._terms():
             out += term.matmat(X)
@@ -399,12 +387,6 @@ class MarginalsStrategy(Matrix):
         )
         self.shape = self._stack.shape
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._stack.matvec(x)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self._stack.rmatvec(y)
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self._stack.matmat(X)
 
@@ -414,16 +396,16 @@ class MarginalsStrategy(Matrix):
     def gram(self) -> MarginalsGram:
         return MarginalsGram(self.sizes, self.theta**2)
 
-    def l1_sensitivity(self) -> float:
-        return float(self.theta.sum())
-
     def l2_sensitivity(self) -> float:
         # Every marginal query matrix has exactly one 1 per column, so
         # marginal a contributes θ_a² to every column's squared norm.
         return float(np.sqrt((self.theta**2).sum()))
 
     def column_abs_sums(self) -> np.ndarray:
-        return np.full(self.shape[1], float(self.theta.sum()))
+        return np.full(self.shape[1], self.constant_column_abs_sum())
+
+    def constant_column_abs_sum(self) -> float:
+        return float(self.theta.sum())
 
     def column_norms(self) -> np.ndarray:
         return np.full(self.shape[1], self.l2_sensitivity())

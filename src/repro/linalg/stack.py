@@ -25,12 +25,6 @@ class Weighted(Matrix):
         self.weight = float(weight)
         self.shape = base.shape
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.weight * self.base.matvec(x)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.weight * self.base.rmatvec(y)
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self.weight * self.base.matmat(X)
 
@@ -114,22 +108,7 @@ class VStack(Matrix):
         m = sum(B.shape[0] for B in self.blocks)
         self.shape = (m, n)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([B.matvec(x) for B in self.blocks])
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape[1])
-        offset = 0
-        for B in self.blocks:
-            rows = B.shape[0]
-            out += B.rmatvec(y[offset : offset + rows])
-            offset += rows
-        return out
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
-        if X.ndim == 1:
-            return self.matvec(X)
         # Write each block's batch directly into its row slice — the
         # serving engine calls this with wide right-hand sides, where the
         # extra vstack copy of every block result is measurable.
@@ -142,9 +121,6 @@ class VStack(Matrix):
         return out
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=self.dtype)
-        if Y.ndim == 1:
-            return self.rmatvec(Y)
         out = np.zeros((self.shape[1], Y.shape[1]))
         offset = 0
         for B in self.blocks:
@@ -271,31 +247,13 @@ class Sum(Matrix):
         self.terms = list(terms)
         self.shape = shape
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape[0])
-        for T in self.terms:
-            out += T.matvec(x)
-        return out
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape[1])
-        for T in self.terms:
-            out += T.rmatvec(y)
-        return out
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
-        if X.ndim == 1:
-            return self.matvec(X)
         out = np.zeros((self.shape[0], X.shape[1]))
         for T in self.terms:
             out += T.matmat(X)
         return out
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=self.dtype)
-        if Y.ndim == 1:
-            return self.rmatvec(Y)
         out = np.zeros((self.shape[1], Y.shape[1]))
         for T in self.terms:
             out += T.rmatmat(Y)

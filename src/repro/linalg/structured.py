@@ -27,26 +27,17 @@ class Prefix(Matrix):
         self.n = n
         self.shape = (n, n)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.cumsum(np.asarray(x, dtype=self.dtype))
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        # Column j of Prefix is covered by prefixes j..n-1.
-        return np.cumsum(np.asarray(y, dtype=self.dtype)[::-1])[::-1]
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        return np.cumsum(np.asarray(X, dtype=self.dtype), axis=0)
+        return np.cumsum(X, axis=0)
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        return np.cumsum(np.asarray(Y, dtype=self.dtype)[::-1], axis=0)[::-1]
+        # Column j of Prefix is covered by prefixes j..n-1.
+        return np.cumsum(Y[::-1], axis=0)[::-1]
 
     def gram(self) -> Dense:
         # (WᵀW)_{ij} = #prefixes containing both i and j = n - max(i, j).
         idx = np.arange(self.n)
         return Dense(self.n - np.maximum.outer(idx, idx).astype(np.float64))
-
-    def l1_sensitivity(self) -> float:
-        return float(self.n)
 
     def column_abs_sums(self) -> np.ndarray:
         return np.arange(self.n, 0, -1, dtype=np.float64)
@@ -81,33 +72,7 @@ class AllRange(Matrix):
         self.n = n
         self.shape = (n * (n + 1) // 2, n)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
-        prefix = np.concatenate([[0.0], np.cumsum(x)])
-        out = np.empty(self.shape[0])
-        pos = 0
-        for i in range(self.n):
-            cnt = self.n - i
-            out[pos : pos + cnt] = prefix[i + 1 :] - prefix[i]
-            pos += cnt
-        return out
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=self.dtype)
-        out = np.zeros(self.n)
-        pos = 0
-        for i in range(self.n):
-            cnt = self.n - i
-            block = y[pos : pos + cnt]
-            # Range (i, j) covers cells i..j: add reverse-cumulative sums.
-            out[i:] += np.cumsum(block[::-1])[::-1]
-            pos += cnt
-        return out
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
-        if X.ndim == 1:
-            return self.matvec(X)
         # Batched prefix trick: one row-block of output per range start,
         # all columns at once.
         prefix = np.vstack([np.zeros((1, X.shape[1])), np.cumsum(X, axis=0)])
@@ -120,14 +85,12 @@ class AllRange(Matrix):
         return out
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=self.dtype)
-        if Y.ndim == 1:
-            return self.rmatvec(Y)
         out = np.zeros((self.n, Y.shape[1]))
         pos = 0
         for i in range(self.n):
             cnt = self.n - i
             block = Y[pos : pos + cnt]
+            # Range (i, j) covers cells i..j: add reverse-cumulative sums.
             out[i:] += np.cumsum(block[::-1], axis=0)[::-1]
             pos += cnt
         return out
@@ -138,9 +101,6 @@ class AllRange(Matrix):
         lo = np.minimum.outer(idx, idx) + 1.0
         hi = self.n - np.maximum.outer(idx, idx)
         return Dense(lo * hi)
-
-    def l1_sensitivity(self) -> float:
-        return float(self.column_abs_sums().max())
 
     def column_abs_sums(self) -> np.ndarray:
         idx = np.arange(self.n, dtype=np.float64)
@@ -182,33 +142,11 @@ class WidthRange(Matrix):
         self.width = width
         self.shape = (n - width + 1, n)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        prefix = np.concatenate([[0.0], np.cumsum(np.asarray(x, dtype=self.dtype))])
-        return prefix[self.width :] - prefix[: -self.width]
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        y = np.asarray(y, dtype=self.dtype)
-        csum = np.concatenate([[0.0], np.cumsum(y)])
-        m = self.shape[0]
-        for j in range(self.n):
-            lo = max(0, j - self.width + 1)
-            hi = min(j, m - 1)
-            if lo <= hi:
-                out[j] = csum[hi + 1] - csum[lo]
-        return out
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
-        if X.ndim == 1:
-            return self.matvec(X)
         prefix = np.vstack([np.zeros((1, X.shape[1])), np.cumsum(X, axis=0)])
         return prefix[self.width :] - prefix[: -self.width]
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=self.dtype)
-        if Y.ndim == 1:
-            return self.rmatvec(Y)
         m = self.shape[0]
         csum = np.vstack([np.zeros((1, Y.shape[1])), np.cumsum(Y, axis=0)])
         j = np.arange(self.n)
@@ -225,9 +163,6 @@ class WidthRange(Matrix):
         lo = np.maximum(np.maximum.outer(idx, idx) - self.width + 1, 0.0)
         hi = np.minimum(np.minimum.outer(idx, idx), self.n - self.width)
         return Dense(np.maximum(hi - lo + 1.0, 0.0))
-
-    def l1_sensitivity(self) -> float:
-        return float(self.column_abs_sums().max())
 
     def column_abs_sums(self) -> np.ndarray:
         idx = np.arange(self.n, dtype=np.float64)
@@ -279,32 +214,17 @@ class Permuted(Matrix):
         self.inv[perm] = np.arange(n)
         self.shape = base.shape
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        # (W P) x = W (P x); (Px)[i] = x[inv[i]] so that column perm[j] of W
-        # receives x[j].
-        return self.base.matvec(np.asarray(x)[self.inv])
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.base.rmatvec(y)[self.perm]
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
-        if X.ndim == 1:
-            return self.matvec(X)
+        # (W P) X = W (P X); (PX)[i] = X[inv[i]] so that column perm[j] of W
+        # receives row j of X.
         return self.base.matmat(X[self.inv])
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=self.dtype)
-        if Y.ndim == 1:
-            return self.rmatvec(Y)
         return self.base.rmatmat(Y)[self.perm]
 
     def gram(self) -> Dense:
         G = self.base.gram().dense()
         return Dense(G[np.ix_(self.perm, self.perm)])
-
-    def l1_sensitivity(self) -> float:
-        return self.base.sensitivity()
 
     def l2_sensitivity(self) -> float:
         return self.base.sensitivity(p=2)
@@ -350,23 +270,14 @@ class SparseMatrix(Matrix):
         self.array = sp.csr_matrix(array).astype(np.float64)
         self.shape = self.array.shape
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.array @ np.asarray(x, dtype=self.dtype)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.array.T @ np.asarray(y, dtype=self.dtype)
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        return self.array @ np.asarray(X, dtype=self.dtype)
+        return self.array @ X
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        return self.array.T @ np.asarray(Y, dtype=self.dtype)
+        return self.array.T @ Y
 
     def gram(self) -> Dense:
         return Dense((self.array.T @ self.array).toarray())
-
-    def l1_sensitivity(self) -> float:
-        return float(self.column_abs_sums().max())
 
     def column_abs_sums(self) -> np.ndarray:
         return np.asarray(abs(self.array).sum(axis=0)).ravel()

@@ -84,26 +84,11 @@ class PIdentity(Matrix):
     def n(self) -> int:
         return self.theta.shape[1]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        xs = np.asarray(x, dtype=self.dtype) / self.scale
-        return np.concatenate([xs, self.theta @ xs])
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=self.dtype)
-        n = self.n
-        return (y[:n] + self.theta.T @ y[n:]) / self.scale
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.dtype)
-        if X.ndim == 1:
-            return self.matvec(X)
         Xs = X / self.scale[:, None]
         return np.vstack([Xs, self.theta @ Xs])
 
     def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=self.dtype)
-        if Y.ndim == 1:
-            return self.rmatvec(Y)
         n = self.n
         return (Y[:n] + self.theta.T @ Y[n:]) / self.scale[:, None]
 
@@ -120,9 +105,6 @@ class PIdentity(Matrix):
         M = np.eye(self.n) - B.T @ (R @ B)
         s = self.scale
         return M * np.outer(s, s)
-
-    def l1_sensitivity(self) -> float:
-        return 1.0
 
     def column_abs_sums(self) -> np.ndarray:
         return np.ones(self.n)

@@ -66,9 +66,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..api.expr import A, QueryExpr, count, marginal, prefix, ranges, total
 from ..api.session import Session
-from ..core.solvers import validate_budget
 from ..obs.metrics import REGISTRY as _METRICS
 from ..obs.trace import TRACER as _TRACER
+from ..privacy.mechanisms import get_mechanism
 from ..service.engine import QueryMiss
 from .admission import AdmissionController, ShedError
 from .breaker import CircuitBreaker
@@ -329,22 +329,19 @@ class ServerApp:
             if not eps > 0:
                 raise ValueError(f"eps must be positive, got {eps}")
         mechanism = payload.get("mechanism", "laplace")
-        if mechanism not in ("laplace", "gaussian"):
-            raise ValueError(
-                f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}"
-            )
+        if not isinstance(mechanism, str):
+            raise ValueError(f"mechanism must be a string, got {mechanism!r}")
         delta = payload.get("delta")
         if delta is not None:
-            if mechanism != "gaussian":
+            try:
+                delta = float(delta)
+            except (TypeError, ValueError):
                 raise ValueError(
-                    "delta only applies to the gaussian mechanism"
-                )
-            delta = float(validate_budget(delta=delta)["delta"])
-            if delta == 0.0:
-                raise ValueError(
-                    "the gaussian mechanism needs delta > 0 (delta=0 is "
-                    "pure ε-DP: use the laplace mechanism)"
-                )
+                    f"delta must be a number, got {delta!r}"
+                ) from None
+        # get_mechanism checks the name, that only the gaussian mechanism
+        # takes a delta, and that 0 < delta < 1.
+        mechanism = get_mechanism(mechanism, delta)
         seed = payload.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise ValueError(f"seed must be an integer, got {seed!r}")
@@ -352,13 +349,13 @@ class ServerApp:
         timeout = min(float(timeout), self.max_timeout)
         if not timeout > 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        return name, ds, shape, eps, mechanism, delta, seed, timeout
+        return name, ds, shape, eps, mechanism, seed, timeout
 
     async def _handle_query(self, payload) -> tuple[int, dict, dict | bytes, str]:
         """``(status, headers, body, route)`` of one request."""
         if self.draining:
             raise ShedError("draining", 503, 1.0)
-        name, ds, shape, eps, mechanism, delta, seed, timeout = (
+        name, ds, shape, eps, mechanism, seed, timeout = (
             self._parse_request(payload)
         )
         exprs = shape.exprs
@@ -403,13 +400,13 @@ class ServerApp:
         # enforcement point.
         acct = self.session.service.accountant
         if acct is not None:
-            acct.check(name, eps, mechanism=mechanism, delta=delta)
+            acct.check(name, eps, mechanism=mechanism)
 
         await self.admission.acquire_measure(name, timeout=deadline.remaining())
         loop = asyncio.get_running_loop()
         fut = loop.run_in_executor(
             self._executor, self._measured, name, ds, exprs, eps,
-            mechanism, delta, seed, deadline,
+            mechanism, seed, deadline,
         )
         # The slot is released when the *worker* finishes — not when the
         # waiter gives up — so the executor can never oversubscribe; the
@@ -471,16 +468,14 @@ class ServerApp:
         body["late"] = True
         return 200, {}, body, _request_route(answers)
 
-    def _measured(self, name, ds, exprs, eps, mechanism, delta, seed, deadline):
+    def _measured(self, name, ds, exprs, eps, mechanism, seed, deadline):
         """Executor-side measured request (worker thread): the root span
         opens here so it parents ``session.ask`` in the thread-local
         tracer."""
-        kwargs = {} if mechanism == "laplace" else {
-            "mechanism": mechanism, **({} if delta is None else {"delta": delta})
-        }
         with _TRACER.span("server.request", dataset=name, route="measured"):
             return ds.ask_many(
-                exprs, eps=eps, rng=seed, deadline=deadline, **kwargs
+                exprs, eps=eps, rng=seed, deadline=deadline,
+                mechanism=mechanism,
             )
 
     # -- response assembly ---------------------------------------------------

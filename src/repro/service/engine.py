@@ -760,9 +760,11 @@ class QueryService:
         (:func:`~repro.service.accelerator.strategy_spans_everything`)
         first — a certified strategy spans every query, no algebra at
         all — then, for queries carrying a compile-time ``fingerprint``,
-        a per-(strategy, fingerprint) memo of the projection verdict, so
-        a planning pass or repeated traffic pays the ~0.25 ms
-        :func:`in_measured_span` projection at most once per query shape.
+        a per-(strategy, fingerprint) memo of the projection verdict.
+        Only planning (:meth:`probe_hit`) passes a fingerprint, so
+        repeated planning pays the ~0.25 ms :func:`in_measured_span`
+        projection at most once per query shape; :meth:`answer` passes
+        none and projects every query it does not certify.
         The certificate choosing a reconstruction never changes *which*
         one is chosen: certified ⟹ the projection test would accept too.
         """

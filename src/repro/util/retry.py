@@ -1,10 +1,9 @@
 """The retry policy and the one retry loop every layer shares.
 
 One policy object describes *how* to retry — attempt count, base delay,
-delay cap, decorrelated jitter — and one process-wide budget bounds *how
-much* retrying the whole server may do, so a correlated fault (a full
-disk, a contended ledger lock) degrades into fast failures instead of a
-retry storm that multiplies the very load that caused it.
+delay cap, decorrelated jitter — and :func:`call_retrying` runs a call
+under it, retrying only the transient ``OSError``\\ s
+:func:`retryable_oserror` accepts.
 
 The module is stdlib-only so every layer can use it:
 
@@ -29,14 +28,12 @@ from __future__ import annotations
 
 import errno
 import random
-import threading
 import time
 from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_POLICY",
     "DURABLE_WRITE_POLICY",
-    "RetryBudget",
     "RetryPolicy",
     "TRANSIENT_ERRNOS",
     "call_retrying",
@@ -102,86 +99,19 @@ DEFAULT_POLICY = RetryPolicy()
 DURABLE_WRITE_POLICY = RetryPolicy(retries=4, base=0.001, cap=0.008, jitter=False)
 
 
-class RetryBudget:
-    """A token bucket bounding the total retry volume of a process.
-
-    Each retry spends one token; tokens refill continuously at
-    ``refill_per_sec`` up to ``tokens``.  When the bucket is empty,
-    callers fail fast instead of piling delayed retries onto an already
-    unhealthy dependency.  Thread-safe — one budget is typically shared
-    by every request handler in the server.
-    """
-
-    def __init__(
-        self,
-        tokens: float = 32.0,
-        refill_per_sec: float = 4.0,
-        clock=time.monotonic,
-    ):
-        if tokens <= 0 or refill_per_sec < 0:
-            raise ValueError(
-                f"need tokens > 0 and refill_per_sec >= 0, got "
-                f"{tokens}, {refill_per_sec}"
-            )
-        self.capacity = float(tokens)
-        self.refill_per_sec = float(refill_per_sec)
-        self._clock = clock
-        self._tokens = float(tokens)
-        self._stamp = clock()
-        self._lock = threading.Lock()
-
-    def _refill_locked(self) -> None:
-        now = self._clock()
-        self._tokens = min(
-            self.capacity,
-            self._tokens + (now - self._stamp) * self.refill_per_sec,
-        )
-        self._stamp = now
-
-    def try_spend(self, amount: float = 1.0) -> bool:
-        """Take ``amount`` tokens if available; False means "don't retry"."""
-        with self._lock:
-            self._refill_locked()
-            if self._tokens < amount:
-                return False
-            self._tokens -= amount
-            return True
-
-    @property
-    def remaining(self) -> float:
-        with self._lock:
-            self._refill_locked()
-            return self._tokens
-
-
-def call_retrying(
-    fn,
-    policy: RetryPolicy = DEFAULT_POLICY,
-    retryable=retryable_oserror,
-    sleep=time.sleep,
-    rng=None,
-    budget: RetryBudget | None = None,
-    on_retry=None,
-):
-    """Run ``fn()`` under ``policy``, retrying faults ``retryable`` accepts.
+def call_retrying(fn, policy: RetryPolicy = DEFAULT_POLICY, sleep=time.sleep):
+    """Run ``fn()`` under ``policy``, retrying the faults
+    :func:`retryable_oserror` accepts; ``sleep`` waits out each delay.
 
     The last failure always propagates — to the retry machinery a fault
-    that outlives its budget is a real failure, and the caller (which
-    owns the durable-state contract) must surface it.  ``budget`` (a
-    shared :class:`RetryBudget`) can veto a retry the policy would still
-    allow; ``on_retry(exc, attempt, delay)`` observes each retry (the
-    server counts them into ``server.retries_total``).
+    that outlives its policy is a real failure, and the caller (which
+    owns the durable-state contract) must surface it.
     """
-    delays = policy.delays(rng)
+    delays = policy.delays()
     for attempt in range(policy.retries + 1):
         try:
             return fn()
         except Exception as e:  # noqa: BLE001 — classifier decides
-            if not retryable(e) or attempt == policy.retries:
+            if not retryable_oserror(e) or attempt == policy.retries:
                 raise
-            if budget is not None and not budget.try_spend():
-                raise
-            delay = next(delays)
-            if on_retry is not None:
-                on_retry(e, attempt, delay)
-            sleep(delay)
+            sleep(next(delays))

@@ -115,3 +115,97 @@ class TestLazyTranspose:
         y = rng.standard_normal(4)
         assert np.allclose(T.matvec(y), A.T @ y)
         assert np.allclose(T.dense(), A.T)
+
+
+def _package_matrix_classes():
+    """Every Matrix subclass defined in the repro package."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    found, todo = [], [Matrix]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("repro."):
+                found.append(sub)
+    return found
+
+
+class TestOneProductPerDirection:
+    def test_no_package_class_defines_a_vector_product(self):
+        classes = _package_matrix_classes()
+        assert len(classes) >= 18
+        offenders = [
+            f"{cls.__module__}.{cls.__qualname__}.{name}"
+            for cls in classes
+            for name in ("matvec", "rmatvec")
+            if name in vars(cls)
+        ]
+        assert offenders == []
+
+    def test_vector_is_a_one_column_matrix(self, rng):
+        A = rng.standard_normal((4, 6))
+
+        class OnlyMatmat(Matrix):
+            def __init__(self):
+                self.shape = A.shape
+
+            def matmat(self, X):
+                assert X.ndim == 2
+                return A @ X
+
+            def rmatmat(self, Y):
+                assert Y.ndim == 2
+                return A.T @ Y
+
+        M = OnlyMatmat()
+        x, y = rng.standard_normal(6), rng.standard_normal(4)
+        for got, want in [
+            (M.matvec(x), A @ x),
+            (M.matmat(x), A @ x),
+            (M @ x, A @ x),
+            (M.rmatvec(y), A.T @ y),
+            (M.T.matvec(y), A.T @ y),
+        ]:
+            assert got.shape == want.shape
+            assert np.allclose(got, want)
+
+    def test_matvec_only_class_answers_1d_matmat_with_its_matvec(self):
+        class OnlyMatvec(Matrix):
+            shape = (1, 2)
+
+            def matvec(self, x):
+                return np.array([x[0] - x[1]])
+
+        M = OnlyMatvec()
+        assert np.array_equal(M.matmat(np.array([3.0, 1.0])), [2.0])
+        assert np.array_equal(M.matmat(np.eye(2)), [[1.0, -1.0]])
+
+    def test_class_without_products_raises_instead_of_recursing(self):
+        class NoProducts(Matrix):
+            shape = (2, 2)
+
+        M = NoProducts()
+        for call in (M.matvec, M.matmat, M.rmatvec, M.rmatmat):
+            with pytest.raises(NotImplementedError):
+                call(np.ones(2))
+        with pytest.raises(NotImplementedError):
+            M.matmat(np.ones((2, 3)))
+
+    def test_l1_sensitivity_is_derived_from_the_column_sums(self):
+        class Sums(Matrix):
+            shape = (2, 3)
+
+            def column_abs_sums(self):
+                return np.array([1.0, 4.0, 2.0])
+
+        class Constant(Sums):
+            def constant_column_abs_sum(self):
+                return 5.0
+
+        assert Sums().sensitivity(p=1) == 4.0
+        assert Constant().sensitivity(p=1) == 5.0

@@ -785,6 +785,13 @@ class TestServerMechanisms:
             {"mechanism": "gaussian", "delta": 1.5},
             {"mechanism": "gaussian", "delta": 0},
             {"delta": 1e-6},  # delta without gaussian
+            {"mechanism": 3},
+            {"mechanism": ["gaussian"]},
+            {"mechanism": {"name": "gaussian"}},
+            {"mechanism": "gaussian", "delta": "tiny"},
+            {"mechanism": "gaussian", "delta": [1e-6, 1e-7]},
+            {"mechanism": "gaussian", "delta": {"v": 1e-6}},
+            {"mechanism": "gaussian", "delta": float("nan")},
         ):
             status, _, body = self._run(
                 app.handle("POST", "/query", {**base, **bad})

@@ -381,6 +381,25 @@ def kron_unions(draw):
     return VStack(blocks), deficient
 
 
+def _lsmr_capped_union():
+    """A ``kron_unions`` draw (one block, 126 x 64, rank 56, condition
+    number 1.5e3, no union solver) that plain CG leaves unconverged at
+    its 3n cap.  With the LSMR fallback stopped at scipy's min(m, n)
+    iterations, x̂ ended 3e-2 off; given its own limit, LSMR meets the
+    bounds below."""
+    r = np.random.default_rng(1222768801)
+    factors = [
+        PIdentity(r.random((p, n)) * 10.0**scale)
+        for p, n, scale in [
+            (1, 2, 0.09783877289293219),
+            (2, 4, 1.7448866429698748),
+            (3, 8, -1.4727189388268922),
+        ]
+    ]
+    factors[2] = Dense(r.standard_normal((7, 8)))
+    return VStack([Weighted(Kronecker(factors), 0.34448863931081414)]), True
+
+
 def _first_pair_only(A):
     """The pair-only inverse of the first candidate pair: a lone block
     with a zero Gram, blocks (0, 1) of two, else the top-trace pair,
@@ -405,6 +424,7 @@ class TestUnionPreconditionerProperties:
 
     @settings(max_examples=20)
     @given(kron_unions())
+    @example(_lsmr_capped_union())
     def test_chosen_probes_no_slower_than_pair_only(self, union):
         A, deficient = union
         solver = union_gram_solver(A)

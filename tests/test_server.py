@@ -56,7 +56,6 @@ from repro.util.retry import (
     DEFAULT_POLICY,
     DURABLE_WRITE_POLICY,
     TRANSIENT_ERRNOS,
-    RetryBudget,
     RetryPolicy,
     call_retrying,
     retryable_oserror,
@@ -199,34 +198,6 @@ class TestRetryPolicy:
                 sleep=lambda d: None,
             )
 
-    def test_retry_budget_vetoes(self):
-        t = [0.0]
-        budget = RetryBudget(tokens=2.0, refill_per_sec=0.0, clock=lambda: t[0])
-        calls = {"n": 0}
-
-        def fn():
-            calls["n"] += 1
-            raise OSError(errno.EAGAIN, "again")
-
-        with pytest.raises(OSError):
-            call_retrying(
-                fn,
-                RetryPolicy(retries=10, base=0.001, cap=1.0, jitter=False),
-                sleep=lambda d: None,
-                budget=budget,
-            )
-        # 1 initial attempt + 2 budgeted retries, then the veto.
-        assert calls["n"] == 3
-        assert budget.remaining == 0.0
-
-    def test_retry_budget_refills(self):
-        t = [0.0]
-        budget = RetryBudget(tokens=4.0, refill_per_sec=2.0, clock=lambda: t[0])
-        assert budget.try_spend(4.0)
-        assert not budget.try_spend(1.0)
-        t[0] = 1.0  # 2 tokens refilled
-        assert budget.try_spend(2.0)
-
     def test_errno_classifier_matches_fault_matrix(self):
         assert TRANSIENT_ERRNOS == {errno.EINTR, errno.EAGAIN, errno.ENOSPC}
         assert retryable_oserror(OSError(errno.EINTR, "x"))
@@ -248,22 +219,6 @@ class TestRetryPolicy:
         assert call_retrying(fn, DURABLE_WRITE_POLICY, sleep=slept.append) == 7
         assert slept == [0.001, 0.002, 0.004]
         assert list(DURABLE_WRITE_POLICY.delays()) == [0.001, 0.002, 0.004, 0.008]
-
-    def test_on_retry_observer(self):
-        seen = []
-
-        def fn():
-            if len(seen) < 2:
-                raise OSError(errno.EAGAIN, "again")
-            return 1
-
-        call_retrying(
-            fn,
-            RetryPolicy(retries=5, base=0.001, cap=1.0, jitter=False),
-            sleep=lambda d: None,
-            on_retry=lambda e, attempt, delay: seen.append((attempt, delay)),
-        )
-        assert seen == [(0, 0.001), (1, 0.002)]
 
 
 # ---------------------------------------------------------------------------
