@@ -757,9 +757,8 @@ def bench_mechanisms(
 ) -> dict:
     """Mechanism choice: Gaussian vs Laplace at equal budget, and the
     zCDP accounting fold's per-debit tax vs the pure-ε sum."""
-    from repro.core import HDMM
+    from repro.core import HDMM, GaussianMechanism, LaplaceMechanism, rootmse
     from repro.optimize import opt_union
-    from repro.privacy.mechanisms import get_mechanism
     from repro.service import PrivacyAccountant
     from repro.workload import range_total_union
 
@@ -784,14 +783,11 @@ def bench_mechanisms(
     # only the noise mechanism differs.  The analytic rootmse (what the
     # planner's rmse(lap)/rmse(gauss) columns print) must predict the
     # empirical trial RMSE for both.
-    for name in ("laplace", "gaussian"):
-        m = get_mechanism(name, delta if name == "gaussian" else None)
-        predicted = float(m.rootmse(W, A, eps))
-        kwargs = {} if name == "laplace" else {
-            "mechanism": "gaussian", "delta": delta,
-        }
+    mechanisms = {"laplace": LaplaceMechanism(), "gaussian": GaussianMechanism(delta)}
+    for name, m in mechanisms.items():
+        predicted = float(rootmse(W, A, eps, m))
         with Timer() as t:
-            answers = mech.run_batch(x, eps, trials=trials, rng=rng, **kwargs)
+            answers = mech.run_batch(x, eps, trials=trials, rng=rng, mechanism=m)
         flat = answers.reshape(trials, -1)
         empirical = float(np.sqrt(np.mean((flat - truth) ** 2)))
         out[name] = {
@@ -801,8 +797,8 @@ def bench_mechanisms(
             "sweep_seconds": round(t.elapsed, 4),
         }
     out["noise_scale_ratio_gauss_vs_lap"] = round(
-        float(get_mechanism("gaussian", delta).noise_scale(A, eps))
-        / float(get_mechanism("laplace").noise_scale(A, eps)),
+        float(mechanisms["gaussian"].noise_scale(A, eps))
+        / float(mechanisms["laplace"].noise_scale(A, eps)),
         4,
     )
     out["rmse_ratio_gaussian_vs_laplace"] = round(

@@ -36,10 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.error import error_at_budget, squared_error
+from ..core.error import squared_error
+from ..core.measure import (
+    GaussianMechanism,
+    LaplaceMechanism,
+    Mechanism,
+    get_mechanism,
+)
 from ..core.privacy import DEFAULT_DELTA
 from ..linalg import Matrix, VStack
-from ..privacy.mechanisms import get_mechanism
 from ..obs.metrics import REGISTRY as _METRICS
 from ..obs.trace import TRACER as _TRACER
 from ..service.accelerator import range_spec_of
@@ -181,25 +186,12 @@ class PlanEntry:
     #: Mechanism this group serves under: the cached reconstruction's
     #: for free hits, the plan's requested mechanism for misses.
     mechanism: str = "laplace"
-    #: Expected RMSE under the *other* mechanism at the same budget —
-    #: the Laplace-vs-Gaussian comparison surfaced by ``explain()``.
-    expected_rmse_alt: float | None = None
-
-    @property
-    def rmse_laplace(self) -> float | None:
-        return (
-            self.expected_rmse
-            if self.mechanism == "laplace"
-            else self.expected_rmse_alt
-        )
-
-    @property
-    def rmse_gaussian(self) -> float | None:
-        return (
-            self.expected_rmse
-            if self.mechanism == "gaussian"
-            else self.expected_rmse_alt
-        )
+    #: Expected RMSE under the Laplace and under the Gaussian mechanism
+    #: at the same budget — the comparison columns of ``explain()``.  The
+    #: Gaussian column is at this group's δ when it was measured under
+    #: the Gaussian mechanism, else at the plan's (or the default) δ.
+    rmse_laplace: float | None = None
+    rmse_gaussian: float | None = None
 
 
 @dataclass
@@ -220,7 +212,8 @@ class Plan:
     entries: list[PlanEntry] = field(default_factory=list)
     eps: float | None = None
     mechanism: str = "laplace"
-    delta: float = DEFAULT_DELTA
+    #: δ of the plan's mechanism (0 for pure ε-DP Laplace).
+    delta: float = 0.0
 
     @property
     def total_epsilon(self) -> float:
@@ -259,7 +252,7 @@ class Plan:
             f"{len(self.batch.queries)} distinct, "
             f"estimated ε = {self.total_epsilon:g}"
         )
-        if self.mechanism != "laplace":
+        if self.delta:
             head += f", mechanism = {self.mechanism} (δ = {self.delta:g})"
 
         def _rmse(v: float | None) -> str:
@@ -312,31 +305,28 @@ class Plan:
         )
 
 
-def _rmse_pair(
-    W: Matrix, A: Matrix, eps: float | None, mechanism: str, delta: float
-) -> tuple[float | None, float | None]:
-    """(RMSE under ``mechanism``, RMSE under the other mechanism) at the
-    same per-group budget — the planner's Laplace-vs-Gaussian column.
-
-    Both are Definition 7 per-query RMSEs scaled from one
+def _rmses(
+    W: Matrix, A: Matrix, eps: float | None, mechs: tuple[Mechanism, ...]
+) -> tuple[float | None, ...]:
+    """The Definition 7 per-query RMSE of ``W`` answered via ``A`` at the
+    per-group budget ``eps`` under each of ``mechs``, all scaled from one
     ``squared_error(W, A)``; None where the structured error algebra
     does not cover the (workload, strategy) pairing."""
     if eps is None or eps <= 0:
-        return None, None
+        return (None,) * len(mechs)
     try:
         strategy_error = squared_error(W, A)
     except Exception:
-        return None, None
+        return (None,) * len(mechs)
 
-    def rmse(mech: str) -> float | None:
+    def rmse(mech: Mechanism) -> float | None:
         try:
-            total = error_at_budget(strategy_error, A, eps, mech, delta)
+            total = mech.error_at_budget(strategy_error, A, eps)
         except Exception:
             return None
         return math.sqrt(total / W.shape[0])
 
-    alt = "gaussian" if mechanism == "laplace" else "laplace"
-    return rmse(mechanism), rmse(alt)
+    return tuple(rmse(m) for m in mechs)
 
 
 def _hit_detail(gathers: int, queries: int) -> str:
@@ -359,7 +349,7 @@ def plan_queries(
     dataset: str,
     batch: CompiledBatch,
     eps: float | None = None,
-    mechanism: str = "laplace",
+    mechanism: str | Mechanism = "laplace",
     delta: float | None = None,
 ) -> Plan:
     """Route a compiled batch without spending any budget.
@@ -375,7 +365,9 @@ def plan_queries(
     with _TRACER.span(
         "plan.route", dataset=dataset, queries=len(batch.queries)
     ):
-        plan = _plan_queries_impl(service, dataset, batch, eps, mechanism, delta)
+        plan = _plan_queries_impl(
+            service, dataset, batch, eps, get_mechanism(mechanism, delta)
+        )
     if _METRICS.enabled:
         _METRICS.counter("planner.plans_total", dataset=dataset).inc()
         for e in plan.entries:
@@ -393,16 +385,21 @@ def _plan_queries_impl(
     service: QueryService,
     dataset: str,
     batch: CompiledBatch,
-    eps: float | None = None,
-    mechanism: str = "laplace",
-    delta: float | None = None,
+    eps: float | None,
+    mech: Mechanism,
 ) -> Plan:
-    mech = get_mechanism(mechanism, delta)
-    mech_delta = getattr(mech, "delta", DEFAULT_DELTA)
     plan = Plan(
         dataset=dataset, batch=batch, eps=eps,
-        mechanism=mech.name, delta=mech_delta,
+        mechanism=mech.name, delta=mech.delta,
     )
+
+    def priced(m: Mechanism) -> tuple[Mechanism, ...]:
+        """A group released under ``m`` is priced under ``m`` and under
+        the comparison columns: Laplace, and Gaussian at ``m``'s own δ
+        (the plan's, or the default δ, when ``m`` is pure-ε)."""
+        delta = m.delta or mech.delta or DEFAULT_DELTA
+        return m, LaplaceMechanism(), GaussianMechanism(delta)
+
     if not batch.queries:
         return plan
 
@@ -420,29 +417,27 @@ def _plan_queries_impl(
             hit_groups.setdefault(key, []).append(i)
     for key, idxs in hit_groups.items():
         recon = service.cached_reconstruction(dataset, key)
-        rmse = rmse_alt = None
+        rmse = lap = gauss = None
         hit_mech = "laplace"
         if recon is not None:
             # The RMSE estimate depends only on (strategy, group, ε,
-            # mechanism), so re-planning the same traffic reuses it — a
+            # mechanisms), so re-planning the same traffic reuses it — a
             # warm plan must never cost more than a cold one.  A hit
-            # serves from the cached reconstruction, so its column is the
-            # mechanism that measurement was actually released under.
-            hit_mech = recon.mechanism
+            # serves from the cached reconstruction, so its own RMSE is
+            # under the mechanism that measurement was released under.
+            hit_mech = recon.mechanism.name
             digest = hashlib.sha256(
                 "|".join(batch.queries[i].fingerprint for i in idxs).encode()
             ).hexdigest()[:16]
-            memo_key = f"plan_rmse:{digest}:{recon.eps!r}:{hit_mech}"
+            mechs = priced(recon.mechanism)
+            memo_key = f"plan_rmse:{digest}:{recon.eps!r}:{mechs!r}"
             memo = recon.strategy.cache_get(memo_key)
             if memo is None:
                 W = _stack([batch.queries[i].matrix for i in idxs])
                 memo = recon.strategy.cache_set(
-                    memo_key,
-                    _rmse_pair(
-                        W, recon.strategy, recon.eps, hit_mech, mech_delta
-                    ),
+                    memo_key, _rmses(W, recon.strategy, recon.eps, mechs)
                 )
-            rmse, rmse_alt = memo
+            rmse, lap, gauss = memo
         gathers = sum(batch.queries[i].range_spec is not None for i in idxs)
         plan.entries.append(
             PlanEntry(
@@ -454,7 +449,8 @@ def _plan_queries_impl(
                 expected_rmse=rmse,
                 detail=_hit_detail(gathers, len(idxs)),
                 mechanism=hit_mech,
-                expected_rmse_alt=rmse_alt,
+                rmse_laplace=lap,
+                rmse_gaussian=gauss,
             )
         )
     if not miss:
@@ -472,8 +468,8 @@ def _plan_queries_impl(
     eps_est: float | None = float(eps) if eps is not None else None
 
     if mroute.route == "warm":
-        rmse, rmse_alt = _rmse_pair(
-            W_miss, mroute.strategy, eps_est, mech.name, mech_delta
+        rmse, lap, gauss = _rmses(
+            W_miss, mroute.strategy, eps_est, priced(mech)
         )
         plan.entries.append(
             PlanEntry(
@@ -485,7 +481,8 @@ def _plan_queries_impl(
                 expected_rmse=rmse,
                 detail="strategy already fitted",
                 mechanism=mech.name,
-                expected_rmse_alt=rmse_alt,
+                rmse_laplace=lap,
+                rmse_gaussian=gauss,
             )
         )
         return plan
@@ -503,17 +500,17 @@ def _plan_queries_impl(
                     expected_rmse=0.0,
                     detail="empty support: constant 0, data-independent",
                     mechanism=mech.name,
+                    rmse_laplace=0.0,
+                    rmse_gaussian=0.0,
                 )
             )
             return plan
-        rmse = rmse_alt = None
+        rmse = lap = gauss = None
         if eps_est is not None:
             from ..service.engine import selection_matrix
 
             S = selection_matrix(cols, batch.domain.size())
-            rmse, rmse_alt = _rmse_pair(
-                W_miss, S, eps_est, mech.name, mech_delta
-            )
+            rmse, lap, gauss = _rmses(W_miss, S, eps_est, priced(mech))
         plan.entries.append(
             PlanEntry(
                 route="direct",
@@ -524,7 +521,8 @@ def _plan_queries_impl(
                 expected_rmse=rmse,
                 detail=f"selection measurement on {cols.size} cells",
                 mechanism=mech.name,
-                expected_rmse_alt=rmse_alt,
+                rmse_laplace=lap,
+                rmse_gaussian=gauss,
             )
         )
         return plan

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs as _obs
+from ..core.measure import Mechanism, get_mechanism
 from ..domain import SchemaMismatchError
 from ..obs.trace import TRACER as _TRACER
 from ..service.accountant import PrivacyAccountant
@@ -138,7 +139,7 @@ class Dataset:
         self,
         exprs,
         eps: float | None = None,
-        mechanism: str = "laplace",
+        mechanism: str | Mechanism = "laplace",
         delta: float | None = None,
     ) -> Plan:
         """Route a batch without executing it: inspect before you spend.
@@ -151,8 +152,7 @@ class Dataset:
             self.name,
             self.compile_many(exprs),
             eps,
-            mechanism=mechanism,
-            delta=delta,
+            mechanism=get_mechanism(mechanism, delta),
         )
 
     # -- execution ----------------------------------------------------------
@@ -176,6 +176,8 @@ class Dataset:
         eps: float | None = None,
         rng: np.random.Generator | int | None = None,
         deadline=None,
+        mechanism: str | Mechanism = "laplace",
+        delta: float | None = None,
         **run_kwargs,
     ) -> list[Answer]:
         """Answer a batch of expressions with per-query provenance.
@@ -184,12 +186,15 @@ class Dataset:
         once and share one ε debit), plans the routing, then serves the
         distinct queries through the physical
         :meth:`~repro.service.QueryService.answer` — hits free, misses
-        jointly measured under scalar ``eps``.  Extra keyword arguments
-        (``exact``, ``method``, ...) forward to the measurement pass.
+        jointly measured under scalar ``eps`` with the noise mechanism
+        ``mechanism``/``delta`` names (resolved here, once).  Extra
+        keyword arguments (``exact``, ``method``, ...) forward to the
+        measurement pass.
         ``deadline`` (a :class:`repro.server.Deadline` or compatible) is
         threaded down to the engine's stage boundaries; expiry before
         the accountant debit refuses with zero spend.
         """
+        mechanism = get_mechanism(mechanism, delta)
         exprs = list(exprs)
         if not exprs:
             return []
@@ -210,6 +215,7 @@ class Dataset:
                 eps=eps,
                 rng=rng,
                 deadline=deadline,
+                mechanism=mechanism,
                 **run_kwargs,
             )
             trace_id = _TRACER.current_trace_id()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import linalg as sla
@@ -37,8 +38,9 @@ from ..linalg import (
     Weighted,
 )
 from ..workload.util import as_union_of_products
-from .privacy import DEFAULT_DELTA, gaussian_sigma
-from .solvers import validate_budget, validate_epsilon
+
+if TYPE_CHECKING:
+    from .measure import Mechanism
 
 
 def gram_inverse_trace(AtA: np.ndarray, V: np.ndarray) -> float:
@@ -150,60 +152,38 @@ def expected_error(
     W: Matrix,
     A: Matrix,
     eps: float | np.ndarray = 1.0,
-    mechanism: str = "laplace",
-    delta: float = DEFAULT_DELTA,
+    mechanism: str | Mechanism = "laplace",
+    delta: float | None = None,
 ) -> float | np.ndarray:
-    """Expected total squared error at budget ε (vectorized over ε): one
-    ``squared_error(W, A)`` scaled by :func:`error_at_budget`."""
-    return error_at_budget(squared_error(W, A), A, eps, mechanism, delta)
+    """Expected total squared error at budget ε (vectorized over ε).
 
-
-def error_at_budget(
-    strategy_error: float,
-    A: Matrix,
-    eps: float | np.ndarray = 1.0,
-    mechanism: str = "laplace",
-    delta: float = DEFAULT_DELTA,
-) -> float | np.ndarray:
-    """Expected total squared error at budget ε (vectorized over ε) from
-    ``strategy_error = squared_error(W, A)``.
-
-    For the Laplace mechanism this is Definition 7 in full:
+    One ``squared_error(W, A)`` scaled by the mechanism's
+    :meth:`~repro.core.measure.Mechanism.error_at_budget`.  For the
+    Laplace mechanism this is Definition 7 in full:
     ``(2/ε²) · ‖A‖₁² · ‖W A⁺‖_F²``.  Every structured ``squared_error``
-    path is the per-measurement Laplace variance at ε = √2 (i.e. ``‖A‖₁²``)
-    times an effective trace term ``‖W A⁺‖_F²``, so the Gaussian value is
-    the same trace term scaled by the Gaussian per-measurement variance
-    instead: ``σ(Δ₂, ε, δ)² · ‖W A⁺‖_F²``.  One strategy-error evaluation
-    serves every ε and both mechanisms — the closed-form half of a
-    batched ε sweep, and both of the planner's RMSE columns.
+    path is the per-measurement Laplace variance at ε = √2 (i.e.
+    ``‖A‖₁²``) times an effective trace term ``‖W A⁺‖_F²``, so the
+    Gaussian value is the same trace term scaled by the Gaussian
+    per-measurement variance instead: ``σ(Δ₂, ε, δ)² · ‖W A⁺‖_F²``.  One
+    strategy-error evaluation serves every ε and both mechanisms.
     """
-    eps_arr = validate_epsilon(eps)
-    if mechanism == "laplace":
-        out = 2.0 / eps_arr**2 * strategy_error
-    elif mechanism == "gaussian":
-        validate_budget(delta=delta)
-        # squared_error / ‖A‖₁² is the effective trace term; the strategy-
-        # scaling invariance holds because σ ∝ Δ₂ picks the weight back up.
-        sigma = np.asarray(gaussian_sigma(A.sensitivity(p=2), eps_arr, delta))
-        out = sigma**2 * (strategy_error / A.sensitivity() ** 2)
-    else:
-        raise ValueError(
-            f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}"
-        )
-    return float(out) if eps_arr.ndim == 0 else out
+    # Imported here: measure → optimize → this module at import time.
+    from .measure import get_mechanism
+
+    mech = get_mechanism(mechanism, delta)
+    return mech.error_at_budget(squared_error(W, A), A, eps)
 
 
 def rootmse(
     W: Matrix,
     A: Matrix,
     eps: float | np.ndarray = 1.0,
-    mechanism: str = "laplace",
-    delta: float = DEFAULT_DELTA,
+    mechanism: str | Mechanism = "laplace",
+    delta: float | None = None,
 ) -> float | np.ndarray:
     """Root mean squared error per workload query (vectorized over ε)."""
     out = np.sqrt(
-        np.asarray(expected_error(W, A, eps, mechanism=mechanism, delta=delta))
-        / W.shape[0]
+        np.asarray(expected_error(W, A, eps, mechanism, delta)) / W.shape[0]
     )
     return float(out) if np.ndim(eps) == 0 else out
 

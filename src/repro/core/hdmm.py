@@ -37,31 +37,19 @@ from ..optimize import OptResult, opt_hdmm
 from ..optimize.parallel import spawn_seeds
 from ..workload.logical import LogicalWorkload, as_workload_matrix
 from .error import expected_error, rootmse
-from .measure import (
+# The four release functions are not called here: the mechanisms reach
+# them in repro.core.measure.  The names stay imported because
+# perfbench/pb_layers.PROBES resolves them in this module too.
+from .measure import (  # noqa: F401
+    Mechanism,
     gaussian_measure,
     gaussian_measure_batch,
+    get_mechanism,
     laplace_measure,
     laplace_measure_batch,
 )
-from .privacy import DEFAULT_DELTA
 from .reconstruct import answer_workload, least_squares, resolves_to_direct
 from .solvers import validate_epsilon, validate_positive_int
-
-
-def _measure_once(A, x, eps, rng, mechanism, delta):
-    if mechanism == "laplace":
-        return laplace_measure(A, x, eps, rng)
-    if mechanism == "gaussian":
-        return gaussian_measure(A, x, eps, rng, delta=delta)
-    raise ValueError(f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}")
-
-
-def _measure_grid(A, x, eps, rng, mechanism, delta):
-    if mechanism == "laplace":
-        return laplace_measure_batch(A, x, eps, rng=rng)
-    if mechanism == "gaussian":
-        return gaussian_measure_batch(A, x, eps, rng=rng, delta=delta)
-    raise ValueError(f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}")
 
 
 class HDMM:
@@ -122,13 +110,15 @@ class HDMM:
         eps: float,
         rng: np.random.Generator | int | None = None,
         return_data_vector: bool = False,
-        mechanism: str = "laplace",
-        delta: float = DEFAULT_DELTA,
+        mechanism: str | Mechanism = "laplace",
+        delta: float | None = None,
         **solver_kwargs,
     ):
         """Answer the fitted workload on data vector ``x`` under ε-DP
         (``mechanism="laplace"``, the default) or (ε, δ)-DP
-        (``mechanism="gaussian"``, calibrated through zCDP at ``delta``).
+        (``mechanism="gaussian"``, calibrated through zCDP at ``delta``,
+        default :data:`~repro.core.privacy.DEFAULT_DELTA`), or under a
+        :class:`~repro.core.measure.Mechanism` instance.
 
         Returns the noisy workload answers; with
         ``return_data_vector=True`` also returns the inferred x̄.
@@ -136,7 +126,7 @@ class HDMM:
         :func:`~repro.core.reconstruct.least_squares`.
         """
         A = self._require_fitted()
-        y = _measure_once(A, x, eps, rng, mechanism, delta)
+        y = get_mechanism(mechanism, delta).measure(A, x, eps, rng)
         x_hat = least_squares(A, y, **solver_kwargs)
         answers = answer_workload(self.workload, x_hat)
         if return_data_vector:
@@ -152,8 +142,8 @@ class HDMM:
         method: str = "auto",
         exact: bool = False,
         return_data_vector: bool = False,
-        mechanism: str = "laplace",
-        delta: float = DEFAULT_DELTA,
+        mechanism: str | Mechanism = "laplace",
+        delta: float | None = None,
         **solver_kwargs,
     ):
         """Batched serving: answer a grid of (ε, trial) pairs in one pass.
@@ -194,6 +184,7 @@ class HDMM:
         leading grid axes over data vectors of length n.
         """
         A = self._require_fitted()
+        mech = get_mechanism(mechanism, delta)
         x = np.asarray(x, dtype=np.float64)
         eps_arr = np.atleast_1d(validate_epsilon(eps))
         if eps_arr.ndim != 1:
@@ -232,13 +223,12 @@ class HDMM:
                     float(eps_flat[j % eps_flat.size]),
                     rng=seed,
                     return_data_vector=True,
-                    mechanism=mechanism,
-                    delta=delta,
+                    mechanism=mech,
                     method=method,
                     **solver_kwargs,
                 )
         else:
-            Y = _measure_grid(A, x, eps_flat, rng, mechanism, delta)
+            Y = mech.measure_batch(A, x, eps_flat, rng)
             k = eps_arr.size
             if x.ndim == 1 and k > 1 and not resolves_to_direct(A, method):
                 # Iterative solves go ε block by ε block, each from zero.
@@ -267,8 +257,8 @@ class HDMM:
     def expected_error(
         self,
         eps: float | np.ndarray = 1.0,
-        mechanism: str = "laplace",
-        delta: float = DEFAULT_DELTA,
+        mechanism: str | Mechanism = "laplace",
+        delta: float | None = None,
     ) -> float | np.ndarray:
         """Definition 7 expected total squared error of the fitted strategy
         (vectorized over an ε grid) under the chosen mechanism."""
@@ -280,8 +270,8 @@ class HDMM:
     def expected_rootmse(
         self,
         eps: float | np.ndarray = 1.0,
-        mechanism: str = "laplace",
-        delta: float = DEFAULT_DELTA,
+        mechanism: str | Mechanism = "laplace",
+        delta: float | None = None,
     ) -> float | np.ndarray:
         """Per-query root mean squared error of the fitted strategy
         (vectorized over an ε grid) under the chosen mechanism."""

@@ -21,9 +21,15 @@ zCDP composes by *summing* ρ sequentially (and taking the max across
 parallel partitions), which is what makes it the accountant's native
 curve for Gaussian traffic: composing the converted (ε, δ) pairs
 directly would be far looser.
+
+:class:`PrivacyCost` is what one release costs in every unit of that
+calculus at once; each mechanism of :mod:`repro.core.measure` prices its
+releases as one, and the accountant composes them.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,3 +91,25 @@ def gaussian_sigma(l2_sensitivity: float, eps, delta: float):
     rho = np.asarray(eps_to_rho(eps, delta), dtype=np.float64)
     out = l2_sensitivity * np.sqrt(1.0 / (2.0 * rho))
     return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class PrivacyCost:
+    """The cost of one noisy release, in every accounting unit at once.
+
+    ``epsilon`` is the pure-ε equivalent (what a v1 ledger records and a
+    pure-ε cap debits); ``delta`` is the δ the release was calibrated
+    against (0 for Laplace); ``rho`` is the zCDP cost (``ε²/2`` for
+    Laplace, the calibration ρ for Gaussian).  ``mechanism`` names the
+    noise distribution actually drawn.  Built by
+    :meth:`repro.core.measure.Mechanism.cost`.
+    """
+
+    epsilon: float
+    delta: float = 0.0
+    rho: float = 0.0
+    mechanism: str = "laplace"
+
+    def __post_init__(self):
+        if self.epsilon < 0 or self.delta < 0 or self.rho < 0:
+            raise ValueError(f"privacy cost components must be >= 0: {self}")

@@ -195,6 +195,16 @@ def least_squares(
     Cholesky pivot clears :data:`~repro.core.solvers.PIVOT_TOL`), so
     the Gram it solves or preconditions is nonsingular.
 
+    "To solver tolerance" assumes the iteration caps do not bind.  On an
+    ill-conditioned, rank-deficient union with no union Gram solver
+    (e.g. one ``PIdentity ⊗ PIdentity ⊗ Dense`` block with condition
+    number 1e3–1e5), plain CG can stop at its ``3 n`` cap, and the LSMR
+    fallback, though it meets ``atol``/``btol``, does not close the gap:
+    of 1,500 random such unions, 422 left x̂ more than 1e-8 off
+    ``A⁺y`` (a median 3.9e-7, up to 0.86).  Pass a larger ``maxiter``
+    where that matters; the default cap is shared with every CG solve,
+    span checks included.
+
     One path serves every width: operators are applied to the whole
     batch by one ``matmat``, and a 1-D ``y`` is a width-1 batch.  BLAS
     results depend on the batch width, so the columns of a batched solve

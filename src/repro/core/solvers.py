@@ -105,8 +105,12 @@ def validate_epsilon(eps, name: str = "eps") -> np.ndarray:
     """Check a privacy budget: every value finite and strictly positive.
 
     The single validation point for every ε-consuming entry point
-    (``laplace_measure``, ``laplace_measure_batch``, ``HDMM.run`` /
-    ``run_batch``, ``expected_error``, the service accountant).  Accepts a
+    (every release of :mod:`repro.core.measure` — ``laplace_measure``,
+    ``gaussian_measure`` and their ``_batch`` forms, which
+    ``Mechanism.measure``/``measure_batch`` and so ``HDMM.run`` /
+    ``run_batch`` reach — ``Mechanism.variance`` and
+    ``Mechanism.error_at_budget``, and so ``expected_error`` /
+    ``rootmse``, ``QueryService.measure``, and the service accountant).  Accepts a
     scalar or an array grid and returns it as a float64 ndarray (0-d for
     scalars), leaving shape policy — scalar-only, 1-D grids — to the
     caller.

@@ -1,15 +1,15 @@
-"""repro.privacy — the mechanism subsystem.
+"""repro.privacy — privacy accounting over the noise mechanisms.
 
-First-class noise mechanisms (Laplace / Gaussian), zCDP/(ε, δ)
-composition accounting, and per-dataset budget policies.  Built on the
-calculus in :mod:`repro.core.privacy`; consumed by the service
-accountant, the planner's mechanism comparison, and the HTTP front-end.
+zCDP/(ε, δ) composition accounting and per-dataset budget policies,
+consumed by the service accountant and the HTTP front-end.  The noise
+mechanisms themselves (:class:`Mechanism`, :class:`LaplaceMechanism`,
+:class:`GaussianMechanism`, :func:`get_mechanism`) are the MEASURE step
+and live in :mod:`repro.core.measure`; the curves and
+:class:`PrivacyCost` live in :mod:`repro.core.privacy`.  Both are
+re-exported here under the same names.
 
-* :mod:`repro.privacy.mechanisms` — :class:`Mechanism` objects bundling
-  noise distribution, sensitivity norm, calibration, and accounting
-  cost.
-* :mod:`repro.privacy.accounting` — :class:`PrivacyCost` and
-  :class:`SpendCurve`.
+* :mod:`repro.privacy.accounting` — :class:`SpendCurve`, plus the
+  re-exported :class:`PrivacyCost` and conversion curves.
 * :mod:`repro.privacy.records` — the WAL record format and
   :class:`SpendState`, the one fold over it (shared by the accountant's
   recovery, its live debits, and the read-only spend report).
@@ -24,7 +24,7 @@ from .accounting import (
     pure_eps_to_rho,
     rho_to_eps,
 )
-from .mechanisms import (
+from ..core.measure import (
     GaussianMechanism,
     LaplaceMechanism,
     Mechanism,

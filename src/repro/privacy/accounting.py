@@ -7,7 +7,9 @@ defines what a debit *costs* and how costs compose:
   once: its pure-ε equivalent (``epsilon``), the δ it was calibrated
   against (``delta``), and its zCDP budget (``rho``).  Laplace releases
   are ``(ε, 0, ε²/2)``; Gaussian releases calibrated to a target (ε, δ)
-  are ``(ε, δ, eps_to_rho(ε, δ))``.
+  are ``(ε, δ, eps_to_rho(ε, δ))``.  It is defined in
+  :mod:`repro.core.privacy` and priced by each mechanism's
+  :meth:`~repro.core.measure.Mechanism.cost`.
 * :class:`SpendCurve` — a dataset's composed position: every debit adds
   each component (a parallel-composition debit is its largest branch,
   taken before the debit is recorded).  Conversion back to (ε, δ)
@@ -18,16 +20,15 @@ The WAL record format and the fold over it live in
 :mod:`repro.privacy.records`.
 
 The conversion curves themselves (zCDP ↔ (ε, δ), Bun & Steinke 2016)
-live in :mod:`repro.core.privacy` and are re-exported here as the
-canonical accounting API.
+and :class:`PrivacyCost` live in :mod:`repro.core.privacy` and are
+re-exported here as the canonical accounting API.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.privacy import (
     DEFAULT_DELTA,
+    PrivacyCost,
     eps_to_rho,
     pure_eps_to_rho,
     rho_to_eps,
@@ -41,44 +42,6 @@ __all__ = [
     "pure_eps_to_rho",
     "rho_to_eps",
 ]
-
-
-@dataclass(frozen=True)
-class PrivacyCost:
-    """The cost of one noisy release, in every accounting unit at once.
-
-    ``epsilon`` is the pure-ε equivalent (what a v1 ledger records and a
-    pure-ε cap debits); ``delta`` is the δ the release was calibrated
-    against (0 for Laplace); ``rho`` is the zCDP cost (``ε²/2`` for
-    Laplace, the calibration ρ for Gaussian).  ``mechanism`` names the
-    noise distribution actually drawn.
-    """
-
-    epsilon: float
-    delta: float = 0.0
-    rho: float = 0.0
-    mechanism: str = "laplace"
-
-    def __post_init__(self):
-        if self.epsilon < 0 or self.delta < 0 or self.rho < 0:
-            raise ValueError(f"privacy cost components must be >= 0: {self}")
-
-    @classmethod
-    def laplace(cls, epsilon: float) -> "PrivacyCost":
-        return cls(
-            epsilon=float(epsilon),
-            rho=pure_eps_to_rho(float(epsilon)),
-            mechanism="laplace",
-        )
-
-    @classmethod
-    def gaussian(cls, epsilon: float, delta: float = DEFAULT_DELTA) -> "PrivacyCost":
-        return cls(
-            epsilon=float(epsilon),
-            delta=float(delta),
-            rho=eps_to_rho(float(epsilon), float(delta)),
-            mechanism="gaussian",
-        )
 
 
 class SpendCurve:

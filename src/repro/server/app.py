@@ -68,7 +68,7 @@ from ..api.expr import A, QueryExpr, count, marginal, prefix, ranges, total
 from ..api.session import Session
 from ..obs.metrics import REGISTRY as _METRICS
 from ..obs.trace import TRACER as _TRACER
-from ..privacy.mechanisms import get_mechanism
+from ..core.measure import get_mechanism
 from ..service.engine import QueryMiss
 from .admission import AdmissionController, ShedError
 from .breaker import CircuitBreaker

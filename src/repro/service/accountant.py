@@ -49,10 +49,10 @@ import threading
 
 import numpy as np
 
-from ..core.solvers import validate_epsilon
+from ..core.measure import Mechanism, get_mechanism
+from ..core.solvers import validate_epsilon, validate_positive_int
 from ..obs.metrics import REGISTRY as _METRICS
 from ..privacy.accounting import SpendCurve
-from ..privacy.mechanisms import get_mechanism
 from ..privacy.policy import BudgetPolicy, PureEpsilonPolicy
 from ..privacy.records import (
     LedgerEntry,
@@ -333,7 +333,7 @@ class PrivacyAccountant:
         dataset: str,
         eps,
         stage: str = "",
-        mechanism: str = "laplace",
+        mechanism: str | Mechanism = "laplace",
         delta: float | None = None,
     ) -> float:
         """Validate a prospective sequential debit without recording it.
@@ -403,19 +403,22 @@ class PrivacyAccountant:
         dataset: str,
         eps,
         stage: str = "",
-        mechanism: str = "laplace",
+        mechanism: str | Mechanism = "laplace",
         delta: float | None = None,
+        trials: int = 1,
     ) -> float:
         """Debit under sequential composition: the *sum* of the budgets.
 
         ``eps`` may be a scalar or an array of per-mechanism budgets run
-        on the same data (an ε-sweep debits its grid total).  For
-        ``mechanism="gaussian"`` the debit additionally carries the
-        summed δ and the summed per-trial zCDP cost ρ, recorded as a v2
-        WAL record.  Returns the ε amount debited, which is durably
-        committed (WAL accountants) before this method returns.
+        on the same data, each ``trials`` times (an ε-sweep debits its
+        grid total times its trial count).  For ``mechanism="gaussian"``
+        the debit additionally carries the summed δ and the summed
+        per-trial zCDP cost ρ, recorded as a v2 WAL record.  Returns the
+        ε amount debited, which is durably committed (WAL accountants)
+        before this method returns.
         """
-        cost = get_mechanism(mechanism, delta).cost(eps)
+        trials = validate_positive_int("trials", trials)
+        cost = get_mechanism(mechanism, delta).cost(eps, trials)
         return self._debit(dataset, cost, "sequential", stage)
 
     def charge_parallel(
@@ -423,7 +426,7 @@ class PrivacyAccountant:
         dataset: str,
         eps,
         stage: str = "",
-        mechanism: str = "laplace",
+        mechanism: str | Mechanism = "laplace",
         delta: float | None = None,
     ) -> float:
         """Debit under parallel composition: the *maximum* branch budget.

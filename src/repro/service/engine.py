@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.hdmm import HDMM
-from ..core.privacy import DEFAULT_DELTA
+from ..core.measure import LaplaceMechanism, Mechanism, get_mechanism
 from ..core.reconstruct import resolves_to_pinv, validate_solver_options
 from ..core.solvers import (
     cg_gram_solve,
@@ -316,9 +316,10 @@ class Reconstruction:
     strategy: Matrix
     x_hat: np.ndarray
     eps: float
-    #: Mechanism of the measurement that produced x̂ (provenance only —
-    #: serving from x̂ is post-processing either way).
-    mechanism: str = "laplace"
+    #: Mechanism of the measurement that produced x̂: provenance, and what
+    #: the planner prices a hit under (serving from x̂ is post-processing
+    #: either way).
+    mechanism: Mechanism = LaplaceMechanism()
 
 
 #: Source of reconstruction generations.  Process-wide, so stores on
@@ -526,7 +527,7 @@ class QueryService:
         stage: str = "",
         cache: bool = True,
         deadline=None,
-        mechanism: str = "laplace",
+        mechanism: str | Mechanism = "laplace",
         delta: float | None = None,
         exact: bool = False,
         **solver_options,
@@ -536,8 +537,9 @@ class QueryService:
         The accountant is debited ``trials * Σ eps`` (sequential
         composition) *before* any noise is drawn; on
         :class:`~repro.service.accountant.BudgetExceededError` the data
-        is untouched.  ``mechanism="gaussian"`` draws Gaussian noise
-        calibrated through zCDP at ``delta`` (default
+        is untouched.  ``mechanism``/``delta`` are resolved once
+        (:func:`~repro.core.measure.get_mechanism`): ``"gaussian"`` draws
+        Gaussian noise calibrated through zCDP at ``delta`` (default
         :data:`~repro.core.privacy.DEFAULT_DELTA`) and debits a v2
         record carrying the per-trial δ and ρ totals alongside the same
         ε.  ``exact`` and the solver options (``method``, ``atol``,
@@ -566,8 +568,7 @@ class QueryService:
             stage=stage,
             cache=cache,
             deadline=deadline,
-            mechanism=mechanism,
-            delta=delta,
+            mechanism=get_mechanism(mechanism, delta),
             exact=exact,
             # Always passed, so a caller's own support= is refused as
             # a duplicate instead of selecting the direct route.
@@ -586,8 +587,7 @@ class QueryService:
         stage: str = "",
         cache: bool = True,
         deadline=None,
-        mechanism: str = "laplace",
-        delta: float | None = None,
+        mechanism: Mechanism = LaplaceMechanism(),
         exact: bool = False,
         support: np.ndarray | None = None,
         **solver_options,
@@ -606,11 +606,8 @@ class QueryService:
         rule, and are recorded alike: one ``service.measure`` span and
         one ``service.measures_total`` count per call.
         """
-        from ..privacy.mechanisms import get_mechanism
-
         with _TRACER.span("service.measure", dataset=dataset, stage=stage):
             ds = self._dataset(dataset)
-            mech_obj = get_mechanism(mechanism, delta)
             workload, domain = as_workload_matrix(workload, domain)
             eps_arr = np.atleast_1d(validate_epsilon(eps))
             if eps_arr.ndim != 1:
@@ -618,15 +615,7 @@ class QueryService:
                     f"eps must be a scalar or 1-D grid, got shape {eps_arr.shape}"
                 )
             trials = validate_positive_int("trials", trials)
-            if mech_obj.name == "laplace":
-                # the historical scalar debit — v1 records stay byte-identical
-                charge_eps: float | np.ndarray = float(eps_arr.sum()) * trials
-                total = charge_eps
-            else:
-                # per-trial grid: the Gaussian debit's δ and ρ compose per
-                # release (Σρ_j is tighter than converting the summed ε)
-                charge_eps = np.ascontiguousarray(np.repeat(eps_arr, trials))
-                total = float(np.sum(charge_eps))
+            total = mechanism.cost(eps_arr, trials).epsilon
             # Every cheap precondition runs before the debit: a programming
             # error (wrong dataset/workload pairing, a misspelled or
             # out-of-range option) must not burn budget.
@@ -661,7 +650,7 @@ class QueryService:
                     # the data — pure post-processing.  Nothing is charged,
                     # and the cached empty reconstruction is exact (ε = ∞).
                     eps_arr = np.full(1, np.inf)
-                    charge_eps = total = 0.0
+                    total = 0.0
             validate_solver_options(strategy, **solver_options)  # pinv on a union
 
             if self.accountant is not None and total > 0:
@@ -679,10 +668,10 @@ class QueryService:
                 with _TRACER.span("accountant.charge", epsilon=total):
                     self.accountant.charge(
                         dataset,
-                        charge_eps,
+                        eps_arr,
                         stage=stage or f"measure:{key[:8]}",
-                        mechanism=mech_obj.name,
-                        delta=getattr(mech_obj, "delta", None),
+                        mechanism=mechanism,
+                        trials=trials,
                     )
                 if deadline is not None:
                     deadline.mark_committed(total)
@@ -703,8 +692,7 @@ class QueryService:
                         trials=trials,
                         rng=rng,
                         return_data_vector=True,
-                        mechanism=mech_obj.name,
-                        delta=getattr(mech_obj, "delta", DEFAULT_DELTA),
+                        mechanism=mechanism,
                         exact=exact,
                         **solver_options,
                     )
@@ -713,7 +701,7 @@ class QueryService:
                 if support.size:
                     faults.check("engine.measure.noise")
                     # S⁺ = Sᵀ for a selection matrix: x̂ is the scatter of y
-                    x_hat[0, 0, support] = mech_obj.measure(
+                    x_hat[0, 0, support] = mechanism.measure(
                         strategy, ds.x, float(eps_arr[0]), rng
                     )
                 answers = np.asarray(workload.matvec(x_hat[0, 0])).reshape(1, 1, -1)
@@ -726,7 +714,7 @@ class QueryService:
                         strategy=strategy,
                         x_hat=np.ascontiguousarray(x_hat[best, 0]),
                         eps=float(eps_arr[best]),
-                        mechanism=mech_obj.name,
+                        mechanism=mechanism,
                     )
                     self._invalidate_tables(ds, key)
                     ds.generation = next(_GENERATIONS)
@@ -740,7 +728,7 @@ class QueryService:
                 loss=loss,
                 from_registry=from_registry,
                 trace_id=_TRACER.current_trace_id(),
-                mechanism=mech_obj.name,
+                mechanism=mechanism.name,
             )
         if _METRICS.enabled:
             _METRICS.counter("service.measures_total", dataset=dataset).inc()
@@ -805,7 +793,7 @@ class QueryService:
             hit=True,
             key=recon.key,
             route="accelerator",
-            mechanism=recon.mechanism,
+            mechanism=recon.mechanism.name,
         )
 
     def _accel_table(
@@ -924,6 +912,8 @@ class QueryService:
         rng: np.random.Generator | int | None = None,
         stage: str = "",
         deadline=None,
+        mechanism: str | Mechanism = "laplace",
+        delta: float | None = None,
         **run_kwargs,
     ) -> BatchResult:
         """Serve a batch of ad-hoc queries: free hits, one accounted pass
@@ -952,10 +942,11 @@ class QueryService:
         must be a scalar and the pass runs one trial: each miss query
         gets exactly one answer, so there is no grid to choose from.
         With no ``eps`` and at least one miss, raises :class:`QueryMiss`
-        before touching the budget.  Keyword arguments are
-        :meth:`measure`'s options; every route checks all of them
-        before the debit, so an option any route would refuse raises
-        with nothing spent.
+        before touching the budget.  ``mechanism``/``delta`` are resolved
+        once (:func:`~repro.core.measure.get_mechanism`) and measure the
+        misses on every route.  Keyword arguments are :meth:`measure`'s
+        options; every route checks all of them before the debit, so an
+        option any route would refuse raises with nothing spent.
         """
         if eps is not None and np.ndim(eps) != 0:
             raise ValueError(
@@ -966,6 +957,7 @@ class QueryService:
             raise ValueError(
                 "answer() does not accept trials; use measure() for sweeps"
             )
+        run_kwargs["mechanism"] = get_mechanism(mechanism, delta)
         ds = self._dataset(dataset)
         mats = [_as_query_matrix(q) for q in queries]
         n = ds.x.shape[0]

@@ -1,4 +1,5 @@
-"""Imports point down: core ← service ← api ← server, leaves below all.
+"""Imports point down: core ← privacy, core ← service ← api ← server,
+leaves below all.
 
 Walks every module under ``src/repro`` with :mod:`ast` and collects its
 imports of ``repro`` subpackages at any nesting depth — an import inside
@@ -18,6 +19,9 @@ _LOWER = (
 )
 FORBIDDEN = {
     **{layer: {"service", "api", "server"} for layer in _LOWER},
+    # The noise mechanisms are core's MEASURE step; privacy accounting
+    # builds on them, never the reverse.
+    "core": {"privacy", "service", "api", "server"},
     "service": {"api", "server"},
     "api": {"server"},
 }

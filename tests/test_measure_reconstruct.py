@@ -5,10 +5,11 @@ import pytest
 from scipy import stats
 
 from repro.core.measure import (
+    GaussianMechanism,
+    LaplaceMechanism,
     gaussian_noise,
     laplace_measure,
     laplace_noise,
-    measurement_variance,
 )
 from repro.core.reconstruct import answer_workload, least_squares
 from repro.linalg import (
@@ -82,14 +83,22 @@ class TestLaplaceShape:
 
 
 class TestLaplaceMeasure:
-    def test_noise_scaled_to_sensitivity(self, rng):
-        A = Prefix(16)  # sensitivity 16
+    @pytest.mark.parametrize(
+        "mech",
+        [LaplaceMechanism(), GaussianMechanism(1e-6)],
+        ids=["laplace", "gaussian"],
+    )
+    def test_noise_scaled_to_sensitivity(self, mech):
+        # Each mechanism's draw is calibrated to its own variance: L1
+        # sensitivity 16 for Laplace, L2 sensitivity 4 through zCDP for
+        # Gaussian.
+        A = Prefix(16)
         x = np.zeros(16)
         trials = np.stack(
-            [laplace_measure(A, x, eps=1.0, rng=s) for s in range(400)]
+            [mech.measure(A, x, eps=1.0, rng=s) for s in range(400)]
         )
         emp_var = trials.var()
-        assert abs(emp_var - measurement_variance(A, 1.0)) / emp_var < 0.15
+        assert abs(emp_var - mech.variance(A, 1.0)) / emp_var < 0.15
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

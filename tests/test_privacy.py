@@ -42,7 +42,6 @@ from repro.core import (
     validate_budget,
 )
 from repro.core.hdmm import HDMM
-from repro.core.measure import laplace_measure_batch, measurement_variance
 from repro.linalg import (
     AllRange,
     Dense,
@@ -63,7 +62,6 @@ from repro.privacy import (
     ApproxDPPolicy,
     GaussianMechanism,
     LaplaceMechanism,
-    PrivacyCost,
     PureEpsilonPolicy,
     SpendCurve,
     ZCDPPolicy,
@@ -304,13 +302,6 @@ class TestMechanisms:
         assert np.all(np.sign(a) == np.sign(b))
         assert np.all(np.abs(b) < np.abs(a))
 
-    def test_gaussian_variance_identity(self):
-        A = AllRange(8)
-        v = measurement_variance(A, 1.0, mechanism="gaussian", delta=1e-6)
-        assert v == pytest.approx(
-            gaussian_sigma(A.sensitivity(p=2), 1.0, 1e-6) ** 2
-        )
-
     def test_mechanism_aware_expected_error_weight_invariance(self):
         # Scaling a strategy by w rescales sensitivity and the solve
         # identically, so expected error is invariant — for both norms.
@@ -335,14 +326,14 @@ class TestSpendCurve:
         curve = SpendCurve()
         running = 0.0
         for eps in (0.1, 0.2, 0.30000000000000004, 0.7):
-            curve.add(PrivacyCost.laplace(eps))
+            curve.add(LaplaceMechanism().cost(eps))
             running += eps
         assert curve.epsilon == running  # bit-equal, not approx
 
     def test_epsilon_at_reports_composed_rho(self):
         curve = SpendCurve()
-        curve.add(PrivacyCost.gaussian(1.0, 1e-6))
-        curve.add(PrivacyCost.gaussian(1.0, 1e-6))
+        curve.add(GaussianMechanism(1e-6).cost(1.0))
+        curve.add(GaussianMechanism(1e-6).cost(1.0))
         rho = 2 * eps_to_rho(1.0, 1e-6)
         assert curve.epsilon_at(1e-6) == pytest.approx(rho_to_eps(rho, 1e-6))
         # zCDP composition reports tighter than naive ε summation.
@@ -353,29 +344,29 @@ class TestPolicies:
     def test_pure_epsilon_matches_legacy_cap_math(self):
         p = PureEpsilonPolicy(1.0)
         curve = SpendCurve()
-        curve.add(PrivacyCost.laplace(0.4))
-        assert p.admits(curve, PrivacyCost.laplace(0.6))
-        assert not p.admits(curve, PrivacyCost.laplace(0.6000001))
+        curve.add(LaplaceMechanism().cost(0.4))
+        assert p.admits(curve, LaplaceMechanism().cost(0.6))
+        assert not p.admits(curve, LaplaceMechanism().cost(0.6000001))
         assert p.epsilon_remaining(curve) == pytest.approx(0.6)
         assert p.remaining(curve) == {"epsilon": pytest.approx(0.6)}
 
     def test_approx_dp_enforces_both_axes(self):
         p = ApproxDPPolicy(epsilon=2.0, delta=1e-6)
         curve = SpendCurve()
-        assert p.admits(curve, PrivacyCost.gaussian(1.0, 5e-7))
-        assert not p.admits(curve, PrivacyCost.gaussian(1.0, 2e-6))  # δ blown
-        assert not p.admits(curve, PrivacyCost.gaussian(2.5, 1e-7))  # ε blown
+        assert p.admits(curve, GaussianMechanism(5e-7).cost(1.0))
+        assert not p.admits(curve, GaussianMechanism(2e-6).cost(1.0))  # δ blown
+        assert not p.admits(curve, GaussianMechanism(1e-7).cost(2.5))  # ε blown
 
     def test_approx_dp_zero_delta_forbids_gaussian(self):
         p = ApproxDPPolicy(epsilon=2.0, delta=0.0)
-        assert not p.admits(SpendCurve(), PrivacyCost.gaussian(0.5, 1e-6))
-        assert p.admits(SpendCurve(), PrivacyCost.laplace(0.5))
+        assert not p.admits(SpendCurve(), GaussianMechanism(1e-6).cost(0.5))
+        assert p.admits(SpendCurve(), LaplaceMechanism().cost(0.5))
 
     def test_zcdp_epsilon_view(self):
         p = ZCDPPolicy(rho=0.5)
         assert p.epsilon_cap() == pytest.approx(1.0)  # √(2ρ)
         curve = SpendCurve()
-        curve.add(PrivacyCost.laplace(0.6))  # ρ = 0.18
+        curve.add(LaplaceMechanism().cost(0.6))  # ρ = 0.18
         assert p.epsilon_remaining(curve) == pytest.approx(
             math.sqrt(2 * (0.5 - pure_eps_to_rho(0.6)))
         )
@@ -385,8 +376,8 @@ class TestPolicies:
         # At ε=1, a Gaussian release costs far less ρ than a Laplace
         # one — a ρ cap admits the Gaussian after refusing the Laplace.
         p = ZCDPPolicy(rho=0.1)
-        assert not p.admits(SpendCurve(), PrivacyCost.laplace(1.0))  # ρ=0.5
-        assert p.admits(SpendCurve(), PrivacyCost.gaussian(1.0, 1e-6))
+        assert not p.admits(SpendCurve(), LaplaceMechanism().cost(1.0))  # ρ=0.5
+        assert p.admits(SpendCurve(), GaussianMechanism(1e-6).cost(1.0))
 
     def test_round_trip_serialization(self):
         for p in (

@@ -1025,6 +1025,10 @@ COLD = {
     "seed": 1,
 }
 
+#: Request timeout for the cold fits below: ServerApp's ``max_timeout``,
+#: so a fit on a busy host is not cut by the 2 s ``default_timeout``.
+FIT_TIMEOUT = 30.0
+
 
 class TestBreakerInTheFit:
     """The breaker is consulted inside the engine's fit scope, in the
@@ -1036,7 +1040,9 @@ class TestBreakerInTheFit:
         breaker = CircuitBreaker(
             trip_after=1, reset_timeout=10.0, clock=lambda: t[0]
         )
-        app = make_app(tmp_path, breaker=breaker, **app_kwargs)
+        app = make_app(
+            tmp_path, breaker=breaker, default_timeout=FIT_TIMEOUT, **app_kwargs
+        )
         return app, breaker, t
 
     @pytest.mark.usefixtures("fit_every_miss")
@@ -1109,7 +1115,9 @@ class TestBreakerInTheFit:
         if route == "cold":
             monkeypatch.setattr(engine_mod, "DIRECT_MISS_ROWS", 0)
         expected = asyncio.run(
-            make_app(session_kwargs=session_kwargs).handle_query(payload)
+            make_app(
+                session_kwargs=session_kwargs, default_timeout=FIT_TIMEOUT
+            ).handle_query(payload)
         )
 
         def no_planning(*args, **kwargs):
@@ -1117,7 +1125,9 @@ class TestBreakerInTheFit:
 
         monkeypatch.setattr("repro.api.session.plan_queries", no_planning)
         got = asyncio.run(
-            make_app(session_kwargs=session_kwargs).handle_query(payload)
+            make_app(
+                session_kwargs=session_kwargs, default_timeout=FIT_TIMEOUT
+            ).handle_query(payload)
         )
         assert got[0] == 200 and got[2]["answers"][0]["route"] == route
         assert encode_body(got[2]) == encode_body(expected[2])
