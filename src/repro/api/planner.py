@@ -17,15 +17,19 @@ is spent*:
 2. **warm**  — the miss union is already prepared (memo or registry):
    measured through the fitted strategy, no cold fit;
 3. **direct** — a small unprepared miss batch with narrow joint support:
-   the sensitivity-1 selection measurement (no fit at all);
+   the sensitivity-1 :class:`~repro.linalg.Selection` of that support
+   (no fit at all);
 4. **cold**  — everything else: fitting template + one accounted pass.
 
 The emitted :class:`Plan` is inspectable — per-group route, estimated ε
-debit, and expected per-query RMSE under both mechanisms (Definition 7,
-scaled from one :func:`repro.core.error.squared_error` where a strategy
-is already known) —
-and its ε estimates are exact: executing the plan debits the accountant
-by precisely :attr:`Plan.total_epsilon`.
+debit, and expected per-query RMSE under both mechanisms, scaled from
+one :func:`repro.core.error.squared_error` wherever a strategy is
+already known — and its ε estimates are exact: executing the plan
+debits the accountant by precisely :attr:`Plan.total_epsilon`.  The
+RMSE is Definition 7's for every strategy but a union: a
+:class:`~repro.linalg.VStack` is priced by OPT_+'s budget-split
+surrogate, which overstates the error the service serves from it
+(1.17–2.0× in RMSE on measured fits).
 """
 
 from __future__ import annotations
@@ -462,81 +466,36 @@ def _plan_queries_impl(
     # miss group is *not executable* (answer() raises QueryMiss before
     # spending): its epsilon estimate is None, never 0.
     blocks = [batch.queries[i].matrix for i in miss]
-    W_miss = _stack(blocks)
-    rows = sum(batch.queries[i].rows for i in miss)
     mroute = service.route_misses(blocks)
     eps_est: float | None = float(eps) if eps is not None else None
-
-    if mroute.route == "warm":
-        rmse, lap, gauss = _rmses(
-            W_miss, mroute.strategy, eps_est, priced(mech)
+    S = mroute.strategy
+    rmse = lap = gauss = None
+    if S is None:
+        detail = "fitting template will run (RMSE known after SELECT)"
+    elif not S.shape[0]:
+        # An empty strategy releases nothing: free and exact.
+        detail = "empty support: constant 0, data-independent"
+        eps_est = 0.0 if eps_est is not None else None
+        rmse = lap = gauss = 0.0
+    else:
+        detail = (
+            "strategy already fitted"
+            if mroute.route == "warm"
+            else f"selection measurement on {S.shape[0]} cells"
         )
-        plan.entries.append(
-            PlanEntry(
-                route="warm",
-                indices=tuple(miss),
-                rows=rows,
-                key=mroute.key,
-                epsilon=eps_est,
-                expected_rmse=rmse,
-                detail="strategy already fitted",
-                mechanism=mech.name,
-                rmse_laplace=lap,
-                rmse_gaussian=gauss,
-            )
-        )
-        return plan
-
-    if mroute.route == "direct":
-        cols = mroute.support_cols
-        if cols.size == 0:
-            plan.entries.append(
-                PlanEntry(
-                    route="direct",
-                    indices=tuple(miss),
-                    rows=rows,
-                    key=None,
-                    epsilon=0.0 if eps_est is not None else None,
-                    expected_rmse=0.0,
-                    detail="empty support: constant 0, data-independent",
-                    mechanism=mech.name,
-                    rmse_laplace=0.0,
-                    rmse_gaussian=0.0,
-                )
-            )
-            return plan
-        rmse = lap = gauss = None
-        if eps_est is not None:
-            from ..service.engine import selection_matrix
-
-            S = selection_matrix(cols, batch.domain.size())
-            rmse, lap, gauss = _rmses(W_miss, S, eps_est, priced(mech))
-        plan.entries.append(
-            PlanEntry(
-                route="direct",
-                indices=tuple(miss),
-                rows=rows,
-                key=None,
-                epsilon=eps_est,
-                expected_rmse=rmse,
-                detail=f"selection measurement on {cols.size} cells",
-                mechanism=mech.name,
-                rmse_laplace=lap,
-                rmse_gaussian=gauss,
-            )
-        )
-        return plan
-
+        rmse, lap, gauss = _rmses(_stack(blocks), S, eps_est, priced(mech))
     plan.entries.append(
         PlanEntry(
-            route="cold",
+            route=mroute.route,
             indices=tuple(miss),
-            rows=rows,
+            rows=sum(batch.queries[i].rows for i in miss),
             key=mroute.key,
             epsilon=eps_est,
-            expected_rmse=None,
-            detail="fitting template will run (RMSE known after SELECT)",
+            expected_rmse=rmse,
+            detail=detail,
             mechanism=mech.name,
+            rmse_laplace=lap,
+            rmse_gaussian=gauss,
         )
     )
     return plan

@@ -179,11 +179,11 @@ def least_squares(
     atol, btol:
         LSMR stopping tolerances (fallback and ``method="lsmr"``).
     maxiter:
-        Iteration cap for the iterative solvers.  ``None`` gives CG
-        ``3 n`` iterations (the :func:`~repro.core.solvers.cg_gram_solve`
-        default) and LSMR ``10 · min(m, n)``, enough on ill-conditioned
-        strategies for LSMR to meet ``atol``/``btol`` rather than stop at
-        the cap.
+        Iteration cap for the iterative solvers.  ``None`` gives plain CG
+        ``30 n`` iterations, preconditioned CG ``3 n`` and LSMR
+        ``10 · min(m, n)``: on ill-conditioned strategies rounding
+        stretches plain CG and LSMR well past their exact-arithmetic
+        bounds of ``n`` and ``min(m, n)``.
     rtol:
         CG stopping criterion on the normal-equations residual,
         ``‖AᵀA x - Aᵀy‖₂ <= rtol · ‖Aᵀy‖₂`` per column.
@@ -197,13 +197,8 @@ def least_squares(
 
     "To solver tolerance" assumes the iteration caps do not bind.  On an
     ill-conditioned, rank-deficient union with no union Gram solver
-    (e.g. one ``PIdentity ⊗ PIdentity ⊗ Dense`` block with condition
-    number 1e3–1e5), plain CG can stop at its ``3 n`` cap, and the LSMR
-    fallback, though it meets ``atol``/``btol``, does not close the gap:
-    of 1,500 random such unions, 422 left x̂ more than 1e-8 off
-    ``A⁺y`` (a median 3.9e-7, up to 0.86).  Pass a larger ``maxiter``
-    where that matters; the default cap is shared with every CG solve,
-    span checks included.
+    (e.g. one ``PIdentity ⊗ PIdentity ⊗ Dense`` block), 2 of 300 random
+    draws still left x̂ more than 1e-8 off ``A⁺y`` at the ``30 n`` cap.
 
     One path serves every width: operators are applied to the whole
     batch by one ``matmat``, and a 1-D ``y`` is a width-1 batch.  BLAS
@@ -261,7 +256,7 @@ def least_squares(
         A.gram(),
         B,
         rtol=rtol,
-        maxiter=maxiter,
+        maxiter=maxiter or (3 if preconditioner is not None else 30) * A.shape[1],
         preconditioner=preconditioner,
     )
     X = result.x

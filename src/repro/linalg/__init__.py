@@ -30,6 +30,7 @@ from .structured import (
     AllRange,
     Permuted,
     Prefix,
+    Selection,
     SparseMatrix,
     WidthRange,
     haar_wavelet,
@@ -49,6 +50,7 @@ __all__ = [
     "Ones",
     "Permuted",
     "Prefix",
+    "Selection",
     "SparseMatrix",
     "Sum",
     "Total",

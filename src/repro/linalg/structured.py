@@ -16,6 +16,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .base import Dense, Matrix
+from .identity import Diagonal
 
 
 class Prefix(Matrix):
@@ -261,6 +262,47 @@ class Permuted(Matrix):
 
     def __repr__(self) -> str:
         return f"Permuted({self.base!r})"
+
+
+class Selection(Matrix):
+    """The k x n row selection of the distinct cells ``cols``:
+    ``(S x)_i = x[cols[i]]``.
+
+    Each cell is measured once, so the sensitivity is 1 under either
+    norm (0 when nothing is selected); ``SᵀS`` is the 0/1 diagonal of
+    the selected cells and ``S⁺ = Sᵀ``, a scatter.
+    """
+
+    def __init__(self, cols: np.ndarray, n: int):
+        self.cols = np.asarray(cols, dtype=np.intp)
+        if self.cols.ndim != 1 or np.unique(self.cols).size != self.cols.size:
+            raise ValueError("cols must be a 1-D array of distinct cells")
+        if self.cols.size and not 0 <= self.cols.min() <= self.cols.max() < n:
+            raise ValueError(f"cols must lie in [0, {n})")
+        self.n = n
+        self.shape = (self.cols.size, n)
+
+    def matmat(self, X: np.ndarray) -> np.ndarray:
+        return X[self.cols]
+
+    def rmatmat(self, Y: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.n, Y.shape[1]))
+        out[self.cols] = Y
+        return out
+
+    def gram(self) -> Diagonal:
+        d = np.zeros(self.n)
+        d[self.cols] = 1.0
+        return Diagonal(d)
+
+    def column_abs_sums(self) -> np.ndarray:
+        return self.gram().d
+
+    def column_norms(self) -> np.ndarray:
+        return self.gram().d
+
+    def pinv(self) -> Matrix:
+        return self.transpose()
 
 
 class SparseMatrix(Matrix):

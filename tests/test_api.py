@@ -264,6 +264,32 @@ class TestPlanner:
         assert entry.epsilon == 0.5
         assert entry.expected_rmse is not None
 
+    def test_direct_route_never_takes_a_dense_pseudo_inverse(self, monkeypatch):
+        """Plan, ask and free-read through a direct reconstruction on a
+        4,096-cell schema with ``np.linalg.pinv`` unavailable."""
+
+        def no_pinv(*args, **kwargs):
+            raise AssertionError("dense pseudo-inverse on the direct route")
+
+        monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+        s = Schema.from_spec(
+            {"age": 32, "income": 16, "race": 4, "sex": ["M", "F"]}
+        )
+        ds = make_session().dataset("d", schema=s, data=poisson_data(s))
+        box = (
+            A("age").between(3, 5) & A("income").between(0, 3)
+            & A("race").eq(1) & A("sex").eq("M")
+        )
+        (entry,) = ds.plan([box], eps=1.0).entries
+        assert entry.route == "direct" and entry.epsilon == 1.0
+        assert entry.detail == "selection measurement on 12 cells"
+        assert entry.rmse_laplace > 0 and entry.rmse_gaussian > 0
+        miss = ds.ask(box, eps=1.0, rng=0)
+        assert miss.route == "direct" and miss.key == entry.key
+        hit = ds.ask(box)
+        assert hit.route == "accelerator" and hit.key == entry.key
+        assert np.allclose(hit.values, miss.values)
+
     def test_plan_warm_route_after_prepare(self, tmp_path):
         sess = make_session(tmp_path)
         s = small_schema()

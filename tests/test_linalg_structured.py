@@ -9,6 +9,7 @@ from repro.linalg import (
     Ones,
     Permuted,
     Prefix,
+    Selection,
     SparseMatrix,
     Total,
     WidthRange,
@@ -25,6 +26,8 @@ from repro.linalg import (
         lambda: WidthRange(9, 3),
         lambda: WidthRange(5, 5),
         lambda: WidthRange(8, 1),
+        lambda: Selection(np.array([1, 4, 6]), 8),
+        lambda: Selection(np.array([], dtype=int), 4),
     ],
 )
 class TestAgainstDense:
@@ -177,6 +180,24 @@ class TestSparseMatrix:
         assert np.allclose(M.gram().dense(), D.T @ D)
         assert np.allclose(M.T.dense(), D.T)
         assert np.isclose(M.sum(), D.sum())
+
+
+class TestSelection:
+    def test_pinv_is_the_transpose(self):
+        S = Selection(np.array([0, 2, 5]), 6)
+        assert np.array_equal(S.pinv().dense(), S.dense().T)
+        assert np.allclose(S.pinv().dense(), np.linalg.pinv(S.dense()))
+
+    def test_sensitivity_one_or_zero(self):
+        S = Selection(np.array([3]), 5)
+        assert S.sensitivity(p=1) == S.sensitivity(p=2) == 1.0
+        E = Selection(np.array([], dtype=int), 5)
+        assert E.sensitivity(p=1) == E.sensitivity(p=2) == 0.0
+
+    @pytest.mark.parametrize("cols", [[1, 1], [0, 5], [-1], [[0, 1]]])
+    def test_refuses_cells_that_are_not_distinct_domain_cells(self, cols):
+        with pytest.raises(ValueError):
+            Selection(np.array(cols), 5)
 
 
 class TestTotalOnes:

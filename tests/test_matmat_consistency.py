@@ -16,6 +16,7 @@ from repro.linalg import (
     Ones,
     Permuted,
     Prefix,
+    Selection,
     SparseMatrix,
     VStack,
     Weighted,
@@ -41,24 +42,26 @@ def _cases(rng):
         PIdentity(rng.random((2, 5))),
         SparseMatrix(sp.random(4, 5, density=0.5, random_state=0)),
         Kronecker([Dense(rng.standard_normal((2, 5)))]),
+        Selection(np.array([], dtype=int), 5),
+        Selection(np.array([0, 3, 4]), 5),
     ]
 
 
-@pytest.mark.parametrize("idx", range(13))
+@pytest.mark.parametrize("idx", range(15))
 def test_matmat_matches_dense(idx, rng):
     M = _cases(rng)[idx]
     X = rng.standard_normal((M.shape[1], 4))
     assert np.allclose(M.matmat(X), M.dense() @ X), type(M).__name__
 
 
-@pytest.mark.parametrize("idx", range(13))
+@pytest.mark.parametrize("idx", range(15))
 def test_rmatmat_matches_dense(idx, rng):
     M = _cases(rng)[idx]
     Y = rng.standard_normal((M.shape[0], 3))
     assert np.allclose(M.rmatmat(Y), M.dense().T @ Y), type(M).__name__
 
 
-@pytest.mark.parametrize("idx", range(13))
+@pytest.mark.parametrize("idx", range(15))
 def test_transpose_matmat_roundtrip(idx, rng):
     """Aᵀ as a Matrix must apply the fast rmatmat path."""
     M = _cases(rng)[idx]
@@ -66,7 +69,7 @@ def test_transpose_matmat_roundtrip(idx, rng):
     assert np.allclose(M.T.matmat(Y), M.dense().T @ Y), type(M).__name__
 
 
-@pytest.mark.parametrize("idx", range(13))
+@pytest.mark.parametrize("idx", range(15))
 def test_matmat_1d_input_degrades_to_matvec(idx, rng):
     M = _cases(rng)[idx]
     x = rng.standard_normal(M.shape[1])

@@ -400,6 +400,24 @@ def _lsmr_capped_union():
     return VStack([Weighted(Kronecker(factors), 0.34448863931081414)]), True
 
 
+def _cg_capped_union():
+    """A draw shaped like :func:`_lsmr_capped_union` (one block, no union
+    solver) that plain CG leaves unconverged at a 3n cap, x̂ then ending
+    more than 1e-8 off; at the 30n cap ``least_squares`` gives plain CG
+    it converges."""
+    r = np.random.default_rng(1)
+    factors = [
+        PIdentity(r.random((p, n)) * 10.0**scale)
+        for p, n, scale in [
+            (1, 2, 0.047286498801026866),
+            (2, 4, 1.8018547853037412),
+            (3, 8, -1.423361549121465),
+        ]
+    ]
+    factors[2] = Dense(r.standard_normal((7, 8)))
+    return VStack([Weighted(Kronecker(factors), 0.9512169747803817)]), True
+
+
 def _first_pair_only(A):
     """The pair-only inverse of the first candidate pair: a lone block
     with a zero Gram, blocks (0, 1) of two, else the top-trace pair,
@@ -425,6 +443,7 @@ class TestUnionPreconditionerProperties:
     @settings(max_examples=20)
     @given(kron_unions())
     @example(_lsmr_capped_union())
+    @example(_cg_capped_union())
     def test_chosen_probes_no_slower_than_pair_only(self, union):
         A, deficient = union
         solver = union_gram_solver(A)
@@ -542,6 +561,35 @@ class TestErrorProperties:
         assert np.isclose(
             squared_error(W, Identity(4)), np.trace(Warr.T @ Warr), atol=1e-8
         )
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["dense", "kron"]),
+        st.floats(0.0, 1.0),
+    )
+    def test_selection_error_is_the_dense_formula(self, seed, kind, density):
+        """On the selection of W's own support, the closed form equals
+        dense Definition 7, ‖A‖₁² tr[pinv(AᵀA) WᵀW] (n ≤ 256)."""
+        from repro.core.error import squared_error
+        from repro.linalg import Selection
+
+        r = np.random.default_rng(seed)
+
+        def factor(m, n):
+            return r.standard_normal((m, n)) * (r.random(n) < density)
+
+        if kind == "dense":
+            W = Dense(factor(int(r.integers(1, 9)), int(r.integers(1, 257))))
+        else:
+            W = Kronecker(
+                [Dense(factor(int(r.integers(1, 4)), n)) for n in (16, 16)]
+            )
+        Wd = W.dense()
+        S = Selection(np.flatnonzero(np.abs(Wd).sum(axis=0)), Wd.shape[1])
+        Ad = S.dense()
+        sens = np.abs(Ad).sum(axis=0).max()
+        ref = sens**2 * np.trace(np.linalg.pinv(Ad.T @ Ad) @ (Wd.T @ Wd))
+        assert np.isclose(squared_error(W, S), ref, rtol=1e-9, atol=0)
 
     @given(st.floats(0.2, 5.0, allow_nan=False))
     def test_eps_scaling_law(self, eps):

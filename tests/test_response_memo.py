@@ -12,6 +12,7 @@ queries only while the table holds it.
 
 import asyncio
 import gc
+import hashlib
 import json
 import sys
 import threading
@@ -24,11 +25,12 @@ from hypothesis import strategies as st
 import repro.obs as obs
 from repro.api import A, Schema, Session, marginal, prefix
 from repro.api.planner import CompiledQuery
+from repro.linalg import Selection
 from repro.server import app as app_module
 from repro.server.app import MAX_SHAPES, ServerApp, parse_query_spec
 from repro.server.errors import encode_body
 from repro.service import PrivacyAccountant
-from repro.service.engine import QueryMiss, joint_support
+from repro.service.engine import MissRoute, QueryMiss, joint_support
 
 
 @pytest.fixture(autouse=True)
@@ -80,12 +82,16 @@ def make_app(tmp_path, accountant: bool):
 
 
 def direct_write(app, expr, eps, seed):
-    """Measure ``expr``'s support directly: a store (and, with an
-    accountant, a debit) under a support-derived key."""
+    """Measure ``expr``'s support directly, whatever its row count: a
+    store (and, with an accountant, a debit) under a support-derived
+    key."""
     Q = expr.compile(app.session.dataset("d").schema)
-    support = np.flatnonzero(joint_support([Q], Q.shape[1]))
+    n = Q.shape[1]
+    cols = np.flatnonzero(joint_support([Q], n))
+    key = f"direct:{hashlib.sha256(cols.tobytes()).hexdigest()[:16]}"
     app.session.service._measure_impl(
-        "d", Q, eps, rng=seed, stage="t", support=support
+        "d", Q, eps, rng=seed, stage="t",
+        route=MissRoute("direct", key, Selection(cols, n), None),
     )
 
 
