@@ -315,9 +315,13 @@ def _rmses(
     """The Definition 7 per-query RMSE of ``W`` answered via ``A`` at the
     per-group budget ``eps`` under each of ``mechs``, all scaled from one
     ``squared_error(W, A)``; None where the structured error algebra
-    does not cover the (workload, strategy) pairing."""
+    does not cover the (workload, strategy) pairing.  An infinite budget
+    (the empty reconstruction, which released nothing) is exact: 0 under
+    every mechanism."""
     if eps is None or eps <= 0:
         return (None,) * len(mechs)
+    if math.isinf(eps):
+        return (0.0,) * len(mechs)
     try:
         strategy_error = squared_error(W, A)
     except Exception:

@@ -232,12 +232,13 @@ class HDMM:
             k = eps_arr.size
             if x.ndim == 1 and k > 1 and not resolves_to_direct(A, method):
                 # Iterative solves go ε block by ε block, each from zero.
-                # Narrow blocks beat one grid-wide solve because the five
-                # CG working arrays stay in cache: a 5 x 10 sweep on a
-                # 4-block 16³ union (3 PCG iterations per column) took a
-                # median 58 ms as five 10-column solves against 64 ms as
-                # one 50-column solve, the split faster in 15 of 20
-                # alternating runs (one x86-64 core, single-threaded BLAS).
+                # Narrow blocks beat one grid-wide solve because the CG
+                # working arrays stay in cache: the solves of a 5 x 10
+                # sweep on a 4-block 16³ union (3 eigenbasis PCG
+                # iterations per column) took a median 39.1–39.2 ms as
+                # five 10-column solves against 41.8–44.8 ms as one
+                # 50-column solve, the split faster in 79 of 120
+                # alternating runs (2-vCPU x86-64, single-threaded BLAS).
                 X_hat = np.empty((A.shape[1], Y.shape[1]))
                 for e in range(k):
                     block = slice(e * trials, (e + 1) * trials)

@@ -32,12 +32,17 @@ reports is, by construction, what the ledger records.
 
 The Laplace draws come from one function, :func:`_laplace` (reached
 through :func:`laplace_noise`, which the baselines use too).  It samples
-Laplace(0, b) as ``b·(E₁ − E₂)`` for independent standard exponentials
-E₁, E₂: ``standard_exponential(2·size)`` on the stream's generator, first
-half minus second half.  numpy's exponential sampler is a ziggurat that
-rarely calls ``log``, where its ``laplace`` is an inverse CDF with one
-``log`` per draw; the distribution is the same, the bits at a fixed seed
-are not.
+Laplace(0, b) as ``b·S·E``: one standard exponential E per value from the
+stream's ``standard_exponential``, then one independent fair sign S per
+value, taken 64 to a word from ``bit_generator.random_raw`` (bit ``k`` of
+the words, least significant first, flips the sign bit of value ``k``).
+numpy's exponential sampler is a ziggurat that rarely calls ``log``,
+where its ``laplace`` is an inverse CDF with one ``log`` per draw, and
+one sign bit costs a 64th of a raw draw, where the difference of two
+exponentials ``E₁ − E₂`` costs a second exponential; the distribution is
+the same, the bits at a fixed seed are not.  Gaussian draws are
+``σ·Z`` from ``standard_normal``, the bits of ``normal(0, σ)``.  Both
+fill the destination row in place.
 
 Every release goes through the module functions :func:`laplace_measure`,
 :func:`laplace_measure_batch`, :func:`gaussian_measure` and
@@ -62,6 +67,12 @@ index.  With one shared data vector the noise-free answers are the
 loop's own mat-vec, so the whole measurement is bit-identical; a batch
 of data vectors is answered by one ``matmat``, which agrees with the
 per-column mat-vecs to rounding, not bit for bit.
+
+Memory order: trial ``j``'s noise is drawn straight into row ``j`` of one
+``(T, m)`` buffer, the strategy answers are added into it in place, and
+the batch is returned as that buffer's ``(m, T)`` transposed view — a
+column-major (Fortran-ordered) array whose columns, one per trial, are
+each contiguous.  No second ``(m, T)`` array is made.
 """
 
 from __future__ import annotations
@@ -98,42 +109,52 @@ __all__ = [
 
 # -- noise draws ------------------------------------------------------------
 
-def _laplace(gen: np.random.Generator, scale: float, size: int) -> np.ndarray:
-    """``size`` Laplace(0, scale) draws as ``scale·(E₁ − E₂)``."""
-    e = gen.standard_exponential(2 * size)
-    out = e[:size] - e[size:]
+def _laplace(gen: np.random.Generator, scale: float, out: np.ndarray) -> None:
+    """Fill ``out`` with Laplace(0, scale) draws as ``scale·S·E``: one
+    standard exponential E and one fair sign S per value, the signs 64 to
+    a raw 64-bit word."""
+    gen.standard_exponential(out=out)
+    words = gen.bit_generator.random_raw(-(-out.size // 64))
+    signs = np.unpackbits(words.view(np.uint8), count=out.size, bitorder="little")
+    # A set bit flips its value's IEEE sign bit: E ≥ 0, so this is ±E.
+    bits = out.view(np.uint64)
+    bits ^= signs.astype(np.uint64) << np.uint64(63)
     out *= scale
-    return out
 
 
-def _normal(gen: np.random.Generator, sigma: float, size: int) -> np.ndarray:
-    """``size`` N(0, sigma²) draws."""
-    return gen.normal(0.0, sigma, size)
+def _normal(gen: np.random.Generator, sigma: float, out: np.ndarray) -> None:
+    """Fill ``out`` with N(0, sigma²) draws, the values of
+    ``gen.normal(0.0, sigma, out.size)``."""
+    gen.standard_normal(out=out)
+    out *= sigma
 
 
 def _spawned_noise(draw, scale, size, rng) -> np.ndarray:
-    """The seeding both noise distributions share: ``draw(gen, s, size)``
-    (:func:`_laplace` or :func:`_normal`) from one stream for a scalar
-    scale, or from spawned child ``j`` for trial ``j`` of a 1-D array of
-    scales, returned as the ``(size, T)`` transposed view of a
-    ``(T, size)`` buffer.  A zero scale draws nothing; a negative,
-    infinite or NaN one is refused."""
+    """The seeding both noise distributions share: ``draw(gen, s, out)``
+    (:func:`_laplace` or :func:`_normal`) fills ``out`` from one stream
+    for a scalar scale, or fills row ``j`` of a ``(T, size)`` buffer from
+    spawned child ``j`` for trial ``j`` of a 1-D array of scales, returned
+    as the buffer's ``(size, T)`` transposed view.  A zero scale draws
+    nothing; a negative, infinite or NaN one is refused."""
     scales = np.asarray(scale, dtype=np.float64)
     if not np.all(np.isfinite(scales) & (scales >= 0)):
         raise ValueError("noise scale must be finite and non-negative")
     if scales.ndim == 0:
         rng = np.random.default_rng(rng)
-        if scales == 0:
-            return np.zeros(size)
-        return draw(rng, float(scales), size)
+        out = np.zeros(size)
+        if scales > 0:
+            draw(rng, float(scales), out)
+        return out
     if scales.ndim != 1:
         raise ValueError(
             f"noise scale must be a scalar or 1-D array, got {scales.shape}"
         )
-    out = np.zeros((scales.size, size))
+    out = np.empty((scales.size, size))
     for j, seed in enumerate(spawn_seeds(rng, scales.size)):
         if scales[j] > 0:
-            out[j] = draw(np.random.default_rng(seed), scales[j], size)
+            draw(np.random.default_rng(seed), scales[j], out[j])
+        else:
+            out[j] = 0.0
     return out.T
 
 
@@ -142,11 +163,12 @@ def laplace_noise(
     size: int,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Draw i.i.d. Laplace(0, scale) samples as ``scale·(E₁ − E₂)``.
+    """Draw i.i.d. Laplace(0, scale) samples as ``scale·S·E``.
 
-    E₁ and E₂ are the two halves of one ``standard_exponential(2·size)``
-    draw (first minus second) on the stream's generator; the difference
-    of two independent Exp(1) variables is Laplace(0, 1).
+    E is one ``standard_exponential(size)`` draw on the stream's
+    generator and S a fair sign per value, bit ``k`` of the following
+    ``ceil(size / 64)`` raw 64-bit words; an Exp(1) magnitude with an
+    independent fair sign is Laplace(0, 1).
 
     A scalar ``scale`` returns ``size`` draws from a single stream — the
     single-shot path; a :class:`numpy.random.Generator` passed as ``rng``
@@ -179,7 +201,7 @@ class Mechanism:
     name: ClassVar[str] = ""
     #: δ of the (ε, δ)-DP guarantee: 0 for pure ε-DP.
     delta: ClassVar[float] = 0.0
-    #: ``draw(gen, scale, size)``: :func:`_laplace` or :func:`_normal`.
+    #: ``draw(gen, scale, out)``: :func:`_laplace` or :func:`_normal`.
     _draw: ClassVar = None
     #: Variance of one draw at noise scale 1.
     _unit_variance: ClassVar[float] = 1.0
@@ -230,7 +252,8 @@ class Mechanism:
         ``eps`` a scalar shared by all trials or per-trial budgets
         (length T); ``trials`` an explicit trial count, required only
         when both are unbatched.  Trial ``j`` draws from child ``j`` of
-        ``rng`` (see the module docstring).  Returns Y, shape (m, T).
+        ``rng`` (see the module docstring).  Returns Y, shape (m, T),
+        column-major: the transposed view of the ``(T, m)`` noise buffer.
         """
         raise NotImplementedError
 
@@ -245,18 +268,18 @@ class Mechanism:
             )
         answers = A.matvec(x)
         scale = self.noise_scale(A, float(eps_arr))
-        return answers + _spawned_noise(self._draw, scale, answers.shape[0], rng)
+        y = _spawned_noise(self._draw, scale, answers.shape[0], rng)
+        y += answers
+        return y
 
     def _release_batch(self, A, x, eps, rng, trials) -> np.ndarray:
         answers, eps_arr, T = _batch_answers(A, x, eps, trials)
         scales = np.broadcast_to(self.noise_scale(A, eps_arr), (T,))
-        noise = _spawned_noise(
-            self._draw, np.ascontiguousarray(scales), A.shape[0], rng
-        )
-        # One broadcast add into a C-ordered (m, T) result: the noise is a
-        # transposed view, which a plain ``+`` would follow into
-        # column-major output.
-        return np.add(answers, noise, out=np.empty(noise.shape))
+        # The (m, T) view of the (T, m) noise buffer; the answers are
+        # added into it in place (see the module docstring).
+        Y = _spawned_noise(self._draw, np.ascontiguousarray(scales), A.shape[0], rng)
+        Y += answers
+        return Y
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ never materializes A or A⁺:
   and picks its candidate by a probe solve: when the pair covers every
   block and the probe converges in one iteration (the paper's two-group
   OPT_+ output) it is applied directly as the Gram inverse, and
-  otherwise it preconditions CG, cold from zero on every call.  LSMR
-  remains as the fallback for columns CG cannot converge and as an
-  independent cross-check.
+  otherwise it preconditions CG, cold from zero on every call, run in
+  the factored pair's eigenbasis
+  (:func:`~repro.core.solvers.union_eigenbasis`).  LSMR remains as the
+  fallback for columns CG cannot converge and as an independent
+  cross-check.
 
 Every solve accepts a whole batch of right-hand sides: structured
 pseudo-inverses are applied through ``matmat``/``kmatmat`` rather than
@@ -36,6 +38,7 @@ from ..obs.metrics import REGISTRY as _METRICS
 from ..optimize.opt0 import PIdentity
 from .solvers import (
     cg_gram_solve,
+    union_eigenbasis,
     union_gram_solver,
     validate_maxiter,
     validate_tolerance,
@@ -238,17 +241,17 @@ def least_squares(
     # Normal equations ``(AᵀA) x̄ = Aᵀy`` with the cached Gram operator.
     B = A.rmatmat(Y)
 
-    preconditioner = None
+    basis = None
     if method == "auto":
         # A union Gram solver the probe showed exact (the paper's two-
         # group OPT_+ output) is applied directly — two Kronecker
-        # mat-mats per solve; any other preconditions CG.  method="cg"
-        # stays plain.
+        # mat-mats per solve; any other preconditions CG, run in its
+        # pair's eigenbasis.  method="cg" stays plain.
         solver = union_gram_solver(A)
         if solver is not None and solver.exact:
             X = solver.inverse.matmat(B)
             return X[:, 0] if single else X
-        preconditioner = None if solver is None else solver.inverse
+        basis = union_eigenbasis(A)
 
     # CG (method "cg" or the general "auto" fallback), then LSMR for any
     # column CG could not converge.
@@ -256,8 +259,8 @@ def least_squares(
         A.gram(),
         B,
         rtol=rtol,
-        maxiter=maxiter or (3 if preconditioner is not None else 30) * A.shape[1],
-        preconditioner=preconditioner,
+        maxiter=maxiter or (3 if basis is not None else 30) * A.shape[1],
+        basis=basis,
     )
     X = result.x
     if not result.converged.all():

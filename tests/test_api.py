@@ -290,6 +290,20 @@ class TestPlanner:
         assert hit.route == "accelerator" and hit.key == entry.key
         assert np.allclose(hit.values, miss.values)
 
+    def test_free_hit_on_the_empty_reconstruction_is_priced_exact(self):
+        """The empty direct reconstruction is cached at ε = ∞; a hit on it
+        is exact, so every mechanism's RMSE is 0, not unknown."""
+        s = small_schema()
+        ds = make_session().dataset("d", schema=s, data=poisson_data(s))
+        ds.ask(A("hours").isin([]), eps=1.0)
+        plan = ds.plan([A("hours").isin([])])
+        (entry,) = plan.entries
+        assert entry.epsilon == 0.0 and not plan.requires_epsilon
+        assert (entry.expected_rmse, entry.rmse_laplace, entry.rmse_gaussian) == (
+            0.0, 0.0, 0.0,
+        )
+        assert "—" not in plan.explain()
+
     def test_plan_warm_route_after_prepare(self, tmp_path):
         sess = make_session(tmp_path)
         s = small_schema()

@@ -21,7 +21,7 @@ from repro.linalg import (
     VStack,
     Weighted,
 )
-from repro.optimize import PIdentity
+from repro.optimize import PIdentity, spawn_seeds
 
 
 class TestLaplaceNoise:
@@ -44,6 +44,12 @@ class TestLaplaceNoise:
         assert abs(samples.var() - 8.0) / 8.0 < 0.05
         assert abs(samples.mean()) < 0.05
 
+    def test_gaussian_draws_are_numpy_normal(self):
+        # Gaussian noise is drawn in place, with the bits of normal(0, σ).
+        ref = np.random.default_rng(5).normal(0.0, 1.7, 1_000)
+        got = gaussian_noise(1.7, 1_000, 5)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
     def test_reproducible_with_seed(self):
         a = laplace_noise(1.0, 10, 42)
         b = laplace_noise(1.0, 10, 42)
@@ -59,12 +65,13 @@ class TestLaplaceShape:
 
     @staticmethod
     def _check_standard_laplace(z):
-        # z = X / b should be Laplace(0, 1): E|z| = 1 and Pearson
-        # kurtosis 6 (a normal has 3); each tolerance is several standard
-        # errors at these sample sizes.
+        # z = X / b should be Laplace(0, 1): E|z| = 1, Pearson kurtosis 6
+        # (a normal has 3) and half the values positive; each tolerance
+        # is several standard errors at these sample sizes.
         assert stats.kstest(z, stats.laplace.cdf).pvalue > 1e-3
         assert abs(np.abs(z).mean() - 1.0) < 0.02
         assert abs(stats.kurtosis(z, fisher=False) - 6.0) < 0.6
+        assert abs((z > 0).mean() - 0.5) < 2.0 / np.sqrt(z.size)
 
     def test_scalar_path(self):
         b = 2.5
@@ -75,6 +82,29 @@ class TestLaplaceShape:
         assert noise.shape == (50_000, self.SCALES.size)
         for j, b in enumerate(self.SCALES):
             self._check_standard_laplace(noise[:, j] / b)
+
+    @pytest.mark.parametrize("size", [0, 1, 63, 64, 65])
+    def test_sign_words_at_their_boundaries(self, size):
+        # The signs come 64 to a raw word, so these sizes use part of one
+        # word, exactly one, and one plus a bit of the next.  A batch of
+        # trials is bit-identical to the loop over the spawned seeds, and
+        # every value position, the 64th and 65th included, gets a fair
+        # sign; pooled over ~64k values the draws are Laplace in shape.
+        T = {0: 8, 1: 8_000}.get(size, 1_000)
+        scales = np.linspace(0.5, 3.0, T)
+        batch = laplace_noise(scales, size, 14)
+        assert batch.shape == (size, T)
+        head = min(T, 256)
+        loop = np.empty((size, head))
+        for j, seed in enumerate(spawn_seeds(14, T)[:head]):
+            loop[:, j] = laplace_noise(scales[j], size, seed)
+        assert np.array_equal(batch[:, :head].view(np.uint64), loop.view(np.uint64))
+        if size:
+            z = batch / scales
+            if z.size >= 50_000:
+                self._check_standard_laplace(z.ravel())
+            share = (z > 0).mean(axis=1)
+            assert np.all(np.abs(share - 0.5) < 2.5 / np.sqrt(T))
 
     def test_the_checks_reject_a_normal_of_the_same_variance(self):
         z = np.random.default_rng(13).normal(0.0, np.sqrt(2.0), 100_000)

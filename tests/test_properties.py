@@ -21,12 +21,14 @@ from hypothesis.extra.numpy import arrays
 from repro.linalg import (
     AllRange,
     Dense,
+    Diagonal,
     Identity,
     Kronecker,
     MarginalsAlgebra,
     MarginalsGram,
     Ones,
     Prefix,
+    Sum,
     VStack,
     Weighted,
     kmatmat,
@@ -34,11 +36,14 @@ from repro.linalg import (
 from repro.linalg.kron import DENSE_FACTOR_CELLS
 from repro.core import HDMM
 from repro.core.reconstruct import least_squares
+from repro.core import reconstruct, solvers
 from repro.core.solvers import (
+    PIVOT_TOL,
     _assemble_gram_inverse,
     _kron_gram_factor_mats,
     _two_term_factorization,
     cg_gram_solve,
+    union_eigenbasis,
     union_gram_solver,
 )
 from repro.obs.spend import replay, report_from_accountant
@@ -471,6 +476,117 @@ class TestUnionPreconditionerProperties:
         # x̂ itself is A⁺y, rank-deficient draws included: a factorization
         # with a rounding-level pivot never solves or preconditions.
         X_ref = np.linalg.pinv(Ad) @ Y
+        assert np.max(np.abs(X - X_ref)) <= 1e-8 * np.abs(X_ref).max()
+
+
+@st.composite
+def eigenbasis_unions(draw):
+    """A union the eigenbasis PCG solves: L ≥ 3 blocks, L − 1 of them
+    weighted p-Identity products with shared factor sizes, one factor of
+    one of those replaced by a ``Dense`` whose last column is its first
+    plus a perturbation of relative size δ ∈ [1e-5, 1e-3] (its Gram's
+    relative Cholesky pivot is then about δ², on either side of
+    ``PIVOT_TOL``), and one block of another shape: one ``Dense`` factor
+    or the product with its first two factors merged.  The p-Identity
+    blocks keep the union full column rank."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=3))
+    n = math.prod(sizes)
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pidentity(k):
+        return PIdentity(r.random((draw(st.integers(1, 3)), k)) * 10.0 ** draw(
+            st.floats(-1, 1)
+        ))
+
+    L = draw(st.integers(3, 5))
+    blocks = [
+        Weighted(Kronecker([pidentity(k) for k in sizes]), draw(st.floats(0.1, 1.0)))
+        for _ in range(L - 1)
+    ]
+    l = draw(st.integers(0, L - 2))
+    i = draw(st.integers(0, len(sizes) - 1))
+    k = sizes[i]
+    F = r.standard_normal((k + 1, k))
+    F[:, -1] = F[:, 0] + 10.0 ** draw(st.floats(-5, -3)) * r.standard_normal(k + 1)
+    factors = list(blocks[l].base.factors)
+    factors[i] = Dense(F)
+    blocks[l] = Weighted(Kronecker(factors), blocks[l].weight)
+    if draw(st.booleans()):
+        odd = Dense(r.random((draw(st.integers(1, 4)), n)))
+    else:
+        odd = Kronecker(
+            [pidentity(sizes[0] * sizes[1])] + [pidentity(k) for k in sizes[2:]]
+        )
+    blocks.insert(draw(st.integers(0, L - 1)), odd)
+    return VStack(blocks)
+
+
+def _eigenbasis_union():
+    """One fixed :func:`eigenbasis_unions`-shaped union (four blocks, one
+    of another shape) whose solver runs PCG in its pair's eigenbasis."""
+    r = np.random.default_rng(7)
+    blocks = [
+        Weighted(Kronecker([PIdentity(r.random((2, k))) for k in (3, 4)]), w)
+        for w in (1.0, 0.6, 0.3)
+    ]
+    return VStack(blocks + [Dense(r.random((3, 12)))])
+
+
+class TestEigenbasisSolve:
+    """PCG in the factored pair's eigenbasis: every column it reports
+    converged meets the residual bound on the true Gram, x̂ is ``A⁺y``,
+    and a wrong transformed factor costs LSMR time, not accuracy."""
+
+    @settings(max_examples=40)
+    @given(eigenbasis_unions())
+    def test_converged_columns_meet_the_true_gram_residual(self, A):
+        solver = union_gram_solver(A)
+        assert solver is not None and not solver.exact
+        assert min(solver.pivots) >= PIVOT_TOL
+        Y = np.random.default_rng(2).standard_normal((A.shape[0], 3))
+        B = A.rmatmat(Y)
+        G = A.gram().dense()
+        result = cg_gram_solve(A.gram(), B, basis=union_eigenbasis(A))
+        for j in np.flatnonzero(result.converged):
+            r = B[:, j] - G @ result.x[:, j]
+            # the bound, plus the rounding of evaluating G x densely
+            slack = 1e-14 * np.linalg.norm(G, 2) * np.linalg.norm(result.x[:, j])
+            assert np.linalg.norm(r) <= 1e-11 * np.linalg.norm(B[:, j]) + slack
+
+    @settings(max_examples=40)
+    @given(eigenbasis_unions())
+    def test_x_hat_is_the_pseudo_inverse_solution(self, A):
+        Ad = A.dense()
+        assert np.linalg.matrix_rank(Ad) == A.shape[1]
+        Y = np.random.default_rng(3).standard_normal((A.shape[0], 3))
+        X = least_squares(A, Y)
+        X_ref = np.linalg.pinv(Ad) @ Y
+        assert np.max(np.abs(X - X_ref)) <= 1e-8 * np.abs(X_ref).max()
+
+    def test_a_corrupt_transformed_factor_falls_back_to_lsmr(self, monkeypatch):
+        A = _eigenbasis_union()
+        build = solvers._build_eigenbasis
+
+        def corrupt(A, solver):
+            eig = build(A, solver)
+            pair, *rest = eig.gram.terms
+            return solvers.Eigenbasis(
+                eig.basis, eig.inverse, Sum([Diagonal(1.5 * pair.d), *rest]), eig.jacobi
+            )
+
+        lsmr_columns = reconstruct._lsmr_columns
+        fallback = []
+
+        def spy(A, Y, X, columns, *args):
+            fallback.extend(columns)
+            return lsmr_columns(A, Y, X, columns, *args)
+
+        monkeypatch.setattr(solvers, "_build_eigenbasis", corrupt)
+        monkeypatch.setattr(reconstruct, "_lsmr_columns", spy)
+        Y = np.random.default_rng(4).standard_normal((A.shape[0], 4))
+        X = least_squares(A, Y)
+        assert sorted(fallback) == [0, 1, 2, 3]
+        X_ref = np.linalg.pinv(A.dense()) @ Y
         assert np.max(np.abs(X - X_ref)) <= 1e-8 * np.abs(X_ref).max()
 
 
