@@ -295,7 +295,7 @@ def bench_serving_multiblock(
 
     from repro.core import HDMM, answer_workload
     from repro.core.measure import laplace_measure_batch
-    from repro.core.solvers import cg_gram_solve, union_gram_solver
+    from repro.core.solvers import cg_gram_solve, union_eigenbasis
     from repro.optimize import opt_union
     from repro.optimize.parallel import spawn_seeds
 
@@ -316,9 +316,8 @@ def bench_serving_multiblock(
     Y = laplace_measure_batch(A, x, np.repeat(eps_grid, trials), rng=rng)
     B = A.rmatmat(Y)
     G = A.gram()
-    M = union_gram_solver(A).inverse
     iters_plain = int(cg_gram_solve(G, B).iterations.sum())
-    iters_pre = int(cg_gram_solve(G, B, preconditioner=M).iterations.sum())
+    iters_pre = int(cg_gram_solve(G, B, basis=union_eigenbasis(A)).iterations.sum())
 
     # Wall clock: plain CG from scratch per column vs the auto path
     # (preconditioned CG, one cold solve per ε block), on identical

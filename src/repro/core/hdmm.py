@@ -48,7 +48,7 @@ from .measure import (  # noqa: F401
     laplace_measure,
     laplace_measure_batch,
 )
-from .reconstruct import answer_workload, least_squares, resolves_to_direct
+from .reconstruct import answer_workload, least_squares, resolves_to_pinv
 from .solvers import validate_epsilon, validate_positive_int
 
 
@@ -230,8 +230,9 @@ class HDMM:
         else:
             Y = mech.measure_batch(A, x, eps_flat, rng)
             k = eps_arr.size
-            if x.ndim == 1 and k > 1 and not resolves_to_direct(A, method):
-                # Iterative solves go ε block by ε block, each from zero.
+            if x.ndim == 1 and k > 1 and not resolves_to_pinv(A, method):
+                # Every solve but a pseudo-inverse apply goes ε block by ε
+                # block, each from zero.
                 # Narrow blocks beat one grid-wide solve because the CG
                 # working arrays stay in cache: the solves of a 5 x 10
                 # sweep on a 4-block 16³ union (3 eigenbasis PCG

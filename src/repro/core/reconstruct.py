@@ -12,15 +12,14 @@ never materializes A or A⁺:
   the normal equations ``(AᵀA) x̄ = Aᵀy`` are solved by conjugate
   gradients (:mod:`repro.core.solvers`) with the strategy's *cached* Gram
   operator as the iteration operator.  One union Gram solver
-  (:func:`~repro.core.solvers.union_gram_solver`) factors a block pair
-  and picks its candidate by a probe solve: when the pair covers every
-  block and the probe converges in one iteration (the paper's two-group
-  OPT_+ output) it is applied directly as the Gram inverse, and
-  otherwise it preconditions CG, cold from zero on every call, run in
-  the factored pair's eigenbasis
-  (:func:`~repro.core.solvers.union_eigenbasis`).  LSMR remains as the
-  fallback for columns CG cannot converge and as an independent
-  cross-check.
+  (:func:`~repro.core.solvers.union_gram_solver`) factors a block pair,
+  and every union solve runs in that pair's eigenbasis
+  (:func:`~repro.core.solvers.union_eigenbasis`), cold from zero on
+  every call: a direct Jacobi apply when the pair covers every block
+  (the paper's two-group OPT_+ output), PCG otherwise, each result
+  checked against the true Gram and refined once where it misses.
+  LSMR remains as the fallback for columns that still miss and as an
+  independent cross-check.
 
 Every solve accepts a whole batch of right-hand sides: structured
 pseudo-inverses are applied through ``matmat``/``kmatmat`` rather than
@@ -39,7 +38,6 @@ from ..optimize.opt0 import PIdentity
 from .solvers import (
     cg_gram_solve,
     union_eigenbasis,
-    union_gram_solver,
     validate_maxiter,
     validate_tolerance,
 )
@@ -73,19 +71,6 @@ def resolves_to_pinv(A: Matrix, method: str = "auto") -> bool:
     return (
         method == "auto" and not isinstance(A, VStack) and has_structured_pinv(A)
     )
-
-
-def resolves_to_direct(A: Matrix, method: str = "auto") -> bool:
-    """Whether :func:`least_squares` would solve directly (structured
-    pseudo-inverse, or a union Gram solver whose probe showed it exact)
-    — i.e. iteration caps and tolerances are irrelevant for this
-    strategy/method pair."""
-    if resolves_to_pinv(A, method):
-        return True
-    if method != "auto":
-        return False
-    solver = union_gram_solver(A)
-    return solver is not None and solver.exact
 
 
 def validate_solver_options(
@@ -196,7 +181,9 @@ def least_squares(
     from zero stays in ``range(AᵀA)``, and a union Gram solver exists
     only when its pair's Gram is positive definite (every relative
     Cholesky pivot clears :data:`~repro.core.solvers.PIVOT_TOL`), so
-    the Gram it solves or preconditions is nonsingular.
+    the Gram solved in its eigenbasis is nonsingular.  That solve is
+    checked against the true Gram, and a column that misses the
+    ``rtol`` bound after one refinement round goes to LSMR.
 
     "To solver tolerance" assumes the iteration caps do not bind.  On an
     ill-conditioned, rank-deficient union with no union Gram solver
@@ -241,17 +228,9 @@ def least_squares(
     # Normal equations ``(AᵀA) x̄ = Aᵀy`` with the cached Gram operator.
     B = A.rmatmat(Y)
 
-    basis = None
-    if method == "auto":
-        # A union Gram solver the probe showed exact (the paper's two-
-        # group OPT_+ output) is applied directly — two Kronecker
-        # mat-mats per solve; any other preconditions CG, run in its
-        # pair's eigenbasis.  method="cg" stays plain.
-        solver = union_gram_solver(A)
-        if solver is not None and solver.exact:
-            X = solver.inverse.matmat(B)
-            return X[:, 0] if single else X
-        basis = union_eigenbasis(A)
+    # Every union with a union Gram solver solves in its pair's
+    # eigenbasis; method="cg" stays plain.
+    basis = union_eigenbasis(A) if method == "auto" else None
 
     # CG (method "cg" or the general "auto" fallback), then LSMR for any
     # column CG could not converge.

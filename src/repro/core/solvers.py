@@ -27,39 +27,34 @@ solved before.
 Union Gram solver.  ``G = Σ_l ⊗K_{l,i}`` has no closed factorization in
 general, so :func:`union_gram_solver` factors one pair of blocks with
 the two-term factorization, ``(G_a + G_b)⁻¹ = Eᵀ diag(1/(1+⊗λ)) E``
-(a lone block pairs with a zero Gram), optionally adds the other
-blocks' diagonals in that basis, ``M = Eᵀ diag(1/(1+⊗λ+Σ_rest)) E``,
-and keeps the pair and candidate that solve a fixed probe right-hand
-side in the fewest PCG iterations.  A pair is factored only when every
-base factor's relative Cholesky pivot clears ``PIVOT_TOL``, so its Gram
-is positive definite.  When the pair covers every block
-(the paper's ``groups=2`` OPT_+ output) and solves the probe in one
-iteration, ``M`` is the Gram inverse and is applied directly; otherwise
-it preconditions :func:`cg_gram_solve`.  On the Total-like unions
-``opt_union`` fits the other blocks are nearly diagonal in the pair's
-basis, so ``M·G`` is close to ``I`` (3 iterations per column on the
-ε-sweep benchmark's 4-block 16³ union, 7 with the pair alone).
-Per-column-frozen convergence and the LSMR fallback contract carry over
-unchanged.
+(a lone block pairs with a zero Gram), and adds the diagonals of the
+other blocks with matching factor shapes in that basis to ``λ``.  A pair
+is factored only when every base factor's relative Cholesky pivot clears
+``PIVOT_TOL``, so its Gram, and with it ``G``, is positive definite.
+Among the candidate pairs it keeps the one whose other blocks carry the
+least off-diagonal mass in its eigenbasis, each entry scaled by the
+Jacobi diagonal ``1/(1+λ)`` on both sides: no solve is needed to
+choose.  On the Total-like unions ``opt_union`` fits the other blocks
+are nearly diagonal in the chosen pair's basis.
 
-Eigenbasis iteration.  ``least_squares`` does not run that PCG on ``G``
-itself but on ``Ĝ = E G Eᵀ``, ``E = ⊗Eᵢ`` (:func:`union_eigenbasis`):
-there the pair's Gram is the diagonal ``⊗diag(Eᵢ K_{a,i} Eᵢᵀ) +
-⊗diag(Eᵢ K_{b,i} Eᵢᵀ)``, every other shape-compatible block is one
-Kronecker product of dense ``Eᵢ K_{l,i} Eᵢᵀ`` factors, and ``M`` is the
-Jacobi diagonal ``1/(1+λ)``.  The iterates are those of PCG with ``M``
-on ``G``, mapped by ``x = Eᵀu`` (in exact arithmetic, so the iteration
-counts stay), but an iteration costs one Kronecker mat-mat per block
-outside the pair, plus one for ``E⁻¹ r̂`` (the stopping rule still
-reads the residual of ``G x = b``), against one per block plus two for
-``M`` on ``G``: 3 instead of 6 on the ε-sweep benchmark's union.  A
-solve adds ``E b``, ``Eᵀ u`` and one product with ``G``: the pair's
-off-diagonal terms in that basis are rounding (up to 1e-10 of
-``√(dᵢ dⱼ)`` on that union), not zero, so each result is checked once
-against the true ``G``, and a column whose residual misses the bound
-is reported unconverged and goes to LSMR.  The transformed factors are
-built on the first solve and memoized on the strategy; they are never
-persisted, so the registry format and a warm load are unchanged.
+Eigenbasis solve.  Every union solve runs on ``Ĝ = E G Eᵀ``,
+``E = ⊗Eᵢ`` (:func:`union_eigenbasis`): there the pair's Gram is the
+diagonal ``⊗diag(Eᵢ K_{a,i} Eᵢᵀ) + ⊗diag(Eᵢ K_{b,i} Eᵢᵀ)``, every other
+shape-compatible block is one Kronecker product of dense
+``Eᵢ K_{l,i} Eᵢᵀ`` factors, and the Jacobi diagonal ``1/(1+λ)`` is the
+preconditioner.  When the pair covers every block (the paper's
+``groups=2`` OPT_+ output) ``Ĝ`` is that diagonal and the solve is
+``u = jacobi · E b``, with no iteration; otherwise PCG runs from zero,
+its iterates those of PCG with ``Eᵀ diag(1/(1+λ)) E`` on ``G`` mapped by
+``x = Eᵀu``, at one Kronecker mat-mat per block outside the pair plus
+one for ``E⁻¹ r̂`` per iteration (the stopping rule reads the residual
+of ``G x = b``).  The pair's off-diagonal terms in that basis are
+rounding, not zero, so each result is checked once against the true
+``G``.  A column that misses ``rtol·‖b‖`` gets one refinement round, the
+same solve on ``b − G x``; only a column that still misses is reported
+unconverged, for LSMR.  Whether a union solves exactly is this outcome,
+not a stored verdict.  The transformed factors are built on the first
+solve and held by the solver; they are never persisted.
 """
 
 from __future__ import annotations
@@ -285,54 +280,85 @@ def _two_term_factorization(
 
 #: Most block pairs factorized before the union Gram solver picks one
 #: (pairs are enumerated in descending combined Gram-trace order; each
-#: factorizable pair yields up to two candidates, scored by a probe solve).
+#: factorizable pair is scored by its other blocks' off-diagonal mass).
 _PRECOND_PAIR_ATTEMPTS = 8
 
 
-def _rest_diagonal(
-    Es: list[np.ndarray], rest: list[list[np.ndarray]]
-) -> np.ndarray:
-    """``Σ_l diag((⊗Eᵢ) (⊗K_{l,i}) (⊗Eᵢ)ᵀ) = Σ_l ⊗ᵢ diag(Eᵢ K_{l,i} Eᵢᵀ)``:
-    the other blocks' Grams seen in a pair's eigenbasis, diagonal part
-    only (one BLAS product and a row sum per factor; every entry is ≥ 0
-    since the Grams are PSD)."""
-    total = 0.0
+def _rest_in_basis(
+    Es: list[np.ndarray], lam: np.ndarray | float, rest: list[list[np.ndarray]]
+) -> tuple[np.ndarray, float]:
+    """Other blocks' Grams seen in a pair's eigenbasis, ``Fᵢ = Eᵢ K_{l,i} Eᵢᵀ``.
+
+    Returns ``λ`` corrected by their diagonal, ``λ + Σ_l ⊗ᵢ diag(Fᵢ)``
+    (every entry ≥ 0 since the Grams are PSD), and their off-diagonal
+    mass against that diagonal, ``Σ_l Σ_{j≠k} (⊗ᵢFᵢ)²_jk w_j w_k`` with
+    ``w = 1/(1+λ)``: the squared Frobenius distance from ``I`` of the
+    Jacobi-scaled Gram in that basis, up to the pair's rounding.  One
+    ``Eᵢ K_{l,i}`` product per factor serves both, and the mass costs one
+    Kronecker mat-vec per block, ``⊗ᵢ(Fᵢ∘Fᵢ)`` being the entrywise square
+    of ``⊗ᵢFᵢ``.
+    """
+    total, squares = 0.0, []
     for mats in rest:
-        diag = np.ones(1)
+        diag, Fs = np.ones(1), []
         for E, K in zip(Es, mats):
-            diag = np.kron(diag, ((E @ K) * E).sum(axis=1))
+            EK = E @ K
+            diag = np.kron(diag, (EK * E).sum(axis=1))
+            Fs.append(EK @ E.T)
         total = total + diag
-    return total
+        squares.append(Fs)
+    lam = lam + total
+    w = 1.0 / (1.0 + lam)
+    mass = 0.0
+    for Fs in squares:
+        diag = np.ones(1)
+        for F in Fs:
+            diag = np.kron(diag, np.diag(F))
+        full = w @ Kronecker([Dense(F * F) for F in Fs]).matvec(w)
+        mass += full - np.sum((diag * w) ** 2)
+    return lam, float(mass)
 
 
-def _assemble_gram_inverse(Es: list[np.ndarray], lam_full: np.ndarray) -> Matrix:
-    """``(⊗Eᵢ)ᵀ diag(1/(1+⊗λ)) (⊗Eᵢ)`` from its factor state."""
-    E = Kronecker([Dense(Ei) for Ei in Es])
-    return E.T @ Diagonal(1.0 / (1.0 + lam_full)) @ E
+@dataclass
+class Eigenbasis:
+    """A union's Gram seen in its solver pair's eigenbasis ``E = ⊗Eᵢ``.
+
+    ``gram`` is ``Ĝ = E G Eᵀ``: the pair's blocks as one
+    :class:`~repro.linalg.Diagonal`, ``⊗ᵢ diag(Eᵢ K_{a,i} Eᵢᵀ) +
+    ⊗ᵢ diag(Eᵢ K_{b,i} Eᵢᵀ)`` (their off-diagonal terms are rounding),
+    every other block whose factor shapes match as
+    ``Kronecker(Dense(Eᵢ K_{l,i} Eᵢᵀ))``, and any other block as
+    ``E G_l Eᵀ``; when the pair covers every block it is that
+    ``Diagonal`` alone.  ``jacobi`` is ``diag(1/(1+λ))`` for the solver's
+    ``λ``, ``basis`` is ``E`` and ``inverse`` is ``E⁻¹ = ⊗Eᵢ⁻¹``.
+    """
+
+    basis: Matrix
+    inverse: Matrix
+    gram: Matrix
+    jacobi: Diagonal
 
 
 @dataclass
 class UnionGramSolver:
-    """A union's Gram inverse or preconditioner, from one block pair.
+    """A union's Gram factorization, from one block pair.
 
-    ``inverse = (⊗Eᵢ)ᵀ diag(1/(1+lam)) (⊗Eᵢ)`` with ``Eᵢ = factors[i]``;
-    ``blocks`` names the factored pair (one index for a single-block
-    union); ``pivots`` are its base factors' relative Cholesky pivots,
-    each at least :data:`PIVOT_TOL`.  ``exact`` marks that the pair
-    covers every block *and* solved the probe in one PCG iteration:
-    callers then apply ``inverse`` directly, and run PCG with it
-    otherwise.
+    ``factors`` are the ``Eᵢ`` of the pair's eigenbasis ``E = ⊗Eᵢ`` and
+    ``lam`` its ``λ``, corrected by the other compatible blocks'
+    diagonals; ``blocks`` names the factored pair (one index for a
+    single-block union); ``pivots`` are its base factors' relative
+    Cholesky pivots, each at least :data:`PIVOT_TOL`.  ``eigenbasis`` is
+    the :class:`Eigenbasis` built from them on the first solve
+    (:func:`union_eigenbasis`); it is never persisted.
     """
 
     factors: list[np.ndarray]
     lam: np.ndarray
     blocks: tuple[int, ...]
-    exact: bool
     pivots: list[float]
-    inverse: Matrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.inverse = _assemble_gram_inverse(self.factors, self.lam)
+    eigenbasis: Eigenbasis | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def _candidate_pairs(mats: list) -> tuple[list[int], list[tuple[int, int | None]]]:
@@ -376,28 +402,19 @@ def union_gram_solver(A: Matrix) -> UnionGramSolver | None:
     ``G = Σ_l ⊗K_{l,i}`` has no closed factorization in general.  A pair
     of blocks (a, b) gives, by :func:`_two_term_factorization`,
     ``(G_a + G_b)⁻¹ = Eᵀ diag(1/(1+⊗λ)) E``; each other block whose
-    factor shapes match adds ``⊗ᵢ diag(Eᵢ K_{l,i} Eᵢᵀ)`` to the diagonal,
-    giving the corrected
-
-        M = Eᵀ diag(1 / (1 + ⊗λ + Σ_rest)) E,
-
-    which accounts for every block at the pair's cost per apply and is
-    exact when the other blocks are diagonal in the pair's basis — as
-    the Total-like blocks of ``opt_union`` fits nearly are.  The pairs
-    are :func:`_candidate_pairs`; each gives its corrected candidate
-    (when other blocks exist) then its pair-only one.  Every candidate is
-    scored by its PCG iteration count on one fixed probe ``b = Aᵀu``,
-    ``u ~ N(0, I)`` from ``default_rng(0)``, each probe capped at the
-    best count so far.  The fewest iterations win; ties keep the earlier
-    pair and, within a pair, the pair-only candidate.
+    factor shapes match adds ``⊗ᵢ diag(Eᵢ K_{l,i} Eᵢᵀ)`` to ``λ``, which
+    accounts for every block at the pair's cost per apply and is exact
+    when the other blocks are diagonal in the pair's basis — as the
+    Total-like blocks of ``opt_union`` fits nearly are.  The pairs are
+    :func:`_candidate_pairs`; each is scored by those blocks' off-diagonal
+    mass in its basis, entry ``(j, k)`` weighted by ``1/((1+λ_j)(1+λ_k))``
+    (:func:`_rest_in_basis`), 0 when there are none.  The lowest score
+    wins, ties keeping the earlier pair.
 
     Only factorizations whose base factors' relative Cholesky pivots all
     reach :data:`PIVOT_TOL` become candidates, so the pair's Gram is
-    positive definite.  The winner is ``exact`` when its pair covers
-    every block (one- and two-block unions, the paper's OPT_+ output) —
-    ``M`` is then ``G⁻¹`` — and it solved the probe in one iteration,
-    i.e. ``M b`` solved ``G x = b`` for a random ``b`` in ``range(AᵀA)``
-    at once.
+    positive definite, and so is ``G``: a union with a solver has full
+    column rank.
 
     Returns ``None`` when ``A`` is not a :class:`VStack` or no block
     pair of affordable Kronecker Grams factors — callers then run plain
@@ -417,84 +434,41 @@ def union_gram_solver(A: Matrix) -> UnionGramSolver | None:
 def _fit_union_gram_solver(A: VStack) -> UnionGramSolver | None:
     mats = [_kron_gram_factor_mats(block) for block in A.blocks]
     ranked, pairs = _candidate_pairs(mats)
-    if not pairs:
-        return None
-    G = A.gram()
-    u = np.random.default_rng(0).standard_normal(A.shape[0])
-    probe = A.rmatvec(u)[:, None]
-    # Candidates rank by (probe iterations, pair rank, pair-only before
-    # corrected).  The corrected candidate is probed first because it
-    # usually wins, which caps the pair-only probe at its count; the rank
-    # keeps ties on the pair-only one all the same.
-    best: tuple | None = None
-    for rank, (i, j) in enumerate(pairs):
+    best: tuple[float, UnionGramSolver] | None = None
+    for i, j in pairs:
         partner = [np.zeros_like(m) for m in mats[i]] if j is None else mats[j]
         factored = _two_term_factorization(mats[i], partner)
         if factored is None:
             continue
-        Es, lam_pair, pivots = factored
+        Es, lam, pivots = factored
         rest = [
             mats[l]
             for l in ranked
             if l not in (i, j) and _compatible(mats[i], mats[l])
         ]
-        lams = [lam_pair]
+        score = 0.0
         if rest:
-            lams.append(lam_pair + _rest_diagonal(Es, rest))
-        for corrected in reversed(range(len(lams))):
-            M = _assemble_gram_inverse(Es, lams[corrected])
-            cap = None if best is None or best[0][0] == np.inf else int(best[0][0])
-            result = cg_gram_solve(G, probe, maxiter=cap, preconditioner=M)
-            score = result.iterations[0] if result.converged[0] else np.inf
-            order = (score, rank, corrected)
-            if best is None or order < best[0]:
-                blocks = (i,) if j is None else (i, j)
-                best = (order, blocks, Es, lams[corrected], pivots)
-    if best is None:
-        return None
-    (score, _, _), blocks, Es, lam_full, pivots = best
-    exact = len(blocks) == len(A.blocks) and bool(score == 1)
-    return UnionGramSolver(Es, lam_full, blocks, exact, pivots)
-
-
-@dataclass
-class Eigenbasis:
-    """A union's Gram seen in its solver pair's eigenbasis ``E = ⊗Eᵢ``.
-
-    ``gram`` is ``Ĝ = E G Eᵀ``: the pair's blocks as one
-    :class:`~repro.linalg.Diagonal`, ``⊗ᵢ diag(Eᵢ K_{a,i} Eᵢᵀ) +
-    ⊗ᵢ diag(Eᵢ K_{b,i} Eᵢᵀ)`` (their off-diagonal terms are rounding),
-    every other block whose factor shapes match as
-    ``Kronecker(Dense(Eᵢ K_{l,i} Eᵢᵀ))``, and any other block as
-    ``E G_l Eᵀ``.  ``jacobi`` is ``diag(1/(1+λ))`` for the solver's ``λ``:
-    the preconditioner ``M = Eᵀ diag(1/(1+λ)) E`` written in this basis.
-    ``basis`` is ``E`` and ``inverse`` is ``E⁻¹ = ⊗Eᵢ⁻¹``.
-    """
-
-    basis: Matrix
-    inverse: Matrix
-    gram: Matrix
-    jacobi: Diagonal
+            lam, score = _rest_in_basis(Es, lam, rest)
+        if best is None or score < best[0]:
+            blocks = (i,) if j is None else (i, j)
+            best = (score, UnionGramSolver(Es, lam, blocks, pivots))
+    return None if best is None else best[1]
 
 
 def union_eigenbasis(A: Matrix) -> Eigenbasis | None:
     """The :class:`Eigenbasis` of ``A``'s :func:`union_gram_solver`.
 
-    Built on first use and memoized on ``A`` beside the solver it was
-    built from (a solver attached later, e.g. by
-    :func:`restore_gram_solver_state`, gets a new one).  It is derived
-    state: never persisted, and never built by a warm load or a registry
-    write.  ``None`` when ``A`` has no union Gram solver.
+    Built on first use and held by that solver (a solver attached later,
+    e.g. by :func:`restore_gram_solver_state`, builds its own).  It is
+    derived state: never persisted, and never built by a warm load or a
+    registry write.  ``None`` when ``A`` has no union Gram solver.
     """
     solver = union_gram_solver(A)
     if solver is None:
         return None
-    cached = A.cache_get("union_gram_eigenbasis")
-    if cached is not None and cached[0] is solver:
-        return cached[1]
-    eig = _build_eigenbasis(A, solver)
-    A.cache_set("union_gram_eigenbasis", (solver, eig))
-    return eig
+    if solver.eigenbasis is None:
+        solver.eigenbasis = _build_eigenbasis(A, solver)
+    return solver.eigenbasis
 
 
 def _build_eigenbasis(A: VStack, solver: UnionGramSolver) -> Eigenbasis:
@@ -502,7 +476,7 @@ def _build_eigenbasis(A: VStack, solver: UnionGramSolver) -> Eigenbasis:
     E = Kronecker([Dense(Ei) for Ei in Es])
     mats = [_kron_gram_factor_mats(block) for block in A.blocks]
     terms: list[Matrix] = [
-        Diagonal(_rest_diagonal(Es, [mats[l] for l in solver.blocks]))
+        Diagonal(_rest_in_basis(Es, 0.0, [mats[l] for l in solver.blocks])[0])
     ]
     for l, block in enumerate(A.blocks):
         if l in solver.blocks:
@@ -515,7 +489,7 @@ def _build_eigenbasis(A: VStack, solver: UnionGramSolver) -> Eigenbasis:
     return Eigenbasis(
         basis=E,
         inverse=Kronecker([Dense(np.linalg.inv(Ei)) for Ei in Es]),
-        gram=Sum(terms),
+        gram=Sum(terms) if len(terms) > 1 else terms[0],
         jacobi=Diagonal(1.0 / (1.0 + solver.lam)),
     )
 
@@ -525,9 +499,8 @@ def export_gram_solver_state(A: Matrix) -> dict | None:
 
     Runs the (memoized) solver build and returns
     ``{"factors": [E₁, ..., E_d], "lam": λ, "blocks": [a, b],
-    "exact": bool, "pivots": [p₁, ..., p_d]}`` as plain float64 arrays
-    and JSON scalars, so a
-    reloaded strategy never re-runs the factorizations or probe solves;
+    "pivots": [p₁, ..., p_d]}`` as plain float64 arrays and JSON
+    scalars, so a reloaded strategy never re-runs the factorizations;
     ``None`` when ``A`` has no union solver (not a union, or no block
     pair factors), which a reloaded strategy rediscovers on first use.
     """
@@ -538,7 +511,6 @@ def export_gram_solver_state(A: Matrix) -> dict | None:
         "factors": list(solver.factors),
         "lam": solver.lam,
         "blocks": [int(b) for b in solver.blocks],
-        "exact": bool(solver.exact),
         "pivots": [float(p) for p in solver.pivots],
     }
 
@@ -546,19 +518,20 @@ def export_gram_solver_state(A: Matrix) -> dict | None:
 def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
     """Attach a state from :func:`export_gram_solver_state` to ``A``.
 
-    Only that shape, with every pivot at least :data:`PIVOT_TOL`, is
-    restored: any other — ``None``, or one of the shapes older registry
-    entries carry (``{"factors", "lam"}`` without ``blocks``/``exact``,
-    ``precond_*`` keys, ``{"unavailable": True}``, or the pivot-less
+    Only a state with ``factors``, ``lam``, ``blocks`` and ``pivots``,
+    every pivot at least :data:`PIVOT_TOL`, is restored: any other —
+    ``None``, or one of the shapes older registry entries carry
+    (``{"factors", "lam"}`` without ``blocks``, ``precond_*`` keys,
+    ``{"unavailable": True}``, or the pivot-less
     ``{"factors", "lam", "blocks", "exact"}`` written before pivots were
     checked) — leaves ``A`` untouched, so its first solve rebuilds the
     solver and no state factored without the pivot check is trusted.
-    Extra keys, such as the ``recycle_*`` fields of old entries, are
-    ignored.
+    Extra keys, such as the ``exact`` verdict and the ``recycle_*``
+    fields of older entries, are ignored.
     """
     if not isinstance(A, VStack) or not isinstance(state, dict):
         return
-    if not {"factors", "lam", "blocks", "exact", "pivots"} <= state.keys():
+    if not {"factors", "lam", "blocks", "pivots"} <= state.keys():
         return
     if min(state["pivots"], default=0.0) < PIVOT_TOL:
         return
@@ -568,7 +541,6 @@ def restore_gram_solver_state(A: Matrix, state: dict | None) -> None:
             [np.asarray(E, dtype=np.float64) for E in state["factors"]],
             np.asarray(state["lam"], dtype=np.float64),
             tuple(int(b) for b in state["blocks"]),
-            bool(state["exact"]),
             [float(p) for p in state["pivots"]],
         ),
     )
@@ -606,7 +578,6 @@ def cg_gram_solve(
     B: np.ndarray,
     rtol: float = 1e-11,
     maxiter: int | None = None,
-    preconditioner: Matrix | None = None,
     basis: Eigenbasis | None = None,
 ) -> CGResult:
     """Solve ``G X = B`` for a batch of right-hand sides by (P)CG from zero.
@@ -623,25 +594,21 @@ def cg_gram_solve(
     rtol:
         Per-column stopping criterion ``‖G x - b‖₂ <= rtol · ‖b‖₂``.
     maxiter:
-        Iteration cap (default ``3 n``).
-    preconditioner:
-        Optional symmetric positive-definite approximation of ``G⁻¹``
-        applied once per iteration (e.g. the inverse of a
-        :func:`union_gram_solver` that is not exact).  Convergence is still
-        measured on the *unpreconditioned* residual, so tolerances and
-        the LSMR-fallback contract are unchanged.
+        Iteration cap (default ``3 n``), per round.
     basis:
-        Optional :func:`union_eigenbasis` of ``G`` (not combined with
-        ``preconditioner``).  The same PCG then runs on ``Ĝ u = E b``
-        with the Jacobi preconditioner ``jacobi``, which is the
-        solver's ``M`` in that basis, so its iterates are those of PCG
-        with ``M`` on ``G`` mapped by ``x = Eᵀu``; each iteration costs
-        ``Ĝ``'s products (one Kronecker mat-mat per block outside the
-        pair) plus ``E⁻¹ r̂`` for the stopping rule, which still reads
+        Optional :func:`union_eigenbasis` of ``G``.  The solve then runs
+        on ``Ĝ u = E b`` and maps back by ``x = Eᵀu``: when ``Ĝ`` is the
+        pair's diagonal alone (the pair covers every block) it is
+        ``u = jacobi · E b`` with 0 iterations, otherwise PCG with the
+        Jacobi preconditioner ``jacobi``, each iteration costing ``Ĝ``'s
+        products (one Kronecker mat-mat per block outside the pair) plus
+        ``E⁻¹ r̂`` for the stopping rule, which still reads
         ``‖G x - b‖₂ = ‖E⁻¹ r̂‖₂``.  ``Ĝ`` holds the pair's Gram as a
-        diagonal, exact only to rounding, so the result is checked once
-        against ``G`` itself: a column whose true residual misses
-        ``rtol · ‖b‖₂`` is reported unconverged, for LSMR.
+        diagonal, exact only to rounding, so every column is checked
+        once against ``G`` itself.  A column whose true residual misses
+        ``rtol · ‖b‖₂`` gets one refinement round, the same solve on
+        ``b − G x`` to the same bound, and is reported unconverged, for
+        LSMR, only if it misses again.
     """
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
@@ -649,14 +616,8 @@ def cg_gram_solve(
     n, T = B.shape
     if G.shape != (n, n):
         raise ValueError(f"Gram operator must be {n} x {n}, got {G.shape}")
-    M = preconditioner
-    if M is not None and M.shape != (n, n):
-        raise ValueError(f"preconditioner must be {n} x {n}, got {M.shape}")
-    if basis is not None:
-        if M is not None:
-            raise ValueError("pass a preconditioner or a basis, not both")
-        if basis.gram.shape != (n, n):
-            raise ValueError(f"basis must be {n} x {n}, got {basis.gram.shape}")
+    if basis is not None and basis.gram.shape != (n, n):
+        raise ValueError(f"basis must be {n} x {n}, got {basis.gram.shape}")
     rtol = validate_tolerance("rtol", rtol)
     maxiter = validate_maxiter(maxiter)
     if maxiter is None:
@@ -665,20 +626,21 @@ def cg_gram_solve(
     rs = _col_dots(B, B)
     thresh = rtol * np.sqrt(rs)
     if basis is None:
-        X, iterations, converged = _pcg(G, B, rs, thresh, maxiter, M, None)
+        X, iterations, converged = _pcg(G, B, rs, thresh, maxiter, None, None)
     else:
-        U, iterations, converged = _pcg(
-            basis.gram,
-            basis.basis.matmat(B),
-            rs,
-            thresh,
-            maxiter,
-            basis.jacobi,
-            basis.inverse,
-        )
-        X = basis.basis.rmatmat(U)
+        X, iterations = _eigenbasis_solve(basis, B, rs, thresh, maxiter)
         R = B - G.matmat(X)
-        converged &= np.sqrt(_col_dots(R, R)) <= thresh
+        rr = _col_dots(R, R)
+        converged = np.sqrt(rr) <= thresh
+        miss = np.flatnonzero(~converged)
+        if miss.size:
+            dX, more = _eigenbasis_solve(
+                basis, np.take(R, miss, axis=1), rr[miss], thresh[miss], maxiter
+            )
+            X[:, miss] += dX
+            iterations[miss] += more
+            R = np.take(B, miss, axis=1) - G.matmat(np.take(X, miss, axis=1))
+            converged[miss] = np.sqrt(_col_dots(R, R)) <= thresh[miss]
 
     if _METRICS.enabled:
         _METRICS.counter("solver.cg_solves_total").inc()
@@ -687,6 +649,27 @@ def cg_gram_solve(
         if stalled:
             _METRICS.counter("solver.cg_unconverged_columns_total").inc(stalled)
     return CGResult(X, iterations, converged)
+
+
+def _eigenbasis_solve(
+    basis: Eigenbasis,
+    B: np.ndarray,
+    rs: np.ndarray,
+    thresh: np.ndarray,
+    maxiter: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One solve of ``G X = B`` in ``basis``, from zero: ``X = Eᵀ U`` for
+    ``U = jacobi · E B`` when ``Ĝ`` is diagonal, else for PCG's ``U``.
+    Returns ``(X, iterations)``; whether ``X`` converged is for the
+    caller to check against the true ``G``."""
+    EB = basis.basis.matmat(B)
+    if isinstance(basis.gram, Diagonal):
+        U, iterations = basis.jacobi.matmat(EB), np.zeros(B.shape[1], dtype=np.intp)
+    else:
+        U, iterations, _ = _pcg(
+            basis.gram, EB, rs, thresh, maxiter, basis.jacobi, basis.inverse
+        )
+    return basis.basis.rmatmat(U), iterations
 
 
 def _pcg(

@@ -37,8 +37,8 @@ and weighted/negated combinations thereof):
   certificate that lets the engine skip the per-query span projection
   entirely: a strategy containing a scaled identity block (every
   p-Identity product, every marginals strategy with a positive
-  full-contingency weight) spans *every* query, so membership needs no
-  linear algebra at all.
+  full-contingency weight) or a union with a union Gram solver spans
+  *every* query, so membership needs no linear algebra at all.
 
 Tables are float64, built lazily on first eligible hit, invalidated with
 their reconstruction, and persisted through
@@ -61,6 +61,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
+from ..core.solvers import union_gram_solver
 from ..linalg import (
     AllRange,
     Dense,
@@ -384,7 +385,11 @@ def _full_column_rank(A: Matrix) -> bool:
     if isinstance(A, Kronecker):
         return all(_full_column_rank(f) for f in A.factors)
     if isinstance(A, VStack):
-        if any(_full_column_rank(b) for b in A.blocks):
+        # A union Gram solver exists only when its pair's Gram is
+        # positive definite, and then so is AᵀA.
+        if any(_full_column_rank(b) for b in A.blocks) or (
+            union_gram_solver(A) is not None
+        ):
             return True
     from ..linalg.marginals import MarginalsStrategy
     if isinstance(A, MarginalsStrategy):

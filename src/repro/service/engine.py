@@ -168,35 +168,30 @@ def in_measured_span(A: Matrix, q: Matrix | np.ndarray, tol: float = SPAN_TOL) -
 
     Queries in ``rowspace(A)`` are exactly those the least-squares
     reconstruction answers with bounded, data-independent error — the
-    queries a cached x̂ can serve for free.  The membership test projects
-    ``qᵀ`` through ``A⁺A = (AᵀA)⁺(AᵀA)`` using the strategy's own
-    structured machinery (structured pseudo-inverse, a union Gram solver
-    the probe showed exact, or batched CG — which converges to the
+    queries a cached x̂ can serve for free.  A union with a union Gram
+    solver spans everything: the solver's pair has a positive-definite
+    Gram (:data:`~repro.core.solvers.PIVOT_TOL`), so ``AᵀA`` is too.
+    Otherwise the test projects ``qᵀ`` through ``A⁺A = (AᵀA)⁺(AᵀA)``
+    using the strategy's own structured machinery (structured
+    pseudo-inverse, or batched CG — which converges to the
     pseudo-inverse solve because Krylov iterates stay in
-    ``range(AᵀA)``), and accepts
-    when the projection residual is below ``tol`` relative to the query
-    norm.  Full-row-rank strategies (anything containing a scaled
-    identity, e.g. every p-Identity product) span everything.
+    ``range(AᵀA)``), and accepts when the projection residual is below
+    ``tol`` relative to the query norm.  Full-row-rank strategies
+    (anything containing a scaled identity, e.g. every p-Identity
+    product) span everything.
     """
     Q = _as_query_matrix(q)
     if Q.shape[1] != A.shape[1]:
         return False
+    if union_gram_solver(A) is not None:
+        return True
     Qt = np.ascontiguousarray(Q.dense().T)  # n x k
     if resolves_to_pinv(A, "auto"):
         proj = A.pinv().matmat(A.matmat(Qt))
     else:
-        B = A.gram().matmat(Qt)
-        solver = union_gram_solver(A)
-        if solver is not None and solver.exact:
-            proj = solver.inverse.matmat(B)
-        else:
-            # Plain CG: its iterates stay in range(AᵀA), so it converges
-            # to the pseudo-inverse projection even on a singular Gram.
-            # Preconditioned by the union solver it would converge to
-            # the M-norm-minimal solution instead, off the projection
-            # by a null-space part whenever a rank-deficient union
-            # still factors.
-            proj = cg_gram_solve(A.gram(), B).x
+        # Plain CG: its iterates stay in range(AᵀA), so it converges to
+        # the pseudo-inverse projection even on a singular Gram.
+        proj = cg_gram_solve(A.gram(), A.gram().matmat(Qt)).x
     scale = np.maximum(np.abs(Qt).sum(axis=0), 1.0)
     return bool(np.max(np.abs(proj - Qt).max(axis=0) / scale) <= tol)
 
@@ -711,7 +706,8 @@ class QueryService:
 
         Span membership is established as cheaply as possible: the
         structural full-rank certificate
-        (:func:`~repro.service.accelerator.strategy_spans_everything`)
+        (:func:`~repro.service.accelerator.strategy_spans_everything`,
+        which accepts every union with a union Gram solver)
         first — a certified strategy spans every query, no algebra at
         all — then, for queries carrying a compile-time ``fingerprint``,
         a per-(strategy, fingerprint) memo of the projection verdict.

@@ -16,11 +16,10 @@ The npz carries the strategy's :mod:`structural config
 <repro.linalg.serialize>` (JSON string under ``__config__``, ndarrays
 split out by :func:`~repro.linalg.flatten_arrays`) *and*, for a union, the
 state of its Gram solver
-(:func:`~repro.core.solvers.export_gram_solver_state`: the block pair's
-factors, diagonal and relative Cholesky pivots, and whether the probe
-showed it exact) — so a
-loaded strategy answers its first query without re-running the
-per-factor Cholesky/eigendecomposition setup or the probe solves.
+(:func:`~repro.core.solvers.export_gram_solver_state`: the block pair,
+its factors, diagonal and relative Cholesky pivots) — so a loaded
+strategy answers its first query without re-running the per-factor
+Cholesky/eigendecomposition setup or the pair choice.
 Solver states of older entries in other shapes are ignored on load; the
 strategy re-factors on first use.  All payloads are float64-exact: a
 reloaded strategy is bit-identical to the fitted one.

@@ -459,7 +459,7 @@ class TestRitzPersistence:
         loaded = reg.load(key).strategy
         saved = A_strat.cache_get("union_gram_solver")
         got = loaded.cache_get("union_gram_solver")
-        assert got.blocks == saved.blocks and got.exact == saved.exact
+        assert got.blocks == saved.blocks and got.pivots == saved.pivots
         assert np.array_equal(got.lam, saved.lam)
         for E_got, E_saved in zip(got.factors, saved.factors):
             assert np.array_equal(E_got, E_saved)

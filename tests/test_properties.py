@@ -39,9 +39,7 @@ from repro.core.reconstruct import least_squares
 from repro.core import reconstruct, solvers
 from repro.core.solvers import (
     PIVOT_TOL,
-    _assemble_gram_inverse,
     _kron_gram_factor_mats,
-    _two_term_factorization,
     cg_gram_solve,
     union_eigenbasis,
     union_gram_solver,
@@ -49,7 +47,11 @@ from repro.core.solvers import (
 from repro.obs.spend import replay, report_from_accountant
 from repro.optimize import PIdentity, pidentity_loss_and_grad, spawn_seeds
 from repro.privacy import ApproxDPPolicy, PureEpsilonPolicy, ZCDPPolicy
-from repro.service import BudgetExceededError, PrivacyAccountant
+from repro.service import (
+    BudgetExceededError,
+    PrivacyAccountant,
+    strategy_spans_everything,
+)
 
 settings.register_profile("repro", deadline=None, max_examples=25)
 settings.load_profile("repro")
@@ -423,50 +425,67 @@ def _cg_capped_union():
     return VStack([Weighted(Kronecker(factors), 0.9512169747803817)]), True
 
 
-def _first_pair_only(A):
-    """The pair-only inverse of the first candidate pair: a lone block
-    with a zero Gram, blocks (0, 1) of two, else the top-trace pair,
-    higher trace first (the base order of the factorization moves the
-    probe count by rounding on ill-conditioned unions, so it must match
-    the first candidate's)."""
-    mats = [_kron_gram_factor_mats(b) for b in A.blocks]
-    if len(mats) == 1:
-        return _two_term_factorization(mats[0], [np.zeros_like(m) for m in mats[0]])
-    if len(mats) == 2:
-        return _two_term_factorization(mats[0], mats[1])
+def _first_pair(A):
+    """The first candidate pair: a lone block, blocks (0, 1) of two,
+    else the two top-trace blocks."""
+    if len(A.blocks) <= 2:
+        return tuple(range(len(A.blocks)))
     traces = [np.trace(b.gram().dense()) for b in A.blocks]
-    a, b = np.argsort(-np.asarray(traces), kind="stable")[:2]
-    return _two_term_factorization(mats[a], mats[b])
+    return tuple(np.argsort(-np.asarray(traces), kind="stable")[:2])
+
+
+def _dense_score(A, solver, pair):
+    """A pair's score from dense matrices, in ``solver``'s basis when
+    ``pair`` is its own, else in ``pair``'s two-term basis: the other
+    blocks' squared off-diagonal entries in that basis, entry ``(j, k)``
+    over ``d_j d_k`` for ``d = diag(E G Eᵀ)``, i.e. ``1+λ`` for the
+    corrected ``λ``."""
+    if tuple(pair) != tuple(solver.blocks):
+        mats = [_kron_gram_factor_mats(b) for b in A.blocks]
+        partner = (
+            [np.zeros_like(m) for m in mats[pair[0]]]
+            if len(pair) == 1
+            else mats[pair[1]]
+        )
+        Es = solvers._two_term_factorization(mats[pair[0]], partner)[0]
+    else:
+        Es = solver.factors
+    E = explicit_kron(Es)
+    d = np.diag(E @ A.gram().dense() @ E.T)
+    mass = 0.0
+    for l, block in enumerate(A.blocks):
+        if l not in pair:
+            F = E @ block.gram().dense() @ E.T
+            mass += np.sum((F - np.diag(np.diag(F))) ** 2 / np.outer(d, d))
+    return mass
 
 
 class TestUnionPreconditionerProperties:
-    """The union Gram solver is chosen by a probe solve: it never probes
-    slower than the first pair's factorization alone, and every solve —
-    direct or PCG, rank-deficient unions included — returns the
-    pseudo-inverse's x̂."""
+    """The union Gram solver keeps the candidate pair whose other blocks
+    carry the least Jacobi-scaled off-diagonal mass in its eigenbasis
+    (never more than the first pair's); its eigenbasis solve converges, with no iteration
+    when the pair covers every block; and every solve — rank-deficient
+    unions included — returns the pseudo-inverse's x̂."""
 
     @settings(max_examples=20)
     @given(kron_unions())
     @example(_lsmr_capped_union())
     @example(_cg_capped_union())
-    def test_chosen_probes_no_slower_than_pair_only(self, union):
+    def test_chosen_pair_scores_lowest_and_solves(self, union):
         A, deficient = union
         solver = union_gram_solver(A)
         if not deficient:
             assert solver is not None
-            G = A.gram()
+            chosen = _dense_score(A, solver, solver.blocks)
+            first = _dense_score(A, solver, _first_pair(A))
+            assert chosen <= first + 1e-10 * max(first, 1e-6)
             probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
-            chosen = cg_gram_solve(G, probe[:, None], preconditioner=solver.inverse)
-            pair = cg_gram_solve(
-                G,
-                probe[:, None],
-                preconditioner=_assemble_gram_inverse(*_first_pair_only(A)[:2]),
+            result = cg_gram_solve(
+                A.gram(), probe[:, None], basis=union_eigenbasis(A)
             )
-            assert chosen.converged.all()
-            assert not pair.converged.all() or (
-                chosen.iterations[0] <= pair.iterations[0]
-            )
-            assert solver.exact == (len(A.blocks) <= 2 and chosen.iterations[0] == 1)
+            assert result.converged.all()
+            if len(A.blocks) <= 2:
+                assert result.iterations[0] == 0
 
         Ad = A.dense()
         Y = np.random.default_rng(1).standard_normal((A.shape[0], 2))
@@ -532,6 +551,23 @@ def _eigenbasis_union():
     return VStack(blocks + [Dense(r.random((3, 12)))])
 
 
+def _near_pivot_union():
+    """An :func:`eigenbasis_unions`-shaped union whose factored pair
+    (blocks 0 and 1) has a base-factor pivot of 1.2e-7, near
+    ``PIVOT_TOL``: a ``Dense`` factor whose last column is its first plus
+    a 3e-4 perturbation.  Its first eigenbasis solve misses the
+    true-Gram bound on every column."""
+    r = np.random.default_rng(1)
+    blocks = [
+        Weighted(Kronecker([PIdentity(r.random((2, k))) for k in (3, 4)]), w)
+        for w in (1.0, 0.6, 0.3)
+    ]
+    F = r.standard_normal((4, 3))
+    F[:, -1] = F[:, 0] + 3e-4 * r.standard_normal(4)
+    blocks[0] = Weighted(Kronecker([Dense(F), blocks[0].base.factors[1]]), 1.0)
+    return VStack(blocks + [Dense(r.random((3, 12)))])
+
+
 class TestEigenbasisSolve:
     """PCG in the factored pair's eigenbasis: every column it reports
     converged meets the residual bound on the true Gram, x̂ is ``A⁺y``,
@@ -541,7 +577,7 @@ class TestEigenbasisSolve:
     @given(eigenbasis_unions())
     def test_converged_columns_meet_the_true_gram_residual(self, A):
         solver = union_gram_solver(A)
-        assert solver is not None and not solver.exact
+        assert solver is not None and len(solver.blocks) < len(A.blocks)
         assert min(solver.pivots) >= PIVOT_TOL
         Y = np.random.default_rng(2).standard_normal((A.shape[0], 3))
         B = A.rmatmat(Y)
@@ -590,12 +626,62 @@ class TestEigenbasisSolve:
         assert np.max(np.abs(X - X_ref)) <= 1e-8 * np.abs(X_ref).max()
 
 
+    def test_a_near_pivot_pair_refines_instead_of_falling_back_to_lsmr(
+        self, monkeypatch
+    ):
+        A = _near_pivot_union()
+        solver = union_gram_solver(A)
+        assert solver.blocks == (0, 1) and min(solver.pivots) < 1e-6
+        solve = solvers._eigenbasis_solve
+        rounds = []
+
+        def count(basis, B, *args):
+            rounds.append(B.shape[1])
+            return solve(basis, B, *args)
+
+        lsmr_columns = reconstruct._lsmr_columns
+        fallback = []
+
+        def spy(A, Y, X, columns, *args):
+            fallback.extend(columns)
+            return lsmr_columns(A, Y, X, columns, *args)
+
+        monkeypatch.setattr(solvers, "_eigenbasis_solve", count)
+        monkeypatch.setattr(reconstruct, "_lsmr_columns", spy)
+        Y = np.random.default_rng(4).standard_normal((A.shape[0], 4))
+        X = least_squares(A, Y)
+        assert rounds == [4, 4]  # every column refined once
+        assert fallback == []
+        X_ref = np.linalg.pinv(A.dense()) @ Y
+        assert np.max(np.abs(X - X_ref)) <= 1e-8 * np.abs(X_ref).max()
+
+
+class TestUnionSpanCertificate:
+    """A union with a union Gram solver has full column rank: its pair's
+    Gram is positive definite (every pivot clears ``PIVOT_TOL``), so the
+    union's is too, and the serving span certificate accepts it."""
+
+    @staticmethod
+    def _check(A):
+        if union_gram_solver(A) is not None:
+            assert np.linalg.matrix_rank(A.dense()) == A.shape[1]
+            assert strategy_spans_everything(A)
+
+    @given(kron_unions())
+    def test_kron_unions_with_a_solver_span_everything(self, union):
+        self._check(union[0])
+
+    @given(eigenbasis_unions())
+    def test_eigenbasis_unions_with_a_solver_span_everything(self, A):
+        self._check(A)
+
+
 @st.composite
 def served_strategies(draw):
     """A strategy on at most 64 cells from each class ``run_batch`` solves
     differently: a p-Identity and a Kronecker product of p-Identities
-    (structured pseudo-inverses), a 2-block union (exact two-term Gram
-    inverse) and a 3-block union (preconditioned CG)."""
+    (structured pseudo-inverses), a 2-block union (the two-term Gram
+    inverse's direct apply) and a 3-block union (eigenbasis PCG)."""
     kind = draw(st.sampled_from(["pidentity", "kron", "union2", "union3"]))
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 

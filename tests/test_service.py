@@ -11,6 +11,7 @@ import pytest
 
 from repro import workload
 from repro.core import HDMM
+from repro.core.solvers import cg_gram_solve, union_eigenbasis, union_gram_solver
 from repro.domain import Domain
 from repro.linalg import (
     Identity,
@@ -122,7 +123,7 @@ class TestRegistry:
     def test_loaded_strategy_is_serve_ready(
         self, tmp_path, union_workload, fitted_union
     ):
-        """The union Gram solver must be attached on load, exact as it
+        """The union Gram solver must be attached on load, solving as it
         was fitted — no re-factorization before the first solve."""
         reg = StrategyRegistry(tmp_path / "reg")
         key = reg.put(union_workload, fitted_union.strategy)
@@ -130,10 +131,12 @@ class TestRegistry:
         assert rec.meta["solver_state"]
         solver = rec.strategy.cache_get("union_gram_solver")
         assert solver is not None and not isinstance(solver, str)
-        assert solver.exact
-        G = rec.strategy.gram().dense()
+        assert union_gram_solver(rec.strategy) is solver
+        G = rec.strategy.gram()
         n = rec.strategy.shape[1]
-        assert np.allclose(solver.inverse.dense() @ G, np.eye(n), atol=1e-8)
+        result = cg_gram_solve(G, np.eye(n), basis=union_eigenbasis(rec.strategy))
+        assert (result.iterations == 0).all() and result.converged.all()
+        assert np.allclose(result.x @ G.dense(), np.eye(n), atol=1e-8)
 
     def test_get_miss_returns_none(self, tmp_path):
         reg = StrategyRegistry(tmp_path / "reg")

@@ -12,7 +12,6 @@ from repro.core.reconstruct import (
     answer_workload,
     has_structured_pinv,
     least_squares,
-    resolves_to_direct,
     resolves_to_pinv,
 )
 from repro.core import solvers
@@ -22,6 +21,7 @@ from repro.core.solvers import (
     cg_gram_solve,
     export_gram_solver_state,
     restore_gram_solver_state,
+    union_eigenbasis,
     union_gram_solver,
     validate_maxiter,
     validate_tolerance,
@@ -213,37 +213,44 @@ class TestSolverAgreement:
             assert np.abs(full.x[:, j] - ref[:, j]).max() <= 1e-8 * scale
 
 
+def _solve_gram_inverse(A):
+    """``G⁻¹`` by the union's eigenbasis solve of ``G X = I``."""
+    return cg_gram_solve(A.gram(), np.eye(A.shape[1]), basis=union_eigenbasis(A))
+
+
 class TestUnionGramInverse:
-    """One- and two-block unions: the probe shows the pair factorization
-    exact, and it is applied directly as the Gram inverse."""
+    """One- and two-block unions: the pair covers every block, so the
+    eigenbasis solve is the Gram inverse's direct apply, with no
+    iteration, and passes the true-Gram check."""
 
     def test_two_block_inverse_is_exact(self, rng):
         A = _union_strategy(rng)
         solver = union_gram_solver(A)
-        assert solver is not None and solver.exact
-        assert solver.blocks == (0, 1)
+        assert solver is not None and solver.blocks == (0, 1)
+        result = _solve_gram_inverse(A)
+        assert (result.iterations == 0).all() and result.converged.all()
         G = A.gram().dense()
-        assert np.allclose(solver.inverse.dense() @ G, np.eye(A.shape[1]), atol=1e-8)
-        assert resolves_to_direct(A)
+        assert np.allclose(result.x @ G, np.eye(A.shape[1]), atol=1e-8)
 
     def test_single_block_inverse(self, rng):
         A = VStack([Weighted(Kronecker([PIdentity(rng.random((2, 4))),
                                         PIdentity(rng.random((2, 3)))]), 1.0)])
         solver = union_gram_solver(A)
-        assert solver is not None and solver.exact and solver.blocks == (0,)
-        assert np.allclose(
-            solver.inverse.dense() @ A.gram().dense(), np.eye(12), atol=1e-8
-        )
+        assert solver is not None and solver.blocks == (0,)
+        result = _solve_gram_inverse(A)
+        assert (result.iterations == 0).all() and result.converged.all()
+        assert np.allclose(result.x @ A.gram().dense(), np.eye(12), atol=1e-8)
 
     def test_unavailable_for_three_blocks(self, rng):
-        """A pair cannot cover three blocks: never applied as exact."""
+        """A pair cannot cover three blocks: its solve iterates."""
         blocks = [
             Weighted(Kronecker([PIdentity(rng.random((1, 4))), Identity(3)]), 0.3)
             for _ in range(3)
         ]
         A = VStack(blocks)
-        assert not union_gram_solver(A).exact
-        assert not resolves_to_direct(A)
+        assert len(union_gram_solver(A).blocks) == 2
+        result = _solve_gram_inverse(A)
+        assert (result.iterations > 0).all() and result.converged.all()
 
     def test_unavailable_for_non_vstack(self, rng):
         assert union_gram_solver(PIdentity(rng.random((2, 5)))) is None
@@ -278,8 +285,8 @@ def _one_block_deficient(seed):
 
 class TestRankDeficientUnion:
     """A factorization that passes Cholesky with a rounding-level pivot is
-    rejected by the pivot check: it is neither applied as exact nor used
-    to precondition CG, whose iterates then stay in ``range(AᵀA)``."""
+    rejected by the pivot check: it gives no union solver, and plain
+    CG's iterates stay in ``range(AᵀA)``."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_answers_match_pinv_on_the_strategy_rows(self, seed):
@@ -311,7 +318,6 @@ class TestRankDeficientUnion:
         assert (np.diag(C) ** 2 / np.diag(K)).min() < solvers.PIVOT_TOL
         assert _two_term_factorization(mats[0], mats[1]) is None
         assert union_gram_solver(A) is None
-        assert not resolves_to_direct(A)
 
     @pytest.mark.parametrize("seed", [11, 15, 31, 32, 34, 36])
     def test_rounding_pivot_block_solves_as_pinv(self, seed):
@@ -322,7 +328,7 @@ class TestRankDeficientUnion:
         ref = np.linalg.pinv(A.dense()) @ y
         assert np.abs(least_squares(A, y) - ref).max() <= 1e-8 * np.abs(ref).max()
         assert in_measured_span(A, A.dense()[:2])
-        assert not resolves_to_direct(A)
+        assert union_gram_solver(A) is None
 
     def test_healthy_fixture_pivots_clear_the_threshold(self, rng):
         for A in (
@@ -360,7 +366,7 @@ def _precond_inverse_parts(A, solver):
 
 
 class TestMultiblockGramSolver:
-    """Probe-chosen preconditioned block-CG for L ≥ 3 unions."""
+    """Score-chosen eigenbasis PCG for L ≥ 3 unions."""
 
     @pytest.mark.parametrize("L", [3, 4, 5])
     def test_union_solve_matches_dense_pinv(self, rng, L):
@@ -375,21 +381,21 @@ class TestMultiblockGramSolver:
     def test_preconditioner_inverts_pair_plus_rest(self, rng, L):
         """The stored state is ``M = Eᵀ diag(1/(1+⊗λ+Σ_rest)) E``: its
         inverse is the pair's Gram plus the other blocks' diagonal in the
-        pair's basis, rebuilt here from dense Grams.  On these unions the
-        corrected candidate solves the probe fastest."""
+        pair's basis, rebuilt here from dense Grams."""
         A = _multiblock_strategy(rng, L)
         solver = union_gram_solver(A)
-        assert solver is not None and not solver.exact
+        assert solver is not None and len(solver.blocks) < len(A.blocks)
         M_inv, lam_pair, sigma = _precond_inverse_parts(A, solver)
         assert np.any(sigma > 1e-3)
         assert np.allclose(solver.lam, lam_pair + sigma, rtol=1e-10, atol=1e-10)
-        assert np.allclose(
-            solver.inverse.dense() @ M_inv(sigma), np.eye(A.shape[1]), atol=1e-8
-        )
+        E = _kron_dense(solver.factors)
+        M = E.T @ np.diag(1.0 / (1.0 + solver.lam)) @ E
+        assert np.allclose(M @ M_inv(sigma), np.eye(A.shape[1]), atol=1e-8)
 
-    def test_preconditioner_keeps_pair_only_when_it_probes_faster(self):
-        """On mixed-scale blocks the rest-of-union diagonal can slow PCG
-        down; the probe then keeps the pair's exact inverse alone."""
+    def test_mixed_scale_blocks_keep_corrected_lambda(self):
+        """The rest-of-union diagonal is always added to ``λ``, also on
+        mixed-scale blocks where it slows PCG down, and the solve still
+        returns the pseudo-inverse's x̂."""
         r = np.random.default_rng(100)
         A = VStack(
             [
@@ -406,49 +412,32 @@ class TestMultiblockGramSolver:
             ]
         )
         solver = union_gram_solver(A)
-        M = solver.inverse
-        M_inv, lam_pair, sigma = _precond_inverse_parts(A, solver)
-        assert np.allclose(solver.lam, lam_pair, rtol=1e-10, atol=1e-10)
-        assert np.allclose(
-            M.dense() @ M_inv(np.zeros_like(sigma)), np.eye(A.shape[1]), atol=1e-8
-        )
-        # The corrected candidate for the same pair probes no faster.
-        probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
-        E = _kron_dense(solver.factors)
-        corrected = Dense(E.T @ np.diag(1.0 / (1.0 + lam_pair + sigma)) @ E)
-        G = A.gram()
-        kept = cg_gram_solve(G, probe[:, None], preconditioner=M)
-        other = cg_gram_solve(G, probe[:, None], preconditioner=corrected)
-        assert kept.converged.all() and other.converged.all()
-        assert kept.iterations[0] < other.iterations[0]
-
-    def test_preconditioner_tie_keeps_pair_only(self, rng):
-        """A third block too light to change the probe count ties the
-        two candidates of the top pair; the earlier one, pair-only, wins."""
-        A = VStack(
-            [
-                Weighted(
-                    Kronecker(
-                        [PIdentity(rng.random((2, 6))), PIdentity(rng.random((2, 5)))]
-                    ),
-                    w,
-                )
-                for w in (1.0, 1.0, 0.01)
-            ]
-        )
-        solver = union_gram_solver(A)
-        M = solver.inverse
-        assert solver.blocks == (0, 1)
         _, lam_pair, sigma = _precond_inverse_parts(A, solver)
-        E = _kron_dense(solver.factors)
-        corrected = Dense(E.T @ np.diag(1.0 / (1.0 + lam_pair + sigma)) @ E)
-        probe = A.rmatvec(np.random.default_rng(0).standard_normal(A.shape[0]))
-        G = A.gram()
-        kept = cg_gram_solve(G, probe[:, None], preconditioner=M)
-        other = cg_gram_solve(G, probe[:, None], preconditioner=corrected)
-        assert kept.iterations[0] == other.iterations[0]
         assert sigma.max() > 1e-4
-        assert np.allclose(solver.lam, lam_pair, rtol=0, atol=1e-10)
+        assert np.allclose(solver.lam, lam_pair + sigma, rtol=1e-10, atol=1e-10)
+        Y = r.standard_normal((A.shape[0], 3))
+        X_ref = np.linalg.pinv(A.dense()) @ Y
+        scale = max(1.0, np.abs(X_ref).max())
+        assert np.max(np.abs(least_squares(A, Y) - X_ref)) / scale <= 1e-8
+
+    def test_score_tie_keeps_the_earlier_pair(self, rng):
+        """Three copies of one block give every candidate pair the same
+        factorization and score; the earlier pair, (0, 1), wins."""
+        block = Weighted(
+            Kronecker([PIdentity(rng.random((2, 6))), PIdentity(rng.random((2, 5)))]),
+            1.0,
+        )
+        A = VStack([block, block, block])
+        mats = [_kron_gram_factor_mats(b) for b in A.blocks]
+        scores = {
+            pair: solvers._rest_in_basis(
+                *_two_term_factorization(mats[pair[0]], mats[pair[1]])[:2],
+                [mats[l] for l in range(3) if l not in pair],
+            )[1]
+            for pair in ((0, 1), (0, 2), (1, 2))
+        }
+        assert len(set(scores.values())) == 1
+        assert union_gram_solver(A).blocks == (0, 1)
 
     def test_legacy_pair_only_state_restores_and_solves(self, rng):
         """A state exported with a pair-only ``precond_lam`` (the format
@@ -474,9 +463,12 @@ class TestMultiblockGramSolver:
         assert np.max(np.abs(X - X_ref)) / scale <= 1e-8
 
     def test_preconditioner_unavailable_below_three_blocks(self, rng):
-        """Below three blocks the probe shows the solver exact, so it is
-        applied directly and never preconditions CG."""
-        assert union_gram_solver(_union_strategy(rng)).exact
+        """Below three blocks the pair covers every block, so the solve
+        is the direct apply and never runs PCG."""
+        A = _union_strategy(rng)
+        B = A.rmatmat(rng.standard_normal((A.shape[0], 3)))
+        result = cg_gram_solve(A.gram(), B, basis=union_eigenbasis(A))
+        assert (result.iterations == 0).all() and result.converged.all()
         assert union_gram_solver(PIdentity(rng.random((2, 5)))) is None
 
     def test_preconditioner_cached_on_instance(self, rng):
@@ -516,7 +508,7 @@ class TestMultiblockGramSolver:
         G = A.gram()
         B = A.rmatmat(rng.standard_normal((A.shape[0], 8)))
         plain = cg_gram_solve(G, B)
-        pre = cg_gram_solve(G, B, preconditioner=union_gram_solver(A).inverse)
+        pre = cg_gram_solve(G, B, basis=union_eigenbasis(A))
         assert plain.converged.all() and pre.converged.all()
         assert pre.iterations.sum() < plain.iterations.sum()
 
@@ -534,7 +526,7 @@ class TestMultiblockGramSolver:
         mech.workload = W
         mech.strategy = _multiblock_strategy(np.random.default_rng(7), 4, d1=6, d2=6)
         batch = mech.run_batch(x, eps, trials=trials, rng=13, exact=True)
-        assert not union_gram_solver(mech.strategy).exact
+        assert len(union_gram_solver(mech.strategy).blocks) < 4
         seeds = spawn_seeds(13, T)
         loop = np.stack(
             [mech.run(x, eps[j // trials], rng=seeds[j]) for j in range(T)]
@@ -544,17 +536,18 @@ class TestMultiblockGramSolver:
     def test_export_restore_precond_state(self, rng):
         A = _multiblock_strategy(rng, 4)
         state = export_gram_solver_state(A)
-        assert set(state) == {"factors", "lam", "blocks", "exact", "pivots"}
-        assert state["exact"] is False and len(state["blocks"]) == 2
+        assert set(state) == {"factors", "lam", "blocks", "pivots"}
+        assert len(state["blocks"]) == 2
         fresh = np.random.default_rng(12345)
         A2 = _multiblock_strategy(fresh, 4)  # same arrays, fresh caches
         restore_gram_solver_state(A2, state)
         restored = A2.cache_get("union_gram_solver")
         assert restored is not None and not isinstance(restored, str)
-        assert restored.blocks == union_gram_solver(A).blocks
-        assert np.array_equal(
-            restored.inverse.dense(), union_gram_solver(A).inverse.dense()
-        )
+        saved = union_gram_solver(A)
+        assert restored.blocks == saved.blocks and restored.pivots == saved.pivots
+        assert np.array_equal(restored.lam, saved.lam)
+        for E_got, E_saved in zip(restored.factors, saved.factors):
+            assert np.array_equal(E_got, E_saved)
 
     def test_legacy_unavailable_state_does_not_disable_precond(self, rng):
         """Registry entries persisted before the preconditioner existed
@@ -583,8 +576,9 @@ class TestMultiblockGramSolver:
         A = _union_strategy(rng)
         G = A.gram()
         B = A.rmatmat(rng.standard_normal((A.shape[0], 2)))
-        with pytest.raises(ValueError, match="preconditioner"):
-            cg_gram_solve(G, B, preconditioner=Identity(G.shape[0] + 1))
+        other = _multiblock_strategy(rng, 2, d1=7)
+        with pytest.raises(ValueError, match="basis"):
+            cg_gram_solve(G, B, basis=union_eigenbasis(other))
 
 
 def _legacy_state(A, shape):
@@ -660,7 +654,7 @@ class TestLegacySolverStates:
         state = _legacy_state(A, "two_term")
         monkeypatch.undo()
         restore_gram_solver_state(A, state)
-        assert not resolves_to_direct(A)
+        assert A.cache_get("union_gram_solver") is None
         Ad = A.dense()
         Y = np.random.default_rng(3).standard_normal((A.shape[0], 2))
         ref = Ad @ np.linalg.pinv(Ad) @ Y
@@ -678,13 +672,38 @@ class TestLegacySolverStates:
         monkeypatch.setattr(solvers, "PIVOT_TOL", 0.0)
         state = export_gram_solver_state(_one_block_deficient(11))
         monkeypatch.undo()
-        assert state["exact"] and min(state["pivots"]) < solvers.PIVOT_TOL
+        assert min(state["pivots"]) < solvers.PIVOT_TOL
         if pivots == "absent":
             del state["pivots"]
+            state["exact"] = True
         A = _one_block_deficient(11)
         restore_gram_solver_state(A, state)
         assert A.cache_get("union_gram_solver") is None
-        assert not resolves_to_direct(A)
+
+    @pytest.mark.parametrize("kind", ["L2", "L4"])
+    @pytest.mark.parametrize("writer", ["parent", "current"])
+    def test_saved_state_solves_to_the_pseudo_inverse_without_a_rebuild(
+        self, monkeypatch, kind, writer
+    ):
+        """A state as this version writes it, ``{factors, lam, blocks,
+        pivots}``, and as the version before wrote it, with an ``exact``
+        verdict beside them, both restore, and the restored strategy
+        answers A⁺y without factoring again."""
+        state = export_gram_solver_state(_LEGACY_STRATEGIES[kind]())
+        if writer == "parent":
+            state["exact"] = kind == "L2"
+        A = _LEGACY_STRATEGIES[kind]()
+        restore_gram_solver_state(A, state)
+
+        def refit(_):
+            raise AssertionError("the restored solver was rebuilt")
+
+        monkeypatch.setattr(solvers, "_fit_union_gram_solver", refit)
+        Y = np.random.default_rng(8).standard_normal((A.shape[0], 3))
+        X_ref = np.linalg.pinv(A.dense()) @ Y
+        assert np.max(np.abs(least_squares(A, Y) - X_ref)) <= 1e-8 * np.abs(
+            X_ref
+        ).max()
 
 
 class TestValidationSatellites:
@@ -730,7 +749,6 @@ class TestValidationSatellites:
     def test_resolves_helpers(self, rng):
         A = _union_strategy(rng)
         assert not resolves_to_pinv(A)
-        assert resolves_to_direct(A)  # two-term direct solver
         assert resolves_to_pinv(Identity(4))
 
 
