@@ -319,6 +319,15 @@ def _rest_in_basis(
     return lam, float(mass)
 
 
+def _diag_in_basis(Es: list[np.ndarray], mats: list[np.ndarray]) -> np.ndarray:
+    """``⊗ᵢ diag(Eᵢ Kᵢ Eᵢᵀ)``, by the expression :func:`_rest_in_basis`
+    uses, ``⊗ᵢ (Eᵢ Kᵢ ∘ Eᵢ).sum(1)``, without forming ``Eᵢ Kᵢ Eᵢᵀ``."""
+    diag = np.ones(1)
+    for E, K in zip(Es, mats):
+        diag = np.kron(diag, ((E @ K) * E).sum(axis=1))
+    return diag
+
+
 @dataclass
 class Eigenbasis:
     """A union's Gram seen in its solver pair's eigenbasis ``E = ⊗Eᵢ``.
@@ -476,7 +485,7 @@ def _build_eigenbasis(A: VStack, solver: UnionGramSolver) -> Eigenbasis:
     E = Kronecker([Dense(Ei) for Ei in Es])
     mats = [_kron_gram_factor_mats(block) for block in A.blocks]
     terms: list[Matrix] = [
-        Diagonal(_rest_in_basis(Es, 0.0, [mats[l] for l in solver.blocks])[0])
+        Diagonal(sum(_diag_in_basis(Es, mats[l]) for l in solver.blocks))
     ]
     for l, block in enumerate(A.blocks):
         if l in solver.blocks:

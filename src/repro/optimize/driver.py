@@ -119,7 +119,12 @@ def opt_hdmm(
         bit-identical for every worker count, executor choice, and
         completion order.  The reduction picks the minimum valid loss with
         ties broken by (restart, operator) order, whatever order the cells
-        were submitted in (costliest operator first).
+        were submitted in (costliest operator first).  On processes the
+        cells run on the long-lived pool of
+        :func:`repro.optimize.parallel.run_tasks`, made by the first fit
+        and reused by every later fit with the same ``workers``: workers
+        are forked once per change of pool key, not once per fit, and see
+        module state as of that fork.
     executor:
         ``"auto"`` (processes when more than one CPU is usable, threads
         otherwise — see :func:`repro.optimize.parallel.resolve_executor`),

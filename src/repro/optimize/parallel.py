@@ -11,20 +11,46 @@ workers without giving up reproducibility:
   number of restarts, never on how many workers execute them or in which
   order they finish: ``workers=1`` and ``workers=8`` produce bit-identical
   losses for the same seed.
-* **Executors** — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  path and a :class:`~concurrent.futures.ThreadPoolExecutor` path, with a
-  transparent fallback to threads when the task or its payload cannot be
-  pickled.  ``executor="auto"`` picks processes whenever more than one
-  CPU is usable, at any domain size: an OPT_0 restart spends much of its
-  time holding the GIL (the loss-and-gradient kernel's small BLAS calls,
-  the Python loop around L-BFGS-B), so on a 2-CPU host two threads run
-  Paper Table 3 fits slower than one (≈0.75×), while two processes run
-  them ≈1.3× faster than sequential even after fork and pickling, with a
-  single-threaded BLAS.  With one usable CPU there is
+* **Executors** — one process-wide
+  :class:`~concurrent.futures.ProcessPoolExecutor` and a per-call
+  :class:`~concurrent.futures.ThreadPoolExecutor`, with a transparent
+  fallback to threads when the task or its payload cannot be pickled.
+  ``executor="auto"`` picks processes whenever more than one CPU is
+  usable, at any domain size: an OPT_0 restart spends much of its time
+  holding the GIL (the loss-and-gradient kernel's small BLAS calls, the
+  Python loop around L-BFGS-B), so on a 2-CPU host two threads run Paper
+  Table 3 fits slower than one (≈0.75×).  With one usable CPU there is
   no parallelism to gain and ``auto`` stays on threads.  Workers inherit
   the parent's BLAS thread count: run with a single-threaded BLAS
   (``OPENBLAS_NUM_THREADS=1`` and friends) when fanning out, or the
   workers' BLAS threads oversubscribe the CPUs.
+* **The process pool's lifetime** — the pool is made on the first
+  process-executor call, never at import, and is reused by every later
+  call with the same key ``(os.getpid(), fn, workers)``.  At most one
+  pool is live: a call with another key shuts the old pool down,
+  joining its workers, before it forks new ones, and a forked child
+  never sees its parent's pool.  Workers see module state as of their
+  start (their fork, under ``fork``, Linux's default before Python
+  3.14), so a task function or module global swapped in later reaches
+  the workers only through a change of key (a new task function).
+  Concurrent callers share the pool; a lock keeps any caller from
+  submitting to a pool another thread is shutting down.  A worker that
+  dies during a call fails that call with
+  :class:`~concurrent.futures.process.BrokenProcessPool` and its pool is
+  dropped, so the next call forks fresh workers; a pool found broken at
+  submit (a worker died while it sat idle) is replaced once and the call
+  runs on the new workers.  The workers are joined when the parent
+  exits normally (a ``multiprocessing`` child included), and each exits
+  on its own within about :data:`PARENT_POLL_S` seconds when the pool's
+  owner dies, under every start method (a watchdog thread, started by
+  the pool's initializer, polls ``getppid`` and the owner's end of the
+  worker's start pipe).  On a 2-vCPU
+  x86-64 host with a single-threaded BLAS, two workers on a reused pool
+  fit the Paper Table 3 configs of ``perfbench``'s ``cold_fit`` (two
+  restarts each) 1.1–1.5× faster than sequential (per-config medians of
+  15 fits, summed; four runs), and ``cold_fit``'s ``p50_ms`` reads
+  about 16% below a pool made per call (medians of ten alternating
+  pairs).
 * **Reduction** — :func:`reduce_best` picks the minimum-loss result, with
   ties broken by the lowest task index, so the winner is deterministic
   even when several restarts reach the same optimum.
@@ -38,10 +64,15 @@ workers without giving up reproducibility:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import threading
+import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import util as mp_util
 from typing import Any
 
 import numpy as np
@@ -136,6 +167,124 @@ def _is_picklable(obj) -> bool:
         return False
 
 
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the process that owns the pool
+    is gone.
+
+    A worker blocked on its call queue never sees its owner die (it
+    holds both ends of the queue's pipe), so a daemon thread polls two
+    signs of the death: the worker's parent changes (it is reparented),
+    or the owner's end of the pipe it started the worker through is
+    closed (:func:`multiprocessing.parent_process`'s sentinel).  The
+    first holds under ``fork`` and ``spawn``, where the parent is the
+    owner; the second under ``forkserver``, where the parent is the fork
+    server, which lives on while the workers hold its pipe.
+    ``PR_SET_PDEATHSIG`` would not do: it fires when the forking
+    *thread* exits, and the first submit may come from a short-lived
+    server thread.
+    """
+    parent = os.getppid()
+    owner = multiprocessing.parent_process()
+
+    def watch():
+        while os.getppid() == parent and owner.is_alive():
+            time.sleep(PARENT_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+# The process-wide pool, ``(key, executor)``, the lock that guards it, and
+# the pid that registered the exit hook.
+_pool: tuple[tuple, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+_exit_hook_pid: int | None = None
+#: Executors a forked child inherited from its parent (see _forget_pool).
+_inherited: list[ProcessPoolExecutor] = []
+
+#: Above the priority (10) of multiprocessing's own queue finalizers, so
+#: that the pool's call queue still feeds its workers their stop signal.
+_EXIT_PRIORITY = 20
+
+
+def _forget_pool() -> None:
+    """After a fork, in the child: set the parent's pool aside, new lock.
+
+    Both matter for a fork taken while another thread of the parent is
+    inside the pool (submitting, or shutting it down): the child's
+    copies of that thread's locks, :data:`_pool_lock` and the inherited
+    executor's own, stay held forever.  So the child gets a fresh lock
+    and never touches the inherited executor, whose manager thread did
+    not survive the fork and whose queues feed the parent's workers.  It
+    is kept in :data:`_inherited` rather than dropped: collecting it
+    would run its weakref callback, which takes the executor's lock.
+    """
+    global _pool, _pool_lock
+    if _pool is not None:
+        _inherited.append(_pool[1])
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _shutdown_pool() -> None:
+    """Join the pool's workers.  Runs at exit: a ``multiprocessing`` child
+    joins its live children before the hook that would stop the pool, so
+    without this a fit inside such a child hangs its exit."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool[1].shutdown(wait=True)
+            _pool = None
+
+
+def _submit(key: tuple, fn: Callable[[Any], Any], payloads: Sequence[Any]):
+    """Submit ``payloads`` to the pool for ``key``, made or replaced as
+    needed; returns the pool and the result iterator.  Caller holds
+    ``_pool_lock``."""
+    global _pool, _exit_hook_pid
+    if _pool is not None and _pool[0] != key:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+    if _pool is None:
+        if _exit_hook_pid != os.getpid():
+            mp_util.Finalize(None, _shutdown_pool, exitpriority=_EXIT_PRIORITY)
+            _exit_hook_pid = os.getpid()
+        _pool = key, ProcessPoolExecutor(
+            max_workers=key[2], initializer=_exit_with_parent
+        )
+    return _pool[1], _pool[1].map(fn, payloads)
+
+
+def _run_on_pool(fn: Callable[[Any], Any], payloads: Sequence[Any], workers: int):
+    """``fn`` over ``payloads`` on the process-wide pool for this key."""
+    global _pool
+    key = (os.getpid(), fn, workers)
+    with _pool_lock:
+        try:
+            pool, results = _submit(key, fn, payloads)
+        except BrokenProcessPool:
+            # A worker died while the pool sat idle: the pool refuses the
+            # submit before any task of this call runs, so fork fresh
+            # workers once and submit again.
+            _pool[1].shutdown(wait=True)
+            _pool = None
+            pool, results = _submit(key, fn, payloads)
+    try:
+        return list(results)
+    except BrokenProcessPool:
+        with _pool_lock:
+            if _pool is not None and _pool[1] is pool:
+                _pool = None
+        pool.shutdown(wait=True)
+        raise
+
+
 def run_tasks(
     fn: Callable[[Any], Any],
     payloads: Sequence[Any],
@@ -162,6 +311,18 @@ def run_tasks(
     Payloads are submitted in the order given; results are collected per
     payload index, so the output order (and any reduction over it) is
     independent of completion order.
+
+    Processes come from one long-lived pool of ``workers`` processes,
+    reused while the key ``(os.getpid(), fn, workers)`` stays the same
+    and replaced, after its workers are joined, when it changes (see the
+    module docstring).  The workers see module state as of their fork:
+    a global set, or a function patched, after the pool was made is not
+    seen by ``fn`` in the workers until a call with another ``fn``
+    replaces the pool.  A worker's death during this call fails it with
+    ``BrokenProcessPool`` and the next call gets fresh workers; a death
+    while the pool sat idle is repaired before this call submits.
+    Workers exit when the parent exits or dies.  Threads get a fresh
+    pool per call.
     """
     workers = resolve_workers(workers)
     kind = resolve_executor(executor)
@@ -171,10 +332,8 @@ def run_tasks(
     # homogeneous payload lists sharing the same workload object, so
     # serializing all of them up-front would double the pickling cost.
     if kind == "process" and _is_picklable(fn) and _is_picklable(payloads[0]):
-        pool_cls = ProcessPoolExecutor
-    else:
-        pool_cls = ThreadPoolExecutor
-    with pool_cls(max_workers=min(workers, len(payloads))) as pool:
+        return _run_on_pool(fn, payloads, workers)
+    with ThreadPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(fn, payloads))
 
 

@@ -120,20 +120,23 @@ class SpendState:
 
     ``budgets`` maps each dataset to ``(policy, curve)``; the policy is
     ``None`` for a dataset that was debited but never registered (and no
-    ``default_cap`` applies).  ``ledger`` is every debit, in order.
+    ``default_cap`` applies).  ``implicit`` names the datasets whose
+    policy is that ``default_cap``, taken at their first debit, with no
+    register record since.  ``ledger`` is every debit, in order.
     Folding applies no cap check: every committed debit passed its check
     when written, and replaying it conservatively — even past a
     since-shrunk cap — can only keep the accounted spend at or above the
     released noise.
     """
 
-    __slots__ = ("default_cap", "budgets", "ledger")
+    __slots__ = ("default_cap", "budgets", "implicit", "ledger")
 
     def __init__(self, default_cap: float | None = None):
         if default_cap is not None:
             default_cap = float(validate_epsilon(default_cap, "default_cap"))
         self.default_cap = default_cap
         self.budgets: dict[str, tuple[BudgetPolicy | None, SpendCurve]] = {}
+        self.implicit: set[str] = set()
         self.ledger: list[LedgerEntry] = []
 
     def apply(self, records: Iterable[Mapping]) -> None:
@@ -155,6 +158,7 @@ class SpendState:
         self.budgets[dataset] = (
             policy, SpendCurve() if entry is None else entry[1]
         )
+        self.implicit.discard(dataset)
 
     def debit(self, record: Mapping) -> LedgerEntry:
         """Fold one debit record; a dataset first seen here takes the
@@ -168,6 +172,8 @@ class SpendState:
                 else PureEpsilonPolicy(self.default_cap)
             )
             entry = self.budgets[dataset] = (policy, SpendCurve())
+            if policy is not None:
+                self.implicit.add(dataset)
         curve = entry[1]
         cost = fold_debit(curve, record)
         logged = LedgerEntry(
@@ -191,5 +197,6 @@ class SpendState:
             ds: (policy, curve.copy())
             for ds, (policy, curve) in self.budgets.items()
         }
+        out.implicit = set(self.implicit)
         out.ledger = list(self.ledger)
         return out

@@ -237,7 +237,11 @@ class PrivacyAccountant:
                 f"cap {policy.describe()} for dataset {dataset!r} is below "
                 f"the already-spent budget {curve.as_dict()}"
             )
-        if self._wal is not None and current != policy:
+        # A policy taken from default_cap at a first debit is not in the
+        # WAL, so registering that same policy explicitly must write it.
+        if self._wal is not None and (
+            current != policy or dataset in self._state.implicit
+        ):
             self._wal.append(register_record(dataset, policy))
         self._state.register(dataset, policy)
 

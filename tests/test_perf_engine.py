@@ -1,10 +1,19 @@
 """Tests for the performance engine: parallel restarts, Gram caching, and
 batched Kronecker matmat (kmatmat)."""
 
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.error import squared_error, workload_marginal_traces
 from repro.domain import Domain
@@ -36,6 +45,7 @@ from repro.optimize import (
     opt_marginals,
     opt_union,
 )
+from repro.optimize import parallel
 from repro.optimize.parallel import (
     best_index,
     reduce_best,
@@ -154,6 +164,287 @@ class TestAutoExecutor:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert resolve_workers(-1) == 3
         assert resolve_executor("auto") == "process"
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie, dead but not yet reaped, does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _children(pid: int) -> list[int]:
+    """Live processes whose parent is ``pid``."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            out.append(int(entry))
+    return out
+
+
+def _gone_within(pids, seconds: float) -> bool:
+    """Poll until no pid of ``pids`` runs, for at most ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while any(_alive(p) for p in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def _slow_pid(_):
+    time.sleep(0.05)
+    return os.getpid()
+
+
+def _pid_or_exit(x):
+    if x == "exit":
+        os._exit(1)
+    return _slow_pid(x)
+
+
+_FLAG = "at import"
+
+
+def _pid_and_flag(_):
+    return _slow_pid(_), _FLAG
+
+
+def _pid_and_parent(_):
+    return _slow_pid(_), os.getppid()
+
+
+def _square(x):
+    return x * x
+
+
+def _negate(x):
+    return -x
+
+
+def _workers_of_a_forked_child(out):
+    out.put(run_tasks(_pid_and_parent, [0, 1], workers=2, executor="process"))
+
+
+def _python(code: str, **kwargs) -> subprocess.Popen:
+    return _python_args(["-c", code], **kwargs)
+
+
+def _python_file(path, *args, **kwargs) -> subprocess.Popen:
+    return _python_args([str(path), *args], **kwargs)
+
+
+def _python_args(argv, **kwargs) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    return subprocess.Popen(
+        [sys.executable, *argv], env=env, stdout=subprocess.PIPE,
+        text=True, **kwargs,
+    )
+
+
+_FORKSERVER_SCRIPT = """
+import multiprocessing, os, sys
+from repro.optimize import parallel
+from repro.optimize.parallel import run_tasks
+
+def pid_and_parent(_):
+    import time
+    time.sleep(0.05)
+    return os.getpid(), os.getppid()
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("forkserver")
+    first = run_tasks(pid_and_parent, [0, 1], workers=2, executor="process")
+    again = run_tasks(pid_and_parent, [0, 1], workers=2, executor="process")
+    # The pool's workers, whether or not each ran a task: one may still
+    # be starting while the other runs every task.
+    pool = set(parallel._pool[1]._processes)
+    print(*sorted(pool), flush=True)
+    print(*sorted({ppid for _, ppid in first + again}), flush=True)
+    print({pid for pid, _ in first + again} <= pool, flush=True)
+    if sys.argv[1:] == ["wait"]:
+        input()
+"""
+
+
+_PRINT_WORKER_PIDS = """
+import os
+from repro.optimize import parallel
+from repro.optimize.parallel import run_tasks
+
+def pid(_):
+    import time
+    time.sleep(0.05)
+    return os.getpid()
+
+run_tasks(pid, [0, 1], workers=2, executor="process")
+print(*sorted(parallel._pool[1]._processes), flush=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestProcessPoolLifetime:
+    """One long-lived process pool per ``(pid, fn, workers)`` key."""
+
+    def test_calls_with_the_same_task_reuse_the_workers(self):
+        first = run_tasks(_slow_pid, [0, 1, 2, 3], workers=2, executor="process")
+        second = run_tasks(_slow_pid, [0, 1, 2, 3], workers=2, executor="process")
+        assert os.getpid() not in first
+        # A pool per call would fork two new workers for the second call.
+        assert len(set(first) | set(second)) <= 2
+        assert all(_alive(p) for p in set(first) | set(second))
+
+    def test_a_dead_worker_fails_its_call_only(self):
+        before = set(run_tasks(_pid_or_exit, [0, 1], workers=2, executor="process"))
+        with pytest.raises(BrokenProcessPool):
+            run_tasks(_pid_or_exit, ["exit", 0], workers=2, executor="process")
+        after = set(run_tasks(_pid_or_exit, [0, 1], workers=2, executor="process"))
+        assert after and not after & before
+        assert not any(_alive(p) for p in before)
+
+    def test_a_worker_killed_while_idle_does_not_fail_the_next_call(self):
+        before = set(run_tasks(_slow_pid, [0, 1], workers=2, executor="process"))
+        os.kill(min(before), signal.SIGKILL)
+        # The pool notices the death and terminates the other worker.
+        assert _gone_within(before, 30.0)
+        after = run_tasks(_slow_pid, [0, 1, 2, 3], workers=2, executor="process")
+        assert set(after) and not set(after) & before
+
+    def test_a_new_task_function_gets_workers_forked_after_the_swap(
+        self, monkeypatch
+    ):
+        old = set(run_tasks(_slow_pid, [0, 1], workers=2, executor="process"))
+        monkeypatch.setattr(sys.modules[__name__], "_FLAG", "set later")
+        got = run_tasks(_pid_and_flag, [0, 1, 2], workers=2, executor="process")
+        assert [flag for _, flag in got] == ["set later"] * 3
+        new = {pid for pid, _ in got}
+        assert not new & old
+        # The old pool was shut down, its workers joined, before the fork.
+        assert not any(_alive(p) for p in old)
+
+    def test_a_forked_child_never_reuses_its_parents_pool(self):
+        theirs = set(run_tasks(_pid_and_parent, [0, 1], workers=2,
+                               executor="process"))
+        ctx = multiprocessing.get_context("fork")
+        out = ctx.Queue()
+        child = ctx.Process(target=_workers_of_a_forked_child, args=(out,))
+        child.start()
+        got = out.get(timeout=60)
+        # Its own pool is joined at its exit, before multiprocessing joins
+        # its children, so the child exits instead of hanging.
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert {ppid for _, ppid in got} == {child.pid}
+        assert not {pid for pid, _ in got} & {pid for pid, _ in theirs}
+        # The child left the parent's pool alone: same workers, still up.
+        again = run_tasks(_pid_and_parent, [0, 1], workers=2, executor="process")
+        assert {pid for pid, _ in again} <= {pid for pid, _ in theirs}
+
+    def test_a_child_forked_while_a_thread_is_inside_the_pool_can_fit(self):
+        run_tasks(_pid_and_parent, [0, 1], workers=2, executor="process")
+        ctx = multiprocessing.get_context("fork")
+        out = ctx.Queue()
+        child = ctx.Process(target=_workers_of_a_forked_child, args=(out,))
+        # As a thread submitting to the pool would hold both locks at the
+        # fork; the child's copies stay held, so it must touch neither.
+        with parallel._pool_lock, parallel._pool[1]._shutdown_lock:
+            child.start()
+        try:
+            got = out.get(timeout=30)
+            child.join(timeout=60)
+        finally:
+            if child.is_alive():  # pragma: no cover - a deadlocked child
+                child.kill()
+        assert child.exitcode == 0
+        assert {ppid for _, ppid in got} == {child.pid}
+
+    def test_threads_with_different_tasks_get_their_own_ordered_results(self):
+        results, errors = {}, []
+
+        def caller(fn):
+            try:
+                results[fn] = [
+                    run_tasks(fn, list(range(12)), workers=2, executor="process")
+                    for _ in range(3)
+                ]
+            except BaseException as e:  # pragma: no cover - reported below
+                errors.append(e)
+
+        threads = [threading.Thread(target=caller, args=(fn,))
+                   for fn in (_square, _negate)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not errors
+        assert results[_square] == [[x * x for x in range(12)]] * 3
+        assert results[_negate] == [[-x for x in range(12)]] * 3
+
+    def test_importing_the_service_starts_no_pool_and_no_process(self):
+        proc = _python(
+            "import os, repro.service, repro.optimize.parallel as p\n"
+            "print(p._pool is None, os.getpid(), flush=True)\n"
+            "input()\n",
+            stdin=subprocess.PIPE,
+        )
+        try:
+            no_pool, pid = proc.stdout.readline().split()
+            assert no_pool == "True"
+            assert _children(int(pid)) == []
+        finally:
+            proc.communicate("\n", timeout=60)
+
+    def test_workers_exit_when_their_parent_is_killed(self):
+        proc = _python(_PRINT_WORKER_PIDS + "input()\n", stdin=subprocess.PIPE)
+        workers = [int(p) for p in proc.stdout.readline().split()]
+        assert len(workers) == 2 and all(_alive(p) for p in workers)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=60)
+        # A liveness bound, not a timing assertion: the workers poll
+        # their parent every PARENT_POLL_S seconds.
+        assert _gone_within(workers, 30.0)
+
+    def test_forkserver_workers_run_and_exit_with_their_owner(self, tmp_path):
+        script = tmp_path / "fit_on_forkserver.py"
+        script.write_text(_FORKSERVER_SCRIPT)
+        proc = _python_file(script, "wait", stdin=subprocess.PIPE)
+        workers = [int(p) for p in proc.stdout.readline().split()]
+        parents = [int(p) for p in proc.stdout.readline().split()]
+        # Reused across calls; the workers' parent is the fork server.
+        assert proc.stdout.readline().strip() == "True"
+        assert len(workers) == 2 and parents != [proc.pid]
+        assert all(_alive(p) for p in workers)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=60)
+        # The fork server exits too, once no worker holds its pipe.
+        assert _gone_within(workers + parents, 30.0)
+
+    def test_forkserver_workers_are_joined_at_a_normal_exit(self, tmp_path):
+        script = tmp_path / "fit_on_forkserver.py"
+        script.write_text(_FORKSERVER_SCRIPT)
+        proc = _python_file(script)
+        workers = [int(p) for p in proc.stdout.readline().split()]
+        parents = [int(p) for p in proc.stdout.readline().split()]
+        assert len(workers) == 2
+        assert proc.wait(timeout=60) == 0
+        assert _gone_within(workers + parents, 30.0)
+
+    def test_workers_are_joined_when_their_parent_exits(self):
+        proc = _python(_PRINT_WORKER_PIDS)
+        workers = [int(p) for p in proc.stdout.readline().split()]
+        assert len(workers) == 2
+        assert proc.wait(timeout=60) == 0
+        assert not any(_alive(p) for p in workers)
 
 
 def _config_arrays(config, path=""):

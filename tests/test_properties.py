@@ -858,6 +858,16 @@ class TestOneFoldProperties:
         ops=[("charge", "a", [1.0, 1.0, 1.5], ("laplace", None), "")],
         default_cap=3.0,
     )
+    # Registering the default_cap a first debit already applied must
+    # still write the register record, or a replay without the default
+    # cap loses it.
+    @example(
+        ops=[
+            ("charge", "b", [1.0], ("laplace", None), ""),
+            ("register", "b", PureEpsilonPolicy(3.0)),
+        ],
+        default_cap=3.0,
+    )
     def test_every_view_of_the_ledger_is_bit_equal(self, ops, default_cap):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "eps.wal")

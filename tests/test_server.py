@@ -1239,7 +1239,7 @@ class TestChaos:
     ):
         """A corrupted persisted strategy is quarantined and re-fit cold —
         the request succeeds; nothing 5xxes."""
-        app = make_app(tmp_path, registry=True)
+        app = make_app(tmp_path, registry=True, default_timeout=FIT_TIMEOUT)
         with serve_in_thread(app) as srv:
             s, _, b = post(srv.port, {
                 "dataset": "adult", "queries": [{"marginal": ["age"]}],
@@ -1256,7 +1256,7 @@ class TestChaos:
         path.write_bytes(bytes(blob))
         # Fresh process over the same registry: the flipped entry must
         # quarantine into a cold re-fit, not an error.
-        app2 = make_app(tmp_path, registry=True)
+        app2 = make_app(tmp_path, registry=True, default_timeout=FIT_TIMEOUT)
         with serve_in_thread(app2) as srv:
             s, _, b = post(srv.port, {
                 "dataset": "adult", "queries": [{"marginal": ["age"]}],
